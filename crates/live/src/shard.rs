@@ -20,7 +20,7 @@
 //!                 ┌► shard 0: journal (fsync) ─► apply ─► publish
 //! deltas ─ route ─┼► shard 1: journal (fsync) ─► apply ─► publish
 //!  (by source id) └► shard 2: journal (fsync) ─► apply ─► publish
-//!                                │ (parallel, one thread per shard)
+//!                                │ (parallel, one thread per busy shard)
 //!            engagement of committed shards ─► global StaticBlend
 //!                                              └► blend publish
 //! ```
@@ -210,11 +210,14 @@ impl BlendCell {
         }
     }
 
-    fn publish(&self, blend: Arc<StaticBlend>) {
-        match self.current.write() {
-            Ok(mut guard) => *guard = blend,
-            Err(poisoned) => *poisoned.into_inner() = blend,
-        }
+    /// Swaps in a new blend and hands back the superseded one, with
+    /// the lock already released so its free never blocks a reader.
+    fn publish(&self, blend: Arc<StaticBlend>) -> Arc<StaticBlend> {
+        let mut guard = match self.current.write() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        std::mem::replace(&mut *guard, blend)
     }
 }
 
@@ -448,7 +451,8 @@ impl ShardedLiveService {
 
     /// Ingests a burst of deltas: routes every delta into per-shard
     /// sub-deltas, then commits each shard's sub-batch **in
-    /// parallel** (one scoped thread per non-empty shard), each as
+    /// parallel** (the last non-empty shard on the calling thread, a
+    /// scoped thread for each other non-empty shard), each as
     /// its own group commit — per-shard journal records under one
     /// per-shard fsync, one batched apply, one published snapshot.
     /// Engagement of every *committed* shard is then absorbed into
@@ -486,28 +490,33 @@ impl ShardedLiveService {
             m.fanout
                 .record(routed.iter().filter(|b| !b.is_empty()).count() as u64);
         }
-        let outcomes: Vec<Result<(), LiveError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
+        let commit = |i: usize, shard: &mut Shard, batch: &[CorpusDelta]| match metrics {
+            Some(m) => m.time_shard_commit(i, || shard.commit(batch)),
+            None => shard.commit(batch),
+        };
+        let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
+        std::thread::scope(|scope| {
+            let mut busy: Vec<_> = self
                 .shards
                 .iter_mut()
                 .zip(&routed)
                 .enumerate()
-                .map(|(i, (shard, batch))| {
-                    if batch.is_empty() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || match metrics {
-                            Some(m) => m.time_shard_commit(i, || shard.commit(batch)),
-                            None => shard.commit(batch),
-                        }))
-                    }
-                })
+                .filter(|(_, (_, batch))| !batch.is_empty())
                 .collect();
-            handles
+            // The last busy shard commits on this thread; only the
+            // others pay a thread spawn.
+            let inline = busy.pop();
+            let spawned: Vec<_> = busy
                 .into_iter()
+                .map(|(i, (shard, batch))| (i, scope.spawn(move || commit(i, shard, batch))))
+                .collect();
+            if let Some((i, (shard, batch))) = inline {
+                outcomes[i] = commit(i, shard, batch);
+            }
+            for (i, handle) in spawned {
                 // lint:allow(panic): join only errs if the commit thread panicked; re-raising that panic is the designed propagation
-                .map(|h| h.map_or(Ok(()), |h| h.join().expect("shard commit thread panicked")))
-                .collect()
+                outcomes[i] = handle.join().expect("shard commit thread panicked");
+            }
         });
 
         let mut failed: Option<(usize, LiveError)> = None;
@@ -533,7 +542,7 @@ impl ShardedLiveService {
         }
         if blend_touched {
             self.blend.reblend();
-            self.blend_cell.publish(Arc::new(self.blend.clone()));
+            drop(self.blend_cell.publish(Arc::new(self.blend.clone())));
         }
         match failed {
             None => Ok(()),
@@ -875,6 +884,18 @@ mod tests {
         for sub in &routed {
             assert_eq!(sub.removed, vec![PostId::new(999)]);
         }
+    }
+
+    #[test]
+    fn blend_publish_returns_the_superseded_blend_with_the_lock_released() {
+        let (_, engine) = world_and_engine(607);
+        let cell = BlendCell::new(engine.blend().clone());
+        let old = cell.load();
+        let fresh = Arc::new(engine.blend().clone());
+        let superseded = cell.publish(Arc::clone(&fresh));
+        assert!(cell.current.try_read().is_ok());
+        assert!(Arc::ptr_eq(&superseded, &old));
+        assert!(Arc::ptr_eq(&cell.load(), &fresh));
     }
 
     #[test]

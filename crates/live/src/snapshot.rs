@@ -15,7 +15,9 @@
 //!   index is copy-on-write (shared via `Arc` until mutated), so
 //!   published snapshots are physically immune to later writes;
 //! * publishing swaps the `Arc` under the write lock — again a
-//!   pointer-sized critical section.
+//!   pointer-sized critical section. The superseded snapshot is
+//!   dropped after the lock is released, so freeing an old index
+//!   epoch never delays a reader.
 //!
 //! The lock is therefore never held across an `apply_delta` or a
 //! `query`; the worst a reader can experience is waiting for a
@@ -78,12 +80,16 @@ impl SnapshotStore {
         }
     }
 
-    /// Swaps in a new snapshot. Lock-held time is one pointer swap.
-    fn publish(&self, snapshot: Arc<EngineSnapshot>) {
-        match self.current.write() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
-        }
+    /// Swaps in a new snapshot and hands back the superseded one.
+    /// Lock-held time is one pointer swap: the old snapshot — possibly
+    /// the last handle on a whole index epoch — is returned with the
+    /// lock already released, so readers never wait on its free.
+    fn publish(&self, snapshot: Arc<EngineSnapshot>) -> Arc<EngineSnapshot> {
+        let mut guard = match self.current.write() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        std::mem::replace(&mut *guard, snapshot)
     }
 }
 
@@ -156,10 +162,10 @@ impl LiveWriter {
     /// apply detaches, the rest mutate the now-unique index in
     /// place) and one static-signal re-blend at the end, however
     /// many deltas the burst carries — the amortization the
-    /// group-commit ingest path exists for, with zero cloning and
-    /// unconditionally bit-identical results to replaying the same
-    /// records one at a time on recovery. Not visible to readers
-    /// until [`LiveWriter::publish`]; an empty batch is a no-op.
+    /// group-commit ingest path exists for, with unconditionally
+    /// bit-identical results to replaying the same records one at a
+    /// time on recovery. Not visible to readers until
+    /// [`LiveWriter::publish`]; an empty batch is a no-op.
     ///
     /// # Panics
     /// If `first_seq` is not exactly one past the last applied
@@ -182,8 +188,12 @@ impl LiveWriter {
     /// Publishes the current engine state. Readers acquiring
     /// snapshots from now on see every delta applied so far.
     pub fn publish(&self) {
-        self.store
-            .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone())));
+        // The superseded snapshot is freed here, outside the store's
+        // write lock.
+        drop(
+            self.store
+                .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone()))),
+        );
     }
 
     /// Sequence of the last applied (not necessarily published) delta.
@@ -285,6 +295,17 @@ mod tests {
         for s in world.corpus.sources() {
             assert_eq!(a.engine().static_score(s.id), b.engine().static_score(s.id));
         }
+    }
+
+    #[test]
+    fn publish_returns_the_superseded_snapshot_with_the_lock_released() {
+        let (_, engine) = engine();
+        let store = SnapshotStore::new(EngineSnapshot::new(0, engine.clone()));
+        let superseded = store.publish(Arc::new(EngineSnapshot::new(1, engine)));
+        // The old epoch is still alive here, yet readers are free.
+        assert!(store.current.try_read().is_ok());
+        assert_eq!(superseded.seq(), 0);
+        assert_eq!(store.load().seq(), 1);
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //! immediately, while its postings are swept out by a
 //! generation-aware compaction pass that touches each affected term
 //! list at most once per commit.
+//!
+//! Terms are *interned*: a term dictionary maps each live term to a
+//! `u32` id, posting lists are stored by id, and the per-document
+//! forward index records ids rather than strings. Cloning the index —
+//! the copy-on-write detach every published epoch pays — therefore
+//! copies one small `Vec<u32>` per document instead of one heap
+//! `String` per (document, term) pair.
 
 use crate::token::tokenize;
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A posting: document and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +46,10 @@ pub struct Posting {
 /// in the same pass that compacts the list, so the two never drift.
 #[derive(Debug, Clone, Default)]
 struct PostingList {
+    /// The term this list belongs to (the reverse of its dictionary
+    /// entry, so an emptied list can retire its id); empty on a free
+    /// slot.
+    term: String,
     entries: Vec<Posting>,
     clean_gen: u64,
     /// Exact max term frequency across `entries`.
@@ -72,18 +83,25 @@ impl PostingList {
 /// The inverted index.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    postings: HashMap<String, PostingList>,
+    /// Term dictionary: each live term's id, its slot in `lists`.
+    /// Always exactly the live vocabulary — an entry leaves in the
+    /// same step its posting list empties.
+    term_ids: HashMap<String, u32>,
+    /// Posting lists by term id.
+    lists: Vec<PostingList>,
+    /// Ids of emptied slots in `lists`, reused by the next new term.
+    free_ids: Vec<u32>,
     doc_len: HashMap<PostId, u32>,
     doc_source: HashMap<PostId, SourceId>,
-    /// Forward index: the distinct terms of each live document, so a
-    /// removal knows exactly which posting lists it dirties.
-    doc_terms: HashMap<PostId, Vec<String>>,
+    /// Forward index: the distinct term ids of each live document, so
+    /// a removal knows exactly which posting lists it dirties.
+    doc_terms: HashMap<PostId, Vec<u32>>,
     total_len: u64,
     /// Documents removed but not yet swept from their posting lists,
-    /// keyed to the terms awaiting compaction. Only ever non-empty
+    /// keyed to the term ids awaiting compaction. Only ever non-empty
     /// while an [`IndexWriter`](crate::writer::IndexWriter) holds the
     /// index mutably, so readers never observe a stale posting.
-    tombstones: HashMap<PostId, Vec<String>>,
+    tombstones: HashMap<PostId, Vec<u32>>,
     /// Compaction generation, bumped once per sweep.
     generation: u64,
 }
@@ -123,13 +141,43 @@ impl InvertedIndex {
         self.total_len += len as u64;
         let mut terms = Vec::with_capacity(tf.len());
         for (term, freq) in tf {
-            self.postings
-                .entry(term.clone())
-                .or_default()
-                .insert_sorted(doc, freq);
-            terms.push(term);
+            let id = self.intern(term);
+            self.lists[id as usize].insert_sorted(doc, freq);
+            terms.push(id);
         }
         self.doc_terms.insert(doc, terms);
+    }
+
+    /// The id of `term`, allocating one (and an empty posting list)
+    /// if the term is new to the vocabulary.
+    fn intern(&mut self, term: String) -> u32 {
+        if let Some(&id) = self.term_ids.get(&term) {
+            return id;
+        }
+        let id = match self.free_ids.pop() {
+            Some(id) => id,
+            // Freed ids are reused, so the slot count is the peak live
+            // vocabulary: far below `u32::MAX` for any index in memory.
+            None => {
+                self.lists.push(PostingList::default());
+                (self.lists.len() - 1) as u32
+            }
+        };
+        self.lists[id as usize].term = term.clone();
+        self.term_ids.insert(term, id);
+        id
+    }
+
+    /// Drops an emptied list's dictionary entry and frees its id. The
+    /// slot keeps its `clean_gen`, so a sweep in progress that meets
+    /// the id again skips it.
+    fn retire(&mut self, id: u32) {
+        let list = &mut self.lists[id as usize];
+        let term = std::mem::take(&mut list.term);
+        // Release the capacity `retain` left behind.
+        list.entries = Vec::new();
+        self.term_ids.remove(&term);
+        self.free_ids.push(id);
     }
 
     /// Removes one document, sweeping its postings immediately.
@@ -175,40 +223,32 @@ impl InvertedIndex {
         self.generation += 1;
         let gen = self.generation;
         let tombstones = std::mem::take(&mut self.tombstones);
-        let swept = tombstones.len();
-        let mut emptied: Vec<&String> = Vec::new();
-        for term in tombstones.values().flatten() {
-            if let Some(list) = self.postings.get_mut(term) {
-                if list.clean_gen < gen {
-                    list.entries.retain(|p| !tombstones.contains_key(&p.doc));
-                    list.refresh_max();
-                    list.clean_gen = gen;
-                    if list.entries.is_empty() {
-                        emptied.push(term);
-                    }
+        for &id in tombstones.values().flatten() {
+            let list = &mut self.lists[id as usize];
+            if list.clean_gen < gen {
+                list.entries.retain(|p| !tombstones.contains_key(&p.doc));
+                list.refresh_max();
+                list.clean_gen = gen;
+                if list.entries.is_empty() {
+                    self.retire(id);
                 }
             }
         }
-        let emptied: HashSet<&String> = emptied.into_iter().collect();
-        for term in emptied {
-            self.postings.remove(term);
-        }
-        swept
+        tombstones.len()
     }
 
     /// Sweeps one specific tombstone (used when a pending removal is
     /// cancelled by a re-add of the same document id).
     fn sweep_tombstone(&mut self, doc: PostId) {
-        let Some(terms) = self.tombstones.remove(&doc) else {
+        let Some(ids) = self.tombstones.remove(&doc) else {
             return;
         };
-        for term in &terms {
-            if let Some(list) = self.postings.get_mut(term) {
-                list.entries.retain(|p| p.doc != doc);
-                list.refresh_max();
-                if list.entries.is_empty() {
-                    self.postings.remove(term);
-                }
+        for id in ids {
+            let list = &mut self.lists[id as usize];
+            list.entries.retain(|p| p.doc != doc);
+            list.refresh_max();
+            if list.entries.is_empty() {
+                self.retire(id);
             }
         }
     }
@@ -218,13 +258,16 @@ impl InvertedIndex {
         self.tombstones.len()
     }
 
+    /// The live posting list of a term.
+    fn list(&self, term: &str) -> Option<&PostingList> {
+        self.term_ids.get(term).map(|&id| &self.lists[id as usize])
+    }
+
     /// Postings for a term (empty slice when absent), **sorted by
     /// document id** — the invariant the pruned DAAT query path
     /// merges on.
     pub fn postings(&self, term: &str) -> &[Posting] {
-        self.postings
-            .get(term)
-            .map_or(&[], |list| list.entries.as_slice())
+        self.list(term).map_or(&[], |list| list.entries.as_slice())
     }
 
     /// The **exact** maximum term frequency among the term's live
@@ -235,7 +278,7 @@ impl InvertedIndex {
     /// exactly. Per-term score upper bounds for top-k pruning derive
     /// from it.
     pub fn max_term_frequency(&self, term: &str) -> u32 {
-        self.postings.get(term).map_or(0, |list| list.max_tf)
+        self.list(term).map_or(0, |list| list.max_tf)
     }
 
     /// Document frequency of a term.
@@ -277,7 +320,7 @@ impl InvertedIndex {
 
     /// Number of distinct terms.
     pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
+        self.term_ids.len()
     }
 }
 
@@ -414,9 +457,18 @@ mod tests {
 
     /// Every posting list must be doc-id-sorted with an exactly
     /// maintained max term frequency — the two invariants the pruned
-    /// query path is built on.
+    /// query path is built on — and the term dictionary must match
+    /// the live posting lists one to one: each entry names a
+    /// non-empty list that names it back, every other slot is free
+    /// (empty, listed once in `free_ids`), and every id a live
+    /// document or a pending tombstone holds is live and lists that
+    /// document.
     fn assert_bounds_exact(idx: &InvertedIndex) {
-        for (term, list) in &idx.postings {
+        let mut live = vec![false; idx.lists.len()];
+        for (term, &id) in &idx.term_ids {
+            let list = &idx.lists[id as usize];
+            assert_eq!(&list.term, term, "id {id} does not name `{term}` back");
+            assert!(!list.entries.is_empty(), "dictionary kept emptied `{term}`");
             for w in list.entries.windows(2) {
                 assert!(w[0].doc < w[1].doc, "postings of `{term}` out of order");
             }
@@ -425,7 +477,157 @@ mod tests {
                 list.max_tf, recomputed,
                 "max_tf of `{term}` drifted from the survivors"
             );
+            live[id as usize] = true;
         }
+        let mut free = idx.free_ids.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), idx.free_ids.len(), "an id was freed twice");
+        for &id in &free {
+            assert!(!live[id as usize], "live id {id} is also free");
+            let slot = &idx.lists[id as usize];
+            assert!(slot.term.is_empty() && slot.entries.is_empty());
+        }
+        assert_eq!(
+            idx.term_ids.len() + free.len(),
+            idx.lists.len(),
+            "leaked term ids"
+        );
+        for (doc, ids) in idx.doc_terms.iter().chain(&idx.tombstones) {
+            for &id in ids {
+                assert!(live[id as usize], "{doc:?} holds dead term id {id}");
+                let list = &idx.lists[id as usize];
+                assert!(list.entries.iter().any(|p| p.doc == *doc));
+            }
+        }
+    }
+
+    /// Three documents over a shared term plus one exclusive term
+    /// each.
+    fn three_docs() -> InvertedIndex {
+        let mut idx = InvertedIndex::default();
+        let s = SourceId::new(0);
+        idx.add_document(PostId::new(0), s, "duomo rooftop");
+        idx.add_document(PostId::new(1), s, "duomo duomo castle");
+        idx.add_document(PostId::new(2), s, "duomo gardens");
+        idx
+    }
+
+    #[test]
+    fn dictionary_tracks_immediate_removals() {
+        let mut idx = three_docs();
+        assert_bounds_exact(&idx);
+        idx.remove_document(PostId::new(1));
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.doc_frequency("castle"), 0);
+        assert_eq!(idx.vocabulary_size(), 3);
+        assert_eq!(idx.max_term_frequency("duomo"), 1);
+    }
+
+    #[test]
+    fn dictionary_tracks_tombstones_and_sweeps() {
+        let mut idx = three_docs();
+        // The writer's path: statistics go first, postings wait.
+        assert!(idx.tombstone_document(PostId::new(0)));
+        assert!(idx.tombstone_document(PostId::new(1)));
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.vocabulary_size(), 4);
+        assert_eq!(idx.sweep(), 2);
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.vocabulary_size(), 2);
+        assert_eq!(
+            idx.postings("duomo"),
+            &[Posting {
+                doc: PostId::new(2),
+                tf: 1
+            }]
+        );
+
+        // The same through the public writer.
+        let mut writer = crate::writer::IndexWriter::new(&mut idx);
+        writer.remove_document(PostId::new(2));
+        writer.commit();
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.vocabulary_size(), 0);
+    }
+
+    #[test]
+    fn dictionary_tracks_readd_of_a_tombstoned_doc() {
+        let mut idx = three_docs();
+        assert!(idx.tombstone_document(PostId::new(1)));
+        // The re-add sweeps the pending tombstone first: `castle`
+        // retires and `fountain` may take over its id.
+        idx.add_document(PostId::new(1), SourceId::new(0), "duomo fountain");
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.pending_tombstones(), 0);
+        assert_eq!(idx.sweep(), 0);
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.doc_frequency("castle"), 0);
+        assert_eq!(idx.doc_frequency("fountain"), 1);
+        assert_eq!(idx.max_term_frequency("duomo"), 1);
+        assert_eq!(idx.vocabulary_size(), 4);
+    }
+
+    #[test]
+    fn a_term_that_empties_then_reappears_is_served_fresh() {
+        let mut idx = three_docs();
+        idx.remove_document(PostId::new(1));
+        assert_eq!(idx.max_term_frequency("castle"), 0);
+        idx.add_document(PostId::new(7), SourceId::new(0), "castle castle castle");
+        idx.add_document(PostId::new(4), SourceId::new(0), "castle");
+        assert_bounds_exact(&idx);
+        let docs: Vec<(usize, u32)> = idx
+            .postings("castle")
+            .iter()
+            .map(|p| (p.doc.index(), p.tf))
+            .collect();
+        assert_eq!(docs, vec![(4, 1), (7, 3)]);
+        assert_eq!(idx.max_term_frequency("castle"), 3);
+    }
+
+    #[test]
+    fn removing_every_doc_empties_the_dictionary() {
+        let mut idx = three_docs();
+        let mut writer = crate::writer::IndexWriter::new(&mut idx);
+        writer.remove_document(PostId::new(0));
+        writer.remove_document(PostId::new(2));
+        writer.commit();
+        idx.remove_document(PostId::new(1));
+        assert_bounds_exact(&idx);
+        assert_eq!(idx.vocabulary_size(), 0);
+        assert!(idx.term_ids.is_empty());
+        assert_eq!(idx.doc_count(), 0);
+        assert_eq!(idx.total_token_length(), 0);
+    }
+
+    #[test]
+    fn applying_a_delta_to_a_clone_leaves_the_original_untouched() {
+        let original = three_docs();
+        let mut copy = original.clone();
+        let mut delta = CorpusDelta::new();
+        delta.remove_doc(PostId::new(1));
+        delta.remove_doc(PostId::new(2));
+        delta.add_doc(PostId::new(3), SourceId::new(1), "duomo duomo duomo plaza");
+        copy.apply_delta(&delta);
+        assert_bounds_exact(&copy);
+        assert_eq!(copy.max_term_frequency("duomo"), 3);
+
+        assert_bounds_exact(&original);
+        let duomo: Vec<(usize, u32)> = original
+            .postings("duomo")
+            .iter()
+            .map(|p| (p.doc.index(), p.tf))
+            .collect();
+        assert_eq!(duomo, vec![(0, 1), (1, 2), (2, 1)]);
+        assert_eq!(original.max_term_frequency("duomo"), 2);
+        assert_eq!(original.doc_frequency("castle"), 1);
+        assert_eq!(original.doc_frequency("plaza"), 0);
+        assert_eq!(original.vocabulary_size(), 4);
+        assert_eq!(original.doc_count(), 3);
+        assert_eq!(original.total_token_length(), 7);
+        assert_eq!(original.doc_length(PostId::new(1)), 3);
+        assert_eq!(original.source_of(PostId::new(2)), Some(SourceId::new(0)));
+        assert_eq!(original.source_of(PostId::new(3)), None);
     }
 
     #[test]
