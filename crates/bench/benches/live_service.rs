@@ -1,7 +1,8 @@
 //! The serving-layer costs: what does it take to keep answering
 //! queries while content streams in?
 //!
-//! Per corpus scale (~10k and ~100k docs):
+//! Per corpus scale (~10k and ~100k docs), against a one-shard
+//! service whose first commits loaded the corpus:
 //!
 //! * `publish_only` — swapping a new snapshot into the store (the
 //!   reader-visible step of an update tick);
@@ -14,7 +15,8 @@
 //!   fsync, one amortized in-order apply, one publish. Divide by the batch
 //!   size and compare against `ingest_1_doc / 2` for the per-delta
 //!   amortization (the batch-64 target is ≥5× at 100k docs);
-//! * `snapshot_acquire` — what a reader pays to pin an epoch;
+//! * `snapshot_acquire` — what a reader pays to pin an epoch (the
+//!   shard snapshot plus the global blend);
 //! * `query_baseline` / `query_under_writes` — the same probe query
 //!   against an idle engine and against one absorbing a continuous
 //!   write stream from a background thread. The serving claim is
@@ -36,9 +38,7 @@
 //! ~100k-doc corpus behind 1/2/4/8 shards):
 //!
 //! * `ingest_batch_64_shards_{n}` — whole-corpus churn routed across
-//!   every shard: total copy-on-write work is conserved (N shards
-//!   each detach 1/N of the index), so this label stays flat and
-//!   pins the routing overhead;
+//!   every shard: N shards each detach 1/N of the index, in parallel;
 //! * `ingest_batch_32_1src_shards_{n}` — churn confined to one
 //!   source, i.e. one shard: the write amplification a burst pays is
 //!   O(shard), not O(corpus), so throughput scales with the shard
@@ -65,7 +65,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use obs_analytics::{AlexaPanel, LinkGraph};
-use obs_live::{LiveService, LiveWriter, ShardedLiveService};
+use obs_live::{LiveWriter, ShardedLiveService};
 use obs_model::{document_text, CorpusDelta, PostId, SourceId};
 use obs_search::{BlendWeights, SearchEngine};
 use obs_synth::{World, WorldConfig};
@@ -86,17 +86,6 @@ fn world_with_posts(posts: usize, seed: u64) -> World {
         comment_bodies: false,
         ..WorldConfig::ranking_study(seed)
     })
-}
-
-fn temp_journal(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "obs_live_bench_{}_{}_{}.journal",
-        std::process::id(),
-        tag,
-        n
-    ))
 }
 
 /// Probe terms guaranteed to hit: the tags of an indexed post.
@@ -131,8 +120,22 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
         b.iter(|| writer.publish());
     });
 
-    let path = temp_journal(label);
-    let mut service = LiveService::start(engine.clone(), &path).expect("journal in temp dir");
+    // One shard, seeded empty: the corpus streams in as the first
+    // commits.
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    let mut seed = engine.clone();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).expect("posts resolve"));
+    let dir = temp_shard_dir(label);
+    let mut service = ShardedLiveService::start(&seed, 1, &dir).expect("journal in temp dir");
+    for burst in all
+        .chunks(512)
+        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).expect("posts resolve"))
+        .collect::<Vec<_>>()
+        .chunks(64)
+    {
+        service.ingest_batch(burst).expect("load ingest");
+    }
+    assert_eq!(service.doc_count(), docs);
     group.bench_function(format!("ingest_1_doc/{docs}_docs"), |b| {
         b.iter(|| {
             service.ingest(black_box(&removal)).expect("ingest");
@@ -171,13 +174,10 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
 
     let reader = service.reader();
     group.bench_function(format!("snapshot_acquire/{docs}_docs"), |b| {
-        b.iter(|| black_box(reader.snapshot()))
+        b.iter(|| black_box(reader.pin()))
     });
     group.bench_function(format!("query_baseline/{docs}_docs"), |b| {
-        b.iter(|| {
-            let snap = reader.snapshot();
-            black_box(snap.engine().query(&probe, 20))
-        })
+        b.iter(|| black_box(reader.query(&probe, 20)))
     });
 
     // Reader throughput while a writer thread streams deltas through
@@ -196,16 +196,14 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
         writes
     });
     group.bench_function(format!("query_under_writes/{docs}_docs"), |b| {
-        b.iter(|| {
-            let snap = reader.snapshot();
-            black_box(snap.engine().query(&probe, 20))
-        })
+        b.iter(|| black_box(reader.query(&probe, 20)))
     });
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().expect("writer thread");
     println!("  (writer sustained {writes} journaled ingests during the contended bench)");
     group.finish();
-    std::fs::remove_file(&path).ok();
+    drop(reader);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Sweep throughput against worker count: 16 sources, each fetch
@@ -668,7 +666,8 @@ fn bench_telemetry(c: &mut Criterion, world: &World) {
     let registry = Registry::new();
     let metrics = ShardMetrics::new(&registry, 4);
     for shard in 0..4usize {
-        let _unused: Result<(), obs_live::LiveError> = metrics.time_shard_commit(shard, || Ok(()));
+        let _unused: Result<(), obs_live::LiveError> =
+            metrics.time_shard_commit(shard, 1, |_| Ok(()));
     }
     group.bench_function("registry_snapshot", |b| {
         b.iter(|| black_box(registry.snapshot()))

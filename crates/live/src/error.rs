@@ -20,11 +20,21 @@ pub enum LiveError {
         /// First sequence the journal still holds.
         journal_first_seq: u64,
     },
-    /// One shard of a sharded service refused its slice of a routed
+    /// A service was asked for zero shards; every service needs at
+    /// least one journal + writer column.
+    NoShards,
+    /// The seed engine already indexes documents. Existing documents
+    /// cannot be partitioned after the fact, so a service starts
+    /// from an empty seed and ingests its content as deltas.
+    NonEmptySeed {
+        /// Documents the seed indexes.
+        docs: usize,
+    },
+    /// One shard of a service refused its slice of a routed
     /// batch. Shards are independent failure domains: the other
     /// shards' commits stand, and only the sources routed to the
     /// failed shard need re-observation (their high-water marks are
-    /// rolled back by the sharded sweep path).
+    /// rolled back by the sweep path).
     ShardCommit {
         /// Index of the first shard whose commit failed.
         shard: usize,
@@ -46,6 +56,12 @@ impl fmt::Display for LiveError {
                 "checkpoint at seq {checkpoint_seq} does not reach the journal \
                  (first retained record is seq {journal_first_seq}); \
                  deltas in between are lost"
+            ),
+            LiveError::NoShards => write!(f, "a live service needs at least one shard"),
+            LiveError::NonEmptySeed { docs } => write!(
+                f,
+                "the seed engine must be empty but indexes {docs} documents; \
+                 ingest them as deltas instead"
             ),
             LiveError::ShardCommit { shard, cause } => {
                 write!(f, "shard {shard} refused its slice of the batch: {cause}")

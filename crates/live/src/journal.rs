@@ -28,9 +28,9 @@
 //! of records and makes them durable under **one** fsync — the
 //! amortization that turns a burst of crawl ticks from N disk syncs
 //! into one. The batch is all-or-nothing: if the sync fails, the
-//! whole staged suffix is truncated back out ([`DeltaJournal::retract_staged`]),
-//! so a retry re-claims the exact same sequence numbers and recovery
-//! never replays an unacknowledged record.
+//! whole staged suffix is truncated back out, so a retry re-claims
+//! the exact same sequence numbers and recovery never replays an
+//! unacknowledged record.
 //!
 //! **Compaction:** once a checkpoint (an engine snapshot at sequence
 //! `S`) makes the prefix `..=S` redundant, [`DeltaJournal::compact_through`]
@@ -163,9 +163,10 @@ struct StagedSuffix {
 /// let path = std::env::temp_dir()
 ///     .join(format!("doc_journal_{}.journal", std::process::id()));
 /// let mut journal = DeltaJournal::create(&path)?;
-/// let seq = journal.append(&CorpusDelta::new())?;
-/// journal.sync()?; // durable — and acknowledged — from here on
-/// assert_eq!(seq, 1);
+/// // One record under one fsync: durable, and acknowledged, once
+/// // this returns.
+/// let range = journal.append_batch(&[&CorpusDelta::new()])?;
+/// assert_eq!(range, Some((1, 1)));
 ///
 /// // Replay sees exactly the acknowledged records.
 /// let replay = DeltaJournal::replay_path(&path)?;
@@ -185,9 +186,8 @@ pub struct DeltaJournal {
     /// The retractable suffix: the most recent append or batch whose
     /// durability has not yet been acknowledged by a successful sync.
     staged: Option<StagedSuffix>,
-    /// Pending injected [`DeltaJournal::sync`] failures (durability
-    /// fault injection for tests; see
-    /// [`DeltaJournal::inject_sync_failures`]).
+    /// Pending injected fsync failures (durability fault injection
+    /// for tests; see [`DeltaJournal::inject_sync_failures`]).
     sync_faults: u32,
 }
 
@@ -357,22 +357,6 @@ impl DeltaJournal {
         let _ = self.file.sync_data(); // lint:allow(discard): best-effort heal; caller surfaces the original write error
     }
 
-    /// Appends one delta, assigning it the next sequence number. The
-    /// record is flushed to the OS; call [`DeltaJournal::sync`] to
-    /// force it to stable storage before acknowledging durability.
-    pub fn append(&mut self, delta: &CorpusDelta) -> Result<u64, JournalError> {
-        let seq = self.next_seq;
-        let record = Self::render_record(seq, delta)?;
-        self.write_payload(record.as_bytes())?;
-        // Counters and the staged suffix move only once the record
-        // is known to be in the file, so a failed write or flush
-        // leaves them honest about the file contents.
-        self.next_seq += 1;
-        self.len += 1;
-        self.stage(record.len() as u64, 1);
-        Ok(seq)
-    }
-
     /// Appends `deltas` as one *group commit*: every record is staged
     /// with its own contiguous sequence number, then the whole batch
     /// is forced to stable storage under a **single** fsync. Returns
@@ -387,6 +371,22 @@ impl DeltaJournal {
         &mut self,
         deltas: &[&CorpusDelta],
     ) -> Result<Option<(u64, u64)>, JournalError> {
+        let Some(range) = self.write_batch(deltas)? else {
+            return Ok(None);
+        };
+        if let Err(sync_err) = self.sync() {
+            // Best effort: if the retract also fails the counters
+            // and the file have diverged and only a re-open can
+            // reconcile them; surface the original failure either way.
+            let _ = self.retract_staged(); // lint:allow(discard): best effort per the comment above; the sync error wins
+            return Err(sync_err);
+        }
+        Ok(Some(range))
+    }
+
+    /// Writes `deltas` as contiguous records and stages them, without
+    /// syncing: the first half of [`DeltaJournal::append_batch`].
+    fn write_batch(&mut self, deltas: &[&CorpusDelta]) -> Result<Option<(u64, u64)>, JournalError> {
         if deltas.is_empty() {
             return Ok(None);
         }
@@ -396,24 +396,19 @@ impl DeltaJournal {
             payload.push_str(&Self::render_record(first + i as u64, delta)?);
         }
         self.write_payload(payload.as_bytes())?;
+        // Counters and the staged suffix move only once the records
+        // are known to be in the file, so a failed write leaves them
+        // honest about the file contents.
         self.next_seq += deltas.len() as u64;
         self.len += deltas.len();
         self.stage(payload.len() as u64, deltas.len());
-        let last = self.next_seq - 1;
-        if let Err(sync_err) = self.sync() {
-            // Best effort: if the retract also fails the counters
-            // and the file have diverged and only a re-open can
-            // reconcile them; surface the original failure either way.
-            let _ = self.retract_staged(); // lint:allow(discard): best effort per the comment above; the sync error wins
-            return Err(sync_err);
-        }
-        Ok(Some((first, last)))
+        Ok(Some((first, self.next_seq - 1)))
     }
 
     /// Forces appended records to stable storage (fsync). A
     /// successful sync acknowledges the staged suffix: it is durable
     /// and no longer retractable.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
+    fn sync(&mut self) -> Result<(), JournalError> {
         if self.sync_faults > 0 {
             self.sync_faults -= 1;
             return Err(JournalError::Io(std::io::Error::other(
@@ -425,25 +420,23 @@ impl DeltaJournal {
         Ok(())
     }
 
-    /// Arms the next `n` calls to [`DeltaJournal::sync`] to fail
-    /// deterministically (the staged bytes are already in the file,
-    /// exactly as a real failed fsync would leave them). Durability
+    /// Arms the next `n` fsyncs to fail deterministically (the staged
+    /// bytes are already in the file, exactly as a real failed fsync
+    /// would leave them). Durability
     /// fault injection for tests, in the same spirit as
     /// `obs_wrappers::FaultPlan`.
     pub fn inject_sync_failures(&mut self, n: u32) {
         self.sync_faults = n;
     }
 
-    /// Truncates away the staged suffix — every
-    /// [`DeltaJournal::append`] / [`DeltaJournal::append_batch`]
-    /// record since the last acknowledged sync — winding the
-    /// sequence back with it. The failure-path inverse: when the
+    /// Truncates away the staged suffix — every record written since
+    /// the last acknowledged sync — winding the sequence back with it. The failure-path inverse: when the
     /// durability step after an append fails, the records were never
     /// acknowledged, so they must not linger in the file to be
     /// replayed on recovery (the caller will retry and re-journal
     /// the same content under the same sequences). A no-op when
     /// nothing is staged.
-    pub fn retract_staged(&mut self) -> Result<(), JournalError> {
+    fn retract_staged(&mut self) -> Result<(), JournalError> {
         let Some(StagedSuffix { bytes, records }) = self.staged else {
             return Ok(());
         };
@@ -568,6 +561,26 @@ mod tests {
         ))
     }
 
+    /// A fresh journal holding `records` committed sample records.
+    fn journal_with(tag: &str, records: u32) -> (PathBuf, DeltaJournal) {
+        let path = temp_path(tag);
+        let mut journal = DeltaJournal::create(&path).unwrap();
+        for i in 0..records {
+            commit(&mut journal, i);
+        }
+        (path, journal)
+    }
+
+    /// Journals one record as a one-delta group commit (durable on
+    /// return) and hands back its sequence number.
+    fn commit(journal: &mut DeltaJournal, post: u32) -> u64 {
+        let (seq, _) = journal
+            .append_batch(&[&sample_delta(post)])
+            .unwrap()
+            .expect("a one-delta batch is never empty");
+        seq
+    }
+
     fn sample_delta(post: u32) -> CorpusDelta {
         let mut d = CorpusDelta::new();
         d.add_doc(PostId::new(post), SourceId::new(0), format!("doc {post}"));
@@ -576,14 +589,13 @@ mod tests {
     }
 
     #[test]
-    fn append_sync_replay_roundtrips() {
+    fn append_batch_replay_roundtrips() {
         let path = temp_path("roundtrip");
         let mut journal = DeltaJournal::create(&path).unwrap();
         for i in 0..5 {
-            let seq = journal.append(&sample_delta(i)).unwrap();
+            let seq = commit(&mut journal, i);
             assert_eq!(seq, u64::from(i) + 1);
         }
-        journal.sync().unwrap();
         assert_eq!(journal.len(), 5);
         assert_eq!(journal.next_seq(), 6);
 
@@ -600,13 +612,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
-        let path = temp_path("torn");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..3 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("torn", 3);
 
         // Simulate a crash mid-append: truncate the file inside the
         // final record.
@@ -623,8 +629,7 @@ mod tests {
         let (mut journal, replay) = DeltaJournal::open(&path).unwrap();
         assert!(replay.torn_tail_dropped);
         assert_eq!(journal.next_seq(), 3);
-        journal.append(&sample_delta(9)).unwrap();
-        journal.sync().unwrap();
+        commit(&mut journal, 9);
         let healed = DeltaJournal::replay_path(&path).unwrap();
         assert!(!healed.torn_tail_dropped);
         assert_eq!(healed.last_seq(), 3);
@@ -633,12 +638,7 @@ mod tests {
 
     #[test]
     fn torn_record_without_newline_is_dropped_even_if_payload_verifies() {
-        let path = temp_path("no_newline");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.append(&sample_delta(1)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("no_newline", 2);
 
         // Strip only the final newline: payload intact, frame torn.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -651,12 +651,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_torn_tail_is_dropped_not_io_error() {
-        let path = temp_path("utf8_tail");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.append(&sample_delta(1)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("utf8_tail", 2);
 
         // A crash can leave raw garbage (or a truncated multi-byte
         // UTF-8 sequence) at the tail; replay must confine the
@@ -672,18 +667,13 @@ mod tests {
 
         // Re-opening heals it and appends continue.
         let (mut journal, _) = DeltaJournal::open(&path).unwrap();
-        assert_eq!(journal.append(&sample_delta(7)).unwrap(), 3);
+        assert_eq!(commit(&mut journal, 7), 3);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn invalid_utf8_mid_file_is_corruption() {
-        let path = temp_path("utf8_mid");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.append(&sample_delta(1)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("utf8_mid", 2);
 
         let mut bytes = std::fs::read(&path).unwrap();
         // Clobber a byte inside the first record.
@@ -699,14 +689,10 @@ mod tests {
 
     #[test]
     fn retract_staged_unwinds_an_unacknowledged_append() {
-        let path = temp_path("retract");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.append(&sample_delta(1)).unwrap();
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("retract", 2);
 
-        // Append a record whose durability step "failed": retract it.
-        journal.append(&sample_delta(2)).unwrap();
+        // Write a record whose durability step "failed": retract it.
+        journal.write_batch(&[&sample_delta(2)]).unwrap();
         journal.retract_staged().unwrap();
         assert_eq!(journal.len(), 2);
         assert_eq!(journal.next_seq(), 3);
@@ -716,8 +702,7 @@ mod tests {
 
         // The retry claims the same sequence, and replay sees a
         // clean two-then-three record history with no orphan.
-        assert_eq!(journal.append(&sample_delta(3)).unwrap(), 3);
-        journal.sync().unwrap();
+        assert_eq!(commit(&mut journal, 3), 3);
         let replay = DeltaJournal::replay_path(&path).unwrap();
         assert!(!replay.torn_tail_dropped);
         assert_eq!(replay.records.len(), 3);
@@ -726,18 +711,15 @@ mod tests {
     }
 
     #[test]
-    fn retract_staged_unwinds_every_append_since_the_last_sync() {
-        // Two appends with no sync in between: both are
+    fn retract_staged_unwinds_every_write_since_the_last_sync() {
+        // Two writes with no sync in between: both are
         // unacknowledged, so a failed durability step must unwind
         // both — retracting only the latest would leave an
         // unacknowledged record to be replayed after a crash.
-        let path = temp_path("retract_multi");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("retract_multi", 1);
 
-        journal.append(&sample_delta(1)).unwrap();
-        journal.append(&sample_delta(2)).unwrap();
+        journal.write_batch(&[&sample_delta(1)]).unwrap();
+        journal.write_batch(&[&sample_delta(2)]).unwrap();
         journal.inject_sync_failures(1);
         assert!(journal.sync().is_err());
         journal.retract_staged().unwrap();
@@ -747,8 +729,7 @@ mod tests {
         assert_eq!(replay.last_seq(), 1);
 
         // The retry re-claims seq 2 cleanly.
-        assert_eq!(journal.append(&sample_delta(1)).unwrap(), 2);
-        journal.sync().unwrap();
+        assert_eq!(commit(&mut journal, 1), 2);
         assert_eq!(DeltaJournal::replay_path(&path).unwrap().last_seq(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -759,7 +740,7 @@ mod tests {
         // retract must not be able to unwind it.
         let path = temp_path("acknowledged");
         let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
+        journal.write_batch(&[&sample_delta(0)]).unwrap();
         journal.sync().unwrap();
         journal.retract_staged().unwrap();
         assert_eq!(journal.len(), 1);
@@ -771,10 +752,7 @@ mod tests {
 
     #[test]
     fn append_batch_is_one_commit_with_contiguous_seqs() {
-        let path = temp_path("batch");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("batch", 1);
 
         let batch: Vec<CorpusDelta> = (1..5).map(sample_delta).collect();
         let refs: Vec<&CorpusDelta> = batch.iter().collect();
@@ -792,12 +770,7 @@ mod tests {
             assert_eq!(r.delta, sample_delta(i as u32));
         }
 
-        let sequential_path = temp_path("batch_seq");
-        let mut sequential = DeltaJournal::create(&sequential_path).unwrap();
-        for i in 0..5 {
-            sequential.append(&sample_delta(i)).unwrap();
-        }
-        sequential.sync().unwrap();
+        let (sequential_path, _) = journal_with("batch_seq", 5);
         assert_eq!(
             std::fs::read(&path).unwrap(),
             std::fs::read(&sequential_path).unwrap(),
@@ -809,10 +782,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let path = temp_path("batch_empty");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("batch_empty", 1);
         let before = std::fs::read(&path).unwrap();
         assert_eq!(journal.append_batch(&[]).unwrap(), None);
         assert_eq!(journal.len(), 1);
@@ -823,10 +793,7 @@ mod tests {
 
     #[test]
     fn failed_batch_sync_retracts_the_whole_staged_suffix() {
-        let path = temp_path("batch_fail");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("batch_fail", 1);
         let durable = std::fs::read(&path).unwrap();
 
         let batch: Vec<CorpusDelta> = (1..4).map(sample_delta).collect();
@@ -852,12 +819,7 @@ mod tests {
 
     #[test]
     fn healing_a_torn_tail_preserves_the_intact_prefix_bytes() {
-        let path = temp_path("heal_bytes");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
-        journal.append(&sample_delta(1)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("heal_bytes", 2);
 
         let intact = std::fs::read(&path).unwrap();
         let mut torn = intact.clone();
@@ -874,27 +836,19 @@ mod tests {
 
     #[test]
     fn resume_at_only_moves_forward() {
-        let path = temp_path("resume");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.append(&sample_delta(0)).unwrap();
+        let (path, mut journal) = journal_with("resume", 1);
         assert_eq!(journal.next_seq(), 2);
         journal.resume_at(10);
         assert_eq!(journal.next_seq(), 10);
         journal.resume_at(4); // never backwards
         assert_eq!(journal.next_seq(), 10);
-        assert_eq!(journal.append(&sample_delta(1)).unwrap(), 10);
+        assert_eq!(commit(&mut journal, 1), 10);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_file_damage_is_corruption() {
-        let path = temp_path("corrupt");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..3 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("corrupt", 3);
 
         // Flip a byte inside the *second* record's JSON.
         let mut lines: Vec<String> = std::fs::read_to_string(&path)
@@ -918,13 +872,7 @@ mod tests {
 
     #[test]
     fn sequence_gap_is_corruption() {
-        let path = temp_path("gap");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..3 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
-        drop(journal);
+        let (path, _) = journal_with("gap", 3);
 
         // Delete the middle line: seqs 1,3 remain.
         let lines: Vec<String> = std::fs::read_to_string(&path)
@@ -944,19 +892,13 @@ mod tests {
 
     #[test]
     fn compaction_drops_covered_prefix_and_keeps_sequences() {
-        let path = temp_path("compact");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..6 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("compact", 6);
 
         let dropped = journal.compact_through(4).unwrap();
         assert_eq!(dropped, 4);
         assert_eq!(journal.len(), 2);
         // Appends continue the global sequence.
-        assert_eq!(journal.append(&sample_delta(9)).unwrap(), 7);
-        journal.sync().unwrap();
+        assert_eq!(commit(&mut journal, 9), 7);
 
         let replay = DeltaJournal::replay_path(&path).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
@@ -969,12 +911,7 @@ mod tests {
 
     #[test]
     fn compacting_below_the_first_retained_record_is_idempotent() {
-        let path = temp_path("compact_below");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..6 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("compact_below", 6);
         assert_eq!(journal.compact_through(4).unwrap(), 4);
         let bytes = std::fs::read(&path).unwrap();
 
@@ -991,12 +928,7 @@ mod tests {
 
     #[test]
     fn compacting_beyond_the_last_record_does_not_invent_sequences() {
-        let path = temp_path("compact_beyond");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..3 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("compact_beyond", 3);
 
         // Compacting through a sequence past the end drops every
         // record but must not fast-forward the stream: the next
@@ -1005,8 +937,7 @@ mod tests {
         assert_eq!(journal.len(), 0);
         assert!(journal.is_empty());
         assert_eq!(journal.next_seq(), 4);
-        assert_eq!(journal.append(&sample_delta(9)).unwrap(), 4);
-        journal.sync().unwrap();
+        assert_eq!(commit(&mut journal, 9), 4);
         let replay = DeltaJournal::replay_path(&path).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![4]);
@@ -1015,12 +946,7 @@ mod tests {
 
     #[test]
     fn double_compaction_at_the_same_seq_is_a_no_op() {
-        let path = temp_path("compact_twice");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        for i in 0..5 {
-            journal.append(&sample_delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
+        let (path, mut journal) = journal_with("compact_twice", 5);
         assert_eq!(journal.compact_through(3).unwrap(), 3);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(journal.compact_through(3).unwrap(), 0);

@@ -19,35 +19,37 @@
 //!   torn-tail tolerance (a truncated final record is detected and
 //!   dropped, not a panic) and prefix compaction once a checkpoint
 //!   covers it.
-//! * [`LiveService`] — wires a crawl tick through
-//!   *journal → apply → publish*, and [`LiveService::recover`]
-//!   rebuilds the exact pre-crash engine by replaying the journal
-//!   over a checkpoint.
-//! * **Group commit** — [`LiveService::ingest_batch`] and
-//!   [`LiveService::tick_sweep`] amortize the per-delta costs across
-//!   a burst: N journal records share one fsync
+//! * [`ShardedLiveService`] — the one serving pipeline. It
+//!   partitions the corpus by source id ([`ShardRouter`]) into N
+//!   journal + writer + snapshot columns (one shard is simply
+//!   N = 1) and commits every routed sub-batch through
+//!   *journal (fsync) → apply → publish*, in parallel across
+//!   shards. [`ShardedReader`] answers queries with a scatter-gather
+//!   plan that is bit-identical to an unsharded engine over the same
+//!   documents (see [`shard`]).
+//! * **Group commit** — [`ShardedLiveService::ingest_batch`] and
+//!   [`ShardedLiveService::tick_sweep`] amortize the per-delta costs
+//!   across a burst: a shard's N journal records share one fsync
 //!   ([`DeltaJournal::append_batch`], all-or-nothing), one
 //!   copy-on-write index detach and one deferred signal re-blend
 //!   ([`LiveWriter::apply_batch`], which applies the burst in replay
 //!   order), and one published snapshot. Readers only ever observe
 //!   batch boundaries; recovery replays the per-delta records and
 //!   lands on the identical engine by construction.
-//! * **Sharding** — [`ShardedLiveService`] partitions the corpus by
-//!   source id ([`ShardRouter`]): every shard owns its own journal +
-//!   writer + snapshot column, routed sub-batches commit in parallel,
-//!   recovery replays each shard's journal independently, and
-//!   [`ShardedReader`] answers queries with a scatter-gather plan
-//!   that is bit-identical to an unsharded engine over the same
-//!   documents (see [`shard`]).
+//! * **Recovery** — [`ShardedLiveService::recover`] rebuilds the
+//!   exact pre-crash service by replaying every shard's journal;
+//!   [`ShardedLiveService::checkpoint`] captures a [`Checkpoint`]
+//!   that [`ShardedLiveService::compact_through`] lets the journals
+//!   drop and [`ShardedLiveService::recover_from`] replays past.
 //! * **Query caching** — [`QueryCache`] memoizes top-k rankings
 //!   keyed by the exact snapshot epochs that produced them, so a
 //!   publish invalidates for free and a cached reader is observably
 //!   identical to an uncached one (see [`cache`]).
 //!
 //! ```text
-//! crawler ticks ──► DeltaJournal (fsync) ──► LiveWriter.apply ──► publish
-//!                                                                    │
-//!                       SnapshotReader.snapshot() ◄── SnapshotStore ◄┘
+//! crawl sweeps ─ route ─► per shard: DeltaJournal (fsync) ─► LiveWriter.apply ─► publish
+//!                                                                                 │
+//!                       ShardedReader.pin() ◄── SnapshotStore per shard + blend ◄┘
 //!                       (N reader threads, never blocked)
 //! ```
 //!
@@ -61,14 +63,14 @@ pub mod cache;
 mod error;
 pub mod journal;
 pub mod metrics;
-pub mod service;
 pub mod shard;
 pub mod snapshot;
 
 pub use cache::{CacheMetrics, QueryCache};
 pub use error::LiveError;
 pub use journal::{DeltaJournal, JournalError, JournalReplay};
-pub use metrics::{LiveMetrics, ShardMetrics};
-pub use service::{LiveService, RecoveryReport};
-pub use shard::{PinnedShards, ShardRouter, ShardedLiveService, ShardedReader};
+pub use metrics::{ShardMetrics, Stage};
+pub use shard::{
+    Checkpoint, PinnedShards, RecoveryReport, ShardRouter, ShardedLiveService, ShardedReader,
+};
 pub use snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};

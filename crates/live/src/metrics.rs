@@ -7,81 +7,45 @@
 //! never reads a clock itself — it hands closures to
 //! [`ShardMetrics::time_shard_commit`], which lives here and owns
 //! the [`TelemetryClock`](obs_telemetry::TelemetryClock). The
-//! instruments:
-//!
-//! | instrument | type | labels | answers |
-//! |---|---|---|---|
-//! | `live_ingest_stage_ns` | histogram | `stage` | where does a commit spend its time? |
-//! | `live_ingest_batch_deltas` | histogram | — | how big are group commits? |
-//! | `live_commits_total` | counter | — | how many commits landed? |
-//! | `live_journal_retractions_total` | counter | — | how often did durability fail? |
-//! | `live_mark_rollbacks_total` | counter | — | how often were crawl cursors rolled back? |
-//! | `live_shard_commit_ns` | histogram | `shard` | is one shard slow? |
-//! | `live_shard_commits_total` | counter | `shard` | is commit load balanced? |
-//! | `live_shard_failures_total` | counter | `shard` | is one shard failing? |
-//! | `live_commit_fanout_shards` | histogram | — | how wide do routed commits fan out? |
-//!
-//! `stage` is `journal` / `fsync` / `apply` / `publish` for
-//! single-delta ingest; the batch path journals and fsyncs in one
+//! instrument catalog lives in ARCHITECTURE.md ("Observability").
+//! A shard journals and fsyncs its sub-batch in one
 //! [`DeltaJournal::append_batch`](crate::DeltaJournal::append_batch)
-//! call (that's the group-commit point), so it records that fused
-//! stage as `stage="journal_fsync"` instead of the first two.
+//! call (that's the group-commit point), so the first [`Stage`] is
+//! the fused `stage="journal_fsync"`, followed by `apply` and
+//! `publish`.
 
 use crate::error::LiveError;
 use obs_search::SearchMetrics;
-use obs_telemetry::{Counter, Histogram, Registry, SharedClock, Stopwatch};
+use obs_telemetry::{Counter, Histogram, Registry, SharedClock};
 
-/// Instrument handles for one [`LiveService`](crate::LiveService)'s
-/// commit pipeline. Cheap to clone; recording is lock-free.
-#[derive(Debug, Clone)]
-pub struct LiveMetrics {
-    clock: SharedClock,
-    pub(crate) stage_journal: Histogram,
-    pub(crate) stage_fsync: Histogram,
-    pub(crate) stage_journal_fsync: Histogram,
-    pub(crate) stage_apply: Histogram,
-    pub(crate) stage_publish: Histogram,
-    pub(crate) batch_deltas: Histogram,
-    pub(crate) commits: Counter,
-    pub(crate) retractions: Counter,
-    pub(crate) rollbacks: Counter,
-}
-
-impl LiveMetrics {
-    /// Registers the commit-pipeline instruments in `registry`.
-    pub fn new(registry: &Registry) -> LiveMetrics {
-        let stage = |s: &str| registry.histogram_with("live_ingest_stage_ns", &[("stage", s)]);
-        LiveMetrics {
-            clock: registry.clock_handle(),
-            stage_journal: stage("journal"),
-            stage_fsync: stage("fsync"),
-            stage_journal_fsync: stage("journal_fsync"),
-            stage_apply: stage("apply"),
-            stage_publish: stage("publish"),
-            batch_deltas: registry.histogram("live_ingest_batch_deltas"),
-            commits: registry.counter("live_commits_total"),
-            retractions: registry.counter("live_journal_retractions_total"),
-            rollbacks: registry.counter("live_mark_rollbacks_total"),
-        }
-    }
-
-    /// A stopwatch on the metrics clock, for staging one commit.
-    pub(crate) fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start(self.clock.clone())
-    }
+/// One stage of a shard commit, in commit order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The sub-batch's journal records written and fsynced together.
+    JournalFsync,
+    /// The batched apply to the shard's private engine.
+    Apply,
+    /// The new snapshot swapped in for readers.
+    Publish,
 }
 
 /// Instrument handles for a
 /// [`ShardedLiveService`](crate::ShardedLiveService): per-shard
-/// commit latency and outcome counters, commit fan-out width, the
-/// shared mark-rollback counter, and the query path's
-/// [`SearchMetrics`] for its [`ShardedReader`](crate::ShardedReader).
+/// commit latency, stage split and outcome counters, group-commit
+/// batch sizes, commit fan-out width, the shared mark-rollback
+/// counter, and the query path's [`SearchMetrics`] for its
+/// [`ShardedReader`](crate::ShardedReader). Cheap to clone;
+/// recording is lock-free.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
     clock: SharedClock,
     commit_ns: Vec<Histogram>,
+    /// Per shard, one histogram per [`Stage`] (indexed by its
+    /// discriminant).
+    stage_ns: Vec<[Histogram; 3]>,
     commits: Vec<Counter>,
     failures: Vec<Counter>,
+    batch_deltas: Histogram,
     pub(crate) fanout: Histogram,
     pub(crate) rollbacks: Counter,
     search: SearchMetrics,
@@ -93,11 +57,27 @@ impl ShardMetrics {
     pub fn new(registry: &Registry, shards: usize) -> ShardMetrics {
         // Name literals stay inline at each registration call so the
         // instrument-drift lint pass can see them.
+        let stage = |shard: &str, stage: &str| {
+            registry.histogram_with(
+                "live_ingest_stage_ns",
+                &[("shard", shard), ("stage", stage)],
+            )
+        };
         ShardMetrics {
             clock: registry.clock_handle(),
             commit_ns: (0..shards)
                 .map(|i| {
                     registry.histogram_with("live_shard_commit_ns", &[("shard", &i.to_string())])
+                })
+                .collect(),
+            stage_ns: (0..shards)
+                .map(|i| {
+                    let i = i.to_string();
+                    [
+                        stage(&i, "journal_fsync"),
+                        stage(&i, "apply"),
+                        stage(&i, "publish"),
+                    ]
                 })
                 .collect(),
             commits: (0..shards)
@@ -110,6 +90,7 @@ impl ShardMetrics {
                     registry.counter_with("live_shard_failures_total", &[("shard", &i.to_string())])
                 })
                 .collect(),
+            batch_deltas: registry.histogram("live_ingest_batch_deltas"),
             fanout: registry.histogram("live_commit_fanout_shards"),
             rollbacks: registry.counter("live_mark_rollbacks_total"),
             search: SearchMetrics::new(registry, shards),
@@ -122,24 +103,38 @@ impl ShardMetrics {
         &self.search
     }
 
-    /// Runs one shard's commit closure under the latency/outcome
-    /// instruments — the clock boundary the `lint:deterministic`
-    /// shard module calls instead of reading time itself. A shard
-    /// index beyond the registered range still runs the closure; it
-    /// just records nothing.
+    /// Runs one shard's commit of a `deltas`-record sub-batch under
+    /// the latency/outcome instruments — the clock boundary the
+    /// `lint:deterministic` shard module calls instead of reading
+    /// time itself. The commit closure gets a lap callback to call
+    /// as each [`Stage`] ends; a successful commit also records its
+    /// batch size. A shard index beyond the registered range still
+    /// runs the closure; it just records nothing per shard.
     pub fn time_shard_commit<T>(
         &self,
         shard: usize,
-        commit: impl FnOnce() -> Result<T, LiveError>,
+        deltas: usize,
+        commit: impl FnOnce(&mut dyn FnMut(Stage)) -> Result<T, LiveError>,
     ) -> Result<T, LiveError> {
         let start = self.clock.now_ns();
-        let outcome = commit();
+        let mut last = start;
+        let stages = self.stage_ns.get(shard);
+        let outcome = commit(&mut |stage| {
+            let now = self.clock.now_ns();
+            if let Some(stages) = stages {
+                stages[stage as usize].record(now.saturating_sub(last));
+            }
+            last = now;
+        });
         let elapsed = self.clock.now_ns().saturating_sub(start);
         if let Some(hist) = self.commit_ns.get(shard) {
             hist.record(elapsed);
         }
         let column = match &outcome {
-            Ok(_) => &self.commits,
+            Ok(_) => {
+                self.batch_deltas.record(deltas as u64);
+                &self.commits
+            }
             Err(_) => &self.failures,
         };
         if let Some(counter) = column.get(shard) {
@@ -167,47 +162,51 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn shard_commit_timer_splits_outcomes_per_shard() {
+    fn shard_commit_timer_splits_outcomes_and_stages_per_shard() {
         let clock = Arc::new(ManualClock::new());
         let registry = Registry::with_clock(clock.clone());
         let metrics = ShardMetrics::new(&registry, 2);
 
-        let ok: Result<u32, LiveError> = metrics.time_shard_commit(0, || {
-            clock.advance(500);
+        let ok: Result<u32, LiveError> = metrics.time_shard_commit(0, 4, |lap| {
+            clock.advance(300);
+            lap(Stage::JournalFsync);
+            clock.advance(150);
+            lap(Stage::Apply);
+            clock.advance(50);
+            lap(Stage::Publish);
             Ok(7)
         });
         assert_eq!(ok.ok(), Some(7));
-        let err: Result<(), LiveError> = metrics.time_shard_commit(1, || {
+        let err: Result<(), LiveError> = metrics.time_shard_commit(1, 3, |_| {
             clock.advance(900);
-            Err(LiveError::CheckpointGap {
-                checkpoint_seq: 0,
-                journal_first_seq: 2,
-            })
+            Err(LiveError::NoShards)
         });
         assert!(err.is_err());
 
         assert_eq!(metrics.commit_counts(), vec![(0, 1, 0), (1, 0, 1)]);
         assert_eq!(metrics.commit_ns[0].snapshot().sum(), 500);
         assert_eq!(metrics.commit_ns[1].snapshot().sum(), 900);
+        let stage_sums: Vec<u64> = metrics.stage_ns[0]
+            .iter()
+            .map(|h| h.snapshot().sum())
+            .collect();
+        assert_eq!(stage_sums, vec![300, 150, 50]);
+        // Only the committed batch counts toward the batch sizes.
+        assert_eq!(metrics.batch_deltas.snapshot().sum(), 4);
+        let text = registry.render_text();
+        assert!(text.contains("live_ingest_stage_ns_count{shard=\"0\",stage=\"apply\"} 1"));
+        assert!(text.contains("live_ingest_stage_ns_count{shard=\"1\",stage=\"apply\"} 0"));
     }
 
     #[test]
     fn out_of_range_shard_still_commits() {
         let registry = Registry::new();
         let metrics = ShardMetrics::new(&registry, 1);
-        let ok: Result<u32, LiveError> = metrics.time_shard_commit(9, || Ok(1));
+        let ok: Result<u32, LiveError> = metrics.time_shard_commit(9, 1, |lap| {
+            lap(Stage::Apply);
+            Ok(1)
+        });
         assert_eq!(ok.ok(), Some(1));
         assert_eq!(metrics.commit_counts(), vec![(0, 0, 0)]);
-    }
-
-    #[test]
-    fn live_metrics_register_the_stage_series() {
-        let registry = Registry::new();
-        let metrics = LiveMetrics::new(&registry);
-        metrics.stage_apply.record(10);
-        metrics.commits.inc();
-        let text = registry.render_text();
-        assert!(text.contains("live_ingest_stage_ns_count{stage=\"apply\"} 1"));
-        assert!(text.contains("live_commits_total 1"));
     }
 }

@@ -1,20 +1,15 @@
-//! Sharded serving: a partitioned corpus behind one scatter-gather
-//! query plan.
+//! The live service: N journal + writer + snapshot columns behind
+//! one router and one scatter-gather query plan. One shard is
+//! simply N = 1.
 //!
-//! The single-shard [`LiveService`](crate::LiveService) pays two
-//! whole-corpus costs per ingest burst: the copy-on-write index
-//! detach touches the entire index, and every fsync serializes all
-//! sources behind one journal. Partitioning the corpus into N shards
-//! — hash of the source id, [`SourceId::shard`] — makes both costs
-//! per-shard: each shard owns its own [`SearchEngine`] +
-//! [`DeltaJournal`] +
-//! [`SnapshotStore`](crate::SnapshotStore), routed sub-batches
-//! commit in parallel (each reusing the group-commit
-//! [`append_batch`](crate::DeltaJournal::append_batch) fsync
-//! batching), and crash recovery replays only the dead shard's
-//! journal.
-//!
-//! One routed batch flows as:
+//! Every shard owns its own [`SearchEngine`] + [`DeltaJournal`] +
+//! [`SnapshotStore`](crate::SnapshotStore) and enforces the ordering
+//! that makes crashes safe: **journal (fsync) → apply → publish**, so
+//! each journal is a superset of every snapshot its shard published.
+//! Routing by source id ([`SourceId::shard`]) makes a commit's
+//! copy-on-write detach and fsync per-shard; routed sub-batches
+//! commit in parallel, and recovery replays each journal on its own,
+//! past that shard's sequence in a [`Checkpoint`]:
 //!
 //! ```text
 //!                 ┌► shard 0: journal (fsync) ─► apply ─► publish
@@ -50,8 +45,7 @@
 use crate::cache::QueryCache;
 use crate::error::LiveError;
 use crate::journal::DeltaJournal;
-use crate::metrics::ShardMetrics;
-use crate::service::RecoveryReport;
+use crate::metrics::{ShardMetrics, Stage};
 use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader};
 use obs_model::{Clock, CorpusDelta, PostId, SourceId};
 use obs_search::{
@@ -75,7 +69,7 @@ use std::sync::{Arc, RwLock};
 ///
 /// With one shard, routing is the identity: the single sub-delta
 /// reproduces the input delta exactly, so a 1-shard service journals
-/// byte-for-byte what the unsharded service journals.
+/// byte-for-byte what a bare journal fed the same bursts holds.
 ///
 /// ```
 /// use obs_live::ShardRouter;
@@ -151,10 +145,25 @@ impl ShardRouter {
     /// [`CorpusDelta`] invariant of at most one engagement entry per
     /// source.
     pub fn route(&mut self, delta: &CorpusDelta) -> Vec<CorpusDelta> {
+        self.route_logged(delta, &mut Vec::new())
+    }
+
+    /// [`ShardRouter::route`], appending `(home, post)` for every
+    /// removal it routes home to `unhomed`, so the homes a refused
+    /// shard never journaled away can be restored
+    /// ([`ShardRouter::rehome`]).
+    fn route_logged(
+        &mut self,
+        delta: &CorpusDelta,
+        unhomed: &mut Vec<(usize, PostId)>,
+    ) -> Vec<CorpusDelta> {
         let mut routed = vec![CorpusDelta::new(); self.shards];
         for &post in &delta.removed {
             match self.homes.remove(&post) {
-                Some(home) => routed[home].remove_doc(post),
+                Some(home) => {
+                    unhomed.push((home, post));
+                    routed[home].remove_doc(post);
+                }
                 // Unknown post: broadcast. Whichever shard holds it
                 // removes it; for the rest it is a no-op.
                 None => {
@@ -175,16 +184,31 @@ impl ShardRouter {
         routed
     }
 
+    /// Restores the homes `route_logged` cleared for removals routed
+    /// to a shard for which `refused` holds: that shard journaled
+    /// nothing, so its posts are still there.
+    fn rehome(&mut self, unhomed: &[(usize, PostId)], refused: impl Fn(usize) -> bool) {
+        for &(shard, post) in unhomed {
+            if refused(shard) {
+                self.homes.insert(post, shard);
+            }
+        }
+    }
+
     /// Registry hook for recovery replay: records that `post`'s
     /// document lives in `shard`.
-    pub(crate) fn note_home(&mut self, post: PostId, shard: usize) {
+    fn note_home(&mut self, post: PostId, shard: usize) {
         self.homes.insert(post, shard);
     }
 
-    /// Registry hook for recovery replay: records that `post` was
-    /// removed.
-    pub(crate) fn forget(&mut self, post: PostId) {
-        self.homes.remove(&post);
+    /// Registry hook for recovery replay: `shard` journaled a removal
+    /// of `post`. Only the post's home forgets it — a broadcast
+    /// removal lands in every shard's journal, and replaying it from
+    /// a shard that never held the post must not unhome it.
+    fn forget(&mut self, post: PostId, shard: usize) {
+        if self.homes.get(&post) == Some(&shard) {
+            self.homes.remove(&post);
+        }
     }
 }
 
@@ -233,15 +257,22 @@ struct Shard {
 impl Shard {
     /// Group-commits this shard's sub-batch: all records under one
     /// fsync ([`DeltaJournal::append_batch`], all-or-nothing), one
-    /// batched apply, one published snapshot. An empty batch touches
-    /// nothing.
-    fn commit(&mut self, deltas: &[CorpusDelta]) -> Result<(), LiveError> {
+    /// batched apply, one published snapshot, calling `lap` as each
+    /// [`Stage`] ends. An empty batch touches nothing.
+    fn commit(
+        &mut self,
+        deltas: &[CorpusDelta],
+        lap: &mut dyn FnMut(Stage),
+    ) -> Result<(), LiveError> {
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
         let Some((first, _)) = self.journal.append_batch(&refs)? else {
             return Ok(());
         };
+        lap(Stage::JournalFsync);
         self.writer.apply_batch(first, &refs);
+        lap(Stage::Apply);
         self.writer.publish();
+        lap(Stage::Publish);
         Ok(())
     }
 }
@@ -264,16 +295,68 @@ impl FailedCommit {
     }
 }
 
-/// A sharded live service: N independent journal + writer + snapshot
+/// What [`ShardedLiveService::recover_from`] did for one shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryReport {
+    /// Journal records replayed into the checkpoint engine.
+    pub replayed: usize,
+    /// Records skipped because the checkpoint already covered them.
+    pub skipped: usize,
+    /// Whether a truncated final record was dropped (torn tail).
+    pub torn_tail_dropped: bool,
+    /// Sequence the recovered shard resumed at.
+    pub recovered_seq: u64,
+}
+
+/// A consistent capture of a whole service: every shard's engine and
+/// the sequence it covers, the global static blend and the router's
+/// post registry. Cheap to take — engine indexes are shared
+/// copy-on-write — and the only state recovery needs besides the
+/// journals: feed it to [`ShardedLiveService::recover_from`], and
+/// once it is safely stored, to
+/// [`ShardedLiveService::compact_through`].
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    shards: Vec<(SearchEngine, u64)>,
+    blend: StaticBlend,
+    router: ShardRouter,
+}
+
+impl Checkpoint {
+    /// The state before the first delta: `shards` clones of an empty
+    /// `seed` at sequence 0, `seed`'s blend and an empty registry.
+    fn genesis(seed: &SearchEngine, shards: usize) -> Result<Checkpoint, LiveError> {
+        if shards == 0 {
+            return Err(LiveError::NoShards);
+        }
+        if seed.doc_count() > 0 {
+            return Err(LiveError::NonEmptySeed {
+                docs: seed.doc_count(),
+            });
+        }
+        Ok(Checkpoint {
+            shards: vec![(seed.clone(), 0); shards],
+            blend: seed.blend().clone(),
+            router: ShardRouter::new(shards),
+        })
+    }
+
+    /// The sequence each shard's engine covers, in shard order.
+    pub fn seqs(&self) -> Vec<u64> {
+        self.shards.iter().map(|(_, seq)| *seq).collect()
+    }
+}
+
+/// The live service: N independent journal + writer + snapshot
 /// columns behind one router, one global static blend and one
-/// scatter-gather query plan.
+/// scatter-gather query plan. One shard is the unsharded case.
 ///
 /// Construction starts from an **empty** seed engine (carrying the
 /// analytics-derived static signals but zero documents) and grows
 /// every shard from the delta stream — an existing index cannot be
-/// partitioned after the fact. The single-shard construction is the
-/// unsharded service, byte-for-byte: same journal contents, same
-/// rankings (proptest-pinned at the workspace level).
+/// partitioned after the fact. Sharding is invisible in answers:
+/// rankings and static scores are bit-identical for every shard
+/// count (proptest-pinned at the workspace level).
 #[derive(Debug)]
 pub struct ShardedLiveService {
     router: ShardRouter,
@@ -301,47 +384,51 @@ impl ShardedLiveService {
         dir.join(format!("shard-{shard}.journal"))
     }
 
-    /// Starts a fresh sharded service: `shards` journal files
+    /// Starts a fresh service: `shards` journal files
     /// (`shard-{i}.journal`) created (truncated) under `dir` — the
     /// directory is created if missing — and every shard's writer
     /// seeded with a clone of `seed` at sequence 0. The global blend
     /// starts as `seed`'s blend.
     ///
-    /// # Panics
-    /// If `shards` is zero, or if `seed` already indexes documents —
-    /// existing documents cannot be partitioned after the fact;
-    /// ingest them as deltas instead.
+    /// Fails with [`LiveError::NoShards`] for zero shards and with
+    /// [`LiveError::NonEmptySeed`] if `seed` already indexes
+    /// documents — existing documents cannot be partitioned after
+    /// the fact; ingest them as deltas instead.
     pub fn start(
         seed: &SearchEngine,
         shards: usize,
         dir: impl AsRef<Path>,
     ) -> Result<ShardedLiveService, LiveError> {
-        Self::check_seed(seed, shards);
+        let genesis = Checkpoint::genesis(seed, shards)?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(crate::journal::JournalError::Io)?;
-        let mut handles = Vec::with_capacity(shards);
-        for i in 0..shards {
-            handles.push(Shard {
-                writer: LiveWriter::new(seed.clone(), 0),
+        let mut columns = Vec::with_capacity(shards);
+        for (i, (engine, seq)) in genesis.shards.into_iter().enumerate() {
+            columns.push(Shard {
+                writer: LiveWriter::new(engine, seq),
                 journal: DeltaJournal::create(Self::shard_journal_path(dir, i))?,
             });
         }
-        let blend = seed.blend().clone();
-        Ok(ShardedLiveService {
-            router: ShardRouter::new(shards),
-            shards: handles,
+        Ok(Self::assemble(genesis.router, columns, genesis.blend))
+    }
+
+    fn assemble(router: ShardRouter, shards: Vec<Shard>, blend: StaticBlend) -> ShardedLiveService {
+        ShardedLiveService {
+            router,
+            shards,
             blend_cell: Arc::new(BlendCell::new(blend.clone())),
             blend,
             metrics: None,
             query_cache: None,
-        })
+        }
     }
 
     /// Attaches per-shard commit and query instruments (see
     /// [`ShardMetrics`]): subsequent routed commits record per-shard
-    /// latency, outcome counters and fan-out width, and readers
-    /// built by [`ShardedLiveService::reader`] record scatter-gather
-    /// stage timings. The uninstrumented service records nothing.
+    /// latency, stage split, outcome counters, batch sizes and
+    /// fan-out width, and readers built by
+    /// [`ShardedLiveService::reader`] record scatter-gather stage
+    /// timings. The uninstrumented service records nothing.
     pub fn with_metrics(mut self, metrics: ShardMetrics) -> ShardedLiveService {
         self.metrics = Some(metrics);
         self
@@ -362,85 +449,113 @@ impl ShardedLiveService {
         self
     }
 
-    /// Rebuilds the pre-crash service by replaying **each shard's own
-    /// journal** over a clone of `seed` — shards recover
-    /// independently, so the cost of a crash is proportional to the
-    /// largest shard, not the corpus. The router's post registry and
-    /// the global blend are rebuilt from the replayed records; the
-    /// per-shard reports come back in shard order.
-    ///
-    /// # Panics
-    /// As [`ShardedLiveService::start`].
+    /// Rebuilds the pre-crash service from the journals under `dir`
+    /// alone: [`ShardedLiveService::recover_from`] the state before
+    /// the first delta (`shards` clones of the empty `seed`). Fails
+    /// as [`ShardedLiveService::start`] does on a bad seed or shard
+    /// count.
     pub fn recover(
         seed: &SearchEngine,
         shards: usize,
         dir: impl AsRef<Path>,
     ) -> Result<(ShardedLiveService, Vec<RecoveryReport>), LiveError> {
-        Self::check_seed(seed, shards);
+        Self::recover_from(Checkpoint::genesis(seed, shards)?, dir)
+    }
+
+    /// Rebuilds the pre-crash service by replaying **each shard's own
+    /// journal** (healing any torn tail) past that shard's sequence
+    /// in `checkpoint` — shards recover independently, so the cost of
+    /// a crash is proportional to the largest shard, not the corpus.
+    /// The router's post registry and the global blend continue from
+    /// the checkpoint's through the replayed records; the per-shard
+    /// reports come back in shard order.
+    ///
+    /// Fails with [`LiveError::CheckpointGap`] if compaction dropped
+    /// records a shard's checkpoint does not cover. A fully compacted
+    /// journal carries no position of its own, so each journal
+    /// resumes after its recovered sequence.
+    pub fn recover_from(
+        checkpoint: Checkpoint,
+        dir: impl AsRef<Path>,
+    ) -> Result<(ShardedLiveService, Vec<RecoveryReport>), LiveError> {
         let dir = dir.as_ref();
-        let mut router = ShardRouter::new(shards);
-        let mut blend = seed.blend().clone();
+        let Checkpoint {
+            shards: columns,
+            mut blend,
+            mut router,
+        } = checkpoint;
         let mut blend_touched = false;
-        let mut handles = Vec::with_capacity(shards);
-        let mut reports = Vec::with_capacity(shards);
-        for i in 0..shards {
+        let mut shards = Vec::with_capacity(columns.len());
+        let mut reports = Vec::with_capacity(columns.len());
+        for (i, (engine, checkpoint_seq)) in columns.into_iter().enumerate() {
             let (mut journal, replay) = DeltaJournal::open(Self::shard_journal_path(dir, i))?;
             if let Some(first) = replay.records.first() {
-                if first.seq > 1 {
+                if first.seq > checkpoint_seq + 1 {
                     return Err(LiveError::CheckpointGap {
-                        checkpoint_seq: 0,
+                        checkpoint_seq,
                         journal_first_seq: first.seq,
                     });
                 }
             }
-            let mut writer = LiveWriter::new(seed.clone(), 0);
+            let mut report = RecoveryReport {
+                torn_tail_dropped: replay.torn_tail_dropped,
+                ..RecoveryReport::default()
+            };
+            let mut writer = LiveWriter::new(engine, checkpoint_seq);
             for record in &replay.records {
+                if record.seq <= checkpoint_seq {
+                    report.skipped += 1;
+                    continue;
+                }
                 writer.apply(record.seq, &record.delta);
                 // Registry rebuild mirrors routing order: removals
                 // before adds, so a remove-then-readd inside one
                 // delta leaves the post homed.
                 for &post in &record.delta.removed {
-                    router.forget(post);
+                    router.forget(post, i);
                 }
                 for doc in &record.delta.added {
                     router.note_home(doc.post, i);
                 }
                 blend_touched |= blend.apply_engagement(&record.delta.engagement);
+                report.replayed += 1;
             }
             writer.publish();
-            reports.push(RecoveryReport {
-                replayed: replay.records.len(),
-                skipped: 0,
-                torn_tail_dropped: replay.torn_tail_dropped,
-                recovered_seq: writer.seq(),
-            });
+            report.recovered_seq = writer.seq();
             journal.resume_at(writer.seq() + 1);
-            handles.push(Shard { writer, journal });
+            shards.push(Shard { writer, journal });
+            reports.push(report);
         }
         if blend_touched {
             blend.reblend();
         }
-        Ok((
-            ShardedLiveService {
-                router,
-                shards: handles,
-                blend_cell: Arc::new(BlendCell::new(blend.clone())),
-                blend,
-                metrics: None,
-                query_cache: None,
-            },
-            reports,
-        ))
+        Ok((Self::assemble(router, shards, blend), reports))
     }
 
-    fn check_seed(seed: &SearchEngine, shards: usize) {
-        assert!(shards >= 1, "a sharded service needs at least one shard");
-        assert_eq!(
-            seed.doc_count(),
-            0,
-            "the seed engine must be empty: an existing index cannot be \
-             partitioned after the fact — ingest its documents as deltas"
-        );
+    /// Captures a [`Checkpoint`] of the committed state.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            shards: self
+                .shards
+                .iter()
+                .map(|s| (s.writer.engine().clone(), s.writer.seq()))
+                .collect(),
+            blend: self.blend.clone(),
+            router: self.router.clone(),
+        }
+    }
+
+    /// Compacts every shard's journal through the sequence
+    /// `checkpoint` covers for it. Only legal once `checkpoint` is
+    /// stored outside the journals: recovery from an older
+    /// checkpoint fails with [`LiveError::CheckpointGap`] afterwards.
+    /// Returns the number of records dropped across all shards.
+    pub fn compact_through(&mut self, checkpoint: &Checkpoint) -> Result<usize, LiveError> {
+        let mut dropped = 0;
+        for (shard, (_, seq)) in self.shards.iter_mut().zip(&checkpoint.shards) {
+            dropped += shard.journal.compact_through(*seq)?;
+        }
+        Ok(dropped)
     }
 
     /// Ingests one delta through the routed path (see
@@ -466,7 +581,12 @@ impl ShardedLiveService {
     /// shards' commits stand. The error is
     /// [`LiveError::ShardCommit`] naming the first failed shard;
     /// sweep callers additionally get the refused sources' marks
-    /// rolled back (see [`ShardedLiveService::tick_sweep`]).
+    /// rolled back (see [`ShardedLiveService::tick_sweep`]), and a
+    /// removal a refused shard never journaled keeps its post's home,
+    /// so the retry still routes home.
+    ///
+    /// Empty deltas are skipped: they journal nothing and burn no
+    /// sequence number, and an all-empty batch publishes nothing.
     pub fn ingest_batch(&mut self, deltas: &[CorpusDelta]) -> Result<(), LiveError> {
         self.commit_routed(deltas).map_err(FailedCommit::into_error)
     }
@@ -475,11 +595,13 @@ impl ShardedLiveService {
     /// blend absorption for committed shards.
     fn commit_routed(&mut self, deltas: &[CorpusDelta]) -> Result<(), FailedCommit> {
         let mut routed: Vec<Vec<CorpusDelta>> = vec![Vec::new(); self.shards.len()];
+        let mut unhomed = Vec::new();
         for delta in deltas {
             if delta.is_empty() {
                 continue;
             }
-            for (shard, sub) in self.router.route(delta).into_iter().enumerate() {
+            let subs = self.router.route_logged(delta, &mut unhomed);
+            for (shard, sub) in subs.into_iter().enumerate() {
                 if !sub.is_empty() {
                     routed[shard].push(sub);
                 }
@@ -491,8 +613,8 @@ impl ShardedLiveService {
                 .record(routed.iter().filter(|b| !b.is_empty()).count() as u64);
         }
         let commit = |i: usize, shard: &mut Shard, batch: &[CorpusDelta]| match metrics {
-            Some(m) => m.time_shard_commit(i, || shard.commit(batch)),
-            None => shard.commit(batch),
+            Some(m) => m.time_shard_commit(i, batch.len(), |lap| shard.commit(batch, lap)),
+            None => shard.commit(batch, &mut |_| {}),
         };
         let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
         std::thread::scope(|scope| {
@@ -520,6 +642,7 @@ impl ShardedLiveService {
         });
 
         let mut failed: Option<(usize, LiveError)> = None;
+        let mut refused = vec![false; outcomes.len()];
         let mut refused_sources: Vec<SourceId> = Vec::new();
         let mut blend_touched = false;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
@@ -530,6 +653,7 @@ impl ShardedLiveService {
                     }
                 }
                 Err(error) => {
+                    refused[shard] = true;
                     for sub in &routed[shard] {
                         refused_sources.extend(sub.added.iter().map(|d| d.source));
                         refused_sources.extend(sub.engagement.iter().map(|e| e.source));
@@ -547,6 +671,7 @@ impl ShardedLiveService {
         match failed {
             None => Ok(()),
             Some((shard, error)) => {
+                self.router.rehome(&unhomed, |s| refused[s]);
                 refused_sources.sort_unstable();
                 refused_sources.dedup();
                 Err(FailedCommit {
@@ -558,19 +683,23 @@ impl ShardedLiveService {
         }
     }
 
-    /// One sweep tick over every registered service, the sharded
-    /// analogue of
-    /// [`LiveService::tick_sweep`](crate::LiveService::tick_sweep):
-    /// crawl each source since its high-water mark, route the burst
-    /// and commit every shard's slice in parallel.
+    /// One sweep tick over every registered service: crawls each
+    /// source since its high-water mark
+    /// ([`Crawler::crawl_sweep`], fanned across
+    /// `CrawlerConfig::workers` threads and joined back in service
+    /// order, so the burst is byte-identical to a sequential crawl),
+    /// routes the burst and commits every shard's slice in parallel
+    /// — one fsync, one apply and one published snapshot per touched
+    /// shard, however many sources had fresh content.
     ///
     /// Failure rollback is **per shard**: if some shards refuse
     /// their slice, only the sources routed to those shards get
     /// their marks rolled back to the pre-sweep readings
     /// ([`HighWaterMarks::rollback_many`]) — sources whose shard
     /// committed keep their advanced marks, because their content
-    /// *is* durable. A crawl-layer failure behaves as in the
-    /// unsharded sweep (the crawler restores the marks itself).
+    /// *is* durable; with one shard, every participating mark rolls
+    /// back. A crawl-layer failure advances no mark (the crawler
+    /// restores the marks itself) and journals nothing.
     pub fn tick_sweep(
         &mut self,
         crawler: &Crawler,
@@ -799,7 +928,6 @@ impl ShardedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::LiveService;
     use obs_analytics::{AlexaPanel, LinkGraph};
     use obs_search::BlendWeights;
     use obs_synth::{World, WorldConfig};
@@ -818,22 +946,18 @@ mod tests {
         ))
     }
 
-    fn world_and_engine(seed: u64) -> (World, SearchEngine) {
+    /// A world, its full engine, and that engine's static signals over
+    /// an empty index — the service seed.
+    fn world_and_engine(seed: u64) -> (World, SearchEngine, SearchEngine) {
         let world = World::generate(WorldConfig::small(seed));
         let panel = AlexaPanel::simulate(&world, 1);
         let links = LinkGraph::simulate(&world, 2);
         let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
-        (world, engine)
-    }
-
-    /// An engine carrying the world's static signals but zero
-    /// documents — the sharded seed.
-    fn empty_seed(world: &World, engine: &SearchEngine) -> SearchEngine {
         let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
         let mut empty = engine.clone();
         empty.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
         assert_eq!(empty.doc_count(), 0);
-        empty
+        (world, engine, empty)
     }
 
     /// The full post history as a stream of multi-post deltas.
@@ -843,6 +967,20 @@ mod tests {
             .chunks(chunk)
             .map(|c| CorpusDelta::for_posts(&world.corpus, c).unwrap())
             .collect()
+    }
+
+    /// Every source's crawl service, for sweep tests.
+    fn services(world: &World) -> Vec<Box<dyn DataService + '_>> {
+        world
+            .corpus
+            .sources()
+            .iter()
+            .map(|s| service_for(&world.corpus, s.id, world.now).unwrap())
+            .collect()
+    }
+
+    fn journal_bytes(dir: &Path, shard: usize) -> Vec<u8> {
+        std::fs::read(ShardedLiveService::shard_journal_path(dir, shard)).unwrap()
     }
 
     fn cleanup(dir: &Path) {
@@ -888,7 +1026,7 @@ mod tests {
 
     #[test]
     fn blend_publish_returns_the_superseded_blend_with_the_lock_released() {
-        let (_, engine) = world_and_engine(607);
+        let (_, engine, _) = world_and_engine(607);
         let cell = BlendCell::new(engine.blend().clone());
         let old = cell.load();
         let fresh = Arc::new(engine.blend().clone());
@@ -913,47 +1051,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_matches_unsharded_service() {
-        let (world, engine) = world_and_engine(601);
-        let seed = empty_seed(&world, &engine);
+    fn service_matches_one_engine_applying_the_same_bursts() {
+        let (world, engine, seed) = world_and_engine(601);
         let stream = delta_stream(&world, 7);
         let probe: Vec<String> = vec!["duomo".into(), "rooftop".into(), "castle".into()];
 
-        let path = temp_dir("unsharded").join("single.journal");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut unsharded = LiveService::start(seed.clone(), &path).unwrap();
-        let dir = temp_dir("sharded");
-        let mut sharded = ShardedLiveService::start(&seed, 3, &dir).unwrap();
-
+        // The unsharded reference: one engine, one batched apply per
+        // burst.
+        let mut flat = seed.clone();
         for batch in stream.chunks(4) {
-            unsharded.ingest_batch(batch).unwrap();
-            sharded.ingest_batch(batch).unwrap();
+            flat.apply_deltas(batch.iter());
         }
-        assert_eq!(sharded.doc_count(), unsharded.doc_count());
-        assert_eq!(sharded.doc_count(), engine.doc_count());
+        assert_eq!(flat.doc_count(), engine.doc_count());
 
-        let reader = sharded.reader();
-        let unsharded_engine = unsharded.reader().snapshot();
-        assert_eq!(
-            reader.query(&probe, 50),
-            unsharded_engine.engine().query(&probe, 50)
-        );
-        for s in world.corpus.sources() {
-            assert_eq!(
-                reader.static_score(s.id),
-                unsharded_engine.engine().static_score(s.id)
-            );
+        for shards in [1, 3] {
+            let dir = temp_dir("matches");
+            let mut service = ShardedLiveService::start(&seed, shards, &dir).unwrap();
+            for batch in stream.chunks(4) {
+                service.ingest_batch(batch).unwrap();
+            }
+            assert_eq!(service.doc_count(), flat.doc_count());
+            let reader = service.reader();
+            assert_eq!(reader.query(&probe, 50), flat.query(&probe, 50));
+            for s in world.corpus.sources() {
+                assert_eq!(reader.static_score(s.id), flat.static_score(s.id));
+            }
+            cleanup(&dir);
         }
-        cleanup(path.parent().unwrap());
-        cleanup(&dir);
     }
 
     #[test]
-    fn instrumented_service_records_shard_commits_fanout_and_queries() {
+    fn instrumented_service_records_shard_commits_stages_fanout_and_queries() {
         use obs_telemetry::Registry;
 
-        let (world, engine) = world_and_engine(608);
-        let seed = empty_seed(&world, &engine);
+        let (world, _, seed) = world_and_engine(608);
         let stream = delta_stream(&world, 7);
         let dir = temp_dir("metrics");
         let registry = Registry::new();
@@ -985,7 +1116,19 @@ mod tests {
         assert_eq!(hits, service.reader().query(&probe, 20));
         assert_eq!(metrics.search().query_snapshot().count(), 2);
 
+        // Every shard commit staged all three laps, and the batch
+        // sizes add up to the records journaled.
         let text = registry.render_text();
+        for (shard, commits, _) in &counts {
+            for stage in ["journal_fsync", "apply", "publish"] {
+                let series = format!(
+                    "live_ingest_stage_ns_count{{shard=\"{shard}\",stage=\"{stage}\"}} {commits}"
+                );
+                assert!(text.contains(&series), "missing {series}");
+            }
+        }
+        let journaled: usize = (0..3).map(|i| service.journal_len(i)).sum();
+        assert!(text.contains(&format!("live_ingest_batch_deltas_sum {journaled}")));
         assert!(text.contains("live_shard_commit_ns_count{shard=\"0\"}"));
         assert!(text.contains("live_commit_fanout_shards_count"));
         assert!(text.contains("search_query_ns_count 2"));
@@ -1006,32 +1149,89 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_journals_byte_identically_to_the_unsharded_service() {
-        let (world, engine) = world_and_engine(602);
-        let seed = empty_seed(&world, &engine);
+    fn one_shard_journals_byte_identically_to_a_bare_journal() {
+        let (world, _, seed) = world_and_engine(602);
         let stream = delta_stream(&world, 5);
 
-        let path = temp_dir("bytes_unsharded").join("single.journal");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut unsharded = LiveService::start(seed.clone(), &path).unwrap();
-        let dir = temp_dir("bytes_sharded");
-        let mut sharded = ShardedLiveService::start(&seed, 1, &dir).unwrap();
-
+        let dir = temp_dir("bytes");
+        let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
+        let bare_path = dir.join("bare.journal");
+        let mut bare = DeltaJournal::create(&bare_path).unwrap();
         for batch in stream.chunks(3) {
-            unsharded.ingest_batch(batch).unwrap();
-            sharded.ingest_batch(batch).unwrap();
+            service.ingest_batch(batch).unwrap();
+            let refs: Vec<&CorpusDelta> = batch.iter().collect();
+            bare.append_batch(&refs).unwrap();
         }
-        let single = std::fs::read(&path).unwrap();
-        let shard0 = std::fs::read(ShardedLiveService::shard_journal_path(&dir, 0)).unwrap();
-        assert_eq!(single, shard0, "1-shard journal must be byte-identical");
-        cleanup(path.parent().unwrap());
+        assert_eq!(
+            journal_bytes(&dir, 0),
+            std::fs::read(&bare_path).unwrap(),
+            "1-shard journal must be byte-identical"
+        );
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn empty_and_refused_batches_leave_journal_and_snapshot_untouched() {
+        let (world, engine, seed) = world_and_engine(511);
+        let stream = delta_stream(&world, world.corpus.posts().len().div_ceil(6));
+        assert!(stream.len() >= 4, "world too small");
+        let dir = temp_dir("untouched");
+        let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
+        let reader = service.reader();
+        service.ingest(&stream[0]).unwrap();
+        let bytes = journal_bytes(&dir, 0);
+
+        // An all-empty batch journals, syncs and publishes nothing.
+        service
+            .ingest_batch(&[CorpusDelta::new(), CorpusDelta::new()])
+            .unwrap();
+        assert_eq!(service.seqs(), vec![1]);
+        assert_eq!(journal_bytes(&dir, 0), bytes);
+
+        // Empty deltas inside a batch burn no sequence number.
+        let sparse = vec![
+            CorpusDelta::new(),
+            stream[1].clone(),
+            CorpusDelta::new(),
+            stream[2].clone(),
+        ];
+        service.ingest_batch(&sparse).unwrap();
+        assert_eq!(service.seqs(), vec![3]);
+        assert_eq!(service.journal_len(0), 3);
+
+        // A refused fsync leaves no trace: not in the journal, the
+        // engine or the served snapshot.
+        let bytes = journal_bytes(&dir, 0);
+        let docs = service.doc_count();
+        service.inject_journal_sync_failures(0, 1);
+        let err = service.ingest_batch(&stream[3..]).unwrap_err();
+        match err {
+            LiveError::ShardCommit {
+                shard: 0,
+                ref cause,
+            } => {
+                assert!(matches!(**cause, LiveError::Journal(_)), "{cause:?}");
+            }
+            other => panic!("expected ShardCommit, got {other:?}"),
+        }
+        assert_eq!(journal_bytes(&dir, 0), bytes);
+        assert_eq!(service.journal_len(0), 3);
+        assert_eq!(service.seqs(), vec![3]);
+        assert_eq!(reader.seqs(), vec![3]);
+        assert_eq!(service.doc_count(), docs);
+
+        // The retry claims the exact sequences the refused batch had
+        // staged.
+        service.ingest_batch(&stream[3..]).unwrap();
+        assert_eq!(service.seqs(), vec![stream.len() as u64]);
+        assert_eq!(reader.seqs(), service.seqs());
+        assert_eq!(service.doc_count(), engine.doc_count());
         cleanup(&dir);
     }
 
     #[test]
     fn failed_shard_leaves_other_shards_committed() {
-        let (world, engine) = world_and_engine(603);
-        let seed = empty_seed(&world, &engine);
+        let (world, engine, seed) = world_and_engine(603);
         let stream = delta_stream(&world, 6);
         let dir = temp_dir("partial_failure");
         let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
@@ -1060,20 +1260,105 @@ mod tests {
     }
 
     #[test]
+    fn refused_removal_keeps_its_home_and_recovery_rebuilds_every_home() {
+        let (world, _, seed) = world_and_engine(609);
+        let dir = temp_dir("homes");
+        let mut service = ShardedLiveService::start(&seed, 3, &dir).unwrap();
+        let source_on = |shard: usize| {
+            world
+                .corpus
+                .sources()
+                .iter()
+                .map(|s| s.id)
+                .find(|&s| s.shard(3) == shard)
+                .unwrap()
+        };
+        let (post, stranger) = (PostId::new(900_001), PostId::new(900_002));
+        let mut setup = CorpusDelta::new();
+        setup.add_doc(post, source_on(0), "duomo rooftop");
+        setup.add_doc(PostId::new(900_003), source_on(1), "castle gardens");
+        setup.add_doc(PostId::new(900_004), source_on(2), "harbour walk");
+        service.ingest(&setup).unwrap();
+        let lens = |s: &ShardedLiveService| (0..3).map(|i| s.journal_len(i)).collect::<Vec<_>>();
+        assert_eq!(lens(&service), vec![1, 1, 1]);
+
+        // The home shard refuses the removal: the post keeps its
+        // home, so the retry routes to that shard alone instead of
+        // journaling a broadcast no-op on every shard.
+        let mut removal = CorpusDelta::new();
+        removal.remove_doc(post);
+        service.inject_journal_sync_failures(0, 1);
+        assert!(service.ingest(&removal).is_err());
+        assert_eq!(service.router().home_of(post), Some(0));
+        service.ingest(&removal).unwrap();
+        assert_eq!(lens(&service), vec![2, 1, 1]);
+        assert_eq!(service.router().home_of(post), None);
+
+        // A removal of a post never seen broadcasts to every shard;
+        // replaying it from a shard that does not house the post
+        // must not unhome the post's later add.
+        let mut unknown = CorpusDelta::new();
+        unknown.remove_doc(stranger);
+        service.ingest(&unknown).unwrap();
+        assert_eq!(lens(&service), vec![3, 2, 2]);
+        let mut readd = CorpusDelta::new();
+        readd.add_doc(post, source_on(0), "duomo rooftop");
+        readd.add_doc(stranger, source_on(0), "piazza");
+        service.ingest(&readd).unwrap();
+        let homes = [post, stranger].map(|p| service.router().home_of(p));
+        assert_eq!(homes, [Some(0), Some(0)]);
+        drop(service); // killed
+
+        let (recovered, _) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
+        assert_eq!(
+            [post, stranger].map(|p| recovered.router().home_of(p)),
+            homes
+        );
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn tick_sweep_group_commits_the_whole_crawl_burst() {
+        let (world, engine, seed) = world_and_engine(512);
+        let dir = temp_dir("sweep");
+        let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
+        let crawler = Crawler::default();
+        let mut marks = HighWaterMarks::new();
+        let mut services = services(&world);
+        let mut clock = Clock::starting_at(world.now);
+
+        let report = service
+            .tick_sweep(&crawler, &mut services, &mut clock, &mut marks)
+            .unwrap();
+        assert_eq!(report.sources, world.corpus.sources().len());
+        assert!(report.fresh_sources > 0, "no source had fresh content");
+        // One record per fresh source, one published snapshot for the
+        // whole burst, and the engine caught all the way up.
+        assert_eq!(service.seqs(), vec![report.fresh_sources as u64]);
+        assert_eq!(service.journal_len(0), report.fresh_sources);
+        assert_eq!(service.reader().seqs(), service.seqs());
+        assert_eq!(service.doc_count(), engine.doc_count());
+
+        // A sweep over caught-up sources observes nothing and leaves
+        // the journal byte-identical.
+        let bytes = journal_bytes(&dir, 0);
+        let report = service
+            .tick_sweep(&crawler, &mut services, &mut clock, &mut marks)
+            .unwrap();
+        assert_eq!(report.fresh_sources, 0);
+        assert_eq!(journal_bytes(&dir, 0), bytes);
+        cleanup(&dir);
+    }
+
+    #[test]
     fn sharded_sweep_rolls_back_only_the_failed_shards_sources() {
-        let (world, engine) = world_and_engine(604);
-        let seed = empty_seed(&world, &engine);
+        let (world, engine, seed) = world_and_engine(604);
         let dir = temp_dir("sweep_rollback");
         let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
         let crawler = Crawler::default();
         let mut marks = HighWaterMarks::new();
         let pre_sweep = marks.clone();
-        let mut services: Vec<Box<dyn DataService + '_>> = world
-            .corpus
-            .sources()
-            .iter()
-            .map(|s| service_for(&world.corpus, s.id, world.now).unwrap())
-            .collect();
+        let mut services = services(&world);
         let mut clock = Clock::starting_at(world.now);
 
         // Both shards host sources in any non-trivial world.
@@ -1119,8 +1404,7 @@ mod tests {
 
     #[test]
     fn per_shard_recovery_restores_rankings_and_routing() {
-        let (world, engine) = world_and_engine(605);
-        let seed = empty_seed(&world, &engine);
+        let (world, _, seed) = world_and_engine(605);
         let stream = delta_stream(&world, 4);
         let probe: Vec<String> = vec!["duomo".into(), "gardens".into()];
         let dir = temp_dir("recovery");
@@ -1141,6 +1425,7 @@ mod tests {
         for (i, report) in reports.iter().enumerate() {
             assert_eq!(report.recovered_seq, pre_seqs[i]);
             assert_eq!(report.replayed as u64, pre_seqs[i]);
+            assert_eq!(report.skipped, 0);
             assert!(!report.torn_tail_dropped);
         }
         assert_eq!(recovered.reader().query(&probe, 50), pre_hits);
@@ -1152,16 +1437,155 @@ mod tests {
         let mut removal = CorpusDelta::new();
         removal.remove_doc(post);
         let docs = service.doc_count();
+        let seqs = service.seqs();
         service.ingest(&removal).unwrap();
         assert_eq!(service.doc_count(), docs - 1);
+        let moved = (0..3).filter(|&i| service.seqs()[i] != seqs[i]).count();
+        assert_eq!(moved, 1);
         cleanup(&dir);
     }
 
     #[test]
-    #[should_panic(expected = "seed engine must be empty")]
+    fn recover_from_mid_stream_checkpoint_skips_covered_prefix() {
+        let (world, engine, seed) = world_and_engine(503);
+        let stream = delta_stream(&world, 5);
+        let (head, tail) = stream.split_at(stream.len() / 2);
+        let probe: Vec<String> = vec!["duomo".into(), "gardens".into()];
+        let dir = temp_dir("checkpointed");
+
+        let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
+        for batch in head.chunks(3) {
+            service.ingest_batch(batch).unwrap();
+        }
+        let checkpoint = service.checkpoint();
+        assert_eq!(checkpoint.seqs(), service.seqs());
+        for batch in tail.chunks(3) {
+            service.ingest_batch(batch).unwrap();
+        }
+        let expected_hits = service.reader().query(&probe, 50);
+        let expected_seqs = service.seqs();
+        let homes = |s: &ShardedLiveService| -> Vec<Option<usize>> {
+            let posts = world.corpus.posts().iter();
+            posts.map(|p| s.router().home_of(p.id)).collect()
+        };
+        let expected_homes = homes(&service);
+        drop(service);
+
+        let (recovered, reports) =
+            ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
+        for (i, report) in reports.iter().enumerate() {
+            assert_eq!(report.skipped as u64, checkpoint.seqs()[i]);
+            assert_eq!(
+                report.replayed as u64,
+                expected_seqs[i] - checkpoint.seqs()[i]
+            );
+            assert_eq!(report.recovered_seq, expected_seqs[i]);
+        }
+        assert_eq!(recovered.doc_count(), engine.doc_count());
+        let reader = recovered.reader();
+        assert_eq!(reader.query(&probe, 50), expected_hits);
+        for s in world.corpus.sources() {
+            assert_eq!(reader.static_score(s.id), engine.static_score(s.id));
+        }
+        assert_eq!(homes(&recovered), expected_homes);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn compaction_after_checkpoint_still_recovers() {
+        let (world, engine, seed) = world_and_engine(504);
+        let stream = delta_stream(&world, 5);
+        let dir = temp_dir("compacted");
+
+        let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
+        for batch in stream.chunks(3) {
+            service.ingest_batch(batch).unwrap();
+        }
+        let checkpoint = service.checkpoint();
+        let records: u64 = checkpoint.seqs().iter().sum();
+        let dropped = service.compact_through(&checkpoint).unwrap();
+        assert_eq!(dropped as u64, records);
+        assert_eq!((0..2).map(|i| service.journal_len(i)).sum::<usize>(), 0);
+        drop(service);
+
+        // Fully compacted journals replay fine even from genesis:
+        // there is simply nothing to apply.
+        let (empty, _) = ShardedLiveService::recover(&seed, 2, &dir).unwrap();
+        assert_eq!(empty.seqs(), vec![0, 0]);
+        drop(empty);
+
+        // The checkpoint covers everything compacted away.
+        let (mut recovered, reports) =
+            ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
+        assert!(reports.iter().all(|r| r.replayed == 0));
+        assert_eq!(recovered.doc_count(), engine.doc_count());
+        assert_eq!(recovered.seqs(), checkpoint.seqs());
+
+        // Ingestion continues each shard's sequence after recovering
+        // from record-less journals — the checkpoint, not the empty
+        // file, pins the position.
+        let last = world.corpus.posts().last().unwrap().id;
+        let home = recovered.router().home_of(last).unwrap();
+        let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
+        recovered.ingest(&removal).unwrap();
+        assert_eq!(recovered.seqs()[home], checkpoint.seqs()[home] + 1);
+        assert_eq!(recovered.reader().seqs(), recovered.seqs());
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn stale_checkpoint_against_compacted_journal_is_a_gap() {
+        let (world, _, seed) = world_and_engine(505);
+        let stream = delta_stream(&world, world.corpus.posts().len().div_ceil(6));
+        let dir = temp_dir("gap");
+
+        let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
+        service.ingest(&stream[0]).unwrap();
+        service.ingest(&stream[1]).unwrap();
+        let checkpoint = service.checkpoint();
+        service.ingest(&stream[2]).unwrap();
+        service.ingest(&stream[3]).unwrap();
+        // Compact through 2 while records 3, 4 remain.
+        assert_eq!(service.compact_through(&checkpoint).unwrap(), 2);
+        drop(service);
+
+        // Genesis (sequence 0) cannot bridge to first retained seq 3.
+        let err = ShardedLiveService::recover(&seed, 1, &dir).unwrap_err();
+        match err {
+            LiveError::CheckpointGap {
+                checkpoint_seq,
+                journal_first_seq,
+            } => {
+                assert_eq!(checkpoint_seq, 0);
+                assert_eq!(journal_first_seq, 3);
+            }
+            other => panic!("expected CheckpointGap, got {other:?}"),
+        }
+        cleanup(&dir);
+    }
+
+    #[test]
     fn non_empty_seed_is_rejected() {
-        let (_, engine) = world_and_engine(606);
+        let (_, engine, seed) = world_and_engine(606);
         let dir = temp_dir("bad_seed");
-        let _ = ShardedLiveService::start(&engine, 2, &dir);
+        let docs = engine.doc_count();
+        assert!(matches!(
+            ShardedLiveService::start(&engine, 2, &dir),
+            Err(LiveError::NonEmptySeed { docs: d }) if d == docs
+        ));
+        assert!(matches!(
+            ShardedLiveService::recover(&engine, 2, &dir),
+            Err(LiveError::NonEmptySeed { .. })
+        ));
+        assert!(matches!(
+            ShardedLiveService::start(&seed, 0, &dir),
+            Err(LiveError::NoShards)
+        ));
+        assert!(matches!(
+            ShardedLiveService::recover(&seed, 0, &dir),
+            Err(LiveError::NoShards)
+        ));
+        // Nothing was created on the way to the error.
+        assert!(!dir.exists());
     }
 }

@@ -1,380 +1,356 @@
-//! Concurrent correctness of the snapshot-serving layer.
+//! Concurrent correctness of the serving layer, at one shard and at
+//! two.
 //!
-//! N reader threads hammer snapshots while one writer ingests a
-//! known sequence of deltas. The test is deterministic in what it
+//! N reader threads pin the served state while one writer ingests a
+//! known sequence of bursts. The test is deterministic in what it
 //! *asserts* (not in thread interleaving, which is the point): the
-//! expected engine state at every sequence number is precomputed by
-//! replaying the same deltas on a scratch engine, so every snapshot
-//! any reader observes — whichever write it races with — must match
-//! one of the precomputed states *exactly*, and the sequence numbers
-//! each reader observes must be monotone. A torn read (half-applied
-//! delta) would fail both checks.
+//! expected engine of every shard after every burst is precomputed
+//! by routing the same bursts onto scratch engines, and the expected
+//! global blend by applying them to one unsharded engine. Every pin
+//! any reader takes — whichever commit it races with — must show
+//! each shard at one of its burst boundaries, with sequences that
+//! never regress, and must answer a probe query exactly as the
+//! scatter plan over those precomputed shard engines does under one
+//! of the published blends (the blend has its own epoch cell, so a
+//! pin may pair a shard snapshot with the blend of an adjacent
+//! burst; blends never regress either). A torn read (half-applied
+//! burst) fails these checks.
 //!
 //! Run this under `--release` too: races hide in debug timings (CI
 //! does — see the test job).
 
 use obs_analytics::{AlexaPanel, LinkGraph};
-use obs_live::LiveService;
+use obs_live::{ShardRouter, ShardedLiveService, ShardedReader};
 use obs_model::{CorpusDelta, PostId, Timestamp};
-use obs_search::{BlendWeights, SearchEngine, SearchHit};
+use obs_search::{scatter_query, BlendWeights, SearchEngine, SearchHit, StaticBlend};
 use obs_synth::{World, WorldConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-fn temp_path(tag: &str) -> PathBuf {
+fn temp_dir(tag: &str, shards: usize) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "obs_live_conc_{}_{}.journal",
+        "obs_live_conc_{}_{}_{}",
         std::process::id(),
-        tag
+        tag,
+        shards
     ))
 }
 
 const PROBE: [&str; 4] = ["duomo", "rooftop", "castle", "gardens"];
 
-/// The full expected trajectory: doc count and probe-query result
-/// after each delta (index = sequence number).
-struct Expected {
-    docs: Vec<usize>,
-    hits: Vec<Vec<SearchHit>>,
+/// A world, its full build, the empty seed, the content up to the
+/// midpoint as one load delta, and the recent posts as `chunks`
+/// deltas.
+struct Fixture {
+    full: SearchEngine,
+    seed: SearchEngine,
+    load: CorpusDelta,
+    recent: Vec<CorpusDelta>,
 }
 
-fn probe_query(engine: &SearchEngine) -> Vec<SearchHit> {
-    engine.query(&PROBE, 20)
-}
-
-#[test]
-fn readers_never_observe_torn_or_regressing_snapshots() {
+fn fixture(world_seed: u64, chunks: usize) -> Fixture {
     let world = World::generate(WorldConfig {
         sources: 60,
         users: 300,
-        ..WorldConfig::small(7007)
+        ..WorldConfig::small(world_seed)
     });
     let panel = AlexaPanel::simulate(&world, 1);
     let links = LinkGraph::simulate(&world, 2);
     let full = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
-
-    // Start stale (recent posts absent), stream them back in batches.
     let midpoint = Timestamp(world.now.seconds() / 2);
-    let recent: Vec<PostId> = world
+    let (recent, old): (Vec<_>, Vec<_>) = world
         .corpus
         .posts()
         .iter()
-        .filter(|p| p.published > midpoint)
-        .map(|p| p.id)
-        .collect();
+        .partition(|p| p.published > midpoint);
+    let recent: Vec<PostId> = recent.iter().map(|p| p.id).collect();
+    let old: Vec<PostId> = old.iter().map(|p| p.id).collect();
     assert!(recent.len() >= 16, "world too small: {}", recent.len());
-    let mut stale = full.clone();
-    stale.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
-
-    let deltas: Vec<CorpusDelta> = recent
-        .chunks(recent.len().div_ceil(16))
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
-        .collect();
-
-    // Precompute the expected state at every sequence number.
-    let mut expected = Expected {
-        docs: vec![stale.doc_count()],
-        hits: vec![probe_query(&stale)],
-    };
-    {
-        let mut scratch = stale.clone();
-        for delta in &deltas {
-            scratch.apply_delta(delta);
-            expected.docs.push(scratch.doc_count());
-            expected.hits.push(probe_query(&scratch));
-        }
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    let mut seed = full.clone();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
+    Fixture {
+        load: CorpusDelta::for_posts(&world.corpus, &old).unwrap(),
+        recent: recent
+            .chunks(recent.len().div_ceil(chunks))
+            .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
+            .collect(),
+        full,
+        seed,
     }
-    let expected = Arc::new(expected);
-    let final_seq = deltas.len() as u64;
+}
 
-    let path = temp_path("torn");
-    let mut service = LiveService::start(stale, &path).unwrap();
-    let snapshots_checked = AtomicU64::new(0);
+/// The expected state after every burst (index 0 = genesis).
+struct Trajectory {
+    /// Per shard, its `(seq, engine)` after each burst.
+    shards: Vec<Vec<(u64, SearchEngine)>>,
+    /// The global blend after each burst.
+    blends: Vec<StaticBlend>,
+}
 
-    std::thread::scope(|scope| {
-        // 4 reader threads, each validating every snapshot it sees
-        // against the precomputed trajectory until the final
-        // sequence lands.
-        let mut readers = Vec::new();
-        for reader_id in 0..4 {
-            let reader = service.reader();
-            let expected = Arc::clone(&expected);
-            let checked = &snapshots_checked;
-            readers.push(scope.spawn(move || {
-                let mut last_seq = 0u64;
-                loop {
-                    let snap = reader.snapshot();
-                    let seq = snap.seq();
-                    assert!(
-                        seq >= last_seq,
-                        "reader {reader_id}: sequence regressed {last_seq} -> {seq}"
-                    );
-                    last_seq = seq;
-                    let engine = snap.engine();
-                    assert_eq!(
-                        engine.doc_count(),
-                        expected.docs[seq as usize],
-                        "reader {reader_id}: torn doc count at seq {seq}"
-                    );
-                    assert_eq!(
-                        probe_query(engine),
-                        expected.hits[seq as usize],
-                        "reader {reader_id}: torn query result at seq {seq}"
-                    );
-                    checked.fetch_add(1, Ordering::Relaxed);
-                    if seq == final_seq {
-                        break;
+impl Trajectory {
+    fn new(seed: &SearchEngine, shards: usize, bursts: &[&[CorpusDelta]]) -> Trajectory {
+        let mut router = ShardRouter::new(shards);
+        let mut engines = vec![(0u64, seed.clone()); shards];
+        let mut flat = seed.clone();
+        let mut trajectory = Trajectory {
+            shards: vec![vec![(0, seed.clone())]; shards],
+            blends: vec![seed.blend().clone()],
+        };
+        for burst in bursts {
+            let mut routed = vec![Vec::new(); shards];
+            for delta in burst.iter().filter(|d| !d.is_empty()) {
+                for (shard, sub) in router.route(delta).into_iter().enumerate() {
+                    if !sub.is_empty() {
+                        routed[shard].push(sub);
                     }
                 }
-            }));
+            }
+            for (shard, batch) in routed.iter().enumerate() {
+                let (seq, engine) = &mut engines[shard];
+                engine.apply_deltas(batch.iter());
+                *seq += batch.len() as u64;
+                trajectory.shards[shard].push((*seq, engine.clone()));
+            }
+            flat.apply_deltas(burst.iter());
+            trajectory.blends.push(flat.blend().clone());
         }
+        trajectory
+    }
 
-        // The writer: journal → apply → publish, one delta at a time.
-        for delta in &deltas {
-            service.ingest(delta).unwrap();
+    /// Final per-shard sequences.
+    fn final_seqs(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.last().unwrap().0).collect()
+    }
+
+    /// The oracle answer over the shard states at `bursts` (one burst
+    /// index per shard) under the blend after burst `blend`.
+    fn answer(&self, bursts: &[usize], blend: usize) -> Vec<SearchHit> {
+        let engines: Vec<&SearchEngine> = bursts
+            .iter()
+            .enumerate()
+            .map(|(shard, &b)| &self.shards[shard][b].1)
+            .collect();
+        let blend = &self.blends[blend];
+        scatter_query(&engines, &PROBE, 20, |s| blend.score(s), blend.weights())
+    }
+}
+
+/// One reader's loop: pins until every shard shows its final
+/// sequence, validating each pin against the trajectory. Returns the
+/// number of pins checked.
+fn validate_pins(reader: &ShardedReader, trajectory: &Trajectory, reader_id: usize) -> u64 {
+    let final_seqs = trajectory.final_seqs();
+    let mut last_seqs = vec![0u64; final_seqs.len()];
+    let mut last_blend = 0usize;
+    let mut checked = 0;
+    loop {
+        let pin = reader.pin();
+        let seqs = pin.seqs();
+        let bursts: Vec<usize> = seqs
+            .iter()
+            .enumerate()
+            .map(|(shard, &seq)| {
+                assert!(
+                    seq >= last_seqs[shard],
+                    "reader {reader_id}: shard {shard} regressed {} -> {seq}",
+                    last_seqs[shard]
+                );
+                trajectory.shards[shard]
+                    .iter()
+                    .position(|(s, _)| *s == seq)
+                    .unwrap_or_else(|| {
+                        panic!("reader {reader_id}: shard {shard} served mid-burst seq {seq}")
+                    })
+            })
+            .collect();
+        last_seqs = seqs;
+        let got = reader.query_pinned(&pin, &PROBE, 20);
+        last_blend = (last_blend..trajectory.blends.len())
+            .find(|&blend| trajectory.answer(&bursts, blend) == got)
+            .unwrap_or_else(|| {
+                panic!("reader {reader_id}: torn answer at shard bursts {bursts:?}")
+            });
+        checked += 1;
+        if last_seqs == final_seqs {
+            return checked;
         }
+    }
+}
 
+/// Starts a `shards`-shard service with the fixture's load delta
+/// committed, then races 4 validating readers against `write`, which
+/// must commit exactly `bursts` (the load is burst 0).
+fn race_readers(
+    fx: &Fixture,
+    shards: usize,
+    tag: &str,
+    bursts: &[&[CorpusDelta]],
+    write: impl FnOnce(&mut ShardedLiveService),
+) {
+    let load = [fx.load.clone()];
+    let mut all_bursts: Vec<&[CorpusDelta]> = vec![&load];
+    all_bursts.extend_from_slice(bursts);
+    let trajectory = Trajectory::new(&fx.seed, shards, &all_bursts);
+
+    let dir = temp_dir(tag, shards);
+    let mut service = ShardedLiveService::start(&fx.seed, shards, &dir).unwrap();
+    service.ingest(&fx.load).unwrap();
+    let pins_checked = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|reader_id| {
+                let reader = service.reader();
+                let trajectory = &trajectory;
+                let checked = &pins_checked;
+                scope.spawn(move || {
+                    let n = validate_pins(&reader, trajectory, reader_id);
+                    checked.fetch_add(n, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        write(&mut service);
         for handle in readers {
             handle.join().expect("reader thread panicked");
         }
     });
 
-    // Every reader ran to the final sequence and at least one
-    // snapshot per reader was validated.
-    assert!(snapshots_checked.load(Ordering::Relaxed) >= 4);
-    assert_eq!(service.seq(), final_seq);
-    assert_eq!(service.doc_count(), full.doc_count());
-    std::fs::remove_file(&path).ok();
+    // Every reader ran to the final sequences.
+    assert!(pins_checked.load(Ordering::Relaxed) >= 4);
+    assert_eq!(service.seqs(), trajectory.final_seqs());
+    assert_eq!(service.doc_count(), fx.full.doc_count());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn readers_never_observe_torn_or_regressing_pins() {
+    let fx = fixture(7007, 16);
+    let bursts: Vec<&[CorpusDelta]> = fx.recent.chunks(1).collect();
+    for shards in [1, 2] {
+        // The writer: journal → apply → publish, one delta at a time.
+        race_readers(&fx, shards, "torn", &bursts, |service| {
+            for delta in &fx.recent {
+                service.ingest(delta).unwrap();
+            }
+        });
+    }
 }
 
 #[test]
 fn readers_racing_batched_ingest_observe_only_batch_boundaries() {
     // Group-commit ingestion publishes once per *batch*: the states
-    // "inside" a batch must never be served. Readers validate every
-    // snapshot against the precomputed per-batch trajectory and
-    // assert the observed sequence is always a batch boundary.
-    let world = World::generate(WorldConfig {
-        sources: 60,
-        users: 300,
-        ..WorldConfig::small(7009)
-    });
-    let panel = AlexaPanel::simulate(&world, 1);
-    let links = LinkGraph::simulate(&world, 2);
-    let full = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
-
-    let midpoint = Timestamp(world.now.seconds() / 2);
-    let recent: Vec<PostId> = world
-        .corpus
-        .posts()
-        .iter()
-        .filter(|p| p.published > midpoint)
-        .map(|p| p.id)
-        .collect();
-    assert!(recent.len() >= 16, "world too small: {}", recent.len());
-    let mut stale = full.clone();
-    stale.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
-
-    // 16 deltas, group-committed 4 at a time: the only observable
-    // sequences are 0, 4, 8, 12, 16.
-    let deltas: Vec<CorpusDelta> = recent
-        .chunks(recent.len().div_ceil(16))
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
-        .collect();
-    let batches: Vec<&[CorpusDelta]> = deltas.chunks(4).collect();
-
-    // Expected state per *batch boundary* sequence.
-    let mut boundary_docs = std::collections::HashMap::new();
-    let mut boundary_hits = std::collections::HashMap::new();
-    boundary_docs.insert(0u64, stale.doc_count());
-    boundary_hits.insert(0u64, probe_query(&stale));
-    {
-        let mut scratch = stale.clone();
-        let mut seq = 0u64;
-        for batch in &batches {
-            for delta in *batch {
-                scratch.apply_delta(delta);
-                seq += 1;
-            }
-            boundary_docs.insert(seq, scratch.doc_count());
-            boundary_hits.insert(seq, probe_query(&scratch));
-        }
-    }
-    let boundary_docs = Arc::new(boundary_docs);
-    let boundary_hits = Arc::new(boundary_hits);
-    let final_seq = deltas.len() as u64;
-
-    let path = temp_path("batch_boundaries");
-    let mut service = LiveService::start(stale, &path).unwrap();
-    let snapshots_checked = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        let mut readers = Vec::new();
-        for reader_id in 0..4 {
-            let reader = service.reader();
-            let docs = Arc::clone(&boundary_docs);
-            let hits = Arc::clone(&boundary_hits);
-            let checked = &snapshots_checked;
-            readers.push(scope.spawn(move || {
-                let mut last_seq = 0u64;
-                loop {
-                    let snap = reader.snapshot();
-                    let seq = snap.seq();
-                    assert!(
-                        seq >= last_seq,
-                        "reader {reader_id}: sequence regressed {last_seq} -> {seq}"
-                    );
-                    last_seq = seq;
-                    let expected_docs = docs.get(&seq).unwrap_or_else(|| {
-                        panic!("reader {reader_id}: observed mid-batch seq {seq}")
-                    });
-                    let engine = snap.engine();
-                    assert_eq!(
-                        engine.doc_count(),
-                        *expected_docs,
-                        "reader {reader_id}: torn doc count at seq {seq}"
-                    );
-                    assert_eq!(
-                        &probe_query(engine),
-                        hits.get(&seq).unwrap(),
-                        "reader {reader_id}: torn query result at seq {seq}"
-                    );
-                    checked.fetch_add(1, Ordering::Relaxed);
-                    if seq == final_seq {
-                        break;
+    // "inside" a batch must never be served. 16 deltas, committed 4
+    // at a time, so the trajectory has 4 bursts past the load.
+    let fx = fixture(7009, 16);
+    let bursts: Vec<&[CorpusDelta]> = fx.recent.chunks(4).collect();
+    for shards in [1, 2] {
+        race_readers(&fx, shards, "batch_boundaries", &bursts, |service| {
+            // The middle batch suffers an injected fsync failure on
+            // every shard first — readers must be none the wiser, and
+            // the retry must succeed transparently.
+            for (i, batch) in bursts.iter().enumerate() {
+                if i == bursts.len() / 2 {
+                    let seqs = service.seqs();
+                    let lens: Vec<usize> = (0..shards).map(|s| service.journal_len(s)).collect();
+                    for shard in 0..shards {
+                        service.inject_journal_sync_failures(shard, 1);
                     }
+                    service
+                        .ingest_batch(batch)
+                        .expect_err("injected fsync failure must surface");
+                    assert_eq!(service.seqs(), seqs);
+                    let after: Vec<usize> = (0..shards).map(|s| service.journal_len(s)).collect();
+                    assert_eq!(after, lens);
                 }
-            }));
-        }
-
-        // The writer: one group commit per batch. The middle batch
-        // suffers an injected fsync failure first — readers must be
-        // none the wiser, and the retry must succeed transparently.
-        for (i, batch) in batches.iter().enumerate() {
-            if i == batches.len() / 2 {
-                let seq_before = service.seq();
-                let journal_len = service.journal_len();
-                service.inject_journal_sync_failures(1);
-                service
-                    .ingest_batch(batch)
-                    .expect_err("injected fsync failure must surface");
-                assert_eq!(service.seq(), seq_before);
-                assert_eq!(service.journal_len(), journal_len);
+                service.ingest_batch(batch).unwrap();
             }
-            service.ingest_batch(batch).unwrap();
-        }
-
-        for handle in readers {
-            handle.join().expect("reader thread panicked");
-        }
-    });
-
-    assert!(snapshots_checked.load(Ordering::Relaxed) >= 4);
-    assert_eq!(service.seq(), final_seq);
-    assert_eq!(service.doc_count(), full.doc_count());
-    std::fs::remove_file(&path).ok();
+        });
+    }
 }
 
 #[test]
 fn failed_batch_sync_is_never_replayed_by_recovery() {
     // The all-or-nothing contract, end to end: a batch whose fsync
-    // failed must leave no trace — not in the served snapshots, not
-    // in the journal file, not in what recover() replays.
-    let world = World::generate(WorldConfig {
-        sources: 60,
-        users: 300,
-        ..WorldConfig::small(7010)
-    });
-    let panel = AlexaPanel::simulate(&world, 1);
-    let links = LinkGraph::simulate(&world, 2);
-    let full = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+    // failed must leave no trace — not in the served pins, not in the
+    // journal files, not in what recover() replays.
+    let fx = fixture(7010, 8);
+    let (first_half, second_half) = fx.recent.split_at(fx.recent.len() / 2);
+    for shards in [1, 2] {
+        let dir = temp_dir("no_replay", shards);
+        let mut service = ShardedLiveService::start(&fx.seed, shards, &dir).unwrap();
+        service.ingest(&fx.load).unwrap();
+        service.ingest_batch(first_half).unwrap();
+        let reader = service.reader();
+        let committed_seqs = service.seqs();
+        let committed_hits = reader.query(&PROBE, 20);
 
-    let midpoint = Timestamp(world.now.seconds() / 2);
-    let recent: Vec<PostId> = world
-        .corpus
-        .posts()
-        .iter()
-        .filter(|p| p.published > midpoint)
-        .map(|p| p.id)
-        .collect();
-    let mut stale = full.clone();
-    stale.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
+        for shard in 0..shards {
+            service.inject_journal_sync_failures(shard, 1);
+        }
+        service
+            .ingest_batch(second_half)
+            .expect_err("injected fsync failure must surface");
+        // Served state: untouched, down to the query results.
+        let pin = reader.pin();
+        assert_eq!(pin.seqs(), committed_seqs);
+        assert_eq!(reader.query_pinned(&pin, &PROBE, 20), committed_hits);
 
-    let deltas: Vec<CorpusDelta> = recent
-        .chunks(recent.len().div_ceil(8))
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
-        .collect();
-    let (first_half, second_half) = deltas.split_at(deltas.len() / 2);
+        // Crash right here (drop without shutdown): recovery must
+        // replay exactly the committed records and nothing of the
+        // failed batch.
+        drop((reader, service));
+        let (mut recovered, reports) = ShardedLiveService::recover(&fx.seed, shards, &dir).unwrap();
+        for (report, seq) in reports.iter().zip(&committed_seqs) {
+            assert_eq!(report.replayed as u64, *seq);
+            assert!(!report.torn_tail_dropped, "retraction must be clean");
+        }
+        assert_eq!(recovered.seqs(), committed_seqs);
+        assert_eq!(recovered.reader().query(&PROBE, 20), committed_hits);
 
-    let path = temp_path("no_replay");
-    let mut service = LiveService::start(stale.clone(), &path).unwrap();
-    service.ingest_batch(first_half).unwrap();
-    let committed_seq = service.seq();
-    let committed_hits = probe_query(service.reader().snapshot().engine());
-
-    service.inject_journal_sync_failures(1);
-    service
-        .ingest_batch(second_half)
-        .expect_err("injected fsync failure must surface");
-    // Served state: untouched, down to the query results.
-    let snap = service.reader().snapshot();
-    assert_eq!(snap.seq(), committed_seq);
-    assert_eq!(probe_query(snap.engine()), committed_hits);
-
-    // Crash right here (drop without shutdown): recovery over the
-    // original checkpoint must replay exactly the committed batch
-    // and nothing of the failed one.
-    drop(service);
-    let (recovered, report) = LiveService::recover(stale, 0, &path).unwrap();
-    assert_eq!(report.replayed as u64, committed_seq);
-    assert!(!report.torn_tail_dropped, "retraction must be clean");
-    assert_eq!(recovered.seq(), committed_seq);
-    let snap = recovered.reader().snapshot();
-    assert_eq!(probe_query(snap.engine()), committed_hits);
-
-    // And the recovered service continues the stream where the
-    // acknowledged prefix ended.
-    let mut recovered = recovered;
-    recovered.ingest_batch(second_half).unwrap();
-    assert_eq!(recovered.seq(), deltas.len() as u64);
-    assert_eq!(recovered.doc_count(), full.doc_count());
-    std::fs::remove_file(&path).ok();
+        // And the recovered service continues the stream where the
+        // acknowledged prefix ended.
+        recovered.ingest_batch(second_half).unwrap();
+        assert_eq!(recovered.doc_count(), fx.full.doc_count());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn writer_throughput_is_not_gated_by_slow_readers() {
-    // A reader that *holds* a snapshot for the whole run must not
-    // stop the writer from publishing: old epochs stay alive, new
-    // ones keep flowing.
-    let world = World::generate(WorldConfig::small(7008));
-    let panel = AlexaPanel::simulate(&world, 1);
-    let links = LinkGraph::simulate(&world, 2);
-    let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+    // A reader that *holds* a pin for the whole run must not stop the
+    // writer from publishing: old epochs stay alive, new ones keep
+    // flowing.
+    let fx = fixture(7008, 1);
+    let doc = &fx.load.added[0];
+    let mut removal = CorpusDelta::new();
+    removal.remove_doc(doc.post);
+    let mut readd = CorpusDelta::new();
+    readd.add_doc(doc.post, doc.source, doc.text.clone());
 
-    let last = world.corpus.posts().last().unwrap().id;
-    let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
-    let readd = CorpusDelta::for_posts(&world.corpus, &[last]).unwrap();
+    for shards in [1, 2] {
+        let dir = temp_dir("epochs", shards);
+        let mut service = ShardedLiveService::start(&fx.seed, shards, &dir).unwrap();
+        service.ingest(&fx.load).unwrap();
+        service.ingest_batch(&fx.recent).unwrap();
+        let reader = service.reader();
 
-    let path = temp_path("epochs");
-    let mut service = LiveService::start(engine.clone(), &path).unwrap();
-    let reader = service.reader();
+        let pinned = reader.pin(); // held across all writes
+        let pinned_seqs = pinned.seqs();
+        let pinned_hits = reader.query_uncached(&pinned, &PROBE, 20);
+        let home = service.router().home_of(doc.post).unwrap();
 
-    let pinned = reader.snapshot(); // held across all writes
-    let pinned_docs = pinned.engine().doc_count();
-    let pinned_hits = probe_query(pinned.engine());
+        for _ in 0..25 {
+            service.ingest(&removal).unwrap();
+            service.ingest(&readd).unwrap();
+        }
 
-    for _ in 0..25 {
-        service.ingest(&removal).unwrap();
-        service.ingest(&readd).unwrap();
+        // The pinned epochs are untouched by 50 published snapshots…
+        assert_eq!(pinned.seqs(), pinned_seqs);
+        assert_eq!(reader.query_uncached(&pinned, &PROBE, 20), pinned_hits);
+        // …and the current epoch of the post's shard has moved on.
+        let current = reader.pin().seqs();
+        assert_eq!(current[home], pinned_seqs[home] + 50);
+        assert_eq!(reader.doc_count(), fx.full.doc_count());
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    // The pinned epoch is untouched by 50 published snapshots…
-    assert_eq!(pinned.seq(), 0);
-    assert_eq!(pinned.engine().doc_count(), pinned_docs);
-    assert_eq!(probe_query(pinned.engine()), pinned_hits);
-    // …and the current epoch has moved on.
-    let current = reader.snapshot();
-    assert_eq!(current.seq(), 50);
-    assert_eq!(current.engine().doc_count(), pinned_docs);
-    std::fs::remove_file(&path).ok();
 }

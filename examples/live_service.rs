@@ -1,39 +1,40 @@
 //! Live serving: readers query while crawl ticks stream in, and a
 //! crash is survived by replaying the delta journal.
 //!
-//! The demo winds an engine back to the midpoint of history and
-//! starts a [`LiveService`] over it. Three reader threads then
-//! hammer the snapshot store with queries while the main thread
-//! sweeps the sources in group-committed bursts
-//! ([`LiveService::tick_sweep`]): each burst crawls a batch of
-//! sources — fanned across **4 worker threads**
-//! (`CrawlerConfig::workers`), joined back in source order so the
-//! burst is byte-identical to a sequential crawl — journals every
-//! fresh per-source delta under **one** fsync, applies them in one
-//! amortized copy-on-write pass, and publishes one immutable
+//! The demo starts a one-shard [`ShardedLiveService`] from an empty
+//! seed, commits the content up to the midpoint of history as its
+//! boot state, checkpoints that state and compacts the journal
+//! behind it. Three reader threads then hammer the service with
+//! queries while the main thread sweeps the sources in
+//! group-committed bursts ([`ShardedLiveService::tick_sweep`]): each
+//! burst crawls a batch of sources — fanned across **4 worker
+//! threads** (`CrawlerConfig::workers`), joined back in source order
+//! so the burst is byte-identical to a sequential crawl — journals
+//! every fresh per-source delta under **one** fsync, applies them in
+//! one amortized copy-on-write pass, and publishes one immutable
 //! snapshot. Readers never block on an in-flight apply; they just
 //! keep observing monotonically newer epochs — one per burst, never
 //! a mid-burst state.
 //!
 //! Finally the service is dropped without ceremony — a crash — and
-//! [`LiveService::recover`] rebuilds it from the checkpoint plus the
-//! journal. The recovered rankings are compared against the
-//! pre-crash engine: bit-identical.
+//! [`ShardedLiveService::recover_from`] rebuilds it from the
+//! checkpoint plus the journal. The recovered rankings are compared
+//! against the pre-crash service: bit-identical.
 //!
 //! The whole run is instrumented through one
 //! [`Registry`](informing_observers::telemetry::Registry): the
 //! crawler records per-fetch latency and item counts
-//! ([`CrawlMetrics`]), the service records per-stage commit timings
-//! and group-commit batch sizes ([`LiveMetrics`]), and the demo ends
-//! with the registry's text exposition instead of hand-rolled
-//! timers.
+//! ([`CrawlMetrics`]), the service records per-stage commit timings,
+//! group-commit batch sizes and commit outcomes ([`ShardMetrics`]),
+//! and the demo ends with the registry's text exposition instead of
+//! hand-rolled timers.
 //!
 //! ```sh
 //! cargo run --release --example live_service
 //! ```
 
 use informing_observers::analytics::{AlexaPanel, LinkGraph};
-use informing_observers::live::{LiveMetrics, LiveService};
+use informing_observers::live::{ShardMetrics, ShardedLiveService};
 use informing_observers::model::{Clock, CorpusDelta, PostId, Timestamp};
 use informing_observers::search::{BlendWeights, SearchEngine};
 use informing_observers::synth::{World, WorldConfig};
@@ -54,29 +55,33 @@ fn main() {
     let links = LinkGraph::simulate(&world, 2);
     let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
 
-    // Wind back to the midpoint: the "state at boot".
+    // The seed carries the static signals over an empty index; the
+    // content up to the midpoint is the "state at boot".
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    let mut seed = engine.clone();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
     let midpoint = Timestamp(world.now.seconds() / 2);
-    let recent: Vec<PostId> = world
-        .corpus
-        .posts()
+    let (recent, boot): (Vec<PostId>, Vec<PostId>) = all
         .iter()
-        .filter(|p| p.published > midpoint)
-        .map(|p| p.id)
-        .collect();
-    let mut checkpoint = engine.clone();
-    checkpoint.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
+        .partition(|&&p| world.corpus.post(p).unwrap().published > midpoint);
+
+    let journal_dir = std::env::temp_dir().join(format!("obs_live_example_{}", std::process::id()));
+    let registry = Arc::new(Registry::new());
+    let mut service = ShardedLiveService::start(&seed, 1, &journal_dir)
+        .expect("journal in temp dir")
+        .with_metrics(ShardMetrics::new(&registry, 1));
+    service
+        .ingest(&CorpusDelta::for_posts(&world.corpus, &boot).unwrap())
+        .expect("boot commit");
+    // Checkpoint the boot state; the journal no longer needs it.
+    let checkpoint = service.checkpoint();
+    let compacted = service.compact_through(&checkpoint).expect("compaction");
     println!(
-        "boot state: {} docs indexed, {} posts still unobserved",
-        checkpoint.doc_count(),
+        "boot state: {} docs indexed and checkpointed ({compacted} journal record \
+         compacted away), {} posts still unobserved",
+        service.doc_count(),
         recent.len()
     );
-
-    let journal_path =
-        std::env::temp_dir().join(format!("obs_live_example_{}.journal", std::process::id()));
-    let registry = Arc::new(Registry::new());
-    let mut service = LiveService::start(checkpoint.clone(), &journal_path)
-        .expect("journal in temp dir")
-        .with_metrics(LiveMetrics::new(&registry));
 
     // Three reader threads query continuously while the writer works.
     let stop = Arc::new(AtomicBool::new(false));
@@ -91,14 +96,14 @@ fn main() {
             let epochs = Arc::clone(&epochs_seen);
             let terms = terms.clone();
             scope.spawn(move || {
-                let mut last_seq = 0;
+                let mut last_seqs = reader.pin().seqs();
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = reader.snapshot();
-                    if snap.seq() != last_seq {
-                        last_seq = snap.seq();
+                    let pin = reader.pin();
+                    if pin.seqs() != last_seqs {
+                        last_seqs = pin.seqs();
                         epochs.fetch_add(1, Ordering::Relaxed);
                     }
-                    let hits = snap.engine().query(&terms, 10);
+                    let hits = reader.query_pinned(&pin, &terms, 10);
                     assert!(hits.len() <= 10);
                     queries.fetch_add(1, Ordering::Relaxed);
                 }
@@ -128,13 +133,13 @@ fn main() {
                 .map(|s| service_for(&world.corpus, s.id, world.now).unwrap())
                 .collect();
             let mut clock = Clock::starting_at(world.now);
-            let before = service.seq();
+            let before = service.seqs();
             service
                 .tick_sweep(&crawler, &mut services, &mut clock, &mut marks)
                 .expect("sweep");
             sweeps += 1;
             // A burst with no fresh content publishes nothing.
-            if service.seq() > before {
+            if service.seqs() != before {
                 publishes += 1;
             }
         }
@@ -143,30 +148,28 @@ fn main() {
             "writer group-committed {} journaled deltas across {sweeps} sweeps \
              of 4 crawl workers each ({publishes} published snapshots instead \
              of one per delta)",
-            service.journal_len(),
+            service.journal_len(0),
         );
     });
     println!(
         "final seq {} while 3 readers served {} queries and observed {} epoch \
          changes — no reader ever blocked, none saw a mid-burst state",
-        service.seq(),
+        service.seqs()[0],
         queries_served.load(Ordering::Relaxed),
         epochs_seen.load(Ordering::Relaxed),
     );
 
     // Remember the pre-crash rankings, then crash.
-    let pre_crash = service.reader().snapshot();
-    let pre_hits = pre_crash.engine().query(&terms, 10);
+    let pre_hits = service.reader().query(&terms, 10);
     drop(service); // no shutdown, no checkpoint flush — a kill
 
-    let (recovered, report) =
-        LiveService::recover(checkpoint, 0, &journal_path).expect("journal replays");
+    let (recovered, reports) =
+        ShardedLiveService::recover_from(checkpoint, &journal_dir).expect("journal replays");
     println!(
         "recovered from crash: {} deltas replayed over the checkpoint (torn tail: {})",
-        report.replayed, report.torn_tail_dropped,
+        reports[0].replayed, reports[0].torn_tail_dropped,
     );
-    let post = recovered.reader().snapshot();
-    let post_hits = post.engine().query(&terms, 10);
+    let post_hits = recovered.reader().query(&terms, 10);
 
     println!(
         "\n{:<4} {:<28} {:>12} {:>12}",
@@ -192,5 +195,5 @@ fn main() {
             println!("{line}");
         }
     }
-    std::fs::remove_file(&journal_path).ok();
+    std::fs::remove_dir_all(&journal_dir).ok();
 }

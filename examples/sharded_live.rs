@@ -2,14 +2,14 @@
 //! scatter-gather query plan, with per-shard crash recovery.
 //!
 //! The demo builds an engine for the whole corpus, then replays the
-//! same content into two topologies side by side: an unsharded
-//! [`LiveService`] and a four-shard [`ShardedLiveService`] (hash of
+//! same content into two topologies side by side: a one-shard and a
+//! four-shard [`ShardedLiveService`] (hash of
 //! the source id picks the shard; each shard owns its own journal,
 //! writer and snapshot store, and the routed sub-batches of a burst
 //! commit in parallel under per-shard group commits). Queries fan
 //! out over every shard, gather exact global statistics, and merge
 //! the per-shard top-k — the demo asserts the merged rankings are
-//! **bit-identical** to the unsharded engine's, not merely close.
+//! **bit-identical** to the one-shard service's, not merely close.
 //!
 //! Then the sharded service is dropped mid-flight — a crash — and
 //! rebuilt with [`ShardedLiveService::recover`]: every shard replays
@@ -31,9 +31,7 @@
 //! ```
 
 use informing_observers::analytics::{AlexaPanel, LinkGraph};
-use informing_observers::live::{
-    CacheMetrics, LiveService, QueryCache, ShardMetrics, ShardedLiveService,
-};
+use informing_observers::live::{CacheMetrics, QueryCache, ShardMetrics, ShardedLiveService};
 use informing_observers::model::{CorpusDelta, PostId};
 use informing_observers::search::{BlendWeights, SearchEngine};
 use informing_observers::synth::{World, WorldConfig};
@@ -66,13 +64,13 @@ fn main() {
 
     let base = std::env::temp_dir().join(format!("sharded_live_example_{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();
-    let flat_path = base.join("flat.journal");
+    let flat_dir = base.join("flat");
     let shard_dir = base.join("shards");
 
     let registry = Registry::new();
     let metrics = ShardMetrics::new(&registry, SHARDS);
     let cache_metrics = CacheMetrics::new(&registry);
-    let mut flat = LiveService::start(seed.clone(), &flat_path).unwrap();
+    let mut flat = ShardedLiveService::start(&seed, 1, &flat_dir).unwrap();
     let mut sharded = ShardedLiveService::start(&seed, SHARDS, &shard_dir)
         .unwrap()
         .with_metrics(metrics.clone())
@@ -94,9 +92,9 @@ fn main() {
         .map(|i| sharded.shard_engine(i).doc_count())
         .collect();
     println!(
-        "ingested: sharded doc counts per shard {per_shard:?} (total {}), unsharded {}",
+        "ingested: sharded doc counts per shard {per_shard:?} (total {}), one shard {}",
         sharded.doc_count(),
-        flat.reader().snapshot().engine().doc_count()
+        flat.doc_count()
     );
 
     // Scatter-gather vs single index: bit-identical rankings. The
@@ -111,11 +109,10 @@ fn main() {
         1,
         "the repeat ask must be a cache hit"
     );
-    let flat_snapshot = flat.reader().snapshot();
-    let flat_hits = flat_snapshot.engine().query(&probe, 10);
+    let flat_hits = flat.reader().query(&probe, 10);
     assert_eq!(
         sharded_hits, flat_hits,
-        "scatter-gather must reproduce the unsharded ranking bit for bit"
+        "scatter-gather must reproduce the one-shard ranking bit for bit"
     );
     println!("\ntop sources, identical from both topologies:");
     for hit in &sharded_hits {

@@ -2,7 +2,7 @@
 //! any seed, exercised through the public facade.
 
 use informing_observers::analytics::{AlexaPanel, FeedRegistry, LinkGraph};
-use informing_observers::live::{DeltaJournal, LiveService, ShardRouter, ShardedLiveService};
+use informing_observers::live::{DeltaJournal, ShardRouter, ShardedLiveService};
 use informing_observers::model::{document_text, Clock, CorpusDelta, PostId, Timestamp};
 use informing_observers::quality::{
     assess_source, influence_profiles, Benchmarks, SourceContext, Weights,
@@ -50,6 +50,34 @@ fn probe_terms(world: &World) -> Vec<String> {
     terms.dedup();
     terms.push("zzz-never-indexed".to_owned());
     terms
+}
+
+/// `engine` with every document removed: its static signals over an
+/// empty index, the seed every live service starts from.
+fn empty_seed(world: &World, engine: &SearchEngine) -> SearchEngine {
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    let mut seed = engine.clone();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
+    seed
+}
+
+/// Posts published up to the midpoint of history, as one delta: the
+/// "state at boot" a live service ingests as its first commit.
+fn boot_delta(world: &World) -> CorpusDelta {
+    let midpoint = Timestamp(world.now.seconds() / 2);
+    let old: Vec<PostId> = world
+        .corpus
+        .posts()
+        .iter()
+        .filter(|p| p.published <= midpoint)
+        .map(|p| p.id)
+        .collect();
+    CorpusDelta::for_posts(&world.corpus, &old).unwrap()
+}
+
+/// A fresh scratch directory for one proptest case.
+fn case_dir(tag: &str, seed: u64) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("obs_live_{tag}_{}_{seed}", std::process::id()))
 }
 
 proptest! {
@@ -119,28 +147,26 @@ proptest! {
         let scratch =
             SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
 
-        // Checkpoint: the engine wound back to the midpoint of
-        // history; the recent posts stream back in as journaled
-        // deltas, in a seed-permuted order.
+        // The seed carries the static signals over an empty index;
+        // the content up to the midpoint of history streams in as the
+        // first commit, then the recent posts as journaled deltas, in
+        // a seed-permuted order.
         let midpoint = Timestamp(world.now.seconds() / 2);
         let recent: Vec<PostId> = permuted_posts(&world, seed)
             .into_iter()
             .filter(|&p| world.corpus.post(p).unwrap().published > midpoint)
             .collect();
         prop_assert!(!recent.is_empty());
-        let mut checkpoint = scratch.clone();
-        checkpoint.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
+        let seed_engine = empty_seed(&world, &scratch);
 
-        let path = std::env::temp_dir().join(format!(
-            "obs_live_prop_{}_{}.journal",
-            std::process::id(),
-            seed
-        ));
+        let dir = case_dir("prop", seed);
         {
-            // The doomed service: journal three batches, then "crash"
-            // (dropped with no shutdown grace), then a torn final
-            // record appears as a crash mid-append would leave it.
-            let mut doomed = LiveService::start(checkpoint.clone(), &path).unwrap();
+            // The doomed service: journal the boot state and three
+            // batches, then "crash" (dropped with no shutdown grace),
+            // then a torn final record appears as a crash mid-append
+            // would leave it.
+            let mut doomed = ShardedLiveService::start(&seed_engine, 1, &dir).unwrap();
+            doomed.ingest(&boot_delta(&world)).unwrap();
             for chunk in recent.chunks(recent.len().div_ceil(3)) {
                 let delta = CorpusDelta::for_posts(&world.corpus, chunk).unwrap();
                 doomed.ingest(&delta).unwrap();
@@ -148,35 +174,30 @@ proptest! {
         }
         {
             use std::io::Write;
-            let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+            let path = ShardedLiveService::shard_journal_path(&dir, 0);
+            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
             write!(file, "99 deadbeef {{\"added\":[{{\"po").unwrap();
         }
 
-        // Recovery over the checkpoint must reproduce the
-        // from-scratch build exactly: identical BM25 score maps over
-        // the whole vocabulary, identical static scores, identical
-        // rankings.
-        let (recovered, report) = LiveService::recover(checkpoint, 0, &path).unwrap();
+        // Recovery from the journal must reproduce the from-scratch
+        // build exactly: identical BM25 score maps over the whole
+        // vocabulary, identical static scores, identical rankings.
+        let (recovered, reports) = ShardedLiveService::recover(&seed_engine, 1, &dir).unwrap();
+        let report = reports[0];
         prop_assert!(report.torn_tail_dropped);
         prop_assert_eq!(report.replayed as u64, report.recovered_seq);
-        let snap = recovered.reader().snapshot();
-        prop_assert_eq!(snap.engine().doc_count(), scratch.doc_count());
+        let engine = recovered.shard_engine(0);
+        let reader = recovered.reader();
+        prop_assert_eq!(engine.doc_count(), scratch.doc_count());
         let terms = probe_terms(&world);
-        let scores_recovered =
-            bm25_scores(snap.engine().index(), &terms, Bm25Params::default());
+        let scores_recovered = bm25_scores(engine.index(), &terms, Bm25Params::default());
         let scores_scratch = bm25_scores(scratch.index(), &terms, Bm25Params::default());
         prop_assert_eq!(scores_recovered, scores_scratch);
         for s in world.corpus.sources() {
-            prop_assert_eq!(
-                snap.engine().static_score(s.id),
-                scratch.static_score(s.id)
-            );
+            prop_assert_eq!(reader.static_score(s.id), scratch.static_score(s.id));
         }
-        prop_assert_eq!(
-            snap.engine().query(&terms, 20),
-            scratch.query(&terms, 20)
-        );
-        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(reader.query(&terms, 20), scratch.query(&terms, 20));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -199,8 +220,8 @@ proptest! {
             .filter(|&p| world.corpus.post(p).unwrap().published > midpoint)
             .collect();
         prop_assert!(!recent.is_empty());
-        let mut checkpoint = scratch.clone();
-        checkpoint.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
+        let seed_engine = empty_seed(&world, &scratch);
+        let boot = boot_delta(&world);
 
         // The burst: each chunk becomes one delta, and right after
         // the first chunk lands, its first post is removed and then
@@ -220,57 +241,53 @@ proptest! {
             CorpusDelta::for_posts(&world.corpus, &recent[..1]).unwrap(),
         );
 
-        let tag = std::process::id();
-        let path_seq =
-            std::env::temp_dir().join(format!("obs_live_batch_prop_seq_{tag}_{seed}.journal"));
-        let path_batch =
-            std::env::temp_dir().join(format!("obs_live_batch_prop_grp_{tag}_{seed}.journal"));
-
-        let mut sequential = LiveService::start(checkpoint.clone(), &path_seq).unwrap();
+        // Both services boot from the same state, committed first.
+        let dir_seq = case_dir("batch_prop_seq", seed);
+        let dir_batch = case_dir("batch_prop_grp", seed);
+        let mut sequential = ShardedLiveService::start(&seed_engine, 1, &dir_seq).unwrap();
+        sequential.ingest(&boot).unwrap();
         for delta in &deltas {
             sequential.ingest(delta).unwrap();
         }
-        let mut batched = LiveService::start(checkpoint.clone(), &path_batch).unwrap();
+        let mut batched = ShardedLiveService::start(&seed_engine, 1, &dir_batch).unwrap();
+        batched.ingest(&boot).unwrap();
         batched.ingest_batch(&deltas).unwrap();
 
-        prop_assert_eq!(batched.seq(), sequential.seq());
+        prop_assert_eq!(batched.seqs(), sequential.seqs());
         prop_assert_eq!(
-            std::fs::read(&path_batch).unwrap(),
-            std::fs::read(&path_seq).unwrap(),
+            std::fs::read(ShardedLiveService::shard_journal_path(&dir_batch, 0)).unwrap(),
+            std::fs::read(ShardedLiveService::shard_journal_path(&dir_seq, 0)).unwrap(),
             "batched journal must be byte-identical to the sequential one"
         );
 
         let terms = probe_terms(&world);
-        let a = sequential.reader().snapshot();
-        let b = batched.reader().snapshot();
-        prop_assert_eq!(a.engine().doc_count(), b.engine().doc_count());
+        let (a, b) = (sequential.shard_engine(0), batched.shard_engine(0));
+        let (ra, rb) = (sequential.reader(), batched.reader());
+        prop_assert_eq!(a.doc_count(), b.doc_count());
         prop_assert_eq!(
-            bm25_scores(a.engine().index(), &terms, Bm25Params::default()),
-            bm25_scores(b.engine().index(), &terms, Bm25Params::default())
+            bm25_scores(a.index(), &terms, Bm25Params::default()),
+            bm25_scores(b.index(), &terms, Bm25Params::default())
         );
         for s in world.corpus.sources() {
-            prop_assert_eq!(
-                a.engine().static_score(s.id),
-                b.engine().static_score(s.id)
-            );
+            prop_assert_eq!(ra.static_score(s.id), rb.static_score(s.id));
         }
-        prop_assert_eq!(a.engine().query(&terms, 20), b.engine().query(&terms, 20));
-        drop(batched); // crash the batched service with no grace
+        let hits = ra.query(&terms, 20);
+        prop_assert_eq!(&rb.query(&terms, 20), &hits);
+        drop((rb, batched)); // crash the batched service with no grace
 
         // Replaying the batched journal (one record per delta, one
         // at a time) reproduces the same engine once more.
-        let (recovered, report) = LiveService::recover(checkpoint, 0, &path_batch).unwrap();
-        prop_assert!(!report.torn_tail_dropped);
-        prop_assert_eq!(report.replayed, deltas.len());
-        prop_assert_eq!(recovered.seq(), a.seq());
-        let r = recovered.reader().snapshot();
+        let (recovered, reports) = ShardedLiveService::recover(&seed_engine, 1, &dir_batch).unwrap();
+        prop_assert!(!reports[0].torn_tail_dropped);
+        prop_assert_eq!(reports[0].replayed, deltas.len() + usize::from(!boot.is_empty()));
+        prop_assert_eq!(recovered.seqs(), sequential.seqs());
         prop_assert_eq!(
-            bm25_scores(r.engine().index(), &terms, Bm25Params::default()),
-            bm25_scores(a.engine().index(), &terms, Bm25Params::default())
+            bm25_scores(recovered.shard_engine(0).index(), &terms, Bm25Params::default()),
+            bm25_scores(a.index(), &terms, Bm25Params::default())
         );
-        prop_assert_eq!(r.engine().query(&terms, 20), a.engine().query(&terms, 20));
-        std::fs::remove_file(&path_seq).ok();
-        std::fs::remove_file(&path_batch).ok();
+        prop_assert_eq!(recovered.reader().query(&terms, 20), hits);
+        std::fs::remove_dir_all(&dir_seq).ok();
+        std::fs::remove_dir_all(&dir_batch).ok();
     }
 
     #[test]
@@ -297,16 +314,9 @@ proptest! {
         let scratch =
             SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
         let midpoint = Timestamp(world.now.seconds() / 2);
-        let recent: Vec<PostId> = world
-            .corpus
-            .posts()
-            .iter()
-            .filter(|p| p.published > midpoint)
-            .map(|p| p.id)
-            .collect();
-        prop_assert!(!recent.is_empty());
-        let mut checkpoint = scratch.clone();
-        checkpoint.apply_delta(&CorpusDelta::for_removals(&world.corpus, &recent).unwrap());
+        prop_assert!(world.corpus.posts().iter().any(|p| p.published > midpoint));
+        let seed_engine = empty_seed(&world, &scratch);
+        let boot = boot_delta(&world);
         // The fault target: the seed-keyed "middle" source, whatever
         // its kind (kinds are a random mix, so no kind is
         // guaranteed to exist).
@@ -379,15 +389,19 @@ proptest! {
 
         let tag = std::process::id();
         let run = |variant: &str, crawler_workers: usize| {
-            let path = std::env::temp_dir().join(format!(
-                "obs_live_par_prop_{variant}_{tag}_{seed}_{crawler_workers}.journal"
+            let dir = std::env::temp_dir().join(format!(
+                "obs_live_par_prop_{variant}_{tag}_{seed}_{crawler_workers}"
             ));
+            let path = ShardedLiveService::shard_journal_path(&dir, 0);
             let crawler = Crawler::new(CrawlerConfig {
                 workers: crawler_workers,
                 max_retries: 2,
                 ..CrawlerConfig::default()
             });
-            let mut service = LiveService::start(checkpoint.clone(), &path).unwrap();
+            // One shard: a refused fsync refuses the whole burst, so
+            // every participating mark rolls back.
+            let mut service = ShardedLiveService::start(&seed_engine, 1, &dir).unwrap();
+            service.ingest(&boot).unwrap();
             let mut marks = HighWaterMarks::new();
             for source in world.corpus.sources() {
                 marks.advance(source.id, midpoint);
@@ -408,7 +422,7 @@ proptest! {
             // succeeds, fsync fails, every mark rolls back.
             let mut services = build_services(None);
             let mut clock = Clock::starting_at(world.now);
-            service.inject_journal_sync_failures(1);
+            service.inject_journal_sync_failures(0, 1);
             let refused = service
                 .tick_sweep(&crawler, &mut services, &mut clock, &mut marks)
                 .expect_err("injected fsync failure must refuse the batch");
@@ -433,12 +447,13 @@ proptest! {
             // whatever phase 3 did not land (possibly nothing).
             let mut services = build_services(None);
             let mut clock = Clock::starting_at(world.now);
-            let (seq, report) = service
+            let report = service
                 .tick_sweep(&crawler, &mut services, &mut clock, &mut marks)
                 .expect("clean sweep must succeed");
+            let seq = service.seqs();
             (
                 service,
-                path,
+                dir,
                 format!("{fatal:?}"),
                 format!("{refused:?}"),
                 journal_after_refusal,
@@ -451,7 +466,7 @@ proptest! {
 
         let (
             seq_service,
-            seq_path,
+            seq_dir,
             seq_fatal,
             seq_refused,
             seq_jr,
@@ -462,7 +477,7 @@ proptest! {
         ) = run("seq", 1);
         let (
             par_service,
-            par_path,
+            par_dir,
             par_fatal,
             par_refused,
             par_jr,
@@ -486,27 +501,24 @@ proptest! {
         prop_assert_eq!(seq_report, par_report);
         prop_assert_eq!(seq_marks, par_marks);
         prop_assert_eq!(
-            std::fs::read(&par_path).unwrap(),
-            std::fs::read(&seq_path).unwrap(),
+            std::fs::read(ShardedLiveService::shard_journal_path(&par_dir, 0)).unwrap(),
+            std::fs::read(ShardedLiveService::shard_journal_path(&seq_dir, 0)).unwrap(),
             "parallel sweep journal must be byte-identical to the sequential one"
         );
         let terms = probe_terms(&world);
-        let a = seq_service.reader().snapshot();
-        let b = par_service.reader().snapshot();
-        prop_assert_eq!(a.engine().doc_count(), b.engine().doc_count());
+        let (a, b) = (seq_service.shard_engine(0), par_service.shard_engine(0));
+        let (ra, rb) = (seq_service.reader(), par_service.reader());
+        prop_assert_eq!(a.doc_count(), b.doc_count());
         prop_assert_eq!(
-            bm25_scores(a.engine().index(), &terms, Bm25Params::default()),
-            bm25_scores(b.engine().index(), &terms, Bm25Params::default())
+            bm25_scores(a.index(), &terms, Bm25Params::default()),
+            bm25_scores(b.index(), &terms, Bm25Params::default())
         );
         for s in world.corpus.sources() {
-            prop_assert_eq!(
-                a.engine().static_score(s.id),
-                b.engine().static_score(s.id)
-            );
+            prop_assert_eq!(ra.static_score(s.id), rb.static_score(s.id));
         }
-        prop_assert_eq!(a.engine().query(&terms, 20), b.engine().query(&terms, 20));
-        std::fs::remove_file(&seq_path).ok();
-        std::fs::remove_file(&par_path).ok();
+        prop_assert_eq!(ra.query(&terms, 20), rb.query(&terms, 20));
+        std::fs::remove_dir_all(&seq_dir).ok();
+        std::fs::remove_dir_all(&par_dir).ok();
     }
 
     #[test]
@@ -570,23 +582,24 @@ proptest! {
     #[test]
     fn sharded_ingest_and_query_equal_unsharded(seed in 0u64..10_000, shards in 2usize..5) {
         // Sharding must be invisible in everything observable: the
-        // same delta stream pushed through the unsharded service, a
+        // same delta stream pushed through one unsharded engine, a
         // 1-shard service and an N-shard service must yield
-        // bit-identical rankings and static scores, a byte-identical
-        // journal in the 1-shard case, per-shard journals
-        // byte-identical to a reference router feeding plain
-        // journals — and recovering a killed N-shard service must
-        // land back on the same rankings, shard by shard.
+        // bit-identical rankings and static scores, a 1-shard journal
+        // byte-identical to a bare journal fed the same bursts,
+        // per-shard journals byte-identical to a reference router
+        // feeding plain journals — and recovering a killed N-shard
+        // service must land back on the same rankings, shard by
+        // shard. At every shard count, checkpointing mid-stream,
+        // compacting, crashing with a torn tail and recovering from
+        // the checkpoint must land on the uninterrupted run too.
         let world = tiny_world(seed);
         let panel = AlexaPanel::simulate(&world, seed);
         let links = LinkGraph::simulate(&world, seed ^ 1);
         let scratch =
             SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
 
-        // The sharded seed: static signals intact, zero documents.
-        let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
-        let mut seed_engine = scratch.clone();
-        seed_engine.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
+        // The seed: static signals intact, zero documents.
+        let seed_engine = empty_seed(&world, &scratch);
         prop_assert_eq!(seed_engine.doc_count(), 0);
 
         // The stream: seed-permuted posts as multi-post deltas,
@@ -596,9 +609,9 @@ proptest! {
             .chunks(posts.len().div_ceil(6).max(1))
             .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
             .collect();
+        let bursts: Vec<&[CorpusDelta]> = deltas.chunks(3).collect();
 
-        let tag = std::process::id();
-        let base = std::env::temp_dir().join(format!("obs_shard_prop_{tag}_{seed}_{shards}"));
+        let base = case_dir(&format!("shard_prop_{shards}"), seed);
         let path_flat = base.join("flat.journal");
         std::fs::create_dir_all(&base).unwrap();
         let dir_one = base.join("one");
@@ -606,7 +619,8 @@ proptest! {
         let dir_ref = base.join("reference");
         std::fs::create_dir_all(&dir_ref).unwrap();
 
-        let mut flat = LiveService::start(seed_engine.clone(), &path_flat).unwrap();
+        let mut flat = seed_engine.clone();
+        let mut flat_journal = DeltaJournal::create(&path_flat).unwrap();
         let mut one = ShardedLiveService::start(&seed_engine, 1, &dir_one).unwrap();
         let mut many = ShardedLiveService::start(&seed_engine, shards, &dir_many).unwrap();
         // Reference journals fed by a bare router, mirroring the
@@ -618,12 +632,14 @@ proptest! {
             })
             .collect();
 
-        for burst in deltas.chunks(3) {
-            flat.ingest_batch(burst).unwrap();
+        for burst in &bursts {
+            flat.apply_deltas(burst.iter());
+            let fresh: Vec<&CorpusDelta> = burst.iter().filter(|d| !d.is_empty()).collect();
+            flat_journal.append_batch(&fresh).unwrap();
             one.ingest_batch(burst).unwrap();
             many.ingest_batch(burst).unwrap();
             let mut routed: Vec<Vec<CorpusDelta>> = vec![Vec::new(); shards];
-            for delta in burst {
+            for delta in burst.iter() {
                 for (shard, sub) in ref_router.route(delta).into_iter().enumerate() {
                     if !sub.is_empty() {
                         routed[shard].push(sub);
@@ -635,32 +651,28 @@ proptest! {
                 journal.append_batch(&refs).unwrap();
             }
         }
-        drop(ref_journals);
+        drop((flat_journal, ref_journals));
 
         // Rankings and static scores: bit-identical across all three
         // topologies, and identical to the scratch build (the stream
         // replays the full corpus).
         let terms = probe_terms(&world);
-        let flat_engine = flat.reader().snapshot();
-        let hits = flat_engine.engine().query(&terms, 20);
+        let hits = flat.query(&terms, 20);
         prop_assert_eq!(&one.reader().query(&terms, 20), &hits);
         prop_assert_eq!(&many.reader().query(&terms, 20), &hits);
         prop_assert_eq!(&scratch.query(&terms, 20), &hits);
         prop_assert_eq!(many.doc_count(), scratch.doc_count());
         let many_reader = many.reader();
         for s in world.corpus.sources() {
-            prop_assert_eq!(
-                many_reader.static_score(s.id),
-                flat_engine.engine().static_score(s.id)
-            );
+            prop_assert_eq!(many_reader.static_score(s.id), flat.static_score(s.id));
         }
 
-        // Journal bytes: one shard ≡ unsharded; N shards ≡ the
+        // Journal bytes: one shard ≡ a bare journal; N shards ≡ the
         // reference router's journals, shard by shard.
         prop_assert_eq!(
             std::fs::read(ShardedLiveService::shard_journal_path(&dir_one, 0)).unwrap(),
             std::fs::read(&path_flat).unwrap(),
-            "a 1-shard service must journal byte-identically to the unsharded one"
+            "a 1-shard service must journal byte-identically to a bare journal"
         );
         for i in 0..shards {
             prop_assert_eq!(
@@ -679,7 +691,7 @@ proptest! {
         let pre_shard_scores: Vec<_> = (0..shards)
             .map(|i| bm25_scores(many.shard_engine(i).index(), &terms, Bm25Params::default()))
             .collect();
-        drop(many);
+        drop((many_reader, many));
         let (recovered, reports) =
             ShardedLiveService::recover(&seed_engine, shards, &dir_many).unwrap();
         prop_assert_eq!(recovered.seqs(), pre_seqs);
@@ -693,7 +705,63 @@ proptest! {
                 "shard {} must recover its exact pre-crash index", i
             );
         }
-        prop_assert_eq!(recovered.reader().query(&terms, 20), hits);
+        prop_assert_eq!(recovered.reader().query(&terms, 20), hits.clone());
+
+        // Checkpoint mid-stream, compact, crash with a torn tail on
+        // every journal, recover from the checkpoint: the result is
+        // the uninterrupted run, for every shard count. A bare
+        // router fed the same bursts gives the uninterrupted
+        // per-shard sequences and post homes.
+        for n in 1..=4usize {
+            let dir = base.join(format!("checkpointed-{n}"));
+            let mut service = ShardedLiveService::start(&seed_engine, n, &dir).unwrap();
+            let mut router = ShardRouter::new(n);
+            let mut seqs = vec![0u64; n];
+            let mut checkpoint = None;
+            for (b, burst) in bursts.iter().enumerate() {
+                if b == bursts.len() / 2 {
+                    let taken = service.checkpoint();
+                    service.compact_through(&taken).unwrap();
+                    checkpoint = Some(taken);
+                }
+                service.ingest_batch(burst).unwrap();
+                for delta in burst.iter() {
+                    for (shard, sub) in router.route(delta).iter().enumerate() {
+                        seqs[shard] += u64::from(!sub.is_empty());
+                    }
+                }
+            }
+            prop_assert_eq!(service.seqs(), seqs.clone());
+            drop(service);
+            for i in 0..n {
+                use std::io::Write;
+                let path = ShardedLiveService::shard_journal_path(&dir, i);
+                let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+                write!(file, "99 deadbeef {{\"added\":[{{\"po").unwrap();
+            }
+
+            let checkpoint = checkpoint.unwrap();
+            let (restored, reports) =
+                ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
+            prop_assert_eq!(restored.seqs(), seqs.clone());
+            for (i, report) in reports.iter().enumerate() {
+                prop_assert!(report.torn_tail_dropped);
+                prop_assert_eq!(report.skipped, 0, "compaction dropped the covered prefix");
+                prop_assert_eq!(report.replayed as u64, seqs[i] - checkpoint.seqs()[i]);
+            }
+            let reader = restored.reader();
+            prop_assert_eq!(&reader.query(&terms, 20), &hits);
+            for s in world.corpus.sources() {
+                prop_assert_eq!(reader.static_score(s.id), flat.static_score(s.id));
+            }
+            for p in world.corpus.posts() {
+                prop_assert_eq!(
+                    restored.router().home_of(p.id),
+                    router.home_of(p.id),
+                    "post {:?} homed differently after recovery at {} shards", p.id, n
+                );
+            }
+        }
 
         std::fs::remove_dir_all(&base).ok();
     }
