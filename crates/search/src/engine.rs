@@ -24,24 +24,34 @@
 //! participation only for the sources the delta touched.
 
 use crate::blend::{StaticBlend, StaticSignals};
-use crate::index::{InvertedIndex, Posting};
+use crate::index::InvertedIndex;
 use crate::pagerank::pagerank_converged;
 use crate::scatter::{scatter_query, ScatterStats, SourcePartial};
-use crate::score::{bm25_sat_ceiling, bm25_scores_with, distinct_terms, Bm25Params};
+use crate::score::{bm25_scores_with, distinct_terms, Bm25Params};
 use obs_analytics::{AlexaPanel, LinkGraph};
-use obs_model::{Corpus, CorpusDelta, PostId, SourceId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use obs_model::{Corpus, CorpusDelta, SourceId};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Relative slack applied to a document's score upper bound before
-/// comparing it with the running per-source best. The bound already
-/// dominates the exact score term-by-term (float addition and
-/// multiplication are monotone), so the slack never changes a
-/// returned score — it only makes the *skip* decision robust against
-/// any future refactor perturbing the bound's rounding, at the cost
-/// of scoring a vanishing fraction of borderline documents exactly.
-const PRUNE_SLACK: f64 = 1.0 + 1e-9;
+/// The dense scorer's per-thread working memory. Each vector only
+/// grows, and every query resets exactly the entries it touched, so
+/// no query clears or reallocates it in full.
+#[derive(Default)]
+struct Scratch {
+    /// BM25 accumulator by doc ordinal, `0.0` when untouched.
+    acc: Vec<f64>,
+    /// Whether the query touched each ordinal.
+    seen: Vec<bool>,
+    /// The ordinals the query touched.
+    docs: Vec<u32>,
+    /// By source index: the source's slot in the query's partials.
+    slot: Vec<Option<u32>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
 pub use crate::blend::BlendWeights;
 
@@ -208,18 +218,13 @@ impl SearchEngine {
     /// no static blend and no ordering —
     /// [`merge_partials`](crate::merge_partials) finishes the
     /// ranking.
-    /// This is the **pruned fast path**: a document-at-a-time merge
-    /// over the doc-id-sorted posting lists with max-score pruning.
-    /// Per query term it derives a score upper bound `idf ×
-    /// bm25_sat_ceiling` from the index's exact per-term max
-    /// frequency; a document whose summed bound (plus a hair of
-    /// slack) cannot beat its source's running best skips
-    /// the floating-point BM25 evaluation entirely. Every matching
-    /// document is still *counted* (the match count feeds the depth
-    /// blend term), and the exact scores that are computed accumulate
-    /// per document in ascending distinct-term order — the identical
-    /// float operations, in the identical order, as the unpruned
-    /// scorer — so the partials are bit-identical to
+    ///
+    /// This is the **dense fast path**: term-at-a-time into a
+    /// per-thread accumulator indexed by doc ordinal, then one pass
+    /// over the touched documents into per-source partials. Each
+    /// document's score accumulates from `0.0` in first-appearance term
+    /// order with the expression of [`bm25_scores_with`], so the
+    /// partials are bit-identical to
     /// [`SearchEngine::partial_query_unpruned`] (proptest-pinned at
     /// the workspace level).
     pub fn partial_query<S: AsRef<str>>(
@@ -227,101 +232,67 @@ impl SearchEngine {
         terms: &[S],
         stats: &ScatterStats,
     ) -> Vec<SourcePartial> {
-        /// One distinct query term's read state: its postings, the
-        /// cursor into them, its global IDF and its score bound.
-        struct TermCursor<'a> {
-            postings: &'a [Posting],
-            next: usize,
-            w: f64,
-            ub: f64,
-        }
         let params = self.params;
         let avg_len = stats.avg_doc_length().max(1.0);
-        let mut cursors: Vec<TermCursor> = Vec::new();
-        for term in distinct_terms(terms) {
-            let postings = self.index.postings(term);
-            if postings.is_empty() {
-                continue;
+        // Before the scratch borrow: `as_ref` is caller code.
+        let terms = distinct_terms(terms);
+        let rows = self.index.rows();
+        SCRATCH.with(|scratch| {
+            let s = &mut *scratch.borrow_mut();
+            if s.acc.len() < rows.len() {
+                s.acc.resize(rows.len(), 0.0);
+                s.seen.resize(rows.len(), false);
             }
-            let w = stats.idf(term);
-            let ub = w * bm25_sat_ceiling(self.index.max_term_frequency(term), params);
-            cursors.push(TermCursor {
-                postings,
-                next: 0,
-                w,
-                ub,
-            });
-        }
-        // Min-heap of (doc, cursor) frontiers. Tuple ordering pops a
-        // document's cursors in ascending distinct-term order, which
-        // is what keeps the exact accumulation order identical to the
-        // term-at-a-time scorer.
-        let mut heap: BinaryHeap<Reverse<(PostId, usize)>> = cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.postings.first().map(|p| Reverse((p.doc, i))))
-            .collect();
-        let mut best_per_source: HashMap<SourceId, (f64, u32)> = HashMap::new();
-        let mut matched: Vec<(usize, u32)> = Vec::with_capacity(cursors.len());
-        while let Some(&Reverse((doc, _))) = heap.peek() {
-            matched.clear();
-            while let Some(&Reverse((d, i))) = heap.peek() {
-                if d != doc {
-                    break;
-                }
-                heap.pop();
-                let c = &mut cursors[i];
-                matched.push((i, c.postings[c.next].tf));
-                c.next += 1;
-                if let Some(p) = c.postings.get(c.next) {
-                    heap.push(Reverse((p.doc, i)));
+            for term in terms {
+                let w = stats.idf(term);
+                for p in self.index.postings(term) {
+                    let ord = p.ord as usize;
+                    let tf = p.tf as f64;
+                    let len_norm = 1.0 - params.b + params.b * rows[ord].len as f64 / avg_len;
+                    let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
+                    if !s.seen[ord] {
+                        s.seen[ord] = true;
+                        s.docs.push(p.ord);
+                    }
+                    s.acc[ord] += w * sat;
                 }
             }
-            let Some(source) = self.index.source_of(doc) else {
-                continue;
-            };
-            let slot = best_per_source
-                .entry(source)
-                .or_insert((f64::NEG_INFINITY, 0));
-            slot.1 += 1;
-            let mut ub = 0.0;
-            for &(i, _) in &matched {
-                ub += cursors[i].ub;
+            let mut partials: Vec<SourcePartial> = Vec::new();
+            for ord in s.docs.drain(..) {
+                let ord = ord as usize;
+                let score = std::mem::take(&mut s.acc[ord]);
+                s.seen[ord] = false;
+                let source = rows[ord].source;
+                if s.slot.len() <= source.index() {
+                    s.slot.resize(source.index() + 1, None);
+                }
+                let i = *s.slot[source.index()].get_or_insert_with(|| {
+                    partials.push(SourcePartial {
+                        source,
+                        best: f64::NEG_INFINITY,
+                        matches: 0,
+                    });
+                    (partials.len() - 1) as u32
+                });
+                let partial = &mut partials[i as usize];
+                if score > partial.best {
+                    partial.best = score;
+                }
+                partial.matches += 1;
             }
-            if ub * PRUNE_SLACK <= slot.0 {
-                // The bound dominates the exact score term-by-term,
-                // so this document cannot raise its source's best —
-                // skip the float scoring, keep the match count.
-                continue;
+            for partial in &partials {
+                s.slot[partial.source.index()] = None;
             }
-            let doc_len = self.index.doc_length(doc) as f64;
-            let mut score = 0.0;
-            for &(i, tf) in &matched {
-                let tf = tf as f64;
-                let len_norm = 1.0 - params.b + params.b * doc_len / avg_len;
-                let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
-                score += cursors[i].w * sat;
-            }
-            if score > slot.0 {
-                slot.0 = score;
-            }
-        }
-        best_per_source
-            .into_iter()
-            .map(|(source, (best, matches))| SourcePartial {
-                source,
-                best,
-                matches,
-            })
-            .collect()
+            partials
+        })
     }
 
-    /// The reference unpruned scorer: full term-at-a-time BM25 over
-    /// every posting ([`bm25_scores_with`]), then per-source
-    /// aggregation. Kept callable so the pruned fast path always has
-    /// an oracle — the facade proptest
-    /// `pruned_query_equals_unpruned_query` and the QPS benchmark's
-    /// baseline lane run queries through exactly this body.
+    /// The **reference** scorer: full term-at-a-time BM25 into a
+    /// per-document map ([`bm25_scores_with`]), then per-source
+    /// aggregation through the post-keyed lookups. Kept callable so
+    /// the dense fast path always has an oracle — the facade proptest
+    /// `dense_query_equals_reference_query` and the benchmark's
+    /// traced shadow run queries through exactly this body.
     pub fn partial_query_unpruned<S: AsRef<str>>(
         &self,
         terms: &[S],
@@ -672,15 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn pruned_partial_matches_unpruned_on_random_corpora() {
-        // The pruned DAAT path must produce bit-identical partials to
-        // the exhaustive scorer — best scores (to the bit) and match
-        // counts — across worlds and a whole query workload. The
-        // facade proptest widens this to sharded topologies; this is
-        // the in-crate fast check.
-        for seed in [1001u64, 2002, 3003] {
+    fn dense_partial_matches_reference_on_random_corpora() {
+        // Dense partials must equal the reference's to the bit. Engines
+        // of different sizes take turns on this one thread, so scratch
+        // left dirty or sized for another engine would show; the last
+        // has just freed ordinals in a removal burst. The facade
+        // proptest widens this to sharded topologies.
+        let mut engines = Vec::new();
+        let mut burst = None;
+        for (seed, sources) in [(1001u64, 40usize), (2002, 90), (3003, 15)] {
             let world = World::generate(WorldConfig {
-                sources: 40,
+                sources,
                 users: 300,
                 ..WorldConfig::small(seed)
             });
@@ -689,26 +662,40 @@ mod tests {
             let engine =
                 SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
             let workload = QueryWorkload::generate(seed, 25, world.config.categories);
-            for q in &workload.queries {
-                let normalized = crate::scatter::normalize_query(&q.terms);
+            if burst.is_none() {
+                let mut burst_engine = engine.clone();
+                let removed: Vec<PostId> = world
+                    .corpus
+                    .posts()
+                    .iter()
+                    .step_by(3)
+                    .map(|p| p.id)
+                    .collect();
+                let delta = obs_model::CorpusDelta::for_removals(&world.corpus, &removed);
+                burst_engine.apply_delta(&delta.unwrap());
+                assert!(!burst_engine.index().free_ordinals().is_empty());
+                burst = Some((burst_engine, workload.clone()));
+            }
+            engines.push((engine, workload));
+        }
+        engines.extend(burst);
+
+        let bits = |partials: Vec<SourcePartial>| {
+            let mut v: Vec<_> = (partials.iter())
+                .map(|p| (p.source, p.matches, p.best.to_bits()))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        for i in 0..25 {
+            for (engine, workload) in &engines {
+                let normalized = crate::scatter::normalize_query(&workload.queries[i].terms);
                 let stats = ScatterStats::gather(&[engine.index()], &normalized);
-                let mut pruned = engine.partial_query(&normalized, &stats);
-                let mut oracle = engine.partial_query_unpruned(&normalized, &stats);
-                pruned.sort_by_key(|p| p.source);
-                oracle.sort_by_key(|p| p.source);
-                assert_eq!(pruned.len(), oracle.len());
-                for (p, o) in pruned.iter().zip(&oracle) {
-                    assert_eq!(p.source, o.source);
-                    assert_eq!(p.matches, o.matches);
-                    assert_eq!(
-                        p.best.to_bits(),
-                        o.best.to_bits(),
-                        "source {}: pruned best {} != oracle best {}",
-                        p.source,
-                        p.best,
-                        o.best
-                    );
-                }
+                assert_eq!(
+                    bits(engine.partial_query(&normalized, &stats)),
+                    bits(engine.partial_query_unpruned(&normalized, &stats)),
+                    "query {i}"
+                );
             }
         }
     }

@@ -15,35 +15,36 @@
 //! generation-aware compaction pass that touches each affected term
 //! list at most once per commit.
 //!
+//! Documents live in a dense **doc table**: each gets a local `u32`
+//! ordinal naming its row (post, source, length, tombstone flag) and
+//! forward-index slot, and postings carry ordinals. An ordinal
+//! returns to the free list only in the sweep that removes its
+//! postings, so a later add in the same writer batch cannot take a
+//! row whose stale postings that sweep still has to drop.
+//!
 //! Terms are *interned*: a term dictionary maps each live term to a
-//! `u32` id, posting lists are stored by id, and the per-document
-//! forward index records ids rather than strings. Cloning the index —
-//! the copy-on-write detach every published epoch pays — therefore
-//! copies one small `Vec<u32>` per document instead of one heap
-//! `String` per (document, term) pair.
+//! `u32` id, posting lists are stored by id, and the forward index
+//! records ids rather than strings. Cloning the index — the
+//! copy-on-write detach every published epoch pays — therefore copies
+//! one small `Vec<u32>` per document instead of one heap `String` per
+//! (document, term) pair.
 
 use crate::token::tokenize;
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::HashMap;
 
-/// A posting: document and term frequency.
+/// A posting: document ordinal and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
-    /// Document (post) id.
-    pub doc: PostId,
+    /// Doc-table ordinal ([`InvertedIndex::post_of`] maps it to its post).
+    pub ord: u32,
     /// Term frequency in the document.
     pub tf: u32,
 }
 
-/// One term's postings plus the compaction generation that last
-/// swept it, so a batched commit never rescans a list twice.
-///
-/// Entries are **sorted by document id** (the invariant the DAAT
-/// merge in [`partial_query`](crate::SearchEngine::partial_query)
-/// walks), and `max_tf` is the **exact** maximum term frequency among
-/// the surviving entries — not merely an upper bound. Adds take the
-/// running max; every removal path recomputes the max over survivors
-/// in the same pass that compacts the list, so the two never drift.
+/// One term's postings, in insertion order, plus the compaction
+/// generation that last swept it, so a batched commit never rescans
+/// a list twice.
 #[derive(Debug, Clone, Default)]
 struct PostingList {
     /// The term this list belongs to (the reverse of its dictionary
@@ -52,32 +53,18 @@ struct PostingList {
     term: String,
     entries: Vec<Posting>,
     clean_gen: u64,
-    /// Exact max term frequency across `entries`.
-    max_tf: u32,
 }
 
-impl PostingList {
-    /// Inserts a posting at its doc-id-sorted position. Appends are
-    /// O(1) (the common case: ids arrive mostly ascending); the max
-    /// takes the new frequency if it is larger.
-    fn insert_sorted(&mut self, doc: PostId, tf: u32) {
-        match self.entries.last() {
-            Some(last) if last.doc < doc => self.entries.push(Posting { doc, tf }),
-            _ => match self.entries.binary_search_by(|p| p.doc.cmp(&doc)) {
-                // A live duplicate cannot occur (re-adds remove the
-                // old document first); replacing keeps the list a
-                // valid set even if that precondition were violated.
-                Ok(pos) => self.entries[pos].tf = tf,
-                Err(pos) => self.entries.insert(pos, Posting { doc, tf }),
-            },
-        }
-        self.max_tf = self.max_tf.max(tf);
-    }
-
-    /// Recomputes the exact max after a removal pass.
-    fn refresh_max(&mut self) {
-        self.max_tf = self.entries.iter().map(|p| p.tf).max().unwrap_or(0);
-    }
+/// One row of the doc table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DocRow {
+    pub(crate) post: PostId,
+    pub(crate) source: SourceId,
+    /// Token length.
+    pub(crate) len: u32,
+    /// Set from removal until reuse; no posting names a flagged row
+    /// once the sweep has run.
+    tombstoned: bool,
 }
 
 /// The inverted index.
@@ -91,17 +78,20 @@ pub struct InvertedIndex {
     lists: Vec<PostingList>,
     /// Ids of emptied slots in `lists`, reused by the next new term.
     free_ids: Vec<u32>,
-    doc_len: HashMap<PostId, u32>,
-    doc_source: HashMap<PostId, SourceId>,
-    /// Forward index: the distinct term ids of each live document, so
-    /// a removal knows exactly which posting lists it dirties.
-    doc_terms: HashMap<PostId, Vec<u32>>,
-    total_len: u64,
-    /// Documents removed but not yet swept from their posting lists,
-    /// keyed to the term ids awaiting compaction. Only ever non-empty
+    /// The doc table, by ordinal.
+    rows: Vec<DocRow>,
+    /// Forward index by ordinal: the distinct term ids of each live
+    /// or pending row, so a sweep knows exactly which posting lists
+    /// it dirties.
+    doc_terms: Vec<Vec<u32>>,
+    ordinal_of: HashMap<PostId, u32>,
+    /// Ordinals of free rows, reused by the next add.
+    free_ords: Vec<u32>,
+    /// Ordinals tombstoned but not yet swept. Only ever non-empty
     /// while an [`IndexWriter`](crate::writer::IndexWriter) holds the
     /// index mutably, so readers never observe a stale posting.
-    tombstones: HashMap<PostId, Vec<u32>>,
+    pending: Vec<u32>,
+    total_len: u64,
     /// Compaction generation, bumped once per sweep.
     generation: u64,
 }
@@ -123,29 +113,50 @@ impl InvertedIndex {
     /// Adds one document. Re-adding a live document replaces its
     /// previous contents (update semantics).
     pub fn add_document(&mut self, doc: PostId, source: SourceId, text: &str) {
-        if self.doc_len.contains_key(&doc) {
-            self.remove_document(doc);
-        } else if self.tombstones.contains_key(&doc) {
-            // Pending removal of the same id: sweep its old postings
-            // now so the fresh ones below survive the next commit.
-            self.sweep_tombstone(doc);
-        }
-        let tokens = tokenize(text);
+        self.stage_document(doc, source, text);
+        self.sweep();
+    }
+
+    /// Adds one document, tombstoning a live document of the same id
+    /// without sweeping it. Crate-internal: only the writer defers
+    /// sweeps.
+    pub(crate) fn stage_document(&mut self, doc: PostId, source: SourceId, text: &str) {
+        self.tombstone_document(doc);
         let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in tokens {
+        for t in tokenize(text) {
             *tf.entry(t).or_insert(0) += 1;
         }
         let len: u32 = tf.values().sum();
-        self.doc_len.insert(doc, len);
-        self.doc_source.insert(doc, source);
+        let row = DocRow {
+            post: doc,
+            source,
+            len,
+            tombstoned: false,
+        };
+        let ord = match self.free_ords.pop() {
+            Some(ord) => {
+                self.rows[ord as usize] = row;
+                ord
+            }
+            // Freed ordinals are reused, so the row count is the peak
+            // live document count: far below `u32::MAX` in memory.
+            None => {
+                self.rows.push(row);
+                self.doc_terms.push(Vec::new());
+                (self.rows.len() - 1) as u32
+            }
+        };
+        self.ordinal_of.insert(doc, ord);
         self.total_len += len as u64;
         let mut terms = Vec::with_capacity(tf.len());
         for (term, freq) in tf {
             let id = self.intern(term);
-            self.lists[id as usize].insert_sorted(doc, freq);
+            self.lists[id as usize]
+                .entries
+                .push(Posting { ord, tf: freq });
             terms.push(id);
         }
-        self.doc_terms.insert(doc, terms);
+        self.doc_terms[ord as usize] = terms;
     }
 
     /// The id of `term`, allocating one (and an empty posting list)
@@ -183,11 +194,9 @@ impl InvertedIndex {
     /// Removes one document, sweeping its postings immediately.
     /// Returns whether the document was present.
     pub fn remove_document(&mut self, doc: PostId) -> bool {
-        if !self.tombstone_document(doc) {
-            return false;
-        }
-        self.sweep_tombstone(doc);
-        true
+        let removed = self.tombstone_document(doc);
+        self.sweep();
+        removed
     }
 
     /// Applies a change-set: removals first, then additions, so a
@@ -200,85 +209,88 @@ impl InvertedIndex {
 
     /// Marks a document removed without sweeping its postings:
     /// statistics (count, lengths, source) update immediately, the
-    /// posting entries wait for [`InvertedIndex::sweep`]. Crate-
-    /// internal: only the writer defers sweeps.
+    /// posting entries and the row wait for [`InvertedIndex::sweep`].
+    /// Crate-internal: only the writer defers sweeps.
     pub(crate) fn tombstone_document(&mut self, doc: PostId) -> bool {
-        let Some(len) = self.doc_len.remove(&doc) else {
+        let Some(ord) = self.ordinal_of.remove(&doc) else {
             return false;
         };
-        self.total_len -= len as u64;
-        self.doc_source.remove(&doc);
-        let terms = self.doc_terms.remove(&doc).unwrap_or_default();
-        self.tombstones.insert(doc, terms);
+        let row = &mut self.rows[ord as usize];
+        row.tombstoned = true;
+        self.total_len -= row.len as u64;
+        self.pending.push(ord);
         true
     }
 
     /// Sweeps all pending tombstones in one generation: every posting
     /// list dirtied by at least one tombstoned document is compacted
-    /// exactly once, however many documents it hosted.
+    /// exactly once, however many documents it hosted. Only then do
+    /// the tombstoned rows go back on the free list.
     pub(crate) fn sweep(&mut self) -> usize {
-        if self.tombstones.is_empty() {
+        if self.pending.is_empty() {
             return 0;
         }
         self.generation += 1;
         let gen = self.generation;
-        let tombstones = std::mem::take(&mut self.tombstones);
-        for &id in tombstones.values().flatten() {
-            let list = &mut self.lists[id as usize];
-            if list.clean_gen < gen {
-                list.entries.retain(|p| !tombstones.contains_key(&p.doc));
-                list.refresh_max();
-                list.clean_gen = gen;
-                if list.entries.is_empty() {
-                    self.retire(id);
+        let pending = std::mem::take(&mut self.pending);
+        for &ord in &pending {
+            for id in std::mem::take(&mut self.doc_terms[ord as usize]) {
+                let rows = &self.rows;
+                let list = &mut self.lists[id as usize];
+                if list.clean_gen < gen {
+                    list.entries.retain(|p| !rows[p.ord as usize].tombstoned);
+                    list.clean_gen = gen;
+                    if list.entries.is_empty() {
+                        self.retire(id);
+                    }
                 }
             }
         }
-        tombstones.len()
-    }
-
-    /// Sweeps one specific tombstone (used when a pending removal is
-    /// cancelled by a re-add of the same document id).
-    fn sweep_tombstone(&mut self, doc: PostId) {
-        let Some(ids) = self.tombstones.remove(&doc) else {
-            return;
-        };
-        for id in ids {
-            let list = &mut self.lists[id as usize];
-            list.entries.retain(|p| p.doc != doc);
-            list.refresh_max();
-            if list.entries.is_empty() {
-                self.retire(id);
-            }
-        }
+        self.free_ords.extend_from_slice(&pending);
+        pending.len()
     }
 
     /// Number of removals awaiting a sweep.
     pub(crate) fn pending_tombstones(&self) -> usize {
-        self.tombstones.len()
+        self.pending.len()
     }
 
-    /// The live posting list of a term.
-    fn list(&self, term: &str) -> Option<&PostingList> {
-        self.term_ids.get(term).map(|&id| &self.lists[id as usize])
+    /// The doc table, by ordinal: what the dense scorer reads a
+    /// posting's length and source from.
+    pub(crate) fn rows(&self) -> &[DocRow] {
+        &self.rows
     }
 
-    /// Postings for a term (empty slice when absent), **sorted by
-    /// document id** — the invariant the pruned DAAT query path
-    /// merges on.
+    /// Postings for a term (empty slice when absent), in no
+    /// particular order.
     pub fn postings(&self, term: &str) -> &[Posting] {
-        self.list(term).map_or(&[], |list| list.entries.as_slice())
+        self.term_ids
+            .get(term)
+            .map_or(&[], |&id| self.lists[id as usize].entries.as_slice())
     }
 
-    /// The **exact** maximum term frequency among the term's live
-    /// postings (0 when absent). Maintained incrementally: adds take
-    /// the running max, every removal path recomputes over survivors
-    /// in its compaction pass — so after any add/remove/compaction
-    /// history this equals `postings(term).iter().map(|p| p.tf).max()`
-    /// exactly. Per-term score upper bounds for top-k pruning derive
-    /// from it.
-    pub fn max_term_frequency(&self, term: &str) -> u32 {
-        self.list(term).map_or(0, |list| list.max_tf)
+    /// The live post at ordinal `ord` (`None` for a tombstoned or
+    /// free row).
+    pub fn post_of(&self, ord: u32) -> Option<PostId> {
+        let post = self.rows.get(ord as usize)?.post;
+        (self.ordinal_of.get(&post) == Some(&ord)).then_some(post)
+    }
+
+    /// The ordinal of a live post.
+    pub fn ordinal_of(&self, doc: PostId) -> Option<u32> {
+        self.ordinal_of.get(&doc).copied()
+    }
+
+    /// Ordinals on the free list, waiting for reuse by the next add.
+    pub fn free_ordinals(&self) -> &[u32] {
+        &self.free_ords
+    }
+
+    /// The live row of a post.
+    fn row(&self, doc: PostId) -> Option<&DocRow> {
+        self.ordinal_of
+            .get(&doc)
+            .map(|&ord| &self.rows[ord as usize])
     }
 
     /// Document frequency of a term.
@@ -288,12 +300,12 @@ impl InvertedIndex {
 
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
-        self.doc_len.len()
+        self.ordinal_of.len()
     }
 
     /// A document's token length.
     pub fn doc_length(&self, doc: PostId) -> u32 {
-        self.doc_len.get(&doc).copied().unwrap_or(0)
+        self.row(doc).map_or(0, |row| row.len)
     }
 
     /// Total token length across all live documents — the numerator
@@ -306,16 +318,16 @@ impl InvertedIndex {
 
     /// Average document length.
     pub fn avg_doc_length(&self) -> f64 {
-        if self.doc_len.is_empty() {
+        if self.ordinal_of.is_empty() {
             0.0
         } else {
-            self.total_len as f64 / self.doc_len.len() as f64
+            self.total_len as f64 / self.ordinal_of.len() as f64
         }
     }
 
     /// Source hosting a document.
     pub fn source_of(&self, doc: PostId) -> Option<SourceId> {
-        self.doc_source.get(&doc).copied()
+        self.row(doc).map(|row| row.source)
     }
 
     /// Number of distinct terms.
@@ -455,28 +467,44 @@ mod tests {
         assert_eq!(idx.doc_length(PostId::new(0)), 2);
     }
 
-    /// Every posting list must be doc-id-sorted with an exactly
-    /// maintained max term frequency — the two invariants the pruned
-    /// query path is built on — and the term dictionary must match
-    /// the live posting lists one to one: each entry names a
-    /// non-empty list that names it back, every other slot is free
-    /// (empty, listed once in `free_ids`), and every id a live
-    /// document or a pending tombstone holds is live and lists that
-    /// document.
+    /// The doc table and the term dictionary must be consistent:
+    ///
+    /// * each dictionary entry names a non-empty list that names it
+    ///   back, every other slot is free (empty, listed once in
+    ///   `free_ids`);
+    /// * live (one per post, naming it back), pending and free
+    ///   ordinals partition the doc table, and only pending and free
+    ///   rows carry the tombstone flag;
+    /// * every posting names a live or pending ordinal, and every
+    ///   term id a live or pending row holds is live and lists it.
     fn assert_bounds_exact(idx: &InvertedIndex) {
+        let rows = idx.rows.len();
+        assert_eq!(rows, idx.doc_terms.len());
+        let mut class: Vec<Option<&str>> = vec![None; rows];
+        let live_ords = idx.ordinal_of.iter().map(|(&post, &ord)| {
+            assert_eq!(idx.rows[ord as usize].post, post, "ordinal {ord}");
+            (ord, "live")
+        });
+        let pending = idx.pending.iter().map(|&ord| (ord, "pending"));
+        let free = idx.free_ords.iter().map(|&ord| (ord, "free"));
+        for (ord, kind) in live_ords.chain(pending).chain(free) {
+            let seen = class[ord as usize].replace(kind);
+            assert_eq!(seen, None, "ordinal {ord} is both {kind} and {seen:?}");
+            assert_eq!(idx.rows[ord as usize].tombstoned, kind != "live");
+        }
+        assert!(class.iter().all(Option::is_some), "an ordinal leaked");
+
         let mut live = vec![false; idx.lists.len()];
         for (term, &id) in &idx.term_ids {
             let list = &idx.lists[id as usize];
             assert_eq!(&list.term, term, "id {id} does not name `{term}` back");
             assert!(!list.entries.is_empty(), "dictionary kept emptied `{term}`");
-            for w in list.entries.windows(2) {
-                assert!(w[0].doc < w[1].doc, "postings of `{term}` out of order");
+            for p in &list.entries {
+                assert!(
+                    class[p.ord as usize] != Some("free"),
+                    "`{term}` names a free row"
+                );
             }
-            let recomputed = list.entries.iter().map(|p| p.tf).max().unwrap_or(0);
-            assert_eq!(
-                list.max_tf, recomputed,
-                "max_tf of `{term}` drifted from the survivors"
-            );
             live[id as usize] = true;
         }
         let mut free = idx.free_ids.clone();
@@ -493,13 +521,25 @@ mod tests {
             idx.lists.len(),
             "leaked term ids"
         );
-        for (doc, ids) in idx.doc_terms.iter().chain(&idx.tombstones) {
+        for (ord, ids) in idx.doc_terms.iter().enumerate() {
+            assert!(class[ord] != Some("free") || ids.is_empty());
             for &id in ids {
-                assert!(live[id as usize], "{doc:?} holds dead term id {id}");
+                assert!(live[id as usize], "row {ord} holds dead term id {id}");
                 let list = &idx.lists[id as usize];
-                assert!(list.entries.iter().any(|p| p.doc == *doc));
+                assert!(list.entries.iter().any(|p| p.ord as usize == ord));
             }
         }
+    }
+
+    /// A term's postings as sorted `(post index, tf)` pairs.
+    fn postings_by_post(idx: &InvertedIndex, term: &str) -> Vec<(usize, u32)> {
+        let mut pairs: Vec<(usize, u32)> = idx
+            .postings(term)
+            .iter()
+            .map(|p| (idx.post_of(p.ord).unwrap().index(), p.tf))
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Three documents over a shared term plus one exclusive term
@@ -521,7 +561,7 @@ mod tests {
         assert_bounds_exact(&idx);
         assert_eq!(idx.doc_frequency("castle"), 0);
         assert_eq!(idx.vocabulary_size(), 3);
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
+        assert_eq!(postings_by_post(&idx, "duomo"), vec![(0, 1), (2, 1)]);
     }
 
     #[test]
@@ -535,13 +575,7 @@ mod tests {
         assert_eq!(idx.sweep(), 2);
         assert_bounds_exact(&idx);
         assert_eq!(idx.vocabulary_size(), 2);
-        assert_eq!(
-            idx.postings("duomo"),
-            &[Posting {
-                doc: PostId::new(2),
-                tf: 1
-            }]
-        );
+        assert_eq!(postings_by_post(&idx, "duomo"), vec![(2, 1)]);
 
         // The same through the public writer.
         let mut writer = crate::writer::IndexWriter::new(&mut idx);
@@ -555,16 +589,22 @@ mod tests {
     fn dictionary_tracks_readd_of_a_tombstoned_doc() {
         let mut idx = three_docs();
         assert!(idx.tombstone_document(PostId::new(1)));
-        // The re-add sweeps the pending tombstone first: `castle`
-        // retires and `fountain` may take over its id.
-        idx.add_document(PostId::new(1), SourceId::new(0), "duomo fountain");
+        // The writer's re-add takes a fresh row: the tombstoned row
+        // keeps its stale postings, and its ordinal stays off the
+        // free list, until the sweep, which also retires `castle`.
+        let stale = idx.rows.iter().position(|r| r.tombstoned);
+        idx.stage_document(PostId::new(1), SourceId::new(0), "duomo fountain");
         assert_bounds_exact(&idx);
-        assert_eq!(idx.pending_tombstones(), 0);
-        assert_eq!(idx.sweep(), 0);
+        assert_eq!(idx.pending_tombstones(), 1);
+        assert_ne!(idx.ordinal_of(PostId::new(1)).map(|o| o as usize), stale);
+        assert_eq!(idx.sweep(), 1);
         assert_bounds_exact(&idx);
         assert_eq!(idx.doc_frequency("castle"), 0);
         assert_eq!(idx.doc_frequency("fountain"), 1);
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
+        assert_eq!(
+            postings_by_post(&idx, "duomo"),
+            vec![(0, 1), (1, 1), (2, 1)]
+        );
         assert_eq!(idx.vocabulary_size(), 4);
     }
 
@@ -572,17 +612,11 @@ mod tests {
     fn a_term_that_empties_then_reappears_is_served_fresh() {
         let mut idx = three_docs();
         idx.remove_document(PostId::new(1));
-        assert_eq!(idx.max_term_frequency("castle"), 0);
+        assert_eq!(idx.doc_frequency("castle"), 0);
         idx.add_document(PostId::new(7), SourceId::new(0), "castle castle castle");
         idx.add_document(PostId::new(4), SourceId::new(0), "castle");
         assert_bounds_exact(&idx);
-        let docs: Vec<(usize, u32)> = idx
-            .postings("castle")
-            .iter()
-            .map(|p| (p.doc.index(), p.tf))
-            .collect();
-        assert_eq!(docs, vec![(4, 1), (7, 3)]);
-        assert_eq!(idx.max_term_frequency("castle"), 3);
+        assert_eq!(postings_by_post(&idx, "castle"), vec![(4, 1), (7, 3)]);
     }
 
     #[test]
@@ -610,16 +644,13 @@ mod tests {
         delta.add_doc(PostId::new(3), SourceId::new(1), "duomo duomo duomo plaza");
         copy.apply_delta(&delta);
         assert_bounds_exact(&copy);
-        assert_eq!(copy.max_term_frequency("duomo"), 3);
+        assert_eq!(postings_by_post(&copy, "duomo"), vec![(0, 1), (3, 3)]);
 
         assert_bounds_exact(&original);
-        let duomo: Vec<(usize, u32)> = original
-            .postings("duomo")
-            .iter()
-            .map(|p| (p.doc.index(), p.tf))
-            .collect();
-        assert_eq!(duomo, vec![(0, 1), (1, 2), (2, 1)]);
-        assert_eq!(original.max_term_frequency("duomo"), 2);
+        assert_eq!(
+            postings_by_post(&original, "duomo"),
+            vec![(0, 1), (1, 2), (2, 1)]
+        );
         assert_eq!(original.doc_frequency("castle"), 1);
         assert_eq!(original.doc_frequency("plaza"), 0);
         assert_eq!(original.vocabulary_size(), 4);
@@ -628,54 +659,6 @@ mod tests {
         assert_eq!(original.doc_length(PostId::new(1)), 3);
         assert_eq!(original.source_of(PostId::new(2)), Some(SourceId::new(0)));
         assert_eq!(original.source_of(PostId::new(3)), None);
-    }
-
-    #[test]
-    fn postings_stay_sorted_through_out_of_order_adds() {
-        let mut idx = InvertedIndex::default();
-        let s = SourceId::new(0);
-        for doc in [7u32, 2, 9, 0, 5] {
-            idx.add_document(PostId::new(doc), s, "duomo rooftop");
-        }
-        let docs: Vec<usize> = idx
-            .postings("duomo")
-            .iter()
-            .map(|p| p.doc.index())
-            .collect();
-        assert_eq!(docs, vec![0, 2, 5, 7, 9]);
-        assert_bounds_exact(&idx);
-    }
-
-    #[test]
-    fn max_term_frequency_tracks_adds_removes_and_compaction() {
-        let mut idx = InvertedIndex::default();
-        let s = SourceId::new(0);
-        idx.add_document(PostId::new(0), s, "duomo");
-        idx.add_document(PostId::new(1), s, "duomo duomo duomo");
-        idx.add_document(PostId::new(2), s, "duomo duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 3);
-        assert_eq!(idx.max_term_frequency("missing"), 0);
-
-        // Removing the max holder must *shrink* the bound to the
-        // surviving max — exact, not merely conservative.
-        idx.remove_document(PostId::new(1));
-        assert_eq!(idx.max_term_frequency("duomo"), 2);
-        assert_bounds_exact(&idx);
-
-        // The batched writer path (tombstone + one sweep) recomputes
-        // identically.
-        let mut writer = crate::writer::IndexWriter::new(&mut idx);
-        writer.remove_document(PostId::new(2));
-        writer.commit();
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
-
-        // Re-adding a live doc with fewer repeats shrinks it too
-        // (re-add sweeps the old postings first).
-        idx.add_document(PostId::new(5), s, "duomo duomo duomo duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 4);
-        idx.add_document(PostId::new(5), s, "duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
-        assert_bounds_exact(&idx);
     }
 
     #[test]

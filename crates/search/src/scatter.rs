@@ -120,14 +120,14 @@ pub struct SourcePartial {
 }
 
 /// Merges per-shard partial results into the final top-k ranking:
-/// each partial is blended with its source's static score, sorted by
-/// the documented **total order** — blended score descending, then
-/// match count descending, then source id ascending — and truncated
-/// to `k` with 1-based positions.
+/// each partial is blended with its source's static score, the top
+/// `k` are selected and sorted by the documented **total order** —
+/// blended score descending, then match count descending, then
+/// source id ascending — and numbered with 1-based positions.
 ///
 /// The order is total over any legal partial set (sources are
 /// distinct, so the final key never ties), which is what makes the
-/// ranking independent of partial *arrival order*: however a pruned
+/// ranking independent of partial *arrival order*: however a
 /// scatter plan interleaves its per-shard outputs, and whatever the
 /// shard count, equal-scored sources land in the same positions.
 /// Match count ranks above source id so that, at equal blended
@@ -167,6 +167,9 @@ pub fn merge_partials(
     weights: &BlendWeights,
     k: usize,
 ) -> Vec<SearchHit> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut blended: Vec<(SearchHit, u32)> = partials
         .into_iter()
         .map(|p| {
@@ -182,13 +185,18 @@ pub fn merge_partials(
             )
         })
         .collect();
-    blended.sort_by(|(a, a_matches), (b, b_matches)| {
+    let order = |(a, a_matches): &(SearchHit, u32), (b, b_matches): &(SearchHit, u32)| {
         b.score
             .total_cmp(&a.score)
             .then(b_matches.cmp(a_matches))
             .then(a.source.cmp(&b.source))
-    });
-    blended.truncate(k);
+    };
+    // Select the top k under the total order, then sort only those.
+    if k < blended.len() {
+        blended.select_nth_unstable_by(k - 1, order);
+        blended.truncate(k);
+    }
+    blended.sort_by(order);
     blended
         .into_iter()
         .enumerate()
@@ -279,13 +287,13 @@ pub fn scatter_query_traced<S: AsRef<str>>(
     hits
 }
 
-/// [`scatter_query`] with every shard scored through the reference
-/// **unpruned** scorer
+/// [`scatter_query`] with every shard scored through the
+/// **reference** scorer
 /// ([`SearchEngine::partial_query_unpruned`](crate::SearchEngine::partial_query_unpruned))
-/// instead of the pruned fast path. Same gather, same merge, same
+/// instead of the dense fast path. Same gather, same merge, same
 /// normalization — this is the oracle lane for the
-/// pruned-equals-unpruned property suite and the benchmark baseline;
-/// production readers never call it.
+/// dense-equals-reference property suite and the benchmark's
+/// correctness gate; production readers never call it.
 pub fn scatter_query_unpruned<S: AsRef<str>>(
     shards: &[&SearchEngine],
     terms: &[S],
@@ -379,16 +387,34 @@ mod tests {
     fn merge_is_empty_for_no_partials_and_caps_at_k() {
         let none: Vec<SourcePartial> = Vec::new();
         assert!(merge_partials(none, |_| 0.0, &BlendWeights::default(), 5).is_empty());
-        let many: Vec<SourcePartial> = (0..10)
+        // The top-k select equals a full sort plus truncate at every
+        // cutoff, over partials that tie on blended score (four
+        // `best` values, zero depth weight) and on match count.
+        let weights = BlendWeights {
+            depth: 0.0,
+            ..BlendWeights::default()
+        };
+        let partials: Vec<SourcePartial> = (0..23u32)
             .map(|i| SourcePartial {
-                source: SourceId::new(i),
-                best: i as f64,
-                matches: 1,
+                source: SourceId::new(i * 7 % 23),
+                best: (i % 4) as f64,
+                matches: 1 + i % 3,
             })
             .collect();
-        let hits = merge_partials(many, |_| 0.0, &BlendWeights::default(), 3);
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0].source, SourceId::new(9));
+        let mut sorted = partials.clone();
+        sorted.sort_by(|a, b| {
+            (b.best.total_cmp(&a.best))
+                .then(b.matches.cmp(&a.matches))
+                .then(a.source.cmp(&b.source))
+        });
+        for k in [0, 1, 22, 23, 26] {
+            let hits = merge_partials(partials.clone(), |_| 0.0, &weights, k);
+            let got: Vec<_> = hits.iter().map(|h| (h.source, h.position)).collect();
+            let want: Vec<_> = (sorted.iter().take(k).enumerate())
+                .map(|(i, p)| (p.source, i + 1))
+                .collect();
+            assert_eq!(got, want, "k = {k}");
+        }
     }
 
     /// Regression fixture for the merge's documented total order

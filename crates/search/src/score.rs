@@ -48,34 +48,15 @@ pub(crate) fn distinct_terms<S: AsRef<str>>(terms: &[S]) -> Vec<&str> {
         .collect()
 }
 
-/// Upper bound on the BM25 term-frequency saturation any live
-/// posting of a term can reach, derived from the **exact** per-list
-/// max term frequency
-/// ([`InvertedIndex::max_term_frequency`](crate::InvertedIndex::max_term_frequency)).
-///
-/// The saturation `tf·(k1+1) / (tf + k1·len_norm)` is increasing in
-/// `tf` and decreasing in `len_norm`, and `len_norm = 1−b +
-/// b·doc_len/avg_len ≥ 1−b` for every document, so substituting
-/// `max_tf` and `1−b` bounds every posting. The bound is computed
-/// with the same expression shape as the scorer's `sat`, so float
-/// rounding is monotone alongside it; the pruned query path still
-/// adds a relative slack before comparing, making the skip decision
-/// robust without ever perturbing the exact scores it returns.
-pub(crate) fn bm25_sat_ceiling(max_tf: u32, params: Bm25Params) -> f64 {
-    if max_tf == 0 {
-        return 0.0;
-    }
-    let tf = max_tf as f64;
-    tf * (params.k1 + 1.0) / (tf + params.k1 * (1.0 - params.b))
-}
-
 /// TF-IDF scores of all documents matching any query term.
 pub fn tfidf_scores<S: AsRef<str>>(index: &InvertedIndex, terms: &[S]) -> HashMap<PostId, f64> {
+    let rows = index.rows();
     let mut scores: HashMap<PostId, f64> = HashMap::new();
     for term in distinct_terms(terms) {
         let w = idf(index, term);
         for p in index.postings(term) {
-            *scores.entry(p.doc).or_insert(0.0) += (1.0 + (p.tf as f64).ln()) * w;
+            let doc = rows[p.ord as usize].post;
+            *scores.entry(doc).or_insert(0.0) += (1.0 + (p.tf as f64).ln()) * w;
         }
     }
     scores
@@ -98,6 +79,9 @@ pub fn bm25_scores<S: AsRef<str>>(
 /// ([`ScatterStats::gather`]). With stats gathered from `index`
 /// alone this is exactly [`bm25_scores`] — the single-index scorer
 /// delegates here, so the two can never drift apart.
+/// It is also the **reference** the dense
+/// [`SearchEngine::partial_query`](crate::SearchEngine::partial_query)
+/// matches bit for bit.
 pub fn bm25_scores_with<S: AsRef<str>>(
     index: &InvertedIndex,
     terms: &[S],
@@ -105,14 +89,16 @@ pub fn bm25_scores_with<S: AsRef<str>>(
     stats: &ScatterStats,
 ) -> HashMap<PostId, f64> {
     let avg_len = stats.avg_doc_length().max(1.0);
+    let rows = index.rows();
     let mut scores: HashMap<PostId, f64> = HashMap::new();
     for term in distinct_terms(terms) {
         let w = stats.idf(term);
         for p in index.postings(term) {
+            let row = &rows[p.ord as usize];
             let tf = p.tf as f64;
-            let len_norm = 1.0 - params.b + params.b * index.doc_length(p.doc) as f64 / avg_len;
+            let len_norm = 1.0 - params.b + params.b * row.len as f64 / avg_len;
             let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
-            *scores.entry(p.doc).or_insert(0.0) += w * sat;
+            *scores.entry(row.post).or_insert(0.0) += w * sat;
         }
     }
     scores

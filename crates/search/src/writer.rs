@@ -43,9 +43,10 @@ impl<'a> IndexWriter<'a> {
         }
     }
 
-    /// Adds (or replaces) one document.
+    /// Adds (or replaces) one document. A replaced document is
+    /// tombstoned like a removal and swept at commit.
     pub fn add_document(&mut self, doc: PostId, source: SourceId, text: &str) {
-        self.index.add_document(doc, source, text);
+        self.index.stage_document(doc, source, text);
         self.added += 1;
     }
 
@@ -70,7 +71,7 @@ impl<'a> IndexWriter<'a> {
         }
     }
 
-    /// Removals tombstoned but not yet swept.
+    /// Removed or replaced documents tombstoned but not yet swept.
     pub fn pending_removals(&self) -> usize {
         self.index.pending_tombstones()
     }
@@ -128,7 +129,8 @@ mod tests {
         );
         // The shared term survives with only the live doc.
         assert_eq!(idx.doc_frequency("duomo"), 1);
-        assert_eq!(idx.postings("duomo")[0].doc, PostId::new(2));
+        let survivor = idx.postings("duomo")[0].ord;
+        assert_eq!(idx.post_of(survivor), Some(PostId::new(2)));
         // Exclusive terms are gone from the vocabulary.
         assert_eq!(idx.doc_frequency("rooftop"), 0);
         assert_eq!(idx.doc_count(), 1);

@@ -767,19 +767,19 @@ proptest! {
     }
 
     #[test]
-    fn pruned_query_equals_unpruned_query(
+    fn dense_query_equals_reference_query(
         seed in 0u64..10_000,
         shards in 1usize..4,
         k in 1usize..40,
         content_w in 0.0f64..8.0,
         depth_w in 0.0f64..4.0,
     ) {
-        // The pruned DAAT fast path (`partial_query` behind
-        // `scatter_query`) skips the float scoring of documents whose
-        // score upper bound cannot beat the current k-th slot. The
-        // pruning must be invisible: for any corpus, shard count,
-        // cutoff and blend weighting, `scatter_query` must return
-        // bit-identical hits AND scores to the exhaustive
+        // The dense fast path (`partial_query` behind
+        // `scatter_query`) scores term-at-a-time over the doc table
+        // with per-thread scratch, and the merge selects the top k
+        // before sorting. Both must be invisible: for any corpus,
+        // shard count, cutoff and blend weighting, `scatter_query`
+        // must return bit-identical hits AND scores to the reference
         // `scatter_query_unpruned` oracle — which stays callable as a
         // public API precisely so this comparison is possible.
         let world = tiny_world(seed);
@@ -816,23 +816,22 @@ proptest! {
         let static_score = |s| scratch.static_score(s);
 
         // The whole vocabulary at once (every list in play) and small
-        // realistic queries (deep pruning, since few terms bound the
-        // scores tightly).
+        // realistic queries.
         let vocab = probe_terms(&world);
         let mut queries: Vec<Vec<String>> = vec![vocab.clone()];
         for window in vocab.windows(3).step_by(7) {
             queries.push(window.to_vec());
         }
         for terms in &queries {
-            let pruned = scatter_query(&refs, terms, k, static_score, &weights);
+            let dense = scatter_query(&refs, terms, k, static_score, &weights);
             let oracle = scatter_query_unpruned(&refs, terms, k, static_score, &weights);
             prop_assert_eq!(
-                &pruned, &oracle,
-                "pruned ranking diverged (shards={}, k={}, terms={})",
+                &dense, &oracle,
+                "dense ranking diverged (shards={}, k={}, terms={})",
                 shards, k, terms.len()
             );
             // Bit-identical scores, not merely equal ordering.
-            for (p, o) in pruned.iter().zip(&oracle) {
+            for (p, o) in dense.iter().zip(&oracle) {
                 prop_assert_eq!(p.score.to_bits(), o.score.to_bits());
             }
         }
