@@ -121,9 +121,9 @@ mod tests {
 
     #[test]
     fn partition_separates_new_findings() {
-        let old = diag("a.rs", 1, Pass::InstrumentDrift, "stale");
+        let old = diag("a.rs", 1, Pass::PanicReachability, "stale");
         let baseline = Baseline::parse(&Baseline::render(std::slice::from_ref(&old)));
-        let fresh = diag("a.rs", 2, Pass::InstrumentDrift, "brand new");
+        let fresh = diag("a.rs", 2, Pass::PanicReachability, "brand new");
         let findings = vec![old.clone(), fresh.clone()];
         let (new, baselined) = baseline.partition(&findings);
         assert_eq!(new, vec![&fresh]);

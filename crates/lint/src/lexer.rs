@@ -19,10 +19,9 @@ pub enum TokenKind {
     Ident(String),
     /// A lifetime (`'a`, `'_`, `'static`).
     Lifetime,
-    /// Any string-like literal (`"…"`, `r#"…"#`, `b"…"`), carrying
-    /// its raw inner text (delimiters stripped, escapes untouched —
-    /// the instrument-drift pass only reads plain snake_case names).
-    Str(String),
+    /// Any string-like literal (`"…"`, `r#"…"#`, `b"…"`). No pass
+    /// reads string contents, so the token carries none.
+    Str,
     /// A char or byte-char literal (`'x'`, `b'\n'`).
     Char,
     /// A numeric literal (`42`, `0xEDB8_8320u32`, `1.5e-3`).
@@ -58,14 +57,6 @@ impl Token {
     /// Whether this token is the given identifier/keyword.
     pub fn is_ident(&self, name: &str) -> bool {
         self.ident() == Some(name)
-    }
-
-    /// The raw inner text, if this token is a string literal.
-    pub fn str_text(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::Str(text) => Some(text),
-            _ => None,
-        }
     }
 }
 
@@ -194,13 +185,10 @@ impl Lexer<'_> {
     fn string(&mut self) {
         let line = self.line;
         self.pos += 1;
-        let start = self.pos;
-        let mut end = self.src.len();
         while self.pos < self.src.len() {
             match self.src[self.pos] {
                 b'\\' => self.pos += 2,
                 b'"' => {
-                    end = self.pos;
                     self.pos += 1;
                     break;
                 }
@@ -211,8 +199,7 @@ impl Lexer<'_> {
                 _ => self.pos += 1,
             }
         }
-        let text = String::from_utf8_lossy(&self.src[start..end.min(self.src.len())]).into_owned();
-        self.push(TokenKind::Str(text), line);
+        self.push(TokenKind::Str, line);
     }
 
     /// `'` begins either a lifetime (`'a`, `'_`) or a char literal
@@ -288,8 +275,6 @@ impl Lexer<'_> {
             return false; // r#foo — a raw identifier, not a string
         }
         self.pos += hash_start + hashes + 1;
-        let start = self.pos;
-        let mut end = self.src.len();
         let closer: Vec<u8> = std::iter::once(b'"')
             .chain(std::iter::repeat_n(b'#', hashes))
             .collect();
@@ -300,14 +285,12 @@ impl Lexer<'_> {
                 continue;
             }
             if self.src[self.pos..].starts_with(&closer) {
-                end = self.pos;
                 self.pos += closer.len();
                 break;
             }
             self.pos += 1;
         }
-        let text = String::from_utf8_lossy(&self.src[start..end.min(self.src.len())]).into_owned();
-        self.push(TokenKind::Str(text), line);
+        self.push(TokenKind::Str, line);
         true
     }
 
@@ -404,25 +387,35 @@ mod tests {
 
     #[test]
     fn raw_and_byte_strings_are_single_tokens() {
-        for (src, inner) in [
-            ("r\"panic!\"", "panic!"),
-            ("r#\"has \" quote and panic!\"#", "has \" quote and panic!"),
-            ("b\"panic!\"", "panic!"),
-            ("br#\"panic!\"#", "panic!"),
+        for src in [
+            "r\"panic!\" x",
+            "r#\"has \" quote and panic!\"# x",
+            "b\"panic!\" x",
+            "br#\"panic!\"# x",
         ] {
             let lexed = lex(src);
-            assert_eq!(lexed.tokens.len(), 1, "{src}");
-            assert_eq!(lexed.tokens[0].str_text(), Some(inner), "{src}");
+            assert_eq!(lexed.tokens.len(), 2, "{src}");
+            assert_eq!(lexed.tokens[0].kind, TokenKind::Str, "{src}");
+            assert!(lexed.tokens[1].is_ident("x"), "{src}");
         }
     }
 
     #[test]
-    fn string_tokens_carry_their_inner_text() {
-        let lexed = lex("registry.histogram(\"live_ingest_stage_ns\");");
-        let texts: Vec<&str> = lexed.tokens.iter().filter_map(Token::str_text).collect();
-        assert_eq!(texts, vec!["live_ingest_stage_ns"]);
-        // Escapes are preserved raw, not interpreted.
-        assert_eq!(lex(r#""a\"b""#).tokens[0].str_text(), Some("a\\\"b"));
+    fn escaped_quotes_do_not_end_a_string() {
+        let lexed = lex(r#"f("a\"b", c);"#);
+        let kinds: Vec<&TokenKind> = lexed.tokens.iter().map(|t| &t.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &TokenKind::Ident("f".into()),
+                &TokenKind::Punct('('),
+                &TokenKind::Str,
+                &TokenKind::Punct(','),
+                &TokenKind::Ident("c".into()),
+                &TokenKind::Punct(')'),
+                &TokenKind::Punct(';'),
+            ]
+        );
     }
 
     #[test]

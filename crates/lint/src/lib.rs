@@ -17,13 +17,12 @@
 //! import-gated, over-approximate call graph over those symbols
 //! ([`callgraph`]). **Phase 2** runs the passes. Five are per-file
 //! (panic-freedom on serving crates, commit ordering, guard across
-//! blocking, determinism, discarded results) and three are
+//! blocking, determinism, discarded results) and two are
 //! interprocedural over the phase-1 graph: `reach` walks panic
 //! sites in *non*-serving crates backwards to serving entry points
 //! and prints the call chain; `ordering` composes append/sync/apply
-//! summaries across `obs_live` helper functions; `drift` diffs the
-//! instrument names registered in code against the ARCHITECTURE.md
-//! catalog table and the ci.yml grep lists.
+//! summaries across `obs_live` helper functions. The linter reads
+//! Rust sources only.
 //!
 //! Suppression is explicit and justified:
 //!
@@ -32,7 +31,7 @@
 //! ```
 //!
 //! where `<pass>` is one of `panic`, `ordering`, `guard`,
-//! `determinism`, `discard`, `reach`, `drift`. A trailing pragma
+//! `determinism`, `discard`, `reach`. A trailing pragma
 //! covers its own line; a standalone comment covers the next code
 //! line. For `reach`, the pragma can also sit on a call-edge line
 //! to vouch for that edge (cutting every chain through it). A
@@ -61,4 +60,4 @@ pub mod workspace;
 
 pub use pass::{Diagnostic, Pass};
 pub use runner::{check, lint_source, workspace_sources};
-pub use workspace::{Surfaces, Workspace};
+pub use workspace::Workspace;

@@ -30,17 +30,10 @@ pub enum Pass {
     /// edge (the call-site line) or on the panic site itself cuts
     /// every chain through it.
     PanicReachability,
-    /// An instrument name present on one observability surface
-    /// (code registration, the ARCHITECTURE.md catalog, the ci.yml
-    /// grep lists) but missing from another, or a registration whose
-    /// name the drift detector cannot see (non-literal first
-    /// argument). Pragma key: `drift`.
-    InstrumentDrift,
     /// A malformed `lint:allow` pragma (reasonless, unknown pass).
     /// Not suppressible — a typo'd suppression must not hide itself.
     Pragma,
-    /// A file or observability surface the linter must gate but
-    /// could not read. Not suppressible — the linter never silently
+    /// A source file the linter must gate but could not read. Not suppressible — the linter never silently
     /// skips part of its surface.
     Io,
 }
@@ -48,14 +41,13 @@ pub enum Pass {
 impl Pass {
     /// The pragma keys, in pass order (excluding the
     /// non-suppressible `Pragma` and `Io`).
-    pub const KEYS: [&'static str; 7] = [
+    pub const KEYS: [&'static str; 6] = [
         "panic",
         "ordering",
         "guard",
         "determinism",
         "discard",
         "reach",
-        "drift",
     ];
 
     /// Parses a pragma key.
@@ -67,7 +59,6 @@ impl Pass {
             "determinism" => Some(Pass::Determinism),
             "discard" => Some(Pass::DiscardedResult),
             "reach" => Some(Pass::PanicReachability),
-            "drift" => Some(Pass::InstrumentDrift),
             _ => None,
         }
     }
@@ -81,7 +72,6 @@ impl Pass {
             Pass::Determinism => "determinism",
             Pass::DiscardedResult => "discarded-result",
             Pass::PanicReachability => "panic-reachability",
-            Pass::InstrumentDrift => "instrument-drift",
             Pass::Pragma => "pragma",
             Pass::Io => "io",
         }
@@ -97,7 +87,6 @@ impl Pass {
             Pass::Determinism => "determinism",
             Pass::DiscardedResult => "discard",
             Pass::PanicReachability => "reach",
-            Pass::InstrumentDrift => "drift",
             Pass::Pragma => "pragma",
             Pass::Io => "io",
         }

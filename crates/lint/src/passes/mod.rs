@@ -8,7 +8,6 @@ pub mod commit_ordering;
 pub mod determinism;
 pub mod discarded_result;
 pub mod guard_blocking;
-pub mod instrument_drift;
 pub mod panic_freedom;
 pub mod panic_reachability;
 

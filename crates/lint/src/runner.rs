@@ -1,13 +1,12 @@
 //! File discovery and the top-level `check` entry point.
 //!
-//! `check` walks the workspace, reads every scanned file, loads the
-//! observability surfaces (ARCHITECTURE.md, ci.yml), and hands the
-//! lot to [`Workspace::analyze`] — the whole analysis is a pure
+//! `check` walks the workspace, reads every scanned file, and hands
+//! the lot to [`Workspace::analyze`] — the whole analysis is a pure
 //! function over the gathered texts; this module is the only part
 //! that touches the filesystem.
 
 use crate::pass::{Diagnostic, Pass};
-use crate::workspace::{sort_findings, Surfaces, Workspace};
+use crate::workspace::{sort_findings, Workspace};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -17,14 +16,9 @@ use std::path::{Path, PathBuf};
 /// scanned (with the guard-blocking and discarded-result passes).
 const EXCLUDED_DIRS: [&str; 4] = ["target", "tests", "benches", "fixtures"];
 
-/// The observability surfaces `check` loads for the
-/// instrument-drift pass, as workspace-relative paths.
-const SURFACE_ARCHITECTURE: &str = "ARCHITECTURE.md";
-const SURFACE_CI: &str = ".github/workflows/ci.yml";
-
 /// Runs every pass over the workspace rooted at `root` and returns
-/// the sorted findings. I/O errors (unreadable file or surface)
-/// become diagnostics rather than aborting the run.
+/// the sorted findings. An unreadable file becomes a diagnostic
+/// rather than aborting the run.
 pub fn check(root: &Path) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut inputs = Vec::new();
@@ -35,36 +29,17 @@ pub fn check(root: &Path) -> Vec<Diagnostic> {
             Err(err) => out.push(read_error(rel, &err)),
         }
     }
-    let surfaces = load_surfaces(root, &mut out);
-    out.extend(Workspace::analyze(inputs, &surfaces));
+    out.extend(Workspace::analyze(inputs));
     sort_findings(&mut out);
     out
 }
 
 /// Lints one file's text as if it lived at `rel` (a workspace-
-/// relative path — pass scoping keys off it). Single-file mode: no
-/// observability surfaces, so the instrument-drift pass is skipped,
-/// and cross-file call edges cannot exist — but the interprocedural
+/// relative path — pass scoping keys off it). Single-file mode:
+/// cross-file call edges cannot exist — but the interprocedural
 /// passes still run (helper-fn chains *within* the file resolve).
 pub fn lint_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
-    Workspace::analyze(vec![(rel.to_path_buf(), src.to_owned())], &Surfaces::none())
-}
-
-/// Reads the observability surfaces; an unreadable surface is an
-/// [`Pass::Io`] finding (the drift gate must never pass vacuously
-/// because its inputs went missing).
-fn load_surfaces(root: &Path, out: &mut Vec<Diagnostic>) -> Surfaces {
-    let mut surfaces = Surfaces::none();
-    for (rel, slot) in [
-        (SURFACE_ARCHITECTURE, &mut surfaces.architecture),
-        (SURFACE_CI, &mut surfaces.ci),
-    ] {
-        match fs::read_to_string(root.join(rel)) {
-            Ok(text) => *slot = Some((PathBuf::from(rel), text)),
-            Err(err) => out.push(read_error(PathBuf::from(rel), &err)),
-        }
-    }
-    surfaces
+    Workspace::analyze(vec![(rel.to_path_buf(), src.to_owned())])
 }
 
 /// All `.rs` files the linter scans, sorted: `crates/*/src/**`

@@ -160,7 +160,7 @@ fn fn_defs(file: &SourceFile) -> Vec<FnDef> {
                     ) => {}
                 TokenKind::Ident(w) if w == "pub" => is_pub = true,
                 TokenKind::Punct('(' | ')') => {}
-                TokenKind::Str(_) => {} // extern "C"
+                TokenKind::Str => {} // extern "C"
                 _ => break,
             }
         }

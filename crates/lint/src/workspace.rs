@@ -4,14 +4,12 @@
 //! over `(path, text)` pairs: phase 1 parses every file and builds
 //! the [`SymbolIndex`] and [`CallGraph`]; phase 2 runs the per-file
 //! passes (scoped by path, exactly as before) and then the
-//! interprocedural passes that need the graph — panic-reachability,
-//! commit-ordering through helper fns, and instrument-drift against
-//! the observability surfaces.
+//! interprocedural passes that need the graph — panic-reachability
+//! and commit-ordering through helper fns.
 //!
 //! Taking the file set as a value (rather than walking the
-//! filesystem) is what makes the workspace fixtures and the
-//! instrument-drift canary tests possible: they inject synthetic
-//! crates and scratch copies of ARCHITECTURE.md / ci.yml.
+//! filesystem) is what makes the workspace fixtures possible: they
+//! inject synthetic crates.
 
 use crate::callgraph::CallGraph;
 use crate::pass::Diagnostic;
@@ -56,24 +54,6 @@ pub fn krate_of_path(rel: &Path) -> String {
     }
 }
 
-/// The observability surfaces the instrument-drift pass diffs
-/// against the code. Each is `(path-for-diagnostics, text)`; a
-/// `None` surface is skipped (single-file mode lints without them).
-#[derive(Debug, Default)]
-pub struct Surfaces {
-    /// ARCHITECTURE.md, holding the instrument catalog table.
-    pub architecture: Option<(PathBuf, String)>,
-    /// The CI workflow, holding the metrics/bench grep lists.
-    pub ci: Option<(PathBuf, String)>,
-}
-
-impl Surfaces {
-    /// No surfaces: instrument-drift does not run.
-    pub fn none() -> Surfaces {
-        Surfaces::default()
-    }
-}
-
 /// The parsed workspace: phase-1 output shared by every phase-2 pass.
 #[derive(Debug)]
 pub struct Workspace {
@@ -108,7 +88,7 @@ impl Workspace {
 
     /// Runs both phases over the inputs and returns the sorted,
     /// deduplicated findings.
-    pub fn analyze(inputs: Vec<(PathBuf, String)>, surfaces: &Surfaces) -> Vec<Diagnostic> {
+    pub fn analyze(inputs: Vec<(PathBuf, String)>) -> Vec<Diagnostic> {
         let ws = Workspace::build(inputs);
         let mut out = Vec::new();
         for file in &ws.files {
@@ -134,7 +114,6 @@ impl Workspace {
         }
         passes::panic_reachability::run(&ws, &mut out);
         passes::commit_ordering::run_interprocedural(&ws, &mut out);
-        passes::instrument_drift::run(&ws, surfaces, &mut out);
         sort_findings(&mut out);
         out
     }

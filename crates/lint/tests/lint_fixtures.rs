@@ -87,10 +87,9 @@ fn fixtures_fire_exactly_where_marked() {
 
 #[test]
 fn every_pass_has_firing_and_clean_fixtures() {
-    // The single-file passes. `reach` and `drift` need multiple
-    // files / surfaces, so their corpus lives in the workspace
-    // harness (tests/workspace_fixtures.rs) with the same ≥2+≥2
-    // requirement.
+    // The single-file passes. `reach` needs multiple files, so its
+    // corpus lives in the workspace harness
+    // (tests/workspace_fixtures.rs) with the same ≥2+≥2 requirement.
     let single_file_keys = ["panic", "ordering", "guard", "determinism", "discard"];
     for key in single_file_keys.iter().chain(["pragma"].iter()) {
         let (mut firing, mut clean) = (0, 0);

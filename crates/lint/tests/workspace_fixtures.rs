@@ -2,15 +2,11 @@
 //!
 //! `tests/fixtures_ws/<pass-key>/<case>/` holds one miniature
 //! workspace per case: `.rs` files under workspace-relative paths
-//! (`crates/<name>/src/…`), plus optional `ARCHITECTURE.md` and
-//! `ci.yml` observability surfaces. Expected findings are marked
-//! `//~ <key>` inline in the `.rs` files (compiletest style); for
-//! findings attributed to the non-Rust surfaces, a sidecar
-//! `expect.txt` lists `file:line key` entries. Each case requires
-//! exact set equality — a missed finding fails, and so does a false
-//! positive.
+//! (`crates/<name>/src/…`). Expected findings are marked `//~ <key>`
+//! inline (compiletest style). Each case requires exact set equality
+//! — a missed finding fails, and so does a false positive.
 
-use obs_lint::{Pass, Surfaces, Workspace};
+use obs_lint::{Pass, Workspace};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,8 +64,8 @@ fn collect_sources(case: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) {
 /// An expected finding: (workspace-relative file, line, pass key).
 type Expected = BTreeSet<(String, u32, String)>;
 
-/// Loads one case: the inputs, surfaces, and expected finding set.
-fn load_case(case: &Path) -> (Vec<(PathBuf, String)>, Surfaces, Expected) {
+/// Loads one case: the inputs and the expected finding set.
+fn load_case(case: &Path) -> (Vec<(PathBuf, String)>, Expected) {
     let mut inputs = Vec::new();
     collect_sources(case, case, &mut inputs);
     let mut expected = BTreeSet::new();
@@ -88,34 +84,14 @@ fn load_case(case: &Path) -> (Vec<(PathBuf, String)>, Surfaces, Expected) {
             }
         }
     }
-    let mut surfaces = Surfaces::none();
-    for (name, slot) in [
-        ("ARCHITECTURE.md", &mut surfaces.architecture),
-        ("ci.yml", &mut surfaces.ci),
-    ] {
-        if let Ok(text) = fs::read_to_string(case.join(name)) {
-            *slot = Some((PathBuf::from(name), text));
-        }
-    }
-    if let Ok(text) = fs::read_to_string(case.join("expect.txt")) {
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let (loc, key) = line.rsplit_once(' ').expect("expect.txt: `file:line key`");
-            let (file, lineno) = loc.rsplit_once(':').expect("expect.txt: `file:line key`");
-            expected.insert((
-                file.to_owned(),
-                lineno.parse().expect("expect.txt line number"),
-                key.trim().to_owned(),
-            ));
-        }
-    }
-    (inputs, surfaces, expected)
+    (inputs, expected)
 }
 
 #[test]
 fn workspace_fixtures_fire_exactly_where_marked() {
     for (_, case) in all_cases() {
-        let (inputs, surfaces, expected) = load_case(&case);
-        let actual: BTreeSet<(String, u32, String)> = Workspace::analyze(inputs, &surfaces)
+        let (inputs, expected) = load_case(&case);
+        let actual: BTreeSet<(String, u32, String)> = Workspace::analyze(inputs)
             .into_iter()
             .map(|d| {
                 (
@@ -136,13 +112,13 @@ fn workspace_fixtures_fire_exactly_where_marked() {
 
 #[test]
 fn interprocedural_passes_have_firing_and_clean_cases() {
-    for key in ["reach", "drift"] {
+    for key in ["reach"] {
         let (mut firing, mut clean) = (0, 0);
         for (dir, case) in all_cases() {
             if dir != key {
                 continue;
             }
-            let (_, _, expected) = load_case(&case);
+            let (_, expected) = load_case(&case);
             if expected.is_empty() {
                 clean += 1;
             } else {
@@ -161,12 +137,12 @@ fn interprocedural_passes_have_firing_and_clean_cases() {
 #[test]
 fn firing_workspace_fixtures_would_fail_ci() {
     for (_, case) in all_cases() {
-        let (inputs, surfaces, expected) = load_case(&case);
+        let (inputs, expected) = load_case(&case);
         if expected.is_empty() {
             continue;
         }
         assert!(
-            !Workspace::analyze(inputs, &surfaces).is_empty(),
+            !Workspace::analyze(inputs).is_empty(),
             "firing workspace fixture {} produced no diagnostics",
             case.display()
         );

@@ -32,7 +32,7 @@
 
 use crate::snapshot::EngineSnapshot;
 use obs_search::{normalize_query, SearchHit, StaticBlend};
-use obs_telemetry::{Counter, Registry};
+use obs_telemetry::{catalog, Counter, Registry};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, RwLock, Weak};
@@ -51,13 +51,11 @@ pub struct CacheMetrics {
 impl CacheMetrics {
     /// Registers the query-cache instruments in `registry`.
     pub fn new(registry: &Registry) -> CacheMetrics {
-        // Name literals stay inline at each registration call so the
-        // instrument-drift lint pass can see them.
         CacheMetrics {
-            hits: registry.counter("live_query_cache_hits_total"),
-            misses: registry.counter("live_query_cache_misses_total"),
-            fills: registry.counter("live_query_cache_fills_total"),
-            evictions: registry.counter("live_query_cache_evictions_total"),
+            hits: registry.counter(&catalog::LIVE_QUERY_CACHE_HITS_TOTAL),
+            misses: registry.counter(&catalog::LIVE_QUERY_CACHE_MISSES_TOTAL),
+            fills: registry.counter(&catalog::LIVE_QUERY_CACHE_FILLS_TOTAL),
+            evictions: registry.counter(&catalog::LIVE_QUERY_CACHE_EVICTIONS_TOTAL),
         }
     }
 

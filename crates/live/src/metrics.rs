@@ -6,9 +6,9 @@
 //! (the router and commit order must replay identically), so it
 //! never reads a clock itself — it hands closures to
 //! [`ShardMetrics::time_shard_commit`], which lives here and owns
-//! the [`TelemetryClock`](obs_telemetry::TelemetryClock). The
-//! instrument catalog lives in ARCHITECTURE.md ("Observability").
-//! A shard journals and fsyncs its sub-batch in one
+//! the [`TelemetryClock`](obs_telemetry::TelemetryClock). Its
+//! instruments are specs in [`obs_telemetry::catalog`]. A shard
+//! journals and fsyncs its sub-batch in one
 //! [`DeltaJournal::append_batch`](crate::DeltaJournal::append_batch)
 //! call (that's the group-commit point), so the first [`Stage`] is
 //! the fused `stage="journal_fsync"`, followed by `apply` and
@@ -16,7 +16,7 @@
 
 use crate::error::LiveError;
 use obs_search::SearchMetrics;
-use obs_telemetry::{Counter, Histogram, Registry, SharedClock};
+use obs_telemetry::{catalog, Counter, Histogram, Registry, SharedClock};
 
 /// One stage of a shard commit, in commit order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,19 +55,25 @@ impl ShardMetrics {
     /// Registers per-shard instruments for `shards` shards in
     /// `registry`.
     pub fn new(registry: &Registry, shards: usize) -> ShardMetrics {
-        // Name literals stay inline at each registration call so the
-        // instrument-drift lint pass can see them.
         let stage = |shard: &str, stage: &str| {
             registry.histogram_with(
-                "live_ingest_stage_ns",
+                &catalog::LIVE_INGEST_STAGE_NS,
                 &[("shard", shard), ("stage", stage)],
             )
+        };
+        let per_shard = |spec| {
+            (0..shards)
+                .map(|i| registry.counter_with(spec, &[("shard", &i.to_string())]))
+                .collect()
         };
         ShardMetrics {
             clock: registry.clock_handle(),
             commit_ns: (0..shards)
                 .map(|i| {
-                    registry.histogram_with("live_shard_commit_ns", &[("shard", &i.to_string())])
+                    registry.histogram_with(
+                        &catalog::LIVE_SHARD_COMMIT_NS,
+                        &[("shard", &i.to_string())],
+                    )
                 })
                 .collect(),
             stage_ns: (0..shards)
@@ -80,19 +86,11 @@ impl ShardMetrics {
                     ]
                 })
                 .collect(),
-            commits: (0..shards)
-                .map(|i| {
-                    registry.counter_with("live_shard_commits_total", &[("shard", &i.to_string())])
-                })
-                .collect(),
-            failures: (0..shards)
-                .map(|i| {
-                    registry.counter_with("live_shard_failures_total", &[("shard", &i.to_string())])
-                })
-                .collect(),
-            batch_deltas: registry.histogram("live_ingest_batch_deltas"),
-            fanout: registry.histogram("live_commit_fanout_shards"),
-            rollbacks: registry.counter("live_mark_rollbacks_total"),
+            commits: per_shard(&catalog::LIVE_SHARD_COMMITS_TOTAL),
+            failures: per_shard(&catalog::LIVE_SHARD_FAILURES_TOTAL),
+            batch_deltas: registry.histogram(&catalog::LIVE_INGEST_BATCH_DELTAS),
+            fanout: registry.histogram(&catalog::LIVE_COMMIT_FANOUT_SHARDS),
+            rollbacks: registry.counter(&catalog::LIVE_MARK_ROLLBACKS_TOTAL),
             search: SearchMetrics::new(registry, shards),
         }
     }

@@ -17,7 +17,7 @@
 //! shard.
 
 use crate::scatter::ScatterTrace;
-use obs_telemetry::{Histogram, Registry, SharedClock};
+use obs_telemetry::{catalog, Histogram, Registry, SharedClock};
 
 /// Lock-free handles for the query path's instruments; cheap to
 /// clone (every handle is an `Arc`), one per reader.
@@ -35,10 +35,13 @@ impl SearchMetrics {
     pub fn new(registry: &Registry, shards: usize) -> SearchMetrics {
         SearchMetrics {
             clock: registry.clock_handle(),
-            query_ns: registry.histogram("search_query_ns"),
-            gather_ns: registry.histogram("search_gather_ns"),
+            query_ns: registry.histogram(&catalog::SEARCH_QUERY_NS),
+            gather_ns: registry.histogram(&catalog::SEARCH_GATHER_NS),
             partial_ns: (0..shards)
-                .map(|i| registry.histogram_with("search_partial_ns", &[("shard", &i.to_string())]))
+                .map(|i| {
+                    registry
+                        .histogram_with(&catalog::SEARCH_PARTIAL_NS, &[("shard", &i.to_string())])
+                })
                 .collect(),
         }
     }

@@ -1,9 +1,15 @@
 //! Dual exposition: Prometheus-style text and `serde_json` values.
 //!
-//! Text format (one sample per line, stable order):
+//! Text format (one sample per line, stable order), each family
+//! headed once by the `# HELP` and `# TYPE` lines of its
+//! [`InstrumentSpec`]:
 //!
 //! ```text
-//! live_commits_total 42
+//! # HELP live_mark_rollbacks_total Sweeps whose refused shards rolled high-water marks back.
+//! # TYPE live_mark_rollbacks_total counter
+//! live_mark_rollbacks_total 42
+//! # HELP live_shard_commit_ns Whole shard commit latency in ns.
+//! # TYPE live_shard_commit_ns summary
 //! live_shard_commit_ns{shard="0",quantile="0.5"} 18432
 //! live_shard_commit_ns{shard="0",quantile="0.9"} 24576
 //! live_shard_commit_ns{shard="0",quantile="0.99"} 30720
@@ -13,17 +19,18 @@
 //! ```
 //!
 //! Counters and gauges are one line; histograms expand to three
-//! quantile samples plus `_count` / `_sum` / `_max`. Label keys and
-//! values are emitted verbatim — instrument names and label values
-//! in this workspace are code-chosen identifiers (shard indices,
-//! source slugs), so no escaping layer is applied; callers must not
-//! feed `"` or newlines into label values.
+//! quantile samples plus `_count` / `_sum` / `_max` and declare
+//! `summary`. Help texts, label keys and values are emitted verbatim
+//! — they are code-chosen (catalog text, shard indices, source
+//! slugs), so no escaping layer is applied; callers must not feed
+//! `"`, `\` or newlines into help texts or label values.
 //!
 //! The JSON form is an object keyed by the rendered series name;
 //! histograms become `{count, sum, max, p50, p90, p99}` objects.
 
 use serde_json::{json, Value};
 
+use crate::catalog::InstrumentSpec;
 use crate::histogram::HistogramSnapshot;
 
 /// The value side of one registered series at snapshot time.
@@ -40,8 +47,8 @@ pub enum MetricValue {
 /// One registered series at snapshot time.
 #[derive(Debug, Clone)]
 pub struct MetricSnapshot {
-    /// Instrument name, e.g. `live_ingest_stage_ns`.
-    pub name: String,
+    /// The series' instrument family.
+    pub spec: &'static InstrumentSpec,
     /// Sorted `(key, value)` label pairs, possibly empty.
     pub labels: Vec<(String, String)>,
     /// The captured value.
@@ -64,26 +71,35 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
 }
 
 /// Renders snapshots in the Prometheus-style text format described
-/// in the module docs.
+/// in the module docs. A family's series must be adjacent, as
+/// [`Registry::snapshot`](crate::Registry::snapshot) orders them.
 pub fn render_text(snapshots: &[MetricSnapshot]) -> String {
     let mut out = String::new();
+    let mut family = None;
     for snap in snapshots {
+        let name = snap.spec.name;
+        if family != Some(name) {
+            family = Some(name);
+            out.push_str(&format!("# HELP {name} {}\n", snap.spec.help));
+            let kind = snap.spec.kind.exposition_type();
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+        }
         let plain = label_block(&snap.labels, None);
         match &snap.value {
             MetricValue::Counter(v) => {
-                out.push_str(&format!("{}{plain} {v}\n", snap.name));
+                out.push_str(&format!("{name}{plain} {v}\n"));
             }
             MetricValue::Gauge(v) => {
-                out.push_str(&format!("{}{plain} {v}\n", snap.name));
+                out.push_str(&format!("{name}{plain} {v}\n"));
             }
             MetricValue::Histogram(h) => {
                 for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
                     let labels = label_block(&snap.labels, Some(("quantile", q)));
-                    out.push_str(&format!("{}{labels} {v}\n", snap.name));
+                    out.push_str(&format!("{name}{labels} {v}\n"));
                 }
-                out.push_str(&format!("{}_count{plain} {}\n", snap.name, h.count()));
-                out.push_str(&format!("{}_sum{plain} {}\n", snap.name, h.sum()));
-                out.push_str(&format!("{}_max{plain} {}\n", snap.name, h.max()));
+                out.push_str(&format!("{name}_count{plain} {}\n", h.count()));
+                out.push_str(&format!("{name}_sum{plain} {}\n", h.sum()));
+                out.push_str(&format!("{name}_max{plain} {}\n", h.max()));
             }
         }
     }
@@ -95,7 +111,7 @@ pub fn render_text(snapshots: &[MetricSnapshot]) -> String {
 pub fn to_json(snapshots: &[MetricSnapshot]) -> Value {
     let mut map = serde_json::Map::new();
     for snap in snapshots {
-        let key = format!("{}{}", snap.name, label_block(&snap.labels, None));
+        let key = format!("{}{}", snap.spec.name, label_block(&snap.labels, None));
         let value = match &snap.value {
             MetricValue::Counter(v) => json!(v),
             MetricValue::Gauge(v) => json!(v),
@@ -116,28 +132,52 @@ pub fn to_json(snapshots: &[MetricSnapshot]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{InstrumentKind, CRAWL_FETCH_NS};
     use crate::histogram::Histogram;
 
-    fn sample_snapshots() -> Vec<MetricSnapshot> {
+    const COMMITS_TOTAL: InstrumentSpec = InstrumentSpec {
+        name: "commits_total",
+        kind: InstrumentKind::Counter,
+        labels: &[],
+        help: "Commits.",
+    };
+    const QUEUE_DEPTH: InstrumentSpec = InstrumentSpec {
+        name: "queue_depth",
+        kind: InstrumentKind::Gauge,
+        labels: &["shard"],
+        help: "Queue depth.",
+    };
+    const COMMIT_NS: InstrumentSpec = InstrumentSpec {
+        name: "commit_ns",
+        kind: InstrumentKind::Histogram,
+        labels: &["shard"],
+        help: "Commit latency.",
+    };
+
+    fn histogram(values: &[u64]) -> MetricValue {
         let h = Histogram::new();
-        for v in [10u64, 20, 30] {
+        for &v in values {
             h.record(v);
         }
+        MetricValue::Histogram(h.snapshot())
+    }
+
+    fn sample_snapshots() -> Vec<MetricSnapshot> {
         vec![
             MetricSnapshot {
-                name: "commits_total".into(),
+                spec: &COMMITS_TOTAL,
                 labels: vec![],
                 value: MetricValue::Counter(42),
             },
             MetricSnapshot {
-                name: "queue_depth".into(),
+                spec: &QUEUE_DEPTH,
                 labels: vec![("shard".into(), "1".into())],
                 value: MetricValue::Gauge(-3),
             },
             MetricSnapshot {
-                name: "commit_ns".into(),
+                spec: &COMMIT_NS,
                 labels: vec![("shard".into(), "1".into())],
-                value: MetricValue::Histogram(h.snapshot()),
+                value: histogram(&[10, 20, 30]),
             },
         ]
     }
@@ -146,14 +186,41 @@ mod tests {
     fn text_format_is_stable() {
         let text = render_text(&sample_snapshots());
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "commits_total 42");
-        assert_eq!(lines[1], "queue_depth{shard=\"1\"} -3");
-        assert!(lines[2].starts_with("commit_ns{shard=\"1\",quantile=\"0.5\"} "));
-        assert!(lines[4].starts_with("commit_ns{shard=\"1\",quantile=\"0.99\"} "));
-        assert_eq!(lines[5], "commit_ns_count{shard=\"1\"} 3");
-        assert_eq!(lines[6], "commit_ns_sum{shard=\"1\"} 60");
-        assert_eq!(lines[7], "commit_ns_max{shard=\"1\"} 30");
-        assert_eq!(lines.len(), 8);
+        assert_eq!(lines[0], "# HELP commits_total Commits.");
+        assert_eq!(lines[1], "# TYPE commits_total counter");
+        assert_eq!(lines[2], "commits_total 42");
+        assert_eq!(lines[3], "# HELP queue_depth Queue depth.");
+        assert_eq!(lines[4], "# TYPE queue_depth gauge");
+        assert_eq!(lines[5], "queue_depth{shard=\"1\"} -3");
+        assert_eq!(lines[6], "# HELP commit_ns Commit latency.");
+        assert_eq!(lines[7], "# TYPE commit_ns summary");
+        assert!(lines[8].starts_with("commit_ns{shard=\"1\",quantile=\"0.5\"} "));
+        assert!(lines[10].starts_with("commit_ns{shard=\"1\",quantile=\"0.99\"} "));
+        assert_eq!(lines[11], "commit_ns_count{shard=\"1\"} 3");
+        assert_eq!(lines[12], "commit_ns_sum{shard=\"1\"} 60");
+        assert_eq!(lines[13], "commit_ns_max{shard=\"1\"} 30");
+        assert_eq!(lines.len(), 14);
+    }
+
+    #[test]
+    fn a_family_with_two_label_sets_gets_one_help_type_pair() {
+        let text = render_text(&[
+            MetricSnapshot {
+                spec: &CRAWL_FETCH_NS,
+                labels: vec![],
+                value: histogram(&[5]),
+            },
+            MetricSnapshot {
+                spec: &CRAWL_FETCH_NS,
+                labels: vec![("source".into(), "7".into())],
+                value: histogram(&[5]),
+            },
+        ]);
+        let headers: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
+        let help = format!("# HELP crawl_fetch_ns {}", CRAWL_FETCH_NS.help);
+        assert_eq!(headers, [help.as_str(), "# TYPE crawl_fetch_ns summary"]);
+        assert!(text.contains("crawl_fetch_ns_count 1\n"));
+        assert!(text.contains("crawl_fetch_ns_count{source=\"7\"} 1\n"));
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   below 16 exact, relative quantile error bounded by 1/16
 //!   (6.25%). Snapshots are mergeable and report nearest-rank
 //!   p50/p90/p99 plus the exact observed max.
-//! * [`Registry`] — names instruments (`name{label="value"}`),
-//!   deduplicates registration, and snapshots every instrument for
-//!   the dual exposition layer: Prometheus-style text
+//! * [`catalog`] — one [`InstrumentSpec`] (name, kind, label keys,
+//!   help) per instrument family, and [`CATALOG`] listing them all.
+//! * [`Registry`] — registers instruments through catalog specs
+//!   (series `name{label="value"}`), deduplicates registration, and
+//!   snapshots every instrument for the dual exposition layer:
+//!   Prometheus-style text with `# HELP` / `# TYPE` per family
 //!   ([`Registry::render_text`]) and a `serde_json` value dump
 //!   ([`Registry::to_json`]).
 //! * [`TelemetryClock`] — the injectable time source behind every
@@ -36,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod clock;
 pub mod counter;
 pub mod expose;
@@ -43,6 +47,7 @@ pub mod histogram;
 pub mod registry;
 pub mod span;
 
+pub use catalog::{InstrumentKind, InstrumentSpec, CATALOG};
 pub use clock::{ManualClock, RealClock, SharedClock, TelemetryClock};
 pub use counter::{Counter, Gauge};
 pub use expose::{render_text, to_json, MetricSnapshot, MetricValue};

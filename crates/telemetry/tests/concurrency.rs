@@ -6,12 +6,25 @@
 //! every bucket, and once all recorders join, the final snapshot
 //! accounts for every recorded observation exactly.
 
-use obs_telemetry::{Counter, Histogram, Registry};
+use obs_telemetry::{Counter, Histogram, InstrumentKind, InstrumentSpec, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const RECORDERS: usize = 4;
 const PER_THREAD: u64 = 25_000;
+
+const RACE_COMMITS_TOTAL: InstrumentSpec = InstrumentSpec {
+    name: "race_commits_total",
+    kind: InstrumentKind::Counter,
+    labels: &["shard"],
+    help: "Racing commits.",
+};
+const RACE_COMMIT_NS: InstrumentSpec = InstrumentSpec {
+    name: "race_commit_ns",
+    kind: InstrumentKind::Histogram,
+    labels: &["shard"],
+    help: "Racing commit latency.",
+};
 
 #[test]
 fn snapshots_are_monotone_under_racing_recorders() {
@@ -89,15 +102,15 @@ fn registry_handles_race_with_snapshots() {
                 // half reuse one — both paths must be safe.
                 let shard = (t % 2).to_string();
                 let counter: Counter =
-                    registry.counter_with("race_commits_total", &[("shard", &shard)]);
-                let hist = registry.histogram_with("race_commit_ns", &[("shard", &shard)]);
+                    registry.counter_with(&RACE_COMMITS_TOTAL, &[("shard", &shard)]);
+                let hist = registry.histogram_with(&RACE_COMMIT_NS, &[("shard", &shard)]);
                 for i in 0..PER_THREAD {
                     counter.inc();
                     hist.record(i % 1024);
                     if i % 8192 == 0 {
                         // Re-registration returns the same series.
                         let again =
-                            registry.counter_with("race_commits_total", &[("shard", &shard)]);
+                            registry.counter_with(&RACE_COMMITS_TOTAL, &[("shard", &shard)]);
                         assert!(again.get() <= (RECORDERS as u64) * PER_THREAD);
                     }
                 }

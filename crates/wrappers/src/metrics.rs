@@ -26,7 +26,7 @@
 //! sweep overlaps.
 
 use obs_model::SourceId;
-use obs_telemetry::{Counter, Histogram, Registry, Stopwatch};
+use obs_telemetry::{catalog, Counter, Histogram, Registry, Stopwatch};
 use std::sync::Arc;
 
 /// Lock-free instrument handles for the crawl path.
@@ -46,12 +46,12 @@ impl CrawlMetrics {
     pub fn new(registry: &Arc<Registry>) -> CrawlMetrics {
         CrawlMetrics {
             registry: Arc::clone(registry),
-            fetch_ns: registry.histogram("crawl_fetch_ns"),
-            pages: registry.counter("crawl_pages_total"),
-            items: registry.counter("crawl_items_total"),
-            rate_denials: registry.counter("crawl_rate_denials_total"),
-            retries: registry.counter("crawl_retries_total"),
-            sweep_ns: registry.histogram("crawl_sweep_ns"),
+            fetch_ns: registry.histogram(&catalog::CRAWL_FETCH_NS),
+            pages: registry.counter(&catalog::CRAWL_PAGES_TOTAL),
+            items: registry.counter(&catalog::CRAWL_ITEMS_TOTAL),
+            rate_denials: registry.counter(&catalog::CRAWL_RATE_DENIALS_TOTAL),
+            retries: registry.counter(&catalog::CRAWL_RETRIES_TOTAL),
+            sweep_ns: registry.histogram(&catalog::CRAWL_SWEEP_NS),
         }
     }
 
@@ -65,7 +65,7 @@ impl CrawlMetrics {
     /// fetch — this takes the registry lock.
     pub fn fetch_hist(&self, source: SourceId) -> Histogram {
         self.registry
-            .histogram_with("crawl_fetch_ns", &[("source", &source.to_string())])
+            .histogram_with(&catalog::CRAWL_FETCH_NS, &[("source", &source.to_string())])
     }
 
     /// Records one fetch round-trip into the aggregate and the
