@@ -41,6 +41,16 @@ pub enum LiveError {
         /// The underlying failure on that shard.
         cause: Box<LiveError>,
     },
+    /// A writer was handed a batch that does not start one past its
+    /// last applied sequence. A skipped or replayed delta would
+    /// silently corrupt the journal ↔ snapshot correspondence, so
+    /// the batch is refused untouched.
+    OutOfOrder {
+        /// The sequence the writer expected next.
+        expected: u64,
+        /// The first sequence of the refused batch.
+        got: u64,
+    },
 }
 
 impl fmt::Display for LiveError {
@@ -65,6 +75,9 @@ impl fmt::Display for LiveError {
             ),
             LiveError::ShardCommit { shard, cause } => {
                 write!(f, "shard {shard} refused its slice of the batch: {cause}")
+            }
+            LiveError::OutOfOrder { expected, got } => {
+                write!(f, "out-of-order batch: expected seq {expected}, got {got}")
             }
         }
     }

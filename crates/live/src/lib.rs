@@ -34,8 +34,9 @@
 //!   copy-on-write index detach and one deferred signal re-blend
 //!   ([`LiveWriter::apply_batch`], which applies the burst in replay
 //!   order), and one published snapshot. Readers only ever observe
-//!   batch boundaries; recovery replays the per-delta records and
-//!   lands on the identical engine by construction.
+//!   batch boundaries; recovery replays each shard's journal tail
+//!   through the same batched apply and lands on the identical
+//!   engine by construction.
 //! * **Recovery** — [`ShardedLiveService::recover`] rebuilds the
 //!   exact pre-crash service by replaying every shard's journal;
 //!   [`ShardedLiveService::checkpoint`] captures a [`Checkpoint`]
@@ -47,9 +48,9 @@
 //!   identical to an uncached one (see [`cache`]).
 //!
 //! ```text
-//! crawl sweeps ─ route ─► per shard: DeltaJournal (fsync) ─► LiveWriter.apply ─► publish
-//!                                                                                 │
-//!                       ShardedReader.pin() ◄── SnapshotStore per shard + blend ◄┘
+//! crawl sweeps ─ route ─► per shard: DeltaJournal (fsync) ─► LiveWriter.apply_batch ─► publish
+//!                                                                                       │
+//!                       ShardedReader.pin() ◄── SnapshotStore per shard + blend ◄───────┘
 //!                       (N reader threads, never blocked)
 //! ```
 //!

@@ -269,7 +269,7 @@ impl Shard {
             return Ok(());
         };
         lap(Stage::JournalFsync);
-        self.writer.apply_batch(first, &refs);
+        self.writer.apply_batch(first, &refs)?;
         lap(Stage::Apply);
         self.writer.publish();
         lap(Stage::Publish);
@@ -497,17 +497,9 @@ impl ShardedLiveService {
                     });
                 }
             }
-            let mut report = RecoveryReport {
-                torn_tail_dropped: replay.torn_tail_dropped,
-                ..RecoveryReport::default()
-            };
-            let mut writer = LiveWriter::new(engine, checkpoint_seq);
-            for record in &replay.records {
-                if record.seq <= checkpoint_seq {
-                    report.skipped += 1;
-                    continue;
-                }
-                writer.apply(record.seq, &record.delta);
+            let skipped = replay.records.partition_point(|r| r.seq <= checkpoint_seq);
+            let mut tail = Vec::with_capacity(replay.records.len() - skipped);
+            for record in &replay.records[skipped..] {
                 // Registry rebuild mirrors routing order: removals
                 // before adds, so a remove-then-readd inside one
                 // delta leaves the post homed.
@@ -518,13 +510,21 @@ impl ShardedLiveService {
                     router.note_home(doc.post, i);
                 }
                 blend_touched |= blend.apply_engagement(&record.delta.engagement);
-                report.replayed += 1;
+                tail.push(&record.delta);
             }
+            // The whole tail is one batch, as a group commit applies
+            // it: one index detach, one re-blend.
+            let mut writer = LiveWriter::new(engine, checkpoint_seq);
+            writer.apply_batch(checkpoint_seq + 1, &tail)?;
             writer.publish();
-            report.recovered_seq = writer.seq();
+            reports.push(RecoveryReport {
+                replayed: tail.len(),
+                skipped,
+                torn_tail_dropped: replay.torn_tail_dropped,
+                recovered_seq: writer.seq(),
+            });
             journal.resume_at(writer.seq() + 1);
             shards.push(Shard { writer, journal });
-            reports.push(report);
         }
         if blend_touched {
             blend.reblend();

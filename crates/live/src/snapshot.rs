@@ -25,6 +25,7 @@
 //! the index alive until they drop it — the classic epoch
 //! reclamation trade-off, made safe by `Arc`.
 
+use crate::LiveError;
 use obs_search::SearchEngine;
 use std::sync::{Arc, RwLock};
 
@@ -134,25 +135,6 @@ impl LiveWriter {
         }
     }
 
-    /// Applies one delta to the private engine, stamping it as
-    /// change `seq`. Not visible to readers until
-    /// [`LiveWriter::publish`]. Sequence numbers must be contiguous.
-    ///
-    /// # Panics
-    /// If `seq` is not exactly one past the last applied sequence —
-    /// a skipped or replayed delta would silently corrupt the
-    /// journal ↔ snapshot correspondence.
-    pub fn apply(&mut self, seq: u64, delta: &obs_model::CorpusDelta) {
-        assert_eq!(
-            seq,
-            self.seq + 1,
-            "delta applied out of order: expected seq {}, got {seq}",
-            self.seq + 1
-        );
-        self.engine.apply_delta(delta);
-        self.seq = seq;
-    }
-
     /// Applies a contiguous run of deltas as one batch, stamping
     /// them as changes `first_seq ..= first_seq + deltas.len() - 1`.
     ///
@@ -167,22 +149,26 @@ impl LiveWriter {
     /// time on recovery. Not visible to readers until
     /// [`LiveWriter::publish`]; an empty batch is a no-op.
     ///
-    /// # Panics
-    /// If `first_seq` is not exactly one past the last applied
-    /// sequence — a skipped or replayed batch would silently corrupt
-    /// the journal ↔ snapshot correspondence.
-    pub fn apply_batch(&mut self, first_seq: u64, deltas: &[&obs_model::CorpusDelta]) {
+    /// Fails with [`LiveError::OutOfOrder`], applying nothing, if
+    /// `first_seq` is not exactly one past the last applied sequence.
+    pub fn apply_batch(
+        &mut self,
+        first_seq: u64,
+        deltas: &[&obs_model::CorpusDelta],
+    ) -> Result<(), LiveError> {
         if deltas.is_empty() {
-            return;
+            return Ok(());
         }
-        assert_eq!(
-            first_seq,
-            self.seq + 1,
-            "batch applied out of order: expected first seq {}, got {first_seq}",
-            self.seq + 1
-        );
+        let expected = self.seq + 1;
+        if first_seq != expected {
+            return Err(LiveError::OutOfOrder {
+                expected,
+                got: first_seq,
+            });
+        }
         self.engine.apply_deltas(deltas.iter().copied());
         self.seq = first_seq + deltas.len() as u64 - 1;
+        Ok(())
     }
 
     /// Publishes the current engine state. Readers acquiring
@@ -243,7 +229,7 @@ mod tests {
 
         let last = world.corpus.posts().last().unwrap().id;
         let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
-        writer.apply(1, &removal);
+        writer.apply_batch(1, &[&removal]).unwrap();
         // The published snapshot is untouched by the un-published
         // apply, down to index identity.
         let mid = reader.snapshot();
@@ -275,25 +261,24 @@ mod tests {
             .map(|chunk| CorpusDelta::for_removals(&world.corpus, chunk).unwrap())
             .collect();
 
-        let mut sequential = LiveWriter::new(engine.clone(), 0);
-        for (i, delta) in deltas.iter().enumerate() {
-            sequential.apply(i as u64 + 1, delta);
+        // The reference: the same records applied one at a time,
+        // each with its own re-blend.
+        let mut sequential = engine.clone();
+        for delta in &deltas {
+            sequential.apply_delta(delta);
         }
-        sequential.publish();
 
         let mut batched = LiveWriter::new(engine, 0);
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
-        batched.apply_batch(1, &refs);
+        batched.apply_batch(1, &refs).unwrap();
         batched.publish();
 
-        assert_eq!(batched.seq(), sequential.seq());
         assert_eq!(batched.seq(), deltas.len() as u64);
-        let a = sequential.reader().snapshot();
         let b = batched.reader().snapshot();
-        assert_eq!(a.seq(), b.seq());
-        assert_eq!(a.engine().doc_count(), b.engine().doc_count());
+        assert_eq!(b.seq(), deltas.len() as u64);
+        assert_eq!(sequential.doc_count(), b.engine().doc_count());
         for s in world.corpus.sources() {
-            assert_eq!(a.engine().static_score(s.id), b.engine().static_score(s.id));
+            assert_eq!(sequential.static_score(s.id), b.engine().static_score(s.id));
         }
     }
 
@@ -312,28 +297,27 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let (_, engine) = engine();
         let mut writer = LiveWriter::new(engine, 0);
-        writer.apply_batch(1, &[]);
+        writer.apply_batch(1, &[]).unwrap();
         assert_eq!(writer.seq(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "batch applied out of order")]
-    fn out_of_order_batch_panics() {
+    fn out_of_order_batch_is_refused() {
         let (world, engine) = engine();
+        let docs = engine.doc_count();
         let mut writer = LiveWriter::new(engine, 0);
         let last = world.corpus.posts().last().unwrap().id;
         let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
-        writer.apply_batch(2, &[&removal]); // skips seq 1
-    }
-
-    #[test]
-    #[should_panic(expected = "delta applied out of order")]
-    fn out_of_order_apply_panics() {
-        let (world, engine) = engine();
-        let mut writer = LiveWriter::new(engine, 0);
-        let last = world.corpus.posts().last().unwrap().id;
-        let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
-        writer.apply(2, &removal); // skips seq 1
+        let refused = writer.apply_batch(2, &[&removal]); // skips seq 1
+        assert!(matches!(
+            refused,
+            Err(LiveError::OutOfOrder {
+                expected: 1,
+                got: 2
+            })
+        ));
+        assert_eq!(writer.seq(), 0);
+        assert_eq!(writer.engine().doc_count(), docs);
     }
 
     #[test]
@@ -342,7 +326,7 @@ mod tests {
         let mut writer = LiveWriter::new(engine, 0);
         let mut delta = CorpusDelta::new();
         delta.remove_doc(PostId::new(9_999_999));
-        writer.apply(1, &delta);
+        writer.apply_batch(1, &[&delta]).unwrap();
         writer.publish();
         assert_eq!(writer.reader().snapshot().seq(), 1);
     }

@@ -15,15 +15,15 @@
 //! live_shard_commit_ns{shard="0",quantile="0.99"} 30720
 //! live_shard_commit_ns_count{shard="0"} 128
 //! live_shard_commit_ns_sum{shard="0"} 2359296
-//! live_shard_commit_ns_max{shard="0"} 31044
 //! ```
 //!
 //! Counters and gauges are one line; histograms expand to three
-//! quantile samples plus `_count` / `_sum` / `_max` and declare
-//! `summary`. Help texts, label keys and values are emitted verbatim
-//! — they are code-chosen (catalog text, shard indices, source
-//! slugs), so no escaping layer is applied; callers must not feed
-//! `"`, `\` or newlines into help texts or label values.
+//! quantile samples plus `_count` / `_sum` and declare `summary` (a
+//! summary family has no other sample, so the maximum is left to
+//! the JSON form). Help texts, label keys and values are emitted
+//! verbatim — they are code-chosen (catalog text, shard indices,
+//! source slugs), so no escaping layer is applied; callers must not
+//! feed `"`, `\` or newlines into help texts or label values.
 //!
 //! The JSON form is an object keyed by the rendered series name;
 //! histograms become `{count, sum, max, p50, p90, p99}` objects.
@@ -99,7 +99,6 @@ pub fn render_text(snapshots: &[MetricSnapshot]) -> String {
                 }
                 out.push_str(&format!("{name}_count{plain} {}\n", h.count()));
                 out.push_str(&format!("{name}_sum{plain} {}\n", h.sum()));
-                out.push_str(&format!("{name}_max{plain} {}\n", h.max()));
             }
         }
     }
@@ -198,8 +197,7 @@ mod tests {
         assert!(lines[10].starts_with("commit_ns{shard=\"1\",quantile=\"0.99\"} "));
         assert_eq!(lines[11], "commit_ns_count{shard=\"1\"} 3");
         assert_eq!(lines[12], "commit_ns_sum{shard=\"1\"} 60");
-        assert_eq!(lines[13], "commit_ns_max{shard=\"1\"} 30");
-        assert_eq!(lines.len(), 14);
+        assert_eq!(lines.len(), 13);
     }
 
     #[test]

@@ -42,25 +42,6 @@ pub fn take_measurements() -> Vec<Measurement> {
     std::mem::take(&mut MEASUREMENTS.lock().expect("measurement store poisoned"))
 }
 
-/// Records a measurement produced outside the `Bencher` loop — for
-/// harnesses (multi-threaded throughput drivers, latency percentile
-/// sweeps) that time themselves but still want their numbers in the
-/// same export stream [`take_measurements`] drains.
-pub fn record_measurement(measurement: Measurement) {
-    println!(
-        "{:<50} min {:>12} mean {:>12} p99 {:>12} ({} samples, external)",
-        measurement.label,
-        fmt_duration(Duration::from_nanos(measurement.min_ns as u64)),
-        fmt_duration(Duration::from_nanos(measurement.mean_ns as u64)),
-        fmt_duration(Duration::from_nanos(measurement.p99_ns as u64)),
-        measurement.samples,
-    );
-    MEASUREMENTS
-        .lock()
-        .expect("measurement store poisoned")
-        .push(measurement);
-}
-
 /// Top-level harness handle passed to every bench target.
 #[derive(Debug, Default)]
 pub struct Criterion {

@@ -116,6 +116,24 @@ fn the_serving_stack_exposes_exactly_the_catalog() {
         assert_eq!(own, [help, kind]);
     }
 
+    // Every sample belongs to the family its `# TYPE` line declares:
+    // the family name itself or, for a summary, `_count`/`_sum`.
+    let mut family = ("", "");
+    for line in text.lines() {
+        if let Some(header) = line.strip_prefix("# TYPE ") {
+            family = header.split_once(' ').unwrap();
+        } else if !line.starts_with('#') {
+            let sample = line.split(['{', ' ']).next().unwrap();
+            let (name, kind) = family;
+            let suffix = sample.strip_prefix(name);
+            let summary_part = kind == "summary" && matches!(suffix, Some("_count" | "_sum"));
+            assert!(
+                suffix == Some("") || summary_part,
+                "{sample} in {kind} {name}"
+            );
+        }
+    }
+
     for spec in [
         &catalog::LIVE_SHARD_COMMITS_TOTAL,
         &catalog::LIVE_QUERY_CACHE_HITS_TOTAL,
