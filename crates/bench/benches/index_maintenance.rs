@@ -3,15 +3,15 @@
 //! The serving question behind `obs_search`'s delta API: when a
 //! crawl tick observes one new post, what does it cost to make it
 //! queryable? The build-once answer re-tokenizes the whole corpus;
-//! the incremental answer runs one `IndexWriter` batch. The contrast
-//! is measured at ~10k and ~100k indexed documents; incrementally
+//! the incremental answer applies one delta. The contrast is
+//! measured at ~10k and ~100k indexed documents; incrementally
 //! absorbing a single document should beat the rebuild by several
 //! orders of magnitude (the acceptance bar is 10×).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use obs_analytics::{AlexaPanel, LinkGraph};
 use obs_model::{CorpusDelta, PostId};
-use obs_search::{BlendWeights, IndexWriter, InvertedIndex, SearchEngine};
+use obs_search::{BlendWeights, InvertedIndex, SearchEngine};
 use obs_synth::{World, WorldConfig};
 use std::hint::black_box;
 
@@ -51,9 +51,7 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
         b.iter_batched(
             || stale.clone(),
             |mut index| {
-                let mut writer = IndexWriter::new(&mut index);
-                writer.apply(black_box(&delta));
-                writer.commit();
+                index.apply_delta(black_box(&delta));
                 index
             },
             BatchSize::LargeInput,

@@ -24,19 +24,20 @@
 //! anywhere else in the file is reported as
 //! [`JournalError::Corrupt`].
 //!
-//! **Group commit:** [`DeltaJournal::append_batch`] stages any number
-//! of records and makes them durable under **one** fsync — the
-//! amortization that turns a burst of crawl ticks from N disk syncs
-//! into one. The batch is all-or-nothing: if the sync fails, the
-//! whole staged suffix is truncated back out, so a retry re-claims
-//! the exact same sequence numbers and recovery never replays an
-//! unacknowledged record.
+//! **Group commit:** [`DeltaJournal::append_batch`] is the only
+//! writer: it appends any number of records in one write and makes
+//! them durable under **one** fsync — the amortization that turns a
+//! burst of crawl ticks from N disk syncs into one. The batch is
+//! all-or-nothing: if the write or the sync fails, the batch is
+//! truncated back out, so a retry re-claims the exact same sequence
+//! numbers and recovery never replays an unacknowledged record.
 //!
 //! **Compaction:** once a checkpoint (an engine snapshot at sequence
 //! `S`) makes the prefix `..=S` redundant, [`DeltaJournal::compact_through`]
 //! rewrites the log without it (atomically, via a temp file +
-//! rename). Sequence numbers keep rising across compactions; the
-//! first retained record pins the replay base.
+//! rename, then a sync of the directory). Sequence numbers keep
+//! rising across compactions; the first retained record pins the
+//! replay base.
 
 // lint:deterministic — replaying this log must rebuild a
 // byte-identical engine, so nothing here may depend on hash order
@@ -45,7 +46,7 @@
 use obs_model::{CorpusDelta, SequencedDelta};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Why a journal operation failed.
@@ -136,23 +137,14 @@ fn parse_record(line: &str) -> Result<SequencedDelta, String> {
     Ok(SequencedDelta::new(seq, delta))
 }
 
-/// The staged (appended but not yet acknowledged-durable) suffix of
-/// the file: how many bytes and records every append since the last
-/// acknowledged sync wrote. A failed durability step retracts
-/// exactly this much.
-#[derive(Debug, Clone, Copy)]
-struct StagedSuffix {
-    bytes: u64,
-    records: usize,
-}
-
 /// The append handle over a journal file.
 ///
-/// Writes go straight to the [`File`] — no userspace write buffer.
-/// Every append hands the kernel one fully-rendered payload and is
-/// immediately visible in the file's length, so failure handling
-/// only ever has to reason about file bytes (truncate back to a
-/// known-clean length), never about a stale buffered tail that could
+/// Writes go straight to the [`File`] — no userspace write buffer —
+/// and every handle is in append mode. Every batch hands the kernel
+/// one fully-rendered payload and is immediately visible in the
+/// file's length, so failure handling only ever has to reason about
+/// file bytes (truncate back to a known-clean length, and the next
+/// append lands there), never about a stale buffered tail that could
 /// fuse with a retry's bytes. Throughput is bounded by fsync, not by
 /// write syscalls, so buffering would buy nothing.
 ///
@@ -183,9 +175,6 @@ pub struct DeltaJournal {
     next_seq: u64,
     /// Records currently in the file (post-compaction, post-recovery).
     len: usize,
-    /// The retractable suffix: the most recent append or batch whose
-    /// durability has not yet been acknowledged by a successful sync.
-    staged: Option<StagedSuffix>,
     /// Pending injected fsync failures (durability fault injection
     /// for tests; see [`DeltaJournal::inject_sync_failures`]).
     sync_faults: u32,
@@ -195,17 +184,14 @@ impl DeltaJournal {
     /// Creates a fresh, empty journal, truncating any existing file.
     pub fn create(path: impl AsRef<Path>) -> Result<DeltaJournal, JournalError> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
+        // `OpenOptions` refuses `append` with `truncate`.
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        file.set_len(0)?;
         Ok(DeltaJournal {
             path,
             file,
             next_seq: 1,
             len: 0,
-            staged: None,
             sync_faults: 0,
         })
     }
@@ -238,7 +224,6 @@ impl DeltaJournal {
                 file,
                 next_seq: replay.last_seq() + 1,
                 len: replay.records.len(),
-                staged: None,
                 sync_faults: 0,
             },
             replay,
@@ -317,98 +302,49 @@ impl DeltaJournal {
         Ok(format!("{seq} {crc:08x} {json}\n"))
     }
 
-    /// Grows the staged suffix. Accumulates rather than replaces:
-    /// every append since the last acknowledged sync is
-    /// unacknowledged, so a failed durability step must be able to
-    /// retract all of them, not just the latest.
-    fn stage(&mut self, bytes: u64, records: usize) {
-        match &mut self.staged {
-            Some(staged) => {
-                staged.bytes += bytes;
-                staged.records += records;
-            }
-            None => self.staged = Some(StagedSuffix { bytes, records }),
-        }
-    }
-
-    /// Writes `bytes` to the file (one write, no userspace buffer).
-    /// On failure the file is healed back to its pre-write length
-    /// (best effort), so a partially written payload never lingers
-    /// to fuse with the bytes a retry appends under the same
-    /// sequence numbers.
-    fn write_payload(&mut self, bytes: &[u8]) -> Result<(), JournalError> {
-        // With no write buffer, the file's length *is* the clean
-        // pre-write position.
-        let clean_len = self.file.metadata()?.len();
-        if let Err(e) = self.file.write_all(bytes) {
-            self.heal_failed_write(clean_len);
-            return Err(e.into());
-        }
-        Ok(())
-    }
-
-    /// Best-effort cleanup after a failed write: truncates the file
-    /// back to `clean_len` so no partially written tail survives on
-    /// disk. Errors are swallowed — the caller is already surfacing
-    /// the original failure, and the counters were never advanced.
-    fn heal_failed_write(&mut self, clean_len: u64) {
-        let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort heal; caller surfaces the original write error
-        let _ = self.file.seek(std::io::SeekFrom::Start(clean_len)); // lint:allow(discard): best-effort heal; caller surfaces the original write error
-        let _ = self.file.sync_data(); // lint:allow(discard): best-effort heal; caller surfaces the original write error
-    }
-
-    /// Appends `deltas` as one *group commit*: every record is staged
-    /// with its own contiguous sequence number, then the whole batch
-    /// is forced to stable storage under a **single** fsync. Returns
-    /// the `(first, last)` sequence range, or `None` for an empty
-    /// batch (which touches neither the file nor the sequence).
+    /// Appends `deltas` as one *group commit*: every record gets its
+    /// own contiguous sequence number, the batch reaches the file in
+    /// one write, and one fsync makes it durable. Returns the
+    /// `(first, last)` sequence range, or `None` for an empty batch
+    /// (which touches neither the file nor the sequence).
     ///
     /// All-or-nothing: the batch is serialized in full before a byte
-    /// is written, and if the sync fails, the entire staged suffix
-    /// is retracted — no record of the batch survives to be
-    /// replayed, and a retry re-claims the same sequence numbers.
+    /// is written, and if the write or the sync fails, the file is
+    /// truncated back to its pre-batch length and the counters stay
+    /// put — no record of the batch survives to be replayed, and a
+    /// retry re-claims the same sequence numbers.
     pub fn append_batch(
         &mut self,
         deltas: &[&CorpusDelta],
     ) -> Result<Option<(u64, u64)>, JournalError> {
-        let Some(range) = self.write_batch(deltas)? else {
-            return Ok(None);
-        };
-        if let Err(sync_err) = self.sync() {
-            // Best effort: if the retract also fails the counters
-            // and the file have diverged and only a re-open can
-            // reconcile them; surface the original failure either way.
-            let _ = self.retract_staged(); // lint:allow(discard): best effort per the comment above; the sync error wins
-            return Err(sync_err);
-        }
-        Ok(Some(range))
-    }
-
-    /// Writes `deltas` as contiguous records and stages them, without
-    /// syncing: the first half of [`DeltaJournal::append_batch`].
-    fn write_batch(&mut self, deltas: &[&CorpusDelta]) -> Result<Option<(u64, u64)>, JournalError> {
         if deltas.is_empty() {
             return Ok(None);
         }
         let first = self.next_seq;
         let mut payload = String::new();
-        for (i, delta) in deltas.iter().enumerate() {
-            payload.push_str(&Self::render_record(first + i as u64, delta)?);
+        for (seq, delta) in (first..).zip(deltas) {
+            payload.push_str(&Self::render_record(seq, delta)?);
         }
-        self.write_payload(payload.as_bytes())?;
-        // Counters and the staged suffix move only once the records
-        // are known to be in the file, so a failed write leaves them
-        // honest about the file contents.
+        // With no write buffer, the file's length *is* the clean
+        // pre-batch position.
+        let clean_len = self.file.metadata()?.len();
+        if let Err(e) = self.write_durably(payload.as_bytes()) {
+            // Best effort: if the truncate also fails, the file and
+            // the counters have diverged and only a re-open can
+            // reconcile them; the original error wins either way.
+            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the write or sync error wins
+            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the write or sync error wins
+            return Err(e);
+        }
         self.next_seq += deltas.len() as u64;
         self.len += deltas.len();
-        self.stage(payload.len() as u64, deltas.len());
         Ok(Some((first, self.next_seq - 1)))
     }
 
-    /// Forces appended records to stable storage (fsync). A
-    /// successful sync acknowledges the staged suffix: it is durable
-    /// and no longer retractable.
-    fn sync(&mut self) -> Result<(), JournalError> {
+    /// Writes `bytes` in one write and fsyncs them, failing instead
+    /// of syncing while injected faults are armed.
+    fn write_durably(&mut self, bytes: &[u8]) -> Result<(), JournalError> {
+        self.file.write_all(bytes)?;
         if self.sync_faults > 0 {
             self.sync_faults -= 1;
             return Err(JournalError::Io(std::io::Error::other(
@@ -416,45 +352,15 @@ impl DeltaJournal {
             )));
         }
         self.file.sync_data()?;
-        self.staged = None;
         Ok(())
     }
 
-    /// Arms the next `n` fsyncs to fail deterministically (the staged
+    /// Arms the next `n` fsyncs to fail deterministically (the batch's
     /// bytes are already in the file, exactly as a real failed fsync
-    /// would leave them). Durability
-    /// fault injection for tests, in the same spirit as
-    /// `obs_wrappers::FaultPlan`.
+    /// would leave them). Durability fault injection for tests, in the
+    /// same spirit as `obs_wrappers::FaultPlan`.
     pub fn inject_sync_failures(&mut self, n: u32) {
         self.sync_faults = n;
-    }
-
-    /// Truncates away the staged suffix — every record written since
-    /// the last acknowledged sync — winding the sequence back with it. The failure-path inverse: when the
-    /// durability step after an append fails, the records were never
-    /// acknowledged, so they must not linger in the file to be
-    /// replayed on recovery (the caller will retry and re-journal
-    /// the same content under the same sequences). A no-op when
-    /// nothing is staged.
-    fn retract_staged(&mut self) -> Result<(), JournalError> {
-        let Some(StagedSuffix { bytes, records }) = self.staged else {
-            return Ok(());
-        };
-        let end = self.file.metadata()?.len();
-        let new_end = end.saturating_sub(bytes);
-        self.file.set_len(new_end)?;
-        // Truncation does not move the write cursor; without the
-        // seek the next append would leave a zero-filled hole where
-        // the retracted records were (files created by
-        // `DeltaJournal::create` are not in O_APPEND mode).
-        self.file.seek(std::io::SeekFrom::Start(new_end))?;
-        // Counters move only after the truncate is known durable, so
-        // a failed retract leaves them honest about file contents.
-        self.file.sync_data()?;
-        self.next_seq -= records as u64;
-        self.len -= records;
-        self.staged = None;
-        Ok(())
     }
 
     /// Drops every record with `seq <= through_seq` — legal once a
@@ -463,7 +369,6 @@ impl DeltaJournal {
     /// Sequence numbers are preserved, so replay-over-checkpoint
     /// still lines up.
     pub fn compact_through(&mut self, through_seq: u64) -> Result<usize, JournalError> {
-        self.sync()?;
         let replay = Self::replay_path(&self.path)?;
         let retained: Vec<&SequencedDelta> = replay
             .records
@@ -475,15 +380,9 @@ impl DeltaJournal {
             return Ok(0);
         }
         Self::rewrite_refs(&self.path, &retained)?;
-        // Reopen the handle onto the rewritten file; the last append
-        // is no longer retractable (the rewrite re-framed it).
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        self.file = file;
+        // Reopen the handle onto the rewritten file.
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.len = retained.len();
-        self.staged = None;
         Ok(dropped)
     }
 
@@ -517,9 +416,9 @@ impl DeltaJournal {
         &self.path
     }
 
-    /// Writes `records` to a sibling temp file, fsyncs it, and
-    /// renames it over `path` so the journal is never observable in
-    /// a half-rewritten state.
+    /// Writes `records` to a sibling temp file, fsyncs it, renames it
+    /// over `path` so the journal is never observable in a
+    /// half-rewritten state, and fsyncs the directory.
     fn rewrite_refs(path: &Path, records: &[&SequencedDelta]) -> Result<(), JournalError> {
         let tmp = path.with_extension("journal.tmp");
         {
@@ -530,16 +429,21 @@ impl DeltaJournal {
                 .open(&tmp)?;
             let mut out = BufWriter::new(file);
             for record in records {
-                let json = serde_json::to_string(&record.delta).map_err(|e| {
-                    std::io::Error::other(format!("delta serialization failed: {e}"))
-                })?;
-                let crc = crc32(json.as_bytes());
-                writeln!(out, "{} {crc:08x} {json}", record.seq)?;
+                out.write_all(Self::render_record(record.seq, &record.delta)?.as_bytes())?;
             }
             out.flush()?;
             out.get_ref().sync_data()?;
         }
         std::fs::rename(&tmp, path)?;
+        // The rename is an entry in the directory, durable only once
+        // the directory is synced. Until then a power loss can bring
+        // back the pre-rename entry, and with it drop the records
+        // appended, synced and acknowledged on the new file since.
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(())
     }
 }
@@ -611,45 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_dropped_not_fatal() {
-        let (path, _) = journal_with("torn", 3);
-
-        // Simulate a crash mid-append: truncate the file inside the
-        // final record.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 7]).unwrap();
-
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert!(replay.torn_tail_dropped);
-        assert_eq!(replay.records.len(), 2);
-        assert_eq!(replay.last_seq(), 2);
-
-        // Re-opening heals the file and appends continue the
-        // sequence from the surviving prefix.
-        let (mut journal, replay) = DeltaJournal::open(&path).unwrap();
-        assert!(replay.torn_tail_dropped);
-        assert_eq!(journal.next_seq(), 3);
-        commit(&mut journal, 9);
-        let healed = DeltaJournal::replay_path(&path).unwrap();
-        assert!(!healed.torn_tail_dropped);
-        assert_eq!(healed.last_seq(), 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_record_without_newline_is_dropped_even_if_payload_verifies() {
-        let (path, _) = journal_with("no_newline", 2);
-
-        // Strip only the final newline: payload intact, frame torn.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert!(replay.torn_tail_dropped);
-        assert_eq!(replay.records.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn invalid_utf8_torn_tail_is_dropped_not_io_error() {
         let (path, _) = journal_with("utf8_tail", 2);
 
@@ -684,69 +549,6 @@ mod tests {
             matches!(err, JournalError::Corrupt { record: 1, .. }),
             "{err:?}"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn retract_staged_unwinds_an_unacknowledged_append() {
-        let (path, mut journal) = journal_with("retract", 2);
-
-        // Write a record whose durability step "failed": retract it.
-        journal.write_batch(&[&sample_delta(2)]).unwrap();
-        journal.retract_staged().unwrap();
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal.next_seq(), 3);
-        // A second retract is a no-op (nothing retractable).
-        journal.retract_staged().unwrap();
-        assert_eq!(journal.len(), 2);
-
-        // The retry claims the same sequence, and replay sees a
-        // clean two-then-three record history with no orphan.
-        assert_eq!(commit(&mut journal, 3), 3);
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert!(!replay.torn_tail_dropped);
-        assert_eq!(replay.records.len(), 3);
-        assert_eq!(replay.records[2].delta, sample_delta(3));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn retract_staged_unwinds_every_write_since_the_last_sync() {
-        // Two writes with no sync in between: both are
-        // unacknowledged, so a failed durability step must unwind
-        // both — retracting only the latest would leave an
-        // unacknowledged record to be replayed after a crash.
-        let (path, mut journal) = journal_with("retract_multi", 1);
-
-        journal.write_batch(&[&sample_delta(1)]).unwrap();
-        journal.write_batch(&[&sample_delta(2)]).unwrap();
-        journal.inject_sync_failures(1);
-        assert!(journal.sync().is_err());
-        journal.retract_staged().unwrap();
-        assert_eq!(journal.len(), 1);
-        assert_eq!(journal.next_seq(), 2);
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert_eq!(replay.last_seq(), 1);
-
-        // The retry re-claims seq 2 cleanly.
-        assert_eq!(commit(&mut journal, 1), 2);
-        assert_eq!(DeltaJournal::replay_path(&path).unwrap().last_seq(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sync_acknowledges_the_staged_suffix() {
-        // Once a sync succeeds the record is durable; a later
-        // retract must not be able to unwind it.
-        let path = temp_path("acknowledged");
-        let mut journal = DeltaJournal::create(&path).unwrap();
-        journal.write_batch(&[&sample_delta(0)]).unwrap();
-        journal.sync().unwrap();
-        journal.retract_staged().unwrap();
-        assert_eq!(journal.len(), 1);
-        assert_eq!(journal.next_seq(), 2);
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert_eq!(replay.records.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -792,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_batch_sync_retracts_the_whole_staged_suffix() {
+    fn failed_batch_sync_truncates_the_batch_back_out() {
         let (path, mut journal) = journal_with("batch_fail", 1);
         let durable = std::fs::read(&path).unwrap();
 
@@ -812,8 +614,37 @@ mod tests {
 
         let range = journal.append_batch(&refs).unwrap();
         assert_eq!(range, Some((2, 4)));
+        assert_eq!(journal.len(), 4);
         let replay = DeltaJournal::replay_path(&path).unwrap();
         assert_eq!(replay.last_seq(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_tail_torn_at_any_byte_heals_to_the_intact_prefix() {
+        let (path, _) = journal_with("torn_every_byte", 3);
+        let intact = std::fs::read(&path).unwrap();
+        let newlines: Vec<usize> = (0..intact.len()).filter(|&i| intact[i] == b'\n').collect();
+        let prefix = newlines[1] + 1;
+
+        // A crash can cut the last record after any of its bytes but
+        // the final newline. The last cut leaves a payload that
+        // verifies; without its newline the record is still torn.
+        for cut in prefix + 1..intact.len() {
+            std::fs::write(&path, &intact[..cut]).unwrap();
+            let replay = DeltaJournal::replay_path(&path).unwrap();
+            assert!(replay.torn_tail_dropped, "cut at {cut}");
+            let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, vec![1, 2], "cut at {cut}");
+            assert_eq!(replay.records[1].delta, sample_delta(1));
+
+            let (mut journal, _) = DeltaJournal::open(&path).unwrap();
+            let healed = std::fs::read(&path).unwrap();
+            assert_eq!(healed, &intact[..prefix], "cut at {cut}");
+            assert_eq!(commit(&mut journal, 2), 3, "cut at {cut}");
+            let replay = DeltaJournal::replay_path(&path).unwrap();
+            assert!(!replay.torn_tail_dropped && replay.last_seq() == 3);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -894,9 +725,13 @@ mod tests {
     fn compaction_drops_covered_prefix_and_keeps_sequences() {
         let (path, mut journal) = journal_with("compact", 6);
 
+        // Compaction syncs nothing of the journal's own, so a fault
+        // armed before it still fails the next commit.
+        journal.inject_sync_failures(1);
         let dropped = journal.compact_through(4).unwrap();
         assert_eq!(dropped, 4);
         assert_eq!(journal.len(), 2);
+        assert!(journal.append_batch(&[&sample_delta(8)]).is_err());
         // Appends continue the global sequence.
         assert_eq!(commit(&mut journal, 9), 7);
 

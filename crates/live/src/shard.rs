@@ -3,9 +3,9 @@
 //! simply N = 1.
 //!
 //! Every shard owns its own [`SearchEngine`] + [`DeltaJournal`] +
-//! [`SnapshotStore`](crate::SnapshotStore) and enforces the ordering
-//! that makes crashes safe: **journal (fsync) → apply → publish**, so
-//! each journal is a superset of every snapshot its shard published.
+//! [`SnapshotStore`] and enforces the ordering that makes crashes
+//! safe: **journal (fsync) → apply → publish**, so each journal is a
+//! superset of every snapshot its shard published.
 //! Routing by source id ([`SourceId::shard`]) makes a commit's
 //! copy-on-write detach and fsync per-shard; routed sub-batches
 //! commit in parallel, and recovery replays each journal on its own,
@@ -46,7 +46,7 @@ use crate::cache::QueryCache;
 use crate::error::LiveError;
 use crate::journal::DeltaJournal;
 use crate::metrics::{ShardMetrics, Stage};
-use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader};
+use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};
 use obs_model::{Clock, CorpusDelta, PostId, SourceId};
 use obs_search::{
     scatter_query, scatter_query_traced, SearchEngine, SearchHit, SearchMetrics, StaticBlend,
@@ -54,7 +54,7 @@ use obs_search::{
 use obs_wrappers::{Crawler, DataService, HighWaterMarks, SweepReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Routes change-sets to shards by source id.
 ///
@@ -212,39 +212,6 @@ impl ShardRouter {
     }
 }
 
-/// The global static blend behind its own epoch cell — readers grab
-/// the current `Arc` under a lock held for one clone, exactly the
-/// [`SnapshotStore`](crate::SnapshotStore) discipline.
-#[derive(Debug)]
-struct BlendCell {
-    current: RwLock<Arc<StaticBlend>>,
-}
-
-impl BlendCell {
-    fn new(blend: StaticBlend) -> BlendCell {
-        BlendCell {
-            current: RwLock::new(Arc::new(blend)),
-        }
-    }
-
-    fn load(&self) -> Arc<StaticBlend> {
-        match self.current.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
-    }
-
-    /// Swaps in a new blend and hands back the superseded one, with
-    /// the lock already released so its free never blocks a reader.
-    fn publish(&self, blend: Arc<StaticBlend>) -> Arc<StaticBlend> {
-        let mut guard = match self.current.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::replace(&mut *guard, blend)
-    }
-}
-
 /// One shard's moving parts: its journal and its writer/snapshot
 /// pair. Commit order inside a shard is the service invariant:
 /// journal (fsync) → apply → publish.
@@ -365,7 +332,7 @@ pub struct ShardedLiveService {
     /// engagement in arrival order.
     blend: StaticBlend,
     /// Published copy of `blend` for readers.
-    blend_cell: Arc<BlendCell>,
+    blend_cell: Arc<SnapshotStore<StaticBlend>>,
     /// Per-shard commit instruments. This module is
     /// `lint:deterministic`, so all timing happens inside
     /// [`ShardMetrics`] (untagged `metrics` module) — the shard path
@@ -416,7 +383,7 @@ impl ShardedLiveService {
         ShardedLiveService {
             router,
             shards,
-            blend_cell: Arc::new(BlendCell::new(blend.clone())),
+            blend_cell: Arc::new(SnapshotStore::new(blend.clone())),
             blend,
             metrics: None,
             query_cache: None,
@@ -789,7 +756,7 @@ impl ShardedLiveService {
 #[derive(Debug, Clone)]
 pub struct ShardedReader {
     readers: Vec<SnapshotReader>,
-    blend: Arc<BlendCell>,
+    blend: Arc<SnapshotStore<StaticBlend>>,
     /// Query-path instruments inherited from the service's
     /// [`ShardMetrics`]; the timing itself lives behind
     /// [`SearchMetrics`] so this `lint:deterministic` module stays
@@ -1022,18 +989,6 @@ mod tests {
         for sub in &routed {
             assert_eq!(sub.removed, vec![PostId::new(999)]);
         }
-    }
-
-    #[test]
-    fn blend_publish_returns_the_superseded_blend_with_the_lock_released() {
-        let (_, engine, _) = world_and_engine(607);
-        let cell = BlendCell::new(engine.blend().clone());
-        let old = cell.load();
-        let fresh = Arc::new(engine.blend().clone());
-        let superseded = cell.publish(Arc::clone(&fresh));
-        assert!(cell.current.try_read().is_ok());
-        assert!(Arc::ptr_eq(&superseded, &old));
-        assert!(Arc::ptr_eq(&cell.load(), &fresh));
     }
 
     #[test]

@@ -57,22 +57,24 @@ impl EngineSnapshot {
     }
 }
 
-/// The swap point between one writer and many readers.
+/// The swap point between one writer and many readers: of an
+/// [`EngineSnapshot`] by default, or of any other epoch-published
+/// value (a sharded service's global static blend).
 #[derive(Debug)]
-pub struct SnapshotStore {
-    current: RwLock<Arc<EngineSnapshot>>,
+pub struct SnapshotStore<T = EngineSnapshot> {
+    current: RwLock<Arc<T>>,
 }
 
-impl SnapshotStore {
+impl<T> SnapshotStore<T> {
     /// Creates a store serving `initial` until the first publish.
-    pub fn new(initial: EngineSnapshot) -> SnapshotStore {
+    pub fn new(initial: T) -> SnapshotStore<T> {
         SnapshotStore {
             current: RwLock::new(Arc::new(initial)),
         }
     }
 
     /// The current snapshot. Lock-held time is one `Arc` clone.
-    pub fn load(&self) -> Arc<EngineSnapshot> {
+    pub fn load(&self) -> Arc<T> {
         // A poisoned lock only means a reader panicked mid-clone;
         // the guarded Arc itself is always intact.
         match self.current.read() {
@@ -85,7 +87,7 @@ impl SnapshotStore {
     /// Lock-held time is one pointer swap: the old snapshot — possibly
     /// the last handle on a whole index epoch — is returned with the
     /// lock already released, so readers never wait on its free.
-    fn publish(&self, snapshot: Arc<EngineSnapshot>) -> Arc<EngineSnapshot> {
+    pub(crate) fn publish(&self, snapshot: Arc<T>) -> Arc<T> {
         let mut guard = match self.current.write() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -140,13 +142,12 @@ impl LiveWriter {
     ///
     /// The burst goes through
     /// [`SearchEngine::apply_deltas`](obs_search::SearchEngine::apply_deltas)
-    /// *in replay order*: one copy-on-write index detach (the first
-    /// apply detaches, the rest mutate the now-unique index in
-    /// place) and one static-signal re-blend at the end, however
-    /// many deltas the burst carries — the amortization the
-    /// group-commit ingest path exists for, with unconditionally
-    /// bit-identical results to replaying the same records one at a
-    /// time on recovery. Not visible to readers until
+    /// *in replay order*: one copy-on-write index detach, one
+    /// tombstone sweep and one static-signal re-blend at the end,
+    /// however many deltas the burst carries — the amortization the
+    /// group-commit ingest path exists for, with rankings
+    /// unconditionally bit-identical to replaying the same records
+    /// one at a time. Not visible to readers until
     /// [`LiveWriter::publish`]; an empty batch is a no-op.
     ///
     /// Fails with [`LiveError::OutOfOrder`], applying nothing, if

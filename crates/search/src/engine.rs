@@ -135,8 +135,8 @@ impl SearchEngine {
     /// Applies one change-set — typically what a crawl tick observed
     /// — to the engine in place.
     ///
-    /// The inverted index absorbs document adds/removes through its
-    /// tombstone-compacting writer; engagement adjustments update the
+    /// The inverted index absorbs document adds/removes with one
+    /// tombstone sweep; engagement adjustments update the
     /// raw participation inputs of *only the touched sources* before
     /// the static blend is re-standardized. Traffic and PageRank
     /// inputs are untouched (a content delta carries no new panel or
@@ -152,22 +152,27 @@ impl SearchEngine {
     }
 
     /// Applies a burst of change-sets *in order*, amortizing the
-    /// shared costs across the batch: the index is detached at most
-    /// once ([`Arc::make_mut`] is a no-op once the writer's copy is
-    /// unique) and the static blend is re-standardized once at the
-    /// end instead of once per delta.
+    /// shared costs across the batch: one index detach
+    /// ([`Arc::make_mut`]), one tombstone sweep
+    /// ([`InvertedIndex::apply_deltas`]) and one static re-blend at
+    /// the end, however many deltas the burst carries.
     ///
-    /// The result is bit-identical to applying the deltas one at a
-    /// time — each delta passes through the exact per-delta index
-    /// and signal updates (including the zero clamp on engagement
-    /// counters), and the final re-blend sees the same final
-    /// signals. This unconditional equivalence is what lets a
-    /// group-commit serving layer batch its live applies while crash
-    /// recovery replays the same records individually.
+    /// The rankings are bit-identical to applying the deltas one at
+    /// a time: the index ends with the same documents and postings
+    /// (only which doc-table rows they occupy may differ), and each
+    /// delta's engagement passes through the exact per-delta signal
+    /// update (including the zero clamp on engagement counters), so
+    /// the final re-blend sees the same final signals. This is what
+    /// lets a group-commit serving layer and crash recovery cut the
+    /// same records into different batches.
     pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
+        let deltas: Vec<&CorpusDelta> = deltas.into_iter().collect();
+        if deltas.is_empty() {
+            return;
+        }
+        Arc::make_mut(&mut self.index).apply_deltas(deltas.iter().copied());
         let mut engagement_touched = false;
         for delta in deltas {
-            Arc::make_mut(&mut self.index).apply_delta(delta);
             engagement_touched |= self.blend.apply_engagement(&delta.engagement);
         }
         if engagement_touched {

@@ -6,21 +6,21 @@
 //! feed BM25's length normalization.
 //!
 //! The index is maintainable in place: documents can be added and
-//! removed one at a time (or in batches through an
-//! [`IndexWriter`](crate::writer::IndexWriter)), and an incremental
-//! history of adds/removes converges to exactly the index a
-//! from-scratch [`InvertedIndex::build`] produces. Removals go
-//! through *tombstones*: the document's statistics disappear
-//! immediately, while its postings are swept out by a
-//! generation-aware compaction pass that touches each affected term
-//! list at most once per commit.
+//! removed one at a time, or a batch of change-sets at once through
+//! [`InvertedIndex::apply_deltas`], and an incremental history of
+//! adds/removes converges to exactly the index a from-scratch
+//! [`InvertedIndex::build`] produces. Removals go through
+//! *tombstones*: the document's statistics disappear immediately,
+//! while its postings are swept out by a generation-aware compaction
+//! pass that runs once per batch and touches each affected term list
+//! at most once.
 //!
 //! Documents live in a dense **doc table**: each gets a local `u32`
 //! ordinal naming its row (post, source, length, tombstone flag) and
 //! forward-index slot, and postings carry ordinals. An ordinal
 //! returns to the free list only in the sweep that removes its
-//! postings, so a later add in the same writer batch cannot take a
-//! row whose stale postings that sweep still has to drop.
+//! postings, so a later add in the same batch cannot take a row
+//! whose stale postings that sweep still has to drop.
 //!
 //! Terms are *interned*: a term dictionary maps each live term to a
 //! `u32` id, posting lists are stored by id, and the forward index
@@ -88,8 +88,8 @@ pub struct InvertedIndex {
     /// Ordinals of free rows, reused by the next add.
     free_ords: Vec<u32>,
     /// Ordinals tombstoned but not yet swept. Only ever non-empty
-    /// while an [`IndexWriter`](crate::writer::IndexWriter) holds the
-    /// index mutably, so readers never observe a stale posting.
+    /// inside one mutating call, so readers never observe a stale
+    /// posting.
     pending: Vec<u32>,
     total_len: u64,
     /// Compaction generation, bumped once per sweep.
@@ -118,9 +118,8 @@ impl InvertedIndex {
     }
 
     /// Adds one document, tombstoning a live document of the same id
-    /// without sweeping it. Crate-internal: only the writer defers
-    /// sweeps.
-    pub(crate) fn stage_document(&mut self, doc: PostId, source: SourceId, text: &str) {
+    /// without sweeping it.
+    fn stage_document(&mut self, doc: PostId, source: SourceId, text: &str) {
         self.tombstone_document(doc);
         let mut tf: HashMap<String, u32> = HashMap::new();
         for t in tokenize(text) {
@@ -199,19 +198,33 @@ impl InvertedIndex {
         removed
     }
 
-    /// Applies a change-set: removals first, then additions, so a
-    /// delta that replaces a document behaves like an update.
+    /// Applies one change-set: the one-element case of
+    /// [`InvertedIndex::apply_deltas`].
     pub fn apply_delta(&mut self, delta: &CorpusDelta) {
-        let mut writer = crate::writer::IndexWriter::new(self);
-        writer.apply(delta);
-        writer.commit();
+        self.apply_deltas(std::iter::once(delta));
+    }
+
+    /// Applies change-sets in order — each delta's removals first,
+    /// then its additions, so a delta that replaces a document
+    /// behaves like an update — and then sweeps once: each posting
+    /// list the batch dirtied is rescanned once, however many of the
+    /// batch's removals it hosted.
+    pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
+        for delta in deltas {
+            for &doc in &delta.removed {
+                self.tombstone_document(doc);
+            }
+            for add in &delta.added {
+                self.stage_document(add.post, add.source, &add.text);
+            }
+        }
+        self.sweep();
     }
 
     /// Marks a document removed without sweeping its postings:
     /// statistics (count, lengths, source) update immediately, the
     /// posting entries and the row wait for [`InvertedIndex::sweep`].
-    /// Crate-internal: only the writer defers sweeps.
-    pub(crate) fn tombstone_document(&mut self, doc: PostId) -> bool {
+    fn tombstone_document(&mut self, doc: PostId) -> bool {
         let Some(ord) = self.ordinal_of.remove(&doc) else {
             return false;
         };
@@ -226,7 +239,7 @@ impl InvertedIndex {
     /// list dirtied by at least one tombstoned document is compacted
     /// exactly once, however many documents it hosted. Only then do
     /// the tombstoned rows go back on the free list.
-    pub(crate) fn sweep(&mut self) -> usize {
+    fn sweep(&mut self) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
@@ -248,11 +261,6 @@ impl InvertedIndex {
         }
         self.free_ords.extend_from_slice(&pending);
         pending.len()
-    }
-
-    /// Number of removals awaiting a sweep.
-    pub(crate) fn pending_tombstones(&self) -> usize {
-        self.pending.len()
     }
 
     /// The doc table, by ordinal: what the dense scorer reads a
@@ -567,7 +575,7 @@ mod tests {
     #[test]
     fn dictionary_tracks_tombstones_and_sweeps() {
         let mut idx = three_docs();
-        // The writer's path: statistics go first, postings wait.
+        // The batch path: statistics go first, postings wait.
         assert!(idx.tombstone_document(PostId::new(0)));
         assert!(idx.tombstone_document(PostId::new(1)));
         assert_bounds_exact(&idx);
@@ -577,10 +585,10 @@ mod tests {
         assert_eq!(idx.vocabulary_size(), 2);
         assert_eq!(postings_by_post(&idx, "duomo"), vec![(2, 1)]);
 
-        // The same through the public writer.
-        let mut writer = crate::writer::IndexWriter::new(&mut idx);
-        writer.remove_document(PostId::new(2));
-        writer.commit();
+        // The same through the public batch path.
+        let mut delta = CorpusDelta::new();
+        delta.remove_doc(PostId::new(2));
+        idx.apply_delta(&delta);
         assert_bounds_exact(&idx);
         assert_eq!(idx.vocabulary_size(), 0);
     }
@@ -589,13 +597,13 @@ mod tests {
     fn dictionary_tracks_readd_of_a_tombstoned_doc() {
         let mut idx = three_docs();
         assert!(idx.tombstone_document(PostId::new(1)));
-        // The writer's re-add takes a fresh row: the tombstoned row
+        // The batch's re-add takes a fresh row: the tombstoned row
         // keeps its stale postings, and its ordinal stays off the
         // free list, until the sweep, which also retires `castle`.
         let stale = idx.rows.iter().position(|r| r.tombstoned);
         idx.stage_document(PostId::new(1), SourceId::new(0), "duomo fountain");
         assert_bounds_exact(&idx);
-        assert_eq!(idx.pending_tombstones(), 1);
+        assert_eq!(idx.pending.len(), 1);
         assert_ne!(idx.ordinal_of(PostId::new(1)).map(|o| o as usize), stale);
         assert_eq!(idx.sweep(), 1);
         assert_bounds_exact(&idx);
@@ -606,6 +614,27 @@ mod tests {
             vec![(0, 1), (1, 1), (2, 1)]
         );
         assert_eq!(idx.vocabulary_size(), 4);
+    }
+
+    #[test]
+    fn a_batch_sweeps_once_so_a_readd_takes_a_fresh_row() {
+        let mut idx = three_docs();
+        let (x, y) = (PostId::new(1), PostId::new(2));
+        let old = idx.ordinal_of(x).unwrap();
+        let mut remove_x = CorpusDelta::new();
+        remove_x.remove_doc(x);
+        let mut add_x = CorpusDelta::new();
+        add_x.add_doc(x, SourceId::new(0), "duomo fountain");
+        let mut remove_y = CorpusDelta::new();
+        remove_y.remove_doc(y);
+        idx.apply_deltas([&remove_x, &add_x, &remove_y]);
+        assert_bounds_exact(&idx);
+        // Freed only by the batch's one sweep, after the re-add.
+        assert_ne!(idx.ordinal_of(x), Some(old));
+        assert!(idx.free_ordinals().contains(&old));
+        assert_eq!(postings_by_post(&idx, "duomo"), vec![(0, 1), (1, 1)]);
+        assert_eq!(idx.doc_frequency("castle"), 0);
+        assert_eq!(idx.doc_frequency("gardens"), 0);
     }
 
     #[test]
@@ -622,10 +651,10 @@ mod tests {
     #[test]
     fn removing_every_doc_empties_the_dictionary() {
         let mut idx = three_docs();
-        let mut writer = crate::writer::IndexWriter::new(&mut idx);
-        writer.remove_document(PostId::new(0));
-        writer.remove_document(PostId::new(2));
-        writer.commit();
+        let mut delta = CorpusDelta::new();
+        delta.remove_doc(PostId::new(0));
+        delta.remove_doc(PostId::new(2));
+        idx.apply_delta(&delta);
         idx.remove_document(PostId::new(1));
         assert_bounds_exact(&idx);
         assert_eq!(idx.vocabulary_size(), 0);

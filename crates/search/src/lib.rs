@@ -12,9 +12,8 @@
 //!
 //! * [`token`] — tokenizer shared with the sentiment services;
 //! * [`index`] — an inverted index over opening posts, maintainable
-//!   in place through add/remove with tombstoned compaction;
-//! * [`writer`] — the [`IndexWriter`]: batched index maintenance
-//!   driven by [`CorpusDelta`](obs_model::CorpusDelta) change-sets;
+//!   in place through [`CorpusDelta`](obs_model::CorpusDelta)
+//!   change-sets, with one tombstone sweep per batch;
 //! * [`score`] — TF-IDF and BM25 document scoring;
 //! * [`pagerank`](mod@pagerank) — PageRank over the inter-source
 //!   link graph, with a convergence-aware early exit;
@@ -41,7 +40,6 @@ pub mod scatter;
 pub mod score;
 pub mod token;
 pub mod trace;
-pub mod writer;
 
 pub use blend::{BlendWeights, StaticBlend};
 pub use engine::{SearchEngine, SearchHit};
@@ -53,4 +51,3 @@ pub use scatter::{
 };
 pub use token::tokenize;
 pub use trace::{QueryTimer, SearchMetrics};
-pub use writer::{CommitStats, IndexWriter};

@@ -3,15 +3,15 @@
 //!
 //! Postings name documents by ordinal, and ordinals are reused
 //! through a free list. The hazard is reuse inside one
-//! [`IndexWriter`] batch: were a tombstoned row freed before the
-//! commit's sweep, a later add in the batch could take it, and the
-//! sweep would then keep stale postings or drop fresh ones. The
-//! batches mix removals, re-adds of live ids and reuse of removed
-//! ids; after every commit the index must equal a from-scratch index
+//! [`InvertedIndex::apply_deltas`] batch: were a tombstoned row freed
+//! before the batch's sweep, a later add in the batch could take it,
+//! and the sweep would then keep stale postings or drop fresh ones.
+//! The batches mix removals, re-adds of live ids and reuse of removed
+//! ids; after every batch the index must equal a from-scratch index
 //! of the live documents, with every ordinal used once.
 
-use obs_model::{PostId, SourceId};
-use obs_search::{IndexWriter, InvertedIndex};
+use obs_model::{CorpusDelta, PostId, SourceId};
+use obs_search::InvertedIndex;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,16 +91,17 @@ proptest! {
 
         let mut done = 0usize;
         while done < ops {
-            // A writer batch of 1–5 ops: tombstones accumulate and
-            // compact in one generation sweep at commit.
+            // A batch of 1–5 one-op deltas: tombstones accumulate and
+            // compact in one generation sweep after the last.
             let batch = 1 + (lcg(&mut state) % 5) as usize;
-            let mut writer = IndexWriter::new(&mut idx);
+            let mut deltas = Vec::with_capacity(batch);
             for _ in 0..batch {
+                let mut delta = CorpusDelta::new();
                 let roll = lcg(&mut state) % 3;
                 if roll == 0 && !live.is_empty() {
                     let nth = (lcg(&mut state) as usize) % live.len();
                     let victim = *live.keys().nth(nth).unwrap();
-                    writer.remove_document(PostId::new(victim));
+                    delta.remove_doc(PostId::new(victim));
                     live.remove(&victim);
                 } else {
                     // Doc ids from a small range, so re-adds of live
@@ -108,22 +109,23 @@ proptest! {
                     // ids both occur.
                     let doc = (lcg(&mut state) % 40) as u32;
                     let text = synth_text(&mut state);
-                    writer.add_document(PostId::new(doc), SourceId::new(doc % 5), &text);
+                    delta.add_doc(PostId::new(doc), SourceId::new(doc % 5), text.clone());
                     live.insert(doc, text);
                 }
+                deltas.push(delta);
                 done += 1;
             }
-            writer.commit();
+            idx.apply_deltas(&deltas);
             assert_doc_table(&idx, &live);
         }
 
         // Drain the survivors through one final batched removal: every
         // row returns to the free list.
-        let mut writer = IndexWriter::new(&mut idx);
+        let mut drain = CorpusDelta::new();
         for &doc in live.keys() {
-            writer.remove_document(PostId::new(doc));
+            drain.remove_doc(PostId::new(doc));
         }
-        writer.commit();
+        idx.apply_delta(&drain);
         live.clear();
         assert_doc_table(&idx, &live);
         prop_assert_eq!(idx.doc_count(), 0);

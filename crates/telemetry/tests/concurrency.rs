@@ -30,19 +30,11 @@ const RACE_COMMIT_NS: InstrumentSpec = InstrumentSpec {
 fn snapshots_are_monotone_under_racing_recorders() {
     let h = Histogram::new();
     let stop = AtomicBool::new(false);
+    // Set by the reader after its first snapshot: recorders wait for
+    // it, so the reader polls at least once and races the recording.
+    let started = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for t in 0..RECORDERS {
-            let h = h.clone();
-            scope.spawn(move || {
-                for i in 0..PER_THREAD {
-                    // Deterministic per-thread value stream spanning
-                    // exact and log buckets.
-                    h.record((t as u64 + 1) * 7 + i % 4096);
-                }
-            });
-        }
-
         let reader = scope.spawn(|| {
             let mut last_count = 0u64;
             let mut last_sum = 0u64;
@@ -63,9 +55,25 @@ fn snapshots_are_monotone_under_racing_recorders() {
                 last_count = count;
                 last_sum = sum;
                 polls += 1;
+                started.store(true, Ordering::Release);
             }
             polls
         });
+
+        for t in 0..RECORDERS {
+            let h = h.clone();
+            let started = &started;
+            scope.spawn(move || {
+                while !started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                for i in 0..PER_THREAD {
+                    // Deterministic per-thread value stream spanning
+                    // exact and log buckets.
+                    h.record((t as u64 + 1) * 7 + i % 4096);
+                }
+            });
+        }
 
         // Let the recorder threads finish, then release the reader.
         // (Scope join order: we can't join named handles before the

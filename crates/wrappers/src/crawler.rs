@@ -384,7 +384,7 @@ impl Crawler {
     /// an aggregate [`SweepReport`]. This is the producer side of
     /// group-commit ingestion — the caller persists the burst under
     /// one fsync and applies it in one amortized pass (one index
-    /// detach, one signal re-blend; see
+    /// detach, one tombstone sweep, one signal re-blend; see
     /// `SearchEngine::apply_deltas`), or folds it into a single
     /// shippable delta with
     /// [`CorpusDelta::coalesce`](obs_model::CorpusDelta::coalesce).

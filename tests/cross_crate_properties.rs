@@ -9,8 +9,7 @@ use informing_observers::quality::{
 };
 use informing_observers::search::score::{bm25_scores, Bm25Params};
 use informing_observers::search::{
-    scatter_query, scatter_query_unpruned, tokenize, BlendWeights, IndexWriter, InvertedIndex,
-    SearchEngine,
+    scatter_query, scatter_query_unpruned, tokenize, BlendWeights, InvertedIndex, SearchEngine,
 };
 use informing_observers::synth::{TwitterConfig, TwitterPopulation, World, WorldConfig};
 use informing_observers::wrappers::{service_for, Crawler};
@@ -88,14 +87,12 @@ proptest! {
         let world = tiny_world(seed);
         let fresh = InvertedIndex::build(&world.corpus);
 
-        // Stream the same documents in a seed-permuted order through
-        // the writer, split into two batches.
+        // Stream the same documents in a seed-permuted order, split
+        // into two deltas.
         let posts = permuted_posts(&world, seed);
         let mut incremental = InvertedIndex::default();
         let (first, second) = posts.split_at(posts.len() / 2);
-        let mut writer = IndexWriter::new(&mut incremental);
-        writer.apply(&CorpusDelta::for_posts(&world.corpus, first).unwrap());
-        writer.commit();
+        incremental.apply_delta(&CorpusDelta::for_posts(&world.corpus, first).unwrap());
         incremental.apply_delta(&CorpusDelta::for_posts(&world.corpus, second).unwrap());
 
         prop_assert_eq!(fresh.doc_count(), incremental.doc_count());
@@ -118,11 +115,13 @@ proptest! {
         // Half the documents are transient: added, then removed.
         let (kept, transient) = posts.split_at(posts.len() / 2);
 
+        // One burst churns them remove → re-add → remove: the last
+        // removal tombstones rows re-added in the same batch, before
+        // its single sweep.
+        let removal = CorpusDelta::for_removals(&world.corpus, transient).unwrap();
+        let readd = CorpusDelta::for_posts(&world.corpus, transient).unwrap();
         let mut churned = InvertedIndex::build(&world.corpus);
-        let mut writer = IndexWriter::new(&mut churned);
-        writer.apply(&CorpusDelta::for_removals(&world.corpus, transient).unwrap());
-        let stats = writer.commit();
-        prop_assert_eq!(stats.removed, transient.len());
+        churned.apply_deltas([&removal, &readd, &removal]);
 
         let mut pristine = InvertedIndex::default();
         pristine.apply_delta(&CorpusDelta::for_posts(&world.corpus, kept).unwrap());
