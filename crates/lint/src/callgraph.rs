@@ -45,8 +45,6 @@ pub struct CallGraph {
     /// Edge indices by callee — the reverse adjacency the
     /// reachability pass walks.
     pub callers_of: BTreeMap<FnId, Vec<usize>>,
-    /// Edge indices by caller.
-    pub calls_from: BTreeMap<FnId, Vec<usize>>,
 }
 
 impl CallGraph {
@@ -73,11 +71,9 @@ impl CallGraph {
         let mut graph = CallGraph {
             edges,
             callers_of: BTreeMap::new(),
-            calls_from: BTreeMap::new(),
         };
         for (i, edge) in graph.edges.iter().enumerate() {
             graph.callers_of.entry(edge.to).or_default().push(i);
-            graph.calls_from.entry(edge.from).or_default().push(i);
         }
         graph
     }

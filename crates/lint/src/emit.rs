@@ -1,7 +1,6 @@
-//! Output formats for findings: plain text, JSON, and GitHub
-//! workflow annotations. Hand-rolled (the linter is zero-dep by
-//! design — it must gate every crate without sitting downstream of
-//! one), so the JSON writer escapes by hand.
+//! Output formats for findings: plain text and GitHub workflow
+//! annotations. Hand-rolled (the linter is zero-dep by design — it
+//! must gate every crate without sitting downstream of one).
 
 use crate::pass::Diagnostic;
 use std::fmt::Write;
@@ -11,10 +10,7 @@ use std::fmt::Write;
 pub enum Format {
     /// `file:line: [pass] message`, one per finding.
     Text,
-    /// One JSON document with every finding and baseline status.
-    Json,
-    /// `::error file=…,line=…` GitHub workflow annotations (new
-    /// findings only — baselined ones must not decorate PR lines).
+    /// `::error file=…,line=…` GitHub workflow annotations.
     Github,
 }
 
@@ -23,78 +19,36 @@ impl Format {
     pub fn parse(s: &str) -> Option<Format> {
         match s {
             "text" => Some(Format::Text),
-            "json" => Some(Format::Json),
             "github" => Some(Format::Github),
             _ => None,
         }
     }
 }
 
-/// Renders the full report for one run: `new` failed the ratchet,
-/// `baselined` are accepted pre-existing findings.
-pub fn render(format: Format, new: &[&Diagnostic], baselined: &[&Diagnostic]) -> String {
+/// Renders the full report for one run.
+pub fn render(format: Format, findings: &[Diagnostic]) -> String {
     match format {
-        Format::Text => render_text(new, baselined),
-        Format::Json => render_json(new, baselined),
-        Format::Github => render_github(new, baselined),
+        Format::Text => render_text(findings),
+        Format::Github => render_github(findings),
     }
 }
 
-fn render_text(new: &[&Diagnostic], baselined: &[&Diagnostic]) -> String {
+fn render_text(findings: &[Diagnostic]) -> String {
     let mut out = String::new();
-    for d in new {
+    for d in findings {
         let _ = writeln!(out, "{d}");
     }
-    if !baselined.is_empty() {
-        let _ = writeln!(
-            out,
-            "obs_lint: {} baselined finding(s) not shown (see LINT_BASELINE.tsv)",
-            baselined.len()
-        );
-    }
-    if new.is_empty() {
+    if findings.is_empty() {
         let _ = writeln!(out, "obs_lint: workspace clean");
     } else {
-        let _ = writeln!(out, "obs_lint: {} new finding(s)", new.len());
+        let _ = writeln!(out, "obs_lint: {} finding(s)", findings.len());
     }
     out
 }
 
-fn render_json(new: &[&Diagnostic], baselined: &[&Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    let all = new
-        .iter()
-        .map(|d| (*d, false))
-        .chain(baselined.iter().map(|d| (*d, true)));
-    let mut first = true;
-    for (d, is_baselined) in all {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"pass\": \"{}\", \
-             \"message\": \"{}\", \"baselined\": {}}}",
-            json_escape(&d.file.display().to_string()),
-            d.line,
-            d.pass.key(),
-            json_escape(&d.message),
-            is_baselined
-        );
-    }
-    let _ = write!(
-        out,
-        "\n  ],\n  \"new\": {},\n  \"baselined\": {}\n}}\n",
-        new.len(),
-        baselined.len()
-    );
-    out
-}
-
-fn render_github(new: &[&Diagnostic], baselined: &[&Diagnostic]) -> String {
+fn render_github(findings: &[Diagnostic]) -> String {
     let mut out = String::new();
-    for d in new {
+    for d in findings {
         let _ = writeln!(
             out,
             "::error file={},line={},title=obs_lint {}::{}",
@@ -104,31 +58,7 @@ fn render_github(new: &[&Diagnostic], baselined: &[&Diagnostic]) -> String {
             data_escape(&d.message)
         );
     }
-    let _ = writeln!(
-        out,
-        "obs_lint: {} new finding(s), {} baselined",
-        new.len(),
-        baselined.len()
-    );
-    out
-}
-
-/// Escapes a JSON string value.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = writeln!(out, "obs_lint: {} finding(s)", findings.len());
     out
 }
 
@@ -160,29 +90,11 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_escaped() {
-        let d = diag("says \"hi\"\nand more");
-        let out = render_json(&[&d], &[]);
-        assert!(out.contains(r#""message": "says \"hi\"\nand more""#));
-        assert!(out.contains(r#""pass": "reach""#));
-        assert!(out.contains("\"new\": 1"));
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
-    }
-
-    #[test]
     fn github_annotations_escape_newlines_and_commas() {
         let d = diag("chain: a → b,\nthen c");
-        let out = render_github(&[&d], &[]);
+        let out = render_github(&[d]);
         assert!(out.starts_with("::error file=crates/live/src/a.rs,line=7,"));
         assert!(out.contains("%0A"));
         assert!(!out.lines().next().unwrap().contains('\n'));
-    }
-
-    #[test]
-    fn baselined_findings_do_not_annotate() {
-        let d = diag("old news");
-        let out = render_github(&[], &[&d]);
-        assert!(!out.contains("::error"));
-        assert!(out.contains("0 new finding(s), 1 baselined"));
     }
 }

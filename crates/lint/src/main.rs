@@ -1,12 +1,9 @@
-//! CLI: `obs_lint check [ROOT] [--format text|json|github]
-//! [--baseline PATH] [--write-baseline]`.
+//! CLI: `obs_lint check [ROOT] [--format text|github]`.
 //!
-//! Exits non-zero only on findings *not* covered by the ratchet
-//! baseline (`LINT_BASELINE.tsv` at ROOT by default) — CI runs this
-//! as a required gate, so new violations fail while accepted
-//! pre-existing ones burn down at their own pace.
+//! Exits non-zero on any finding — CI runs this as a required gate,
+//! so every finding is either fixed or carries a justified
+//! `lint:allow` pragma.
 
-use obs_lint::baseline::{self, Baseline};
 use obs_lint::emit::{self, Format};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,13 +11,10 @@ use std::process::ExitCode;
 struct Args {
     root: PathBuf,
     format: Format,
-    baseline_path: PathBuf,
-    write_baseline: bool,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: obs_lint check [ROOT] [--format text|json|github]");
-    eprintln!("                      [--baseline PATH] [--write-baseline]");
+    eprintln!("usage: obs_lint check [ROOT] [--format text|github]");
     eprintln!();
     eprintln!("Lints the workspace at ROOT (default: current directory)");
     eprintln!("with the repo-specific invariant passes:");
@@ -28,13 +22,6 @@ fn usage() -> ExitCode {
         let pass = obs_lint::Pass::from_key(key).expect("KEYS are valid keys");
         eprintln!("  {:<14} {}", key, pass.name());
     }
-    eprintln!();
-    eprintln!("Findings listed in the ratchet baseline (default:");
-    eprintln!(
-        "ROOT/{}) are reported but do not fail the gate;",
-        baseline::DEFAULT_FILE
-    );
-    eprintln!("--write-baseline regenerates it from the current findings.");
     ExitCode::from(2)
 }
 
@@ -45,14 +32,10 @@ fn parse_args() -> Option<Args> {
     }
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
-    let mut baseline_path = None;
-    let mut write_baseline = false;
     let mut saw_root = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => format = Format::parse(&args.next()?)?,
-            "--baseline" => baseline_path = Some(PathBuf::from(args.next()?)),
-            "--write-baseline" => write_baseline = true,
             flag if flag.starts_with('-') => return None,
             path if !saw_root => {
                 root = PathBuf::from(path);
@@ -61,13 +44,7 @@ fn parse_args() -> Option<Args> {
             _ => return None,
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(baseline::DEFAULT_FILE));
-    Some(Args {
-        root,
-        format,
-        baseline_path,
-        write_baseline,
-    })
+    Some(Args { root, format })
 }
 
 fn main() -> ExitCode {
@@ -75,35 +52,8 @@ fn main() -> ExitCode {
         return usage();
     };
     let findings = obs_lint::check(&args.root);
-    if args.write_baseline {
-        let text = Baseline::render(&findings);
-        if let Err(err) = std::fs::write(&args.baseline_path, text) {
-            eprintln!(
-                "obs_lint: cannot write baseline {}: {err}",
-                args.baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "obs_lint: wrote {} finding(s) to {}",
-            findings.len(),
-            args.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match Baseline::load(&args.baseline_path) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!(
-                "obs_lint: cannot read baseline {}: {err}",
-                args.baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let (new, baselined) = baseline.partition(&findings);
-    print!("{}", emit::render(args.format, &new, &baselined));
-    if new.is_empty() {
+    print!("{}", emit::render(args.format, &findings));
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -11,9 +11,6 @@ pub enum Pass {
     /// No `.unwrap()` / `.expect()` / `panic!`-family macros in
     /// non-test code of the serving crates. Pragma key: `panic`.
     PanicFreedom,
-    /// In `obs_live`, a function that `append`s to the journal must
-    /// `sync` before any `apply*` / `publish`. Pragma key: `ordering`.
-    CommitOrdering,
     /// No lock guard held across a blocking call (fsync, thread
     /// join, simulated RTT). Pragma key: `guard`.
     GuardAcrossBlocking,
@@ -41,20 +38,12 @@ pub enum Pass {
 impl Pass {
     /// The pragma keys, in pass order (excluding the
     /// non-suppressible `Pragma` and `Io`).
-    pub const KEYS: [&'static str; 6] = [
-        "panic",
-        "ordering",
-        "guard",
-        "determinism",
-        "discard",
-        "reach",
-    ];
+    pub const KEYS: [&'static str; 5] = ["panic", "guard", "determinism", "discard", "reach"];
 
     /// Parses a pragma key.
     pub fn from_key(key: &str) -> Option<Pass> {
         match key {
             "panic" => Some(Pass::PanicFreedom),
-            "ordering" => Some(Pass::CommitOrdering),
             "guard" => Some(Pass::GuardAcrossBlocking),
             "determinism" => Some(Pass::Determinism),
             "discard" => Some(Pass::DiscardedResult),
@@ -67,7 +56,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::PanicFreedom => "panic-freedom",
-            Pass::CommitOrdering => "commit-ordering",
             Pass::GuardAcrossBlocking => "guard-across-blocking",
             Pass::Determinism => "determinism",
             Pass::DiscardedResult => "discarded-result",
@@ -77,12 +65,11 @@ impl Pass {
         }
     }
 
-    /// The stable key used in machine-readable output and the
-    /// ratchet baseline (pragma key where one exists).
+    /// The stable key fixture markers use (the pragma key where one
+    /// exists).
     pub fn key(self) -> &'static str {
         match self {
             Pass::PanicFreedom => "panic",
-            Pass::CommitOrdering => "ordering",
             Pass::GuardAcrossBlocking => "guard",
             Pass::Determinism => "determinism",
             Pass::DiscardedResult => "discard",

@@ -17,13 +17,12 @@ use crate::lexer::TokenKind;
 use crate::pass::{Diagnostic, Pass};
 use crate::source::SourceFile;
 
-const FALLIBLE_COMMIT: [&str; 10] = [
+const FALLIBLE_COMMIT: [&str; 9] = [
     "sync",
     "sync_data",
     "sync_all",
     "set_len",
     "seek",
-    "retract_staged",
     "commit",
     "append",
     "append_batch",

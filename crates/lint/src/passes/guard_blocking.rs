@@ -18,11 +18,11 @@
 //!   tracked.
 //!
 //! Within a live region, a call to a blocking name (`sync`,
-//! `sync_data`, `sync_all`, `join`, `sleep`, `charge`, `recv`,
-//! `wait`) fires the lint unless the guard was explicitly
-//! `drop(…)`ped first. Acquisition methods are recognized by their
-//! *argument-less* call shape, which keeps `io::Read::read(buf)` and
-//! `io::Write::write(buf)` out of scope.
+//! `sync_data`, `sync_all`, `join`, `sleep`, `recv`, `wait`) fires
+//! the lint unless the guard was explicitly `drop(…)`ped first.
+//! Acquisition methods are recognized by their *argument-less* call
+//! shape, which keeps `io::Read::read(buf)` and `io::Write::write(buf)`
+//! out of scope.
 
 use super::{is_call, is_method_call};
 use crate::lexer::TokenKind;
@@ -30,13 +30,12 @@ use crate::pass::{Diagnostic, Pass};
 use crate::source::SourceFile;
 
 const ACQUIRERS: [&str; 3] = ["read", "write", "lock"];
-const BLOCKERS: [&str; 8] = [
+const BLOCKERS: [&str; 7] = [
     "sync",
     "sync_data",
     "sync_all",
     "join",
     "sleep",
-    "charge",
     "recv",
     "wait",
 ];

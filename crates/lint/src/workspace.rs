@@ -3,9 +3,8 @@
 //! [`Workspace::analyze`] is the whole linter as a pure function
 //! over `(path, text)` pairs: phase 1 parses every file and builds
 //! the [`SymbolIndex`] and [`CallGraph`]; phase 2 runs the per-file
-//! passes (scoped by path, exactly as before) and then the
-//! interprocedural passes that need the graph — panic-reachability
-//! and commit-ordering through helper fns.
+//! passes (scoped by path) and then the interprocedural pass that
+//! needs the graph, panic-reachability.
 //!
 //! Taking the file set as a value (rather than walking the
 //! filesystem) is what makes the workspace fixtures possible: they
@@ -105,15 +104,11 @@ impl Workspace {
             if in_serving_crate(rel) {
                 passes::panic_freedom::run(file, &mut out);
             }
-            if rel.starts_with("crates/live") {
-                passes::commit_ordering::run(file, &mut out);
-            }
             passes::guard_blocking::run(file, &mut out);
             passes::determinism::run(file, &mut out); // no-op unless tagged
             passes::discarded_result::run(file, &mut out);
         }
         passes::panic_reachability::run(&ws, &mut out);
-        passes::commit_ordering::run_interprocedural(&ws, &mut out);
         sort_findings(&mut out);
         out
     }

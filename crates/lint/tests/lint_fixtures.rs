@@ -90,7 +90,7 @@ fn every_pass_has_firing_and_clean_fixtures() {
     // The single-file passes. `reach` needs multiple files, so its
     // corpus lives in the workspace harness
     // (tests/workspace_fixtures.rs) with the same ≥2+≥2 requirement.
-    let single_file_keys = ["panic", "ordering", "guard", "determinism", "discard"];
+    let single_file_keys = ["panic", "guard", "determinism", "discard"];
     for key in single_file_keys.iter().chain(["pragma"].iter()) {
         let (mut firing, mut clean) = (0, 0);
         for (dir, path) in all_fixtures() {

@@ -344,11 +344,6 @@ impl SearchEngine {
         &self.blend.weights
     }
 
-    /// The BM25 parameters this engine scores with.
-    pub fn bm25_params(&self) -> Bm25Params {
-        self.params
-    }
-
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
         self.index.doc_count()

@@ -23,7 +23,7 @@
 //!   ([`Registry::render_text`]) and a `serde_json` value dump
 //!   ([`Registry::to_json`]).
 //! * [`TelemetryClock`] — the injectable time source behind every
-//!   [`Span`] / [`Stopwatch`]. Production uses [`RealClock`]
+//!   [`Stopwatch`]. Production uses [`RealClock`]
 //!   (monotonic `Instant`); tests use [`ManualClock`]. Modules under
 //!   a `lint:deterministic` tag never read a wall clock themselves:
 //!   they call closure-timing helpers (or record pre-measured
@@ -53,4 +53,4 @@ pub use counter::{Counter, Gauge};
 pub use expose::{render_text, to_json, MetricSnapshot, MetricValue};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::Registry;
-pub use span::{Span, Stopwatch};
+pub use span::Stopwatch;

@@ -1,59 +1,13 @@
-//! Stage timers: spans and stopwatches.
+//! Stage timers.
 //!
-//! A [`Span`] times one region and records into one histogram — on
-//! explicit [`finish`](Span::finish) or, failing that, on drop, so
-//! an early `?` return still gets measured. A [`Stopwatch`] times a
-//! *sequence* of stages with one clock read per boundary: each
-//! [`lap_ns`](Stopwatch::lap_ns) returns the nanoseconds since the
-//! previous lap, which the caller records into that stage's
-//! histogram. Both read time only through the injected
-//! [`TelemetryClock`](crate::TelemetryClock), so deterministic
-//! tests can drive them by hand.
+//! A [`Stopwatch`] times a *sequence* of stages with one clock read
+//! per boundary: each [`lap_ns`](Stopwatch::lap_ns) returns the
+//! nanoseconds since the previous lap, which the caller records into
+//! that stage's histogram. It reads time only through the injected
+//! [`TelemetryClock`](crate::TelemetryClock), so deterministic tests
+//! can drive it by hand.
 
 use crate::clock::SharedClock;
-use crate::histogram::Histogram;
-
-/// Times one region into one histogram; records exactly once, on
-/// [`finish`](Span::finish) or on drop.
-#[derive(Debug)]
-pub struct Span {
-    histogram: Histogram,
-    clock: SharedClock,
-    start: u64,
-    finished: bool,
-}
-
-impl Span {
-    /// Starts a span now on `clock`, recording into `histogram` when
-    /// it ends.
-    pub fn start(histogram: Histogram, clock: SharedClock) -> Self {
-        let start = clock.now_ns();
-        Self {
-            histogram,
-            clock,
-            start,
-            finished: false,
-        }
-    }
-
-    /// Ends the span, records the elapsed nanoseconds, and returns
-    /// them.
-    pub fn finish(mut self) -> u64 {
-        let elapsed = self.clock.now_ns().saturating_sub(self.start);
-        self.histogram.record(elapsed);
-        self.finished = true;
-        elapsed
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.finished {
-            let elapsed = self.clock.now_ns().saturating_sub(self.start);
-            self.histogram.record(elapsed);
-        }
-    }
-}
 
 /// Times consecutive stages of a pipeline with one clock read per
 /// stage boundary.
@@ -78,14 +32,6 @@ impl Stopwatch {
         self.last = now;
         elapsed
     }
-
-    /// Like [`lap_ns`](Stopwatch::lap_ns), but records the lap into
-    /// `histogram` as well as returning it.
-    pub fn lap_into(&mut self, histogram: &Histogram) -> u64 {
-        let elapsed = self.lap_ns();
-        histogram.record(elapsed);
-        elapsed
-    }
 }
 
 #[cfg(test)]
@@ -93,31 +39,6 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use std::sync::Arc;
-
-    #[test]
-    fn span_records_on_finish() {
-        let clock = Arc::new(ManualClock::new());
-        let h = Histogram::new();
-        let span = Span::start(h.clone(), clock.clone());
-        clock.advance(1_500);
-        assert_eq!(span.finish(), 1_500);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1);
-        assert_eq!(snap.max(), 1_500);
-    }
-
-    #[test]
-    fn span_records_on_drop() {
-        let clock = Arc::new(ManualClock::new());
-        let h = Histogram::new();
-        {
-            let _span = Span::start(h.clone(), clock.clone());
-            clock.advance(700);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1);
-        assert_eq!(snap.max(), 700);
-    }
 
     #[test]
     fn stopwatch_laps_are_disjoint() {
@@ -128,15 +49,5 @@ mod tests {
         clock.advance(250);
         assert_eq!(watch.lap_ns(), 250);
         assert_eq!(watch.lap_ns(), 0);
-    }
-
-    #[test]
-    fn lap_into_records_the_lap() {
-        let clock = Arc::new(ManualClock::new());
-        let h = Histogram::new();
-        let mut watch = Stopwatch::start(clock.clone() as SharedClock);
-        clock.advance(64);
-        assert_eq!(watch.lap_into(&h), 64);
-        assert_eq!(h.snapshot().sum(), 64);
     }
 }

@@ -148,10 +148,10 @@ pub struct CrawlerConfig {
     /// Hard cap on fetched pages (runaway-cursor guard).
     pub max_pages: usize,
     /// Worker threads a [`Crawler::crawl_sweep`] fans per-source
-    /// crawls across. `1` (the default) keeps the sweep sequential;
-    /// higher counts split the service list into contiguous chunks,
-    /// one scoped thread each. The burst a sweep returns is
-    /// byte-for-byte identical either way — see
+    /// crawls across: the service list splits into this many
+    /// contiguous chunks, one scoped thread each. `1` (the default)
+    /// crawls every service in order on one worker. The burst a
+    /// sweep returns is byte-for-byte identical either way — see
     /// [`Crawler::crawl_sweep`] for the determinism contract.
     pub workers: usize,
 }
@@ -389,135 +389,97 @@ impl Crawler {
     /// shippable delta with
     /// [`CorpusDelta::coalesce`](obs_model::CorpusDelta::coalesce).
     ///
-    /// With [`CrawlerConfig::workers`] > 1 the per-source crawls fan
-    /// out across that many scoped worker threads (each service is
-    /// handed to exactly one worker), and the results are joined
-    /// back **in service order**. Parallel and sequential sweeps are
-    /// equivalent down to the byte: the native APIs serve content
-    /// independently of the polling instant (only rate metering
-    /// reads the clock, and every bucket starts full), so each
-    /// worker crawling on a private clock observes exactly the items
-    /// the sequential sweep would have, and the slot-ordered join
-    /// reassembles the identical burst. The workspace property suite
-    /// pins this down to byte-identical journals and bit-identical
-    /// BM25 maps.
+    /// The per-source crawls fan out across up to
+    /// [`CrawlerConfig::workers`] scoped worker threads, one
+    /// contiguous chunk of services each, and the results are joined
+    /// back **in service order**. Each worker runs
+    /// [`Crawler::crawl_tick`] over its chunk on a private clock and a
+    /// private copy of the pre-sweep marks. The burst is identical at
+    /// every worker count, down to the byte: the native APIs serve
+    /// content independently of the polling instant (only rate
+    /// metering reads the clock, and every bucket starts full), so
+    /// each worker observes exactly the items a one-worker sweep
+    /// would have, and the slot-ordered join reassembles the
+    /// identical burst. The workspace property suite pins this down
+    /// to byte-identical journals and bit-identical BM25 maps.
     ///
-    /// All-or-nothing on the crawl side too: if any service's tick
-    /// fails, no high-water mark moves — the sequential path rolls
-    /// back every mark it had advanced, and the parallel path only
-    /// advances marks after every worker has succeeded. None of the
-    /// burst was persisted, so all of it must stay observable for
-    /// the retry. A worker that *panics* cannot poison the others:
-    /// workers share no mutable state, every sibling is joined
-    /// before the panic is resumed on the caller's thread, and the
-    /// marks are untouched.
+    /// The sweep runs as one chunk when `workers <= 1`, when there is
+    /// one service, or when two services wrap the same source: a
+    /// repeated source must see its own earlier advance (the first
+    /// tick's mark advance is what makes the second tick empty), and
+    /// only the worker that crawls both holds it.
+    ///
+    /// All-or-nothing on the crawl side too: marks merge into `marks`
+    /// through [`HighWaterMarks::advance`] only after every worker
+    /// has succeeded, and the clock moves only then. If any service's
+    /// tick fails, no mark moves and the clock is left at the sweep
+    /// start, at every worker count. None of the burst was persisted,
+    /// so all of it must stay observable for the retry. A worker
+    /// that *panics* cannot poison the others: workers share no
+    /// mutable state, every sibling is joined before the panic is
+    /// resumed on the caller's thread, and the marks are untouched.
     ///
     /// Two caveats on the *failure* path (the success path is
     /// byte-deterministic regardless): when exactly one service
-    /// fails, the parallel sweep returns precisely the error the
-    /// sequential sweep would have returned; with several failing at
-    /// once, which one is surfaced depends on worker timing (once a
-    /// failure is observed, siblings stop starting new crawls rather
-    /// than finish doomed work). And per-service *internal* state
-    /// after a failed sweep — token-bucket levels, fault-plan
-    /// counters — is unspecified: a parallel sweep may have crawled
-    /// services a sequential sweep would never have reached.
-    /// Equivalence is defined over the sweep's outputs: burst,
-    /// marks, reports, and (single-failure) error.
+    /// fails, the sweep returns that error at every worker count;
+    /// with several failing at once, which one is surfaced depends on
+    /// worker timing (once a failure is observed, siblings stop
+    /// starting new crawls rather than finish doomed work). And
+    /// per-service *internal* state after a failed sweep — token-
+    /// bucket levels, fault-plan counters — is unspecified: a
+    /// many-worker sweep may have crawled services a one-worker sweep
+    /// would never have reached. Equivalence is defined over the
+    /// sweep's outputs: burst, marks, reports, and (single-failure)
+    /// error.
     ///
-    /// Clock accounting differs between the two modes in the one way
-    /// parallelism is the point: the sequential sweep advances
-    /// `clock` by the *sum* of every service's simulated waits,
-    /// while the parallel sweep advances it by the *maximum* over
-    /// workers — concurrent waits overlap. (On a failed parallel
-    /// sweep the clock is left at the sweep start.) The per-source
+    /// A successful sweep advances `clock` by the *maximum* of the
+    /// workers' simulated waits — concurrent waits overlap, so one
+    /// worker costs the sum of its services' waits. The per-source
     /// [`CrawlReport`]s, and therefore the aggregate
-    /// [`SweepReport`], are identical in both modes *when every
-    /// token bucket is full at the sweep start* — a freshly-opened
-    /// service list, or persistent services given enough simulated
-    /// idle time to refill. Across back-to-back sweeps over
-    /// persistent, still-depleted services the two modes enter the
-    /// next sweep at different simulated instants (sum vs max), so
-    /// the *wait accounting* (`rate_limit_waits`, `waited_secs`) may
-    /// diverge; the burst, marks and journal bytes are identical
-    /// regardless, because rate denials never change which items a
-    /// crawl ultimately observes.
+    /// [`SweepReport`], are identical at every worker count *when
+    /// every token bucket is full at the sweep start* — a
+    /// freshly-opened service list, or persistent services given
+    /// enough simulated idle time to refill. Across back-to-back
+    /// sweeps over persistent, still-depleted services different
+    /// worker counts enter the next sweep at different simulated
+    /// instants (sum vs max), so the *wait accounting*
+    /// (`rate_limit_waits`, `waited_secs`) may diverge; the burst,
+    /// marks and journal bytes are identical regardless, because
+    /// rate denials never change which items a crawl ultimately
+    /// observes.
     pub fn crawl_sweep(
         &self,
         services: &mut [Box<dyn DataService + '_>],
         clock: &mut Clock,
         marks: &mut HighWaterMarks,
     ) -> Result<(Vec<CorpusDelta>, SweepReport), WrapperError> {
-        // A sweep with two services over the same source only works
-        // sequentially (the first tick's mark advance is what makes
-        // the second tick empty; workers pre-read the marks and
-        // would observe the backlog twice). Registries register a
-        // source once, so this is a degenerate input — but byte
-        // equivalence must hold for it too.
-        let mut seen = std::collections::HashSet::new();
-        let distinct = services.iter().all(|s| seen.insert(s.descriptor().source));
         // Sweep wall clock is recorded for failed sweeps too: an
         // operator watching `crawl_sweep_ns` p99 wants to see the
         // cost of retried sweeps, not just the ones that landed.
         let mut watch = self.metrics.as_deref().map(CrawlMetrics::stopwatch);
-        let outcome = if self.config.workers <= 1 || services.len() <= 1 || !distinct {
-            self.crawl_sweep_sequential(services, clock, marks)
-        } else {
-            self.crawl_sweep_parallel(services, clock, marks)
-        };
+        let outcome = self.sweep_chunks(services, clock, marks);
         if let (Some(m), Some(w)) = (self.metrics.as_deref(), watch.as_mut()) {
             m.sweep_finished(w.lap_ns());
         }
         outcome
     }
 
-    fn crawl_sweep_sequential(
+    fn sweep_chunks(
         &self,
         services: &mut [Box<dyn DataService + '_>],
         clock: &mut Clock,
         marks: &mut HighWaterMarks,
     ) -> Result<(Vec<CorpusDelta>, SweepReport), WrapperError> {
-        let mut deltas = Vec::new();
-        let mut sweep = SweepReport::default();
-        // The sweep is the only writer of `marks` while it runs, so
-        // a pre-sweep copy restores every participating source's
-        // cursor in one assignment.
-        let pre_sweep = marks.clone();
-        for service in services.iter_mut() {
-            match self.crawl_tick(service.as_mut(), clock, marks) {
-                Ok((delta, report)) => {
-                    sweep.sources += 1;
-                    sweep.crawl.absorb(report);
-                    if !delta.is_empty() {
-                        sweep.fresh_sources += 1;
-                        deltas.push(delta);
-                    }
-                }
-                Err(e) => {
-                    *marks = pre_sweep;
-                    return Err(e);
-                }
-            }
-        }
-        Ok((deltas, sweep))
-    }
-
-    fn crawl_sweep_parallel(
-        &self,
-        services: &mut [Box<dyn DataService + '_>],
-        clock: &mut Clock,
-        marks: &mut HighWaterMarks,
-    ) -> Result<(Vec<CorpusDelta>, SweepReport), WrapperError> {
-        // Pre-read every mark on the caller's thread: the workers
-        // never touch the shared `marks`, so a failure anywhere
-        // leaves them untouched by construction.
-        let sinces: Vec<Option<Timestamp>> = services
-            .iter()
-            .map(|s| marks.since(s.descriptor().source))
-            .collect();
+        let mut seen = std::collections::HashSet::new();
+        let distinct = services.iter().all(|s| seen.insert(s.descriptor().source));
+        let workers = if distinct {
+            self.config.workers.clamp(1, services.len().max(1))
+        } else {
+            1
+        };
+        let chunk_len = services.len().div_ceil(workers).max(1);
         let start = clock.now();
-        let workers = self.config.workers.min(services.len());
-        let chunk_len = services.len().div_ceil(workers);
+        let pre_sweep = &*marks;
         // Workers share this one clone by reference (`&Crawler` is
         // `Copy` into the move closures), so an attached
         // `CrawlMetrics` is shared too, not duplicated per worker.
@@ -532,50 +494,42 @@ impl Crawler {
         // doomed, so further crawls are wasted work and — behind a
         // latency decorator — wasted wall clock). Services a worker
         // already started or skipped may still end up with different
-        // bucket/fault-counter state than a sequential sweep would
+        // bucket/fault-counter state than a one-worker sweep would
         // have left, which is why equivalence is defined over the
         // sweep's *outputs* (burst, marks, error), and why callers
         // that retry after a failure should treat per-service
         // internal state as unspecified.
         let failed = std::sync::atomic::AtomicBool::new(false);
-        type Slot = Result<(SourceId, CorpusDelta, CrawlReport, Option<Timestamp>), WrapperError>;
-        let joined: Vec<std::thread::Result<(Vec<Slot>, Timestamp)>> =
+        type Chunk = (Vec<(CorpusDelta, CrawlReport)>, HighWaterMarks, Timestamp);
+        let joined: Vec<std::thread::Result<Result<Chunk, WrapperError>>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = services
                     .chunks_mut(chunk_len)
-                    .zip(sinces.chunks(chunk_len))
-                    .map(|(chunk, chunk_sinces)| {
+                    .map(|chunk| {
                         let failed = &failed;
                         scope.spawn(move || {
-                            let mut local = Clock::starting_at(start);
-                            let mut slots: Vec<Slot> = Vec::with_capacity(chunk.len());
-                            for (service, &since) in chunk.iter_mut().zip(chunk_sinces) {
+                            let mut local_clock = Clock::starting_at(start);
+                            let mut local_marks = pre_sweep.clone();
+                            let mut ticks = Vec::with_capacity(chunk.len());
+                            for service in chunk.iter_mut() {
                                 if failed.load(std::sync::atomic::Ordering::Relaxed) {
                                     break;
                                 }
-                                let source = service.descriptor().source;
-                                match crawler.crawl_since(service.as_mut(), &mut local, since) {
-                                    Ok((observation, report)) => {
-                                        let newest =
-                                            observation.items.iter().map(|i| i.published).max();
-                                        slots.push(Ok((
-                                            source,
-                                            observation.to_delta(),
-                                            report,
-                                            newest,
-                                        )));
-                                    }
+                                match crawler.crawl_tick(
+                                    service.as_mut(),
+                                    &mut local_clock,
+                                    &mut local_marks,
+                                ) {
+                                    Ok(tick) => ticks.push(tick),
                                     Err(e) => {
-                                        // The sequential sweep stops at
-                                        // its first failing service;
-                                        // this chunk does too.
+                                        // A chunk stops at its first
+                                        // failing service.
                                         failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                                        slots.push(Err(e));
-                                        break;
+                                        return Err(e);
                                     }
                                 }
                             }
-                            (slots, local.now())
+                            Ok((ticks, local_marks, local_clock.now()))
                         })
                     })
                     .collect();
@@ -584,48 +538,39 @@ impl Crawler {
 
         // Every worker is joined by now; only then is a panic
         // resumed, so no sibling was abandoned mid-crawl.
-        let mut chunks = Vec::with_capacity(joined.len());
+        let mut outcomes = Vec::with_capacity(joined.len());
         for outcome in joined {
             match outcome {
-                Ok(chunk) => chunks.push(chunk),
+                Ok(chunk) => outcomes.push(chunk),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
+        // The first error in service order (the one a one-worker
+        // sweep would have hit first among the services it reached)
+        // is returned with the marks and the clock untouched.
+        let chunks = outcomes.into_iter().collect::<Result<Vec<Chunk>, _>>()?;
 
         // Slot-ordered join: chunks are contiguous, so draining them
-        // in spawn order reassembles the burst in service order —
-        // exactly the sequential sweep's output. Marks advance only
-        // after the whole scan proves failure-free; the first error
-        // in service order (the one the sequential sweep would have
-        // hit first among the services it reached) is returned with
-        // the marks and the clock untouched.
+        // in spawn order reassembles the burst in service order.
         let mut deltas = Vec::new();
         let mut sweep = SweepReport::default();
-        let mut advances = Vec::new();
         let mut end = start;
-        for (slots, worker_end) in chunks {
-            if worker_end > end {
-                end = worker_end;
+        for (ticks, local_marks, worker_end) in chunks {
+            end = end.max(worker_end);
+            for (source, mark) in local_marks.marks {
+                marks.advance(source, mark);
             }
-            for slot in slots {
-                let (source, delta, report, newest) = slot?;
+            for (delta, report) in ticks {
                 sweep.sources += 1;
                 sweep.crawl.absorb(report);
-                if let Some(newest) = newest {
-                    advances.push((source, newest));
-                }
                 if !delta.is_empty() {
                     sweep.fresh_sources += 1;
                     deltas.push(delta);
                 }
             }
         }
-        for (source, newest) in advances {
-            marks.advance(source, newest);
-        }
-        // Parallel wall-clock semantics: concurrent simulated waits
-        // overlap, so the sweep costs the slowest worker, not the
-        // sum of all of them.
+        // Concurrent simulated waits overlap, so the sweep costs the
+        // slowest worker, not the sum of all of them.
         if end > start {
             clock.advance(end.since(start));
         }
@@ -1002,6 +947,9 @@ mod tests {
         // one failed; nothing of the sweep was persisted, so the
         // whole burst must stay observable for a retry.
         assert!(marks.is_empty(), "marks survived a failed sweep: {marks:?}");
+        // The one-worker sweep, too, leaves the clock at the sweep
+        // start.
+        assert_eq!(clock.now(), w.now);
     }
 
     #[test]
@@ -1167,8 +1115,7 @@ mod tests {
         services.push(Box::new(PanickingService {
             descriptor: crate::service::ServiceDescriptor {
                 // A source id no real service in the sweep wraps —
-                // a duplicate would route the sweep down the
-                // sequential path.
+                // a duplicate would run the sweep as one chunk.
                 source: SourceId::new(9_999),
                 kind: SourceKind::Blog,
                 name: "doomed".to_owned(),
