@@ -31,9 +31,9 @@ pub enum Stage {
 
 /// Instrument handles for a
 /// [`ShardedLiveService`](crate::ShardedLiveService): per-shard
-/// commit latency, stage split and outcome counters, group-commit
-/// batch sizes, commit fan-out width, the shared mark-rollback
-/// counter, and the query path's [`SearchMetrics`] for its
+/// commit latency, stage split, outcome counters and detach size,
+/// group-commit batch sizes, commit fan-out width, the shared
+/// mark-rollback counter, and the query path's [`SearchMetrics`] for its
 /// [`ShardedReader`](crate::ShardedReader). Cheap to clone;
 /// recording is lock-free.
 #[derive(Debug, Clone)]
@@ -45,6 +45,7 @@ pub struct ShardMetrics {
     stage_ns: Vec<[Histogram; 3]>,
     commits: Vec<Counter>,
     failures: Vec<Counter>,
+    copied_bytes: Vec<Histogram>,
     batch_deltas: Histogram,
     pub(crate) fanout: Histogram,
     pub(crate) rollbacks: Counter,
@@ -66,16 +67,14 @@ impl ShardMetrics {
                 .map(|i| registry.counter_with(spec, &[("shard", &i.to_string())]))
                 .collect()
         };
+        let per_shard_histogram = |spec| {
+            (0..shards)
+                .map(|i| registry.histogram_with(spec, &[("shard", &i.to_string())]))
+                .collect()
+        };
         ShardMetrics {
             clock: registry.clock_handle(),
-            commit_ns: (0..shards)
-                .map(|i| {
-                    registry.histogram_with(
-                        &catalog::LIVE_SHARD_COMMIT_NS,
-                        &[("shard", &i.to_string())],
-                    )
-                })
-                .collect(),
+            commit_ns: per_shard_histogram(&catalog::LIVE_SHARD_COMMIT_NS),
             stage_ns: (0..shards)
                 .map(|i| {
                     let i = i.to_string();
@@ -88,6 +87,7 @@ impl ShardMetrics {
                 .collect(),
             commits: per_shard(&catalog::LIVE_SHARD_COMMITS_TOTAL),
             failures: per_shard(&catalog::LIVE_SHARD_FAILURES_TOTAL),
+            copied_bytes: per_shard_histogram(&catalog::LIVE_COMMIT_COPIED_BYTES),
             batch_deltas: registry.histogram(&catalog::LIVE_INGEST_BATCH_DELTAS),
             fanout: registry.histogram(&catalog::LIVE_COMMIT_FANOUT_SHARDS),
             rollbacks: registry.counter(&catalog::LIVE_MARK_ROLLBACKS_TOTAL),
@@ -139,6 +139,16 @@ impl ShardMetrics {
             counter.inc();
         }
         outcome
+    }
+
+    /// Records the index bytes a committed shard's copy-on-write
+    /// detach copied
+    /// ([`InvertedIndex::heap_bytes`](obs_search::InvertedIndex::heap_bytes)
+    /// of the index it detached from).
+    pub(crate) fn record_copied_bytes(&self, shard: usize, bytes: usize) {
+        if let Some(hist) = self.copied_bytes.get(shard) {
+            hist.record(bytes as u64);
+        }
     }
 
     /// Per-shard commit counts `(shard, commits, failures)` — the

@@ -225,22 +225,26 @@ impl Shard {
     /// Group-commits this shard's sub-batch: all records under one
     /// fsync ([`DeltaJournal::append_batch`], all-or-nothing), one
     /// batched apply, one published snapshot, calling `lap` as each
-    /// [`Stage`] ends. An empty batch touches nothing.
+    /// [`Stage`] ends. Returns the index bytes the apply's
+    /// copy-on-write detach copied: the last publish shares the
+    /// writer's index, so every apply detaches it. An empty batch
+    /// touches nothing and copies nothing.
     fn commit(
         &mut self,
         deltas: &[CorpusDelta],
         lap: &mut dyn FnMut(Stage),
-    ) -> Result<(), LiveError> {
+    ) -> Result<usize, LiveError> {
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
         let Some((first, _)) = self.journal.append_batch(&refs)? else {
-            return Ok(());
+            return Ok(0);
         };
         lap(Stage::JournalFsync);
+        let copied = self.writer.engine().index().heap_bytes();
         self.writer.apply_batch(first, &refs)?;
         lap(Stage::Apply);
         self.writer.publish();
         lap(Stage::Publish);
-        Ok(())
+        Ok(copied)
     }
 }
 
@@ -580,8 +584,10 @@ impl ShardedLiveService {
                 .record(routed.iter().filter(|b| !b.is_empty()).count() as u64);
         }
         let commit = |i: usize, shard: &mut Shard, batch: &[CorpusDelta]| match metrics {
-            Some(m) => m.time_shard_commit(i, batch.len(), |lap| shard.commit(batch, lap)),
-            None => shard.commit(batch, &mut |_| {}),
+            Some(m) => m
+                .time_shard_commit(i, batch.len(), |lap| shard.commit(batch, lap))
+                .map(|copied| m.record_copied_bytes(i, copied)),
+            None => shard.commit(batch, &mut |_| {}).map(drop),
         };
         let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
         std::thread::scope(|scope| {
@@ -1048,9 +1054,20 @@ mod tests {
             .unwrap()
             .with_metrics(metrics.clone());
 
+        // A shard a burst commits to copies the index it held before.
         let mut bursts = 0u64;
+        let mut copied = [0usize; 3];
         for batch in stream.chunks(4) {
+            let seqs = service.seqs();
+            let held: Vec<usize> = (0..3)
+                .map(|i| service.shard_engine(i).index().heap_bytes())
+                .collect();
             service.ingest_batch(batch).unwrap();
+            for i in 0..3 {
+                if service.seqs()[i] != seqs[i] {
+                    copied[i] += held[i];
+                }
+            }
             bursts += 1;
         }
         // Every routed commit recorded an outcome: commit totals
@@ -1085,6 +1102,11 @@ mod tests {
         let journaled: usize = (0..3).map(|i| service.journal_len(i)).sum();
         assert!(text.contains(&format!("live_ingest_batch_deltas_sum {journaled}")));
         assert!(text.contains("live_shard_commit_ns_count{shard=\"0\"}"));
+        assert!(copied.iter().sum::<usize>() > 0);
+        for (shard, bytes) in copied.iter().enumerate() {
+            let series = format!("live_commit_copied_bytes_sum{{shard=\"{shard}\"}} {bytes}");
+            assert!(text.contains(&series), "missing {series}");
+        }
         assert!(text.contains("live_commit_fanout_shards_count"));
         assert!(text.contains("search_query_ns_count 2"));
 

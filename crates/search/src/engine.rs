@@ -73,6 +73,10 @@ pub struct SearchHit {
 /// reference-count bump plus `O(sources)` signal vectors. Mutation
 /// stays safe through copy-on-write: [`SearchEngine::apply_delta`]
 /// detaches (deep-copies) the index only when clones still share it.
+/// That copy is a few flat arrays (the doc table, the forward-index
+/// arena and its spans), the posting lists and two hash tables, not
+/// one heap block per document; [`InvertedIndex::heap_bytes`] counts
+/// its bytes.
 /// This is what makes the engine snapshot-friendly — a serving layer
 /// can publish an immutable clone per update tick and keep applying
 /// deltas to its own copy without ever touching published snapshots.

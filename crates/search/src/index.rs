@@ -17,17 +17,21 @@
 //!
 //! Documents live in a dense **doc table**: each gets a local `u32`
 //! ordinal naming its row (post, source, length, tombstone flag) and
-//! forward-index slot, and postings carry ordinals. An ordinal
+//! forward-index span, and postings carry ordinals. An ordinal
 //! returns to the free list only in the sweep that removes its
 //! postings, so a later add in the same batch cannot take a row
 //! whose stale postings that sweep still has to drop.
 //!
 //! Terms are *interned*: a term dictionary maps each live term to a
 //! `u32` id, posting lists are stored by id, and the forward index
-//! records ids rather than strings. Cloning the index — the
-//! copy-on-write detach every published epoch pays — therefore copies
-//! one small `Vec<u32>` per document instead of one heap `String` per
-//! (document, term) pair.
+//! records ids rather than strings, all in one flat **arena**: each
+//! row's ids are a span of it. A sweep zeroes a removed row's span
+//! and counts its words dead; once dead words outnumber live ones,
+//! the sweep rewrites the arena with the live spans only, so the
+//! arena stays within twice the live words at an amortized O(1) per
+//! word. Cloning the index — the copy-on-write detach every published
+//! epoch pays — therefore copies a few flat arrays plus the posting
+//! lists, not one heap block per document.
 
 use crate::token::tokenize;
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
@@ -67,6 +71,22 @@ pub(crate) struct DocRow {
     tombstoned: bool,
 }
 
+// The dense scorer reads one row per posting.
+const _: () = assert!(std::mem::size_of::<DocRow>() == 16);
+
+/// One row's slice of the forward-index arena; empty on a free row.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The inverted index.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
@@ -78,12 +98,17 @@ pub struct InvertedIndex {
     lists: Vec<PostingList>,
     /// Ids of emptied slots in `lists`, reused by the next new term.
     free_ids: Vec<u32>,
-    /// The doc table, by ordinal.
+    /// The doc table, by ordinal. Kept apart from `spans` so the
+    /// dense scorer's per-posting row read stays 16 bytes.
     rows: Vec<DocRow>,
-    /// Forward index by ordinal: the distinct term ids of each live
-    /// or pending row, so a sweep knows exactly which posting lists
-    /// it dirties.
-    doc_terms: Vec<Vec<u32>>,
+    /// Forward index by ordinal: each live or pending row's span of
+    /// `arena`, holding its distinct term ids, so a sweep knows
+    /// exactly which posting lists it dirties.
+    spans: Vec<Span>,
+    arena: Vec<u32>,
+    /// Arena words no span holds any more, reclaimed by
+    /// `compact_arena`.
+    dead_words: usize,
     ordinal_of: HashMap<PostId, u32>,
     /// Ordinals of free rows, reused by the next add.
     free_ords: Vec<u32>,
@@ -141,21 +166,26 @@ impl InvertedIndex {
             // live document count: far below `u32::MAX` in memory.
             None => {
                 self.rows.push(row);
-                self.doc_terms.push(Vec::new());
+                self.spans.push(Span::default());
                 (self.rows.len() - 1) as u32
             }
         };
         self.ordinal_of.insert(doc, ord);
         self.total_len += len as u64;
-        let mut terms = Vec::with_capacity(tf.len());
+        // Compaction keeps the arena within twice the live words, far
+        // below `u32::MAX` for any index in memory.
+        let span = Span {
+            start: self.arena.len() as u32,
+            len: tf.len() as u32,
+        };
         for (term, freq) in tf {
             let id = self.intern(term);
             self.lists[id as usize]
                 .entries
                 .push(Posting { ord, tf: freq });
-            terms.push(id);
+            self.arena.push(id);
         }
-        self.doc_terms[ord as usize] = terms;
+        self.spans[ord as usize] = span;
     }
 
     /// The id of `term`, allocating one (and an empty posting list)
@@ -238,7 +268,9 @@ impl InvertedIndex {
     /// Sweeps all pending tombstones in one generation: every posting
     /// list dirtied by at least one tombstoned document is compacted
     /// exactly once, however many documents it hosted. Only then do
-    /// the tombstoned rows go back on the free list.
+    /// the tombstoned rows go back on the free list, with empty
+    /// spans; the arena is compacted once its dead words outnumber
+    /// its live ones.
     fn sweep(&mut self) -> usize {
         if self.pending.is_empty() {
             return 0;
@@ -247,7 +279,10 @@ impl InvertedIndex {
         let gen = self.generation;
         let pending = std::mem::take(&mut self.pending);
         for &ord in &pending {
-            for id in std::mem::take(&mut self.doc_terms[ord as usize]) {
+            let span = std::mem::take(&mut self.spans[ord as usize]);
+            self.dead_words += span.len as usize;
+            for at in span.range() {
+                let id = self.arena[at];
                 let rows = &self.rows;
                 let list = &mut self.lists[id as usize];
                 if list.clean_gen < gen {
@@ -260,7 +295,23 @@ impl InvertedIndex {
             }
         }
         self.free_ords.extend_from_slice(&pending);
+        if self.dead_words > self.arena.len() - self.dead_words {
+            self.compact_arena();
+        }
         pending.len()
+    }
+
+    /// Rewrites the arena with the live spans only, in ordinal order.
+    /// Runs only with no row pending, so every non-empty span is live.
+    fn compact_arena(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.dead_words);
+        for span in &mut self.spans {
+            let start = arena.len() as u32;
+            arena.extend_from_slice(&self.arena[span.range()]);
+            span.start = start;
+        }
+        self.arena = arena;
+        self.dead_words = 0;
     }
 
     /// The doc table, by ordinal: what the dense scorer reads a
@@ -341,6 +392,21 @@ impl InvertedIndex {
     /// Number of distinct terms.
     pub fn vocabulary_size(&self) -> usize {
         self.term_ids.len()
+    }
+
+    /// Element bytes of the doc table, the forward-index spans and
+    /// arena, the posting entries, the term dictionary and
+    /// `ordinal_of`: what a copy-on-write detach copies, spare
+    /// capacity, term text and allocator overhead aside.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let postings: usize = self.lists.iter().map(|l| l.entries.len()).sum();
+        self.rows.len() * size_of::<DocRow>()
+            + self.spans.len() * size_of::<Span>()
+            + self.arena.len() * size_of::<u32>()
+            + postings * size_of::<Posting>()
+            + self.term_ids.len() * size_of::<(String, u32)>()
+            + self.ordinal_of.len() * size_of::<(PostId, u32)>()
     }
 }
 
@@ -484,10 +550,13 @@ mod tests {
     ///   ordinals partition the doc table, and only pending and free
     ///   rows carry the tombstone flag;
     /// * every posting names a live or pending ordinal, and every
-    ///   term id a live or pending row holds is live and lists it.
+    ///   term id a live or pending row holds is live and lists it;
+    /// * every live or pending row's span lies inside the arena, no
+    ///   two non-empty spans overlap, free rows hold empty spans, and
+    ///   the live span words plus the dead count are the whole arena.
     fn assert_bounds_exact(idx: &InvertedIndex) {
         let rows = idx.rows.len();
-        assert_eq!(rows, idx.doc_terms.len());
+        assert_eq!(rows, idx.spans.len());
         let mut class: Vec<Option<&str>> = vec![None; rows];
         let live_ords = idx.ordinal_of.iter().map(|(&post, &ord)| {
             assert_eq!(idx.rows[ord as usize].post, post, "ordinal {ord}");
@@ -529,14 +598,37 @@ mod tests {
             idx.lists.len(),
             "leaked term ids"
         );
-        for (ord, ids) in idx.doc_terms.iter().enumerate() {
-            assert!(class[ord] != Some("free") || ids.is_empty());
-            for &id in ids {
+        let mut held: Vec<(usize, usize, usize)> = Vec::new();
+        for (ord, &span) in idx.spans.iter().enumerate() {
+            assert!(class[ord] != Some("free") || span.len == 0);
+            assert!(
+                span.range().end <= idx.arena.len(),
+                "row {ord} overruns the arena"
+            );
+            if span.len > 0 {
+                held.push((span.range().start, span.range().end, ord));
+            }
+            for &id in &idx.arena[span.range()] {
                 assert!(live[id as usize], "row {ord} holds dead term id {id}");
                 let list = &idx.lists[id as usize];
                 assert!(list.entries.iter().any(|p| p.ord as usize == ord));
             }
         }
+        held.sort_unstable();
+        for pair in held.windows(2) {
+            assert!(
+                pair[0].1 <= pair[1].0,
+                "rows {} and {} overlap",
+                pair[0].2,
+                pair[1].2
+            );
+        }
+        let words: usize = held.iter().map(|&(start, end, _)| end - start).sum();
+        assert_eq!(
+            words + idx.dead_words,
+            idx.arena.len(),
+            "arena words leaked"
+        );
     }
 
     /// A term's postings as sorted `(post index, tf)` pairs.

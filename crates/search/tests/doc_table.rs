@@ -47,8 +47,9 @@ fn postings_by_post(idx: &InvertedIndex, term: &str) -> BTreeSet<(PostId, u32)> 
 }
 
 /// The index against a from-scratch index of the live documents, and
-/// its ordinals against the live posts and the free list.
-fn assert_doc_table(idx: &InvertedIndex, live: &BTreeMap<u32, String>) {
+/// its ordinals against the live posts and the free list. Returns
+/// the from-scratch index.
+fn assert_doc_table(idx: &InvertedIndex, live: &BTreeMap<u32, String>) -> InvertedIndex {
     let mut scratch = InvertedIndex::default();
     for (&doc, text) in live {
         scratch.add_document(PostId::new(doc), SourceId::new(doc % 5), text);
@@ -75,7 +76,17 @@ fn assert_doc_table(idx: &InvertedIndex, live: &BTreeMap<u32, String>) {
         assert!(ordinals.insert(ord), "ordinal {ord} freed twice or live");
         assert_eq!(idx.post_of(ord), None);
     }
+    scratch
 }
+
+/// Documents a churn batch removes and re-adds, at most.
+const MAX_BATCH: usize = 5;
+
+/// An upper bound on the bytes one batch can add to
+/// [`InvertedIndex::heap_bytes`]: per document, a fresh row, span
+/// and `ordinal_of` entry (under 64 bytes) plus, per distinct word,
+/// an arena id (4 bytes) and a posting (8 bytes).
+const BATCH_BYTES: usize = MAX_BATCH * (64 + POOL.len() * (4 + 8));
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -130,5 +141,53 @@ proptest! {
         assert_doc_table(&idx, &live);
         prop_assert_eq!(idx.doc_count(), 0);
         prop_assert_eq!(idx.vocabulary_size(), 0);
+    }
+
+    #[test]
+    fn forward_index_stays_bounded_through_recrawl_churn(seed in 0u64..10_000) {
+        // A steady 40-document corpus whose documents are removed and
+        // re-added with fresh text, batch after batch: every re-add
+        // appends to the forward-index arena, so without compaction
+        // the index would grow without bound while a from-scratch
+        // index of the same documents does not.
+        let mut state = seed.wrapping_add(1);
+        let mut idx = InvertedIndex::default();
+        let mut live: BTreeMap<u32, String> = BTreeMap::new();
+        let mut boot = CorpusDelta::new();
+        for doc in 0..40u32 {
+            let text = synth_text(&mut state);
+            boot.add_doc(PostId::new(doc), SourceId::new(doc % 5), text.clone());
+            live.insert(doc, text);
+        }
+        idx.apply_delta(&boot);
+
+        for _ in 0..240 {
+            let mut delta = CorpusDelta::new();
+            for _ in 0..1 + (lcg(&mut state) as usize) % MAX_BATCH {
+                let nth = (lcg(&mut state) as usize) % live.len();
+                let victim = *live.keys().nth(nth).unwrap();
+                delta.remove_doc(PostId::new(victim));
+                live.remove(&victim);
+            }
+            // As many documents come back, under ids 0..60, so both
+            // re-crawls of a removed id and fresh ids occur.
+            while live.len() < 40 {
+                let doc = (lcg(&mut state) % 60) as u32;
+                if live.contains_key(&doc) {
+                    continue;
+                }
+                let text = synth_text(&mut state);
+                delta.add_doc(PostId::new(doc), SourceId::new(doc % 5), text.clone());
+                live.insert(doc, text);
+            }
+            idx.apply_delta(&delta);
+            let fresh = assert_doc_table(&idx, &live);
+            prop_assert!(
+                idx.heap_bytes() <= 2 * fresh.heap_bytes() + BATCH_BYTES,
+                "{} bytes against a fresh build's {}",
+                idx.heap_bytes(),
+                fresh.heap_bytes()
+            );
+        }
     }
 }

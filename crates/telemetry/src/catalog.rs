@@ -97,6 +97,8 @@ catalog! {
         "Sweeps whose refused shards rolled high-water marks back.";
     LIVE_SHARD_COMMIT_NS: "live_shard_commit_ns", Histogram, ["shard"],
         "Whole shard commit latency in ns.";
+    LIVE_COMMIT_COPIED_BYTES: "live_commit_copied_bytes", Histogram, ["shard"],
+        "Index bytes a shard commit's copy-on-write detach copies.";
     LIVE_SHARD_COMMITS_TOTAL: "live_shard_commits_total", Counter, ["shard"],
         "Committed shard sub-batches.";
     LIVE_SHARD_FAILURES_TOTAL: "live_shard_failures_total", Counter, ["shard"],

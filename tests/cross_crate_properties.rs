@@ -3,7 +3,7 @@
 
 use informing_observers::analytics::{AlexaPanel, FeedRegistry, LinkGraph};
 use informing_observers::live::{DeltaJournal, ShardRouter, ShardedLiveService};
-use informing_observers::model::{document_text, Clock, CorpusDelta, PostId, Timestamp};
+use informing_observers::model::{document_text, Clock, CorpusDelta, PostId, SourceId, Timestamp};
 use informing_observers::quality::{
     assess_source, influence_profiles, Benchmarks, SourceContext, Weights,
 };
@@ -762,6 +762,95 @@ proptest! {
             }
         }
 
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn repeated_recrawls_equal_fresh_build(seed in 0u64..10_000) {
+        // Observers re-crawl the same sources over and over. Each
+        // re-crawl removes a source's posts and re-adds them, leaving
+        // their old forward-index words dead until a sweep compacts
+        // the arena. 48 rounds, each re-crawling half the sources
+        // through a 2-shard service, cross that compaction many
+        // times. Every probe query must still answer bit-identically
+        // to a freshly ingested service, before and after recovery,
+        // and no shard's index may outgrow twice the fresh one's,
+        // which it would without compaction.
+        let world = tiny_world(seed);
+        let panel = AlexaPanel::simulate(&world, seed);
+        let links = LinkGraph::simulate(&world, seed ^ 1);
+        let scratch =
+            SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+        let seed_engine = empty_seed(&world, &scratch);
+        let posts: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+        let everything = CorpusDelta::for_posts(&world.corpus, &posts).unwrap();
+        let by_source: Vec<Vec<PostId>> = world
+            .corpus
+            .sources()
+            .iter()
+            .map(|s| {
+                posts
+                    .iter()
+                    .copied()
+                    .filter(|&p| document_text(&world.corpus, p).unwrap().0 == s.id)
+                    .collect()
+            })
+            .filter(|mine: &Vec<PostId>| !mine.is_empty())
+            .collect();
+
+        let base = case_dir("recrawl", seed);
+        let mut fresh = ShardedLiveService::start(&seed_engine, 2, base.join("fresh")).unwrap();
+        fresh.ingest(&everything).unwrap();
+        let dir = base.join("recrawled");
+        let mut service = ShardedLiveService::start(&seed_engine, 2, &dir).unwrap();
+        service.ingest(&everything).unwrap();
+        for round in 0..48 {
+            let recrawl: Vec<CorpusDelta> = by_source
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (i + round) % 2 == 0)
+                .flat_map(|(_, mine)| {
+                    [
+                        CorpusDelta::for_removals(&world.corpus, mine).unwrap(),
+                        CorpusDelta::for_posts(&world.corpus, mine).unwrap(),
+                    ]
+                })
+                .collect();
+            service.ingest_batch(&recrawl).unwrap();
+        }
+        for i in 0..2 {
+            let (held, built) = (service.shard_engine(i).index(), fresh.shard_engine(i).index());
+            prop_assert_eq!(held.doc_count(), built.doc_count());
+            prop_assert!(
+                held.heap_bytes() <= 2 * built.heap_bytes(),
+                "shard {} holds {} bytes against a fresh build's {}",
+                i, held.heap_bytes(), built.heap_bytes()
+            );
+        }
+
+        // The whole vocabulary at once, then small queries over it.
+        let vocab = probe_terms(&world);
+        let mut queries: Vec<Vec<String>> = vec![vocab.clone()];
+        queries.extend(vocab.windows(3).step_by(5).map(<[String]>::to_vec));
+        let answers = |service: &ShardedLiveService| -> Vec<Vec<(SourceId, usize, u64)>> {
+            let reader = service.reader();
+            queries
+                .iter()
+                .map(|q| {
+                    reader
+                        .query(q, 20)
+                        .iter()
+                        .map(|h| (h.source, h.position, h.score.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        let expected = answers(&fresh);
+        prop_assert!(expected.iter().any(|hits| !hits.is_empty()));
+        prop_assert_eq!(&answers(&service), &expected);
+        drop(service);
+        let (recovered, _) = ShardedLiveService::recover(&seed_engine, 2, &dir).unwrap();
+        prop_assert_eq!(&answers(&recovered), &expected);
         std::fs::remove_dir_all(&base).ok();
     }
 
