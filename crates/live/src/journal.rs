@@ -25,12 +25,14 @@
 //! [`JournalError::Corrupt`].
 //!
 //! **Group commit:** [`DeltaJournal::append_batch`] is the only
-//! writer: it appends any number of records in one write and makes
-//! them durable under **one** fsync — the amortization that turns a
-//! burst of crawl ticks from N disk syncs into one. The batch is
-//! all-or-nothing: if the write or the sync fails, the batch is
-//! truncated back out, so a retry re-claims the exact same sequence
-//! numbers and recovery never replays an unacknowledged record.
+//! writer: it appends any number of records, each rendered and written
+//! through one reused buffer, and makes them durable under **one**
+//! fsync — the amortization that turns a burst of crawl ticks from N
+//! disk syncs into one, while a bulk load never holds more than one
+//! record's text. The batch is all-or-nothing: if any render, write
+//! or the sync fails, the batch is truncated back out, so a retry
+//! re-claims the exact same sequence numbers and recovery never
+//! replays an unacknowledged record.
 //!
 //! **Compaction:** once a checkpoint (an engine snapshot at sequence
 //! `S`) makes the prefix `..=S` redundant, [`DeltaJournal::compact_through`]
@@ -140,13 +142,14 @@ fn parse_record(line: &str) -> Result<SequencedDelta, String> {
 /// The append handle over a journal file.
 ///
 /// Writes go straight to the [`File`] — no userspace write buffer —
-/// and every handle is in append mode. Every batch hands the kernel
-/// one fully-rendered payload and is immediately visible in the
-/// file's length, so failure handling only ever has to reason about
-/// file bytes (truncate back to a known-clean length, and the next
-/// append lands there), never about a stale buffered tail that could
-/// fuse with a retry's bytes. Throughput is bounded by fsync, not by
-/// write syscalls, so buffering would buy nothing.
+/// and every handle is in append mode. Every record reaches the
+/// kernel in one write as soon as it is rendered and is immediately
+/// visible in the file's length, so failure handling only ever has
+/// to reason about file bytes (truncate back to the batch's clean
+/// length, and the next append lands there), never about a stale
+/// buffered tail that could fuse with a retry's bytes. Throughput is
+/// bounded by the one fsync per batch, not by write syscalls, so
+/// buffering would buy nothing.
 ///
 /// ```
 /// use obs_live::DeltaJournal;
@@ -294,25 +297,30 @@ impl DeltaJournal {
         Ok(replay)
     }
 
-    /// Serializes one record line (with its trailing newline).
-    fn render_record(seq: u64, delta: &CorpusDelta) -> Result<String, JournalError> {
+    /// Renders one record line (with its trailing newline) into
+    /// `line`, replacing what it held.
+    fn render_record(seq: u64, delta: &CorpusDelta, line: &mut String) -> Result<(), JournalError> {
+        use std::fmt::Write as _;
         let json = serde_json::to_string(delta)
             .map_err(|e| std::io::Error::other(format!("delta serialization failed: {e}")))?;
         let crc = crc32(json.as_bytes());
-        Ok(format!("{seq} {crc:08x} {json}\n"))
+        line.clear();
+        writeln!(line, "{seq} {crc:08x} {json}")
+            .map_err(|e| std::io::Error::other(format!("record rendering failed: {e}")))?;
+        Ok(())
     }
 
     /// Appends `deltas` as one *group commit*: every record gets its
-    /// own contiguous sequence number, the batch reaches the file in
-    /// one write, and one fsync makes it durable. Returns the
-    /// `(first, last)` sequence range, or `None` for an empty batch
-    /// (which touches neither the file nor the sequence).
+    /// own contiguous sequence number and is written as soon as it is
+    /// rendered, through one reused line buffer, and one fsync makes
+    /// the batch durable. Returns the `(first, last)` sequence range,
+    /// or `None` for an empty batch (which touches neither the file
+    /// nor the sequence).
     ///
-    /// All-or-nothing: the batch is serialized in full before a byte
-    /// is written, and if the write or the sync fails, the file is
-    /// truncated back to its pre-batch length and the counters stay
-    /// put — no record of the batch survives to be replayed, and a
-    /// retry re-claims the same sequence numbers.
+    /// All-or-nothing: if rendering or writing any record, or the
+    /// sync, fails, the file is truncated back to its pre-batch length
+    /// and the counters stay put — no record of the batch survives to
+    /// be replayed, and a retry re-claims the same sequence numbers.
     pub fn append_batch(
         &mut self,
         deltas: &[&CorpusDelta],
@@ -321,19 +329,15 @@ impl DeltaJournal {
             return Ok(None);
         }
         let first = self.next_seq;
-        let mut payload = String::new();
-        for (seq, delta) in (first..).zip(deltas) {
-            payload.push_str(&Self::render_record(seq, delta)?);
-        }
         // With no write buffer, the file's length *is* the clean
         // pre-batch position.
         let clean_len = self.file.metadata()?.len();
-        if let Err(e) = self.write_durably(payload.as_bytes()) {
+        if let Err(e) = self.write_durably(first, deltas) {
             // Best effort: if the truncate also fails, the file and
             // the counters have diverged and only a re-open can
             // reconcile them; the original error wins either way.
-            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the write or sync error wins
-            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the write or sync error wins
+            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the render, write or sync error wins
+            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the render, write or sync error wins
             return Err(e);
         }
         self.next_seq += deltas.len() as u64;
@@ -341,10 +345,15 @@ impl DeltaJournal {
         Ok(Some((first, self.next_seq - 1)))
     }
 
-    /// Writes `bytes` in one write and fsyncs them, failing instead
-    /// of syncing while injected faults are armed.
-    fn write_durably(&mut self, bytes: &[u8]) -> Result<(), JournalError> {
-        self.file.write_all(bytes)?;
+    /// Renders and writes each record in turn, numbered from `first`,
+    /// then fsyncs them all, failing instead of syncing while injected
+    /// faults are armed.
+    fn write_durably(&mut self, first: u64, deltas: &[&CorpusDelta]) -> Result<(), JournalError> {
+        let mut line = String::new();
+        for (seq, delta) in (first..).zip(deltas) {
+            Self::render_record(seq, delta, &mut line)?;
+            self.file.write_all(line.as_bytes())?;
+        }
         if self.sync_faults > 0 {
             self.sync_faults -= 1;
             return Err(JournalError::Io(std::io::Error::other(
@@ -428,8 +437,10 @@ impl DeltaJournal {
                 .truncate(true)
                 .open(&tmp)?;
             let mut out = BufWriter::new(file);
+            let mut line = String::new();
             for record in records {
-                out.write_all(Self::render_record(record.seq, &record.delta)?.as_bytes())?;
+                Self::render_record(record.seq, &record.delta, &mut line)?;
+                out.write_all(line.as_bytes())?;
             }
             out.flush()?;
             out.get_ref().sync_data()?;
@@ -598,14 +609,18 @@ mod tests {
         let (path, mut journal) = journal_with("batch_fail", 1);
         let durable = std::fs::read(&path).unwrap();
 
-        let batch: Vec<CorpusDelta> = (1..4).map(sample_delta).collect();
+        // A long record between short ones: the records reach the file
+        // one by one through one reused line buffer, so by the refused
+        // sync the file holds far more than any one record's bytes.
+        let mut batch: Vec<CorpusDelta> = (1..6).map(sample_delta).collect();
+        batch[2].add_doc(PostId::new(99), SourceId::new(1), "gardens ".repeat(200));
         let refs: Vec<&CorpusDelta> = batch.iter().collect();
         journal.inject_sync_failures(1);
         let err = journal.append_batch(&refs).unwrap_err();
         assert!(matches!(err, JournalError::Io(_)), "{err:?}");
 
         // No trace of the batch: counters, file bytes and replay all
-        // match the pre-batch state, so a retry re-claims seq 2..=4.
+        // match the pre-batch state, so a retry re-claims seq 2..=6.
         assert_eq!(journal.len(), 1);
         assert_eq!(journal.next_seq(), 2);
         assert_eq!(std::fs::read(&path).unwrap(), durable);
@@ -613,11 +628,27 @@ mod tests {
         assert_eq!(replay.last_seq(), 1);
 
         let range = journal.append_batch(&refs).unwrap();
-        assert_eq!(range, Some((2, 4)));
-        assert_eq!(journal.len(), 4);
+        assert_eq!(range, Some((2, 6)));
+        assert_eq!(journal.len(), 6);
         let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert_eq!(replay.last_seq(), 4);
+        assert_eq!(replay.last_seq(), 6);
+        let longest = replay.records.iter().map(|r| r.delta.added.len()).max();
+        assert_eq!(longest, Some(2));
+
+        // Byte for byte what the same records committed one at a time
+        // write.
+        let (sequential_path, mut sequential) = journal_with("batch_fail_seq", 1);
+        for &delta in &refs {
+            sequential.append_batch(&[delta]).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let batch_bytes = &bytes[durable.len()..];
+        let longest_line = batch_bytes.split(|&b| b == b'\n').map(<[u8]>::len).max();
+        // The long line plus four short ones of over 64 bytes each.
+        assert!(batch_bytes.len() > longest_line.unwrap() + 4 * 64);
+        assert_eq!(bytes, std::fs::read(&sequential_path).unwrap());
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&sequential_path).ok();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   partitions the corpus by source id ([`ShardRouter`]) into N
 //!   journal + writer + snapshot columns (one shard is simply
 //!   N = 1) and commits every routed sub-batch through
-//!   *journal (fsync) → apply → publish*, in parallel across
+//!   *journal (fsync) ∥ apply → publish*, in parallel across
 //!   shards. [`ShardedReader`] answers queries with a scatter-gather
 //!   plan that is bit-identical to an unsharded engine over the same
 //!   documents (see [`shard`]).
@@ -48,7 +48,7 @@
 //!   identical to an uncached one (see [`cache`]).
 //!
 //! ```text
-//! crawl sweeps ─ route ─► per shard: DeltaJournal (fsync) ─► LiveWriter.apply_batch ─► publish
+//! crawl sweeps ─ route ─► per shard: DeltaJournal (fsync) ∥ LiveWriter.apply_batch ─► publish
 //!                                                                                       │
 //!                       ShardedReader.pin() ◄── SnapshotStore per shard + blend ◄───────┘
 //!                       (N reader threads, never blocked)
@@ -70,7 +70,7 @@ pub mod snapshot;
 pub use cache::{CacheMetrics, QueryCache};
 pub use error::LiveError;
 pub use journal::{DeltaJournal, JournalError, JournalReplay};
-pub use metrics::{ShardMetrics, Stage};
+pub use metrics::{ShardMetrics, Stage, StageTimer};
 pub use shard::{
     Checkpoint, PinnedShards, RecoveryReport, ShardRouter, ShardedLiveService, ShardedReader,
 };

@@ -11,14 +11,15 @@
 //! journals and fsyncs its sub-batch in one
 //! [`DeltaJournal::append_batch`](crate::DeltaJournal::append_batch)
 //! call (that's the group-commit point), so the first [`Stage`] is
-//! the fused `stage="journal_fsync"`, followed by `apply` and
-//! `publish`.
+//! the fused `stage="journal_fsync"`. It runs on its own thread
+//! beside `apply`, so each is timed on the thread that runs it
+//! ([`StageTimer`]); `publish` follows once both are done.
 
 use crate::error::LiveError;
 use obs_search::SearchMetrics;
 use obs_telemetry::{catalog, Counter, Histogram, Registry, SharedClock};
 
-/// One stage of a shard commit, in commit order.
+/// One stage of a shard commit. The first two overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// The sub-batch's journal records written and fsynced together.
@@ -29,10 +30,36 @@ pub enum Stage {
     Publish,
 }
 
+/// Times the [`Stage`]s of one shard commit, each over exactly the
+/// closure that runs it, on whichever thread runs it. Handed out by
+/// [`ShardMetrics::time_shard_commit`]; an uninstrumented commit's
+/// times nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct StageTimer<'a> {
+    stages: Option<(&'a SharedClock, &'a [Histogram; 3])>,
+}
+
+impl StageTimer<'_> {
+    /// The timer of an uninstrumented commit.
+    pub(crate) const OFF: StageTimer<'static> = StageTimer { stages: None };
+
+    /// Runs `f` as `stage`, recording its duration.
+    pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let Some((clock, stages)) = self.stages else {
+            return f();
+        };
+        let start = clock.now_ns();
+        let out = f();
+        stages[stage as usize].record(clock.now_ns().saturating_sub(start));
+        out
+    }
+}
+
 /// Instrument handles for a
 /// [`ShardedLiveService`](crate::ShardedLiveService): per-shard
-/// commit latency, stage split, outcome counters and detach size,
-/// group-commit batch sizes, commit fan-out width, the shared
+/// commit latency, stage split, outcome counters, detach size and
+/// recycled detaches, group-commit batch sizes, commit fan-out
+/// width, the shared
 /// mark-rollback counter, and the query path's [`SearchMetrics`] for its
 /// [`ShardedReader`](crate::ShardedReader). Cheap to clone;
 /// recording is lock-free.
@@ -46,6 +73,7 @@ pub struct ShardMetrics {
     commits: Vec<Counter>,
     failures: Vec<Counter>,
     copied_bytes: Vec<Histogram>,
+    recycled: Vec<Counter>,
     batch_deltas: Histogram,
     pub(crate) fanout: Histogram,
     pub(crate) rollbacks: Counter,
@@ -88,6 +116,7 @@ impl ShardMetrics {
             commits: per_shard(&catalog::LIVE_SHARD_COMMITS_TOTAL),
             failures: per_shard(&catalog::LIVE_SHARD_FAILURES_TOTAL),
             copied_bytes: per_shard_histogram(&catalog::LIVE_COMMIT_COPIED_BYTES),
+            recycled: per_shard(&catalog::LIVE_COMMIT_RECYCLED_TOTAL),
             batch_deltas: registry.histogram(&catalog::LIVE_INGEST_BATCH_DELTAS),
             fanout: registry.histogram(&catalog::LIVE_COMMIT_FANOUT_SHARDS),
             rollbacks: registry.counter(&catalog::LIVE_MARK_ROLLBACKS_TOTAL),
@@ -104,26 +133,19 @@ impl ShardMetrics {
     /// Runs one shard's commit of a `deltas`-record sub-batch under
     /// the latency/outcome instruments — the clock boundary the
     /// `lint:deterministic` shard module calls instead of reading
-    /// time itself. The commit closure gets a lap callback to call
-    /// as each [`Stage`] ends; a successful commit also records its
+    /// time itself. The commit closure gets a [`StageTimer`] to run
+    /// each [`Stage`] through; a successful commit also records its
     /// batch size. A shard index beyond the registered range still
     /// runs the closure; it just records nothing per shard.
     pub fn time_shard_commit<T>(
         &self,
         shard: usize,
         deltas: usize,
-        commit: impl FnOnce(&mut dyn FnMut(Stage)) -> Result<T, LiveError>,
+        commit: impl FnOnce(StageTimer<'_>) -> Result<T, LiveError>,
     ) -> Result<T, LiveError> {
         let start = self.clock.now_ns();
-        let mut last = start;
-        let stages = self.stage_ns.get(shard);
-        let outcome = commit(&mut |stage| {
-            let now = self.clock.now_ns();
-            if let Some(stages) = stages {
-                stages[stage as usize].record(now.saturating_sub(last));
-            }
-            last = now;
-        });
+        let stages = self.stage_ns.get(shard).map(|s| (&self.clock, s));
+        let outcome = commit(StageTimer { stages });
         let elapsed = self.clock.now_ns().saturating_sub(start);
         if let Some(hist) = self.commit_ns.get(shard) {
             hist.record(elapsed);
@@ -141,13 +163,17 @@ impl ShardMetrics {
         outcome
     }
 
-    /// Records the index bytes a committed shard's copy-on-write
-    /// detach copied
+    /// Records a committed shard's copy-on-write detach: the index
+    /// bytes it copied
     /// ([`InvertedIndex::heap_bytes`](obs_search::InvertedIndex::heap_bytes)
-    /// of the index it detached from).
-    pub(crate) fn record_copied_bytes(&self, shard: usize, bytes: usize) {
+    /// of the index it detached from), and whether it copied them
+    /// into the superseded epoch's storage.
+    pub(crate) fn record_detach(&self, shard: usize, bytes: usize, recycled: bool) {
         if let Some(hist) = self.copied_bytes.get(shard) {
             hist.record(bytes as u64);
+        }
+        if let Some(counter) = self.recycled.get(shard).filter(|_| recycled) {
+            counter.inc();
         }
     }
 
@@ -175,13 +201,14 @@ mod tests {
         let registry = Registry::with_clock(clock.clone());
         let metrics = ShardMetrics::new(&registry, 2);
 
-        let ok: Result<u32, LiveError> = metrics.time_shard_commit(0, 4, |lap| {
-            clock.advance(300);
-            lap(Stage::JournalFsync);
-            clock.advance(150);
-            lap(Stage::Apply);
-            clock.advance(50);
-            lap(Stage::Publish);
+        // Each stage records its own span, not the time since the
+        // previous one: the 20 ns between stages count only toward
+        // the whole commit.
+        let ok: Result<u32, LiveError> = metrics.time_shard_commit(0, 4, |timer| {
+            timer.time(Stage::JournalFsync, || clock.advance(300));
+            clock.advance(20);
+            timer.time(Stage::Apply, || clock.advance(150));
+            timer.time(Stage::Publish, || clock.advance(50));
             Ok(7)
         });
         assert_eq!(ok.ok(), Some(7));
@@ -192,7 +219,7 @@ mod tests {
         assert!(err.is_err());
 
         assert_eq!(metrics.commit_counts(), vec![(0, 1, 0), (1, 0, 1)]);
-        assert_eq!(metrics.commit_ns[0].snapshot().sum(), 500);
+        assert_eq!(metrics.commit_ns[0].snapshot().sum(), 520);
         assert_eq!(metrics.commit_ns[1].snapshot().sum(), 900);
         let stage_sums: Vec<u64> = metrics.stage_ns[0]
             .iter()
@@ -210,10 +237,8 @@ mod tests {
     fn out_of_range_shard_still_commits() {
         let registry = Registry::new();
         let metrics = ShardMetrics::new(&registry, 1);
-        let ok: Result<u32, LiveError> = metrics.time_shard_commit(9, 1, |lap| {
-            lap(Stage::Apply);
-            Ok(1)
-        });
+        let ok: Result<u32, LiveError> =
+            metrics.time_shard_commit(9, 1, |timer| Ok(timer.time(Stage::Apply, || 1)));
         assert_eq!(ok.ok(), Some(1));
         assert_eq!(metrics.commit_counts(), vec![(0, 0, 0)]);
     }

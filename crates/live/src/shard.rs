@@ -4,17 +4,22 @@
 //!
 //! Every shard owns its own [`SearchEngine`] + [`DeltaJournal`] +
 //! [`SnapshotStore`] and enforces the ordering that makes crashes
-//! safe: **journal (fsync) → apply → publish**, so each journal is a
-//! superset of every snapshot its shard published.
+//! safe: **journal (fsync) ∥ apply → publish**. The journal append
+//! runs on a scoped thread while the writer applies the same records
+//! to its private engine; only the publish waits for both, so each
+//! journal is a superset of every snapshot its shard published. A
+//! refused fsync resets the writer to the published snapshot's
+//! engine, which is the pre-commit state because every commit
+//! publishes.
 //! Routing by source id ([`SourceId::shard`]) makes a commit's
 //! copy-on-write detach and fsync per-shard; routed sub-batches
 //! commit in parallel, and recovery replays each journal on its own,
 //! past that shard's sequence in a [`Checkpoint`]:
 //!
 //! ```text
-//!                 ┌► shard 0: journal (fsync) ─► apply ─► publish
-//! deltas ─ route ─┼► shard 1: journal (fsync) ─► apply ─► publish
-//!  (by source id) └► shard 2: journal (fsync) ─► apply ─► publish
+//!                 ┌► shard 0: journal (fsync) ∥ apply ─► publish
+//! deltas ─ route ─┼► shard 1: journal (fsync) ∥ apply ─► publish
+//!  (by source id) └► shard 2: journal (fsync) ∥ apply ─► publish
 //!                                │ (parallel, one thread per busy shard)
 //!            engagement of committed shards ─► global StaticBlend
 //!                                              └► blend publish
@@ -45,7 +50,7 @@
 use crate::cache::QueryCache;
 use crate::error::LiveError;
 use crate::journal::DeltaJournal;
-use crate::metrics::{ShardMetrics, Stage};
+use crate::metrics::{ShardMetrics, Stage, StageTimer};
 use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};
 use obs_model::{Clock, CorpusDelta, PostId, SourceId};
 use obs_search::{
@@ -214,37 +219,59 @@ impl ShardRouter {
 
 /// One shard's moving parts: its journal and its writer/snapshot
 /// pair. Commit order inside a shard is the service invariant:
-/// journal (fsync) → apply → publish.
+/// journal (fsync) ∥ apply → publish.
 #[derive(Debug)]
 struct Shard {
     writer: LiveWriter,
     journal: DeltaJournal,
 }
 
+/// What one shard commit's copy-on-write detach did.
+#[derive(Debug, Clone, Copy, Default)]
+struct Detach {
+    /// Index bytes copied: the last publish shares the writer's
+    /// index, so every apply detaches it.
+    copied: usize,
+    /// Whether the copy went into the superseded epoch's storage.
+    recycled: bool,
+}
+
 impl Shard {
     /// Group-commits this shard's sub-batch: all records under one
-    /// fsync ([`DeltaJournal::append_batch`], all-or-nothing), one
-    /// batched apply, one published snapshot, calling `lap` as each
-    /// [`Stage`] ends. Returns the index bytes the apply's
-    /// copy-on-write detach copied: the last publish shares the
-    /// writer's index, so every apply detaches it. An empty batch
-    /// touches nothing and copies nothing.
-    fn commit(
-        &mut self,
-        deltas: &[CorpusDelta],
-        lap: &mut dyn FnMut(Stage),
-    ) -> Result<usize, LiveError> {
+    /// fsync ([`DeltaJournal::append_batch`], all-or-nothing) on a
+    /// scoped thread, beside one batched apply on this one, then one
+    /// published snapshot once both succeeded, each [`Stage`] timed
+    /// through `timer`. If the append fails, the journal has
+    /// truncated the batch back out and the writer is reset to the
+    /// published snapshot, so the retry re-claims the same sequences.
+    /// (The apply fails only on a sequence mismatch, applying
+    /// nothing.) An empty batch touches nothing and copies nothing.
+    fn commit(&mut self, deltas: &[CorpusDelta], timer: StageTimer) -> Result<Detach, LiveError> {
+        if deltas.is_empty() {
+            return Ok(Detach::default());
+        }
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
-        let Some((first, _)) = self.journal.append_batch(&refs)? else {
-            return Ok(0);
-        };
-        lap(Stage::JournalFsync);
+        let first = self.journal.next_seq();
         let copied = self.writer.engine().index().heap_bytes();
-        self.writer.apply_batch(first, &refs)?;
-        lap(Stage::Apply);
-        self.writer.publish();
-        lap(Stage::Publish);
-        Ok(copied)
+        let Shard { writer, journal } = self;
+        let (journaled, applied) = std::thread::scope(|scope| {
+            let journaling =
+                scope.spawn(|| timer.time(Stage::JournalFsync, || journal.append_batch(&refs)));
+            let applied = timer.time(Stage::Apply, || writer.apply_batch(first, &refs));
+            // lint:allow(panic): join only errs if the journal thread panicked; re-raising that panic is the designed propagation
+            let journaled = journaling.join().expect("journal append thread panicked");
+            (journaled, applied)
+        });
+        match journaled.map_err(LiveError::from).and(applied) {
+            Ok(recycled) => {
+                timer.time(Stage::Publish, || writer.publish());
+                Ok(Detach { copied, recycled })
+            }
+            Err(error) => {
+                writer.reset_to_published();
+                Err(error)
+            }
+        }
     }
 }
 
@@ -294,8 +321,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The state before the first delta: `shards` clones of an empty
-    /// `seed` at sequence 0, `seed`'s blend and an empty registry.
+    /// The state before the first delta: for each of `shards` shards,
+    /// the empty `seed`'s blend and parameters over a fresh empty
+    /// index at sequence 0 (not a clone of the seed's index, whose
+    /// rows and tables may be sized for a whole corpus); `seed`'s
+    /// blend and an empty registry.
     fn genesis(seed: &SearchEngine, shards: usize) -> Result<Checkpoint, LiveError> {
         if shards == 0 {
             return Err(LiveError::NoShards);
@@ -306,7 +336,7 @@ impl Checkpoint {
             });
         }
         Ok(Checkpoint {
-            shards: vec![(seed.clone(), 0); shards],
+            shards: vec![(seed.without_documents(), 0); shards],
             blend: seed.blend().clone(),
             router: ShardRouter::new(shards),
         })
@@ -358,8 +388,8 @@ impl ShardedLiveService {
     /// Starts a fresh service: `shards` journal files
     /// (`shard-{i}.journal`) created (truncated) under `dir` — the
     /// directory is created if missing — and every shard's writer
-    /// seeded with a clone of `seed` at sequence 0. The global blend
-    /// starts as `seed`'s blend.
+    /// seeded with `seed`'s blend and parameters over an empty index
+    /// at sequence 0. The global blend starts as `seed`'s blend.
     ///
     /// Fails with [`LiveError::NoShards`] for zero shards and with
     /// [`LiveError::NonEmptySeed`] if `seed` already indexes
@@ -422,9 +452,9 @@ impl ShardedLiveService {
 
     /// Rebuilds the pre-crash service from the journals under `dir`
     /// alone: [`ShardedLiveService::recover_from`] the state before
-    /// the first delta (`shards` clones of the empty `seed`). Fails
-    /// as [`ShardedLiveService::start`] does on a bad seed or shard
-    /// count.
+    /// the first delta (`shards` empty shards over `seed`'s blend).
+    /// Fails as [`ShardedLiveService::start`] does on a bad seed or
+    /// shard count.
     pub fn recover(
         seed: &SearchEngine,
         shards: usize,
@@ -585,9 +615,9 @@ impl ShardedLiveService {
         }
         let commit = |i: usize, shard: &mut Shard, batch: &[CorpusDelta]| match metrics {
             Some(m) => m
-                .time_shard_commit(i, batch.len(), |lap| shard.commit(batch, lap))
-                .map(|copied| m.record_copied_bytes(i, copied)),
-            None => shard.commit(batch, &mut |_| {}).map(drop),
+                .time_shard_commit(i, batch.len(), |timer| shard.commit(batch, timer))
+                .map(|detach| m.record_detach(i, detach.copied, detach.recycled)),
+            None => shard.commit(batch, StageTimer::OFF).map(drop),
         };
         let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
         std::thread::scope(|scope| {
@@ -1538,6 +1568,125 @@ mod tests {
             }
             other => panic!("expected CheckpointGap, got {other:?}"),
         }
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn every_shard_starts_from_an_empty_index() {
+        let (world, _, seed) = world_and_engine(612);
+        // The stripped seed still carries a row per corpus document.
+        assert!(seed.index().heap_bytes() > 0);
+        let dir = temp_dir("genesis");
+        let service = ShardedLiveService::start(&seed, 3, &dir).unwrap();
+        let (recovered, _) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
+        for shards in [&service, &recovered] {
+            for i in 0..3 {
+                let engine = shards.shard_engine(i);
+                assert_eq!(engine.index().heap_bytes(), 0, "shard {i}");
+                for s in world.corpus.sources() {
+                    assert_eq!(engine.static_score(s.id), seed.static_score(s.id));
+                }
+            }
+        }
+        cleanup(&dir);
+    }
+
+    /// A 1-shard service recording into `registry`, and its shard's
+    /// recycled-detach counter.
+    fn recycling_service(
+        seed: &SearchEngine,
+        dir: &Path,
+    ) -> (ShardedLiveService, obs_telemetry::Counter) {
+        use obs_telemetry::{catalog, Registry};
+        let registry = Registry::new();
+        let service = ShardedLiveService::start(seed, 1, dir)
+            .unwrap()
+            .with_metrics(ShardMetrics::new(&registry, 1));
+        let recycled =
+            registry.counter_with(&catalog::LIVE_COMMIT_RECYCLED_TOTAL, &[("shard", "0")]);
+        (service, recycled)
+    }
+
+    #[test]
+    fn a_pinned_or_checkpointed_epoch_is_never_recycled() {
+        let (world, _, seed) = world_and_engine(610);
+        let stream = delta_stream(&world, 2);
+        let mut bursts = stream.chunks(2);
+        let probe: Vec<String> = vec!["duomo".into(), "gardens".into(), "castle".into()];
+        let dir = temp_dir("recycle");
+        let (mut service, recycled) = recycling_service(&seed, &dir);
+        // How many of the next commit's detaches reused the spare.
+        let mut commit = |service: &mut ShardedLiveService| {
+            let before = recycled.get();
+            service.ingest_batch(bursts.next().unwrap()).unwrap();
+            recycled.get() - before
+        };
+
+        // The first commit detaches the genesis index afresh; each
+        // later one detaches into the epoch the publish before it
+        // superseded.
+        assert_eq!(commit(&mut service), 0);
+        assert_eq!(commit(&mut service), 1);
+        assert_eq!(commit(&mut service), 1);
+
+        // A reader pins the published epoch across a commit, so that
+        // commit's publish cannot reclaim it: the next detach copies
+        // afresh, and the pin still answers from its epoch.
+        let reader = service.reader();
+        let pinned = reader.pin();
+        let answers = reader.query_uncached(&pinned, &probe, 50);
+        assert!(!answers.is_empty());
+        let seqs = pinned.seqs();
+        assert_eq!(commit(&mut service), 1);
+        assert_eq!(commit(&mut service), 0, "a pinned epoch was recycled");
+        assert_eq!(reader.query_uncached(&pinned, &probe, 50), answers);
+        assert_eq!(pinned.seqs(), seqs);
+        assert_ne!(service.seqs(), seqs);
+        drop(pinned);
+        assert_eq!(commit(&mut service), 1);
+
+        // A held checkpoint pins its epoch the same way.
+        let checkpoint = service.checkpoint();
+        let (engine, seq) = &checkpoint.shards[0];
+        let answers = engine.query(&probe, 50);
+        assert_eq!(commit(&mut service), 1);
+        assert_eq!(commit(&mut service), 0, "a checkpointed epoch was recycled");
+        assert_eq!(engine.query(&probe, 50), answers);
+        assert_eq!(checkpoint.seqs(), vec![*seq]);
+        drop(checkpoint);
+        assert_eq!(commit(&mut service), 1);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_refused_fsync_resets_the_overlapped_apply_to_the_published_engine() {
+        let (world, _, seed) = world_and_engine(611);
+        let stream = delta_stream(&world, 5);
+        let dir = temp_dir("overlap_refused");
+        let (mut service, recycled) = recycling_service(&seed, &dir);
+        service.ingest_batch(&stream[..2]).unwrap();
+        let published = service.shards[0].writer.reader();
+
+        // The apply runs beside the refused append; afterwards the
+        // writer shares the published index again, at its sequence.
+        service.inject_journal_sync_failures(0, 1);
+        assert!(service.ingest_batch(&stream[2..4]).is_err());
+        let snapshot = published.snapshot();
+        assert!(service.shard_engine(0).shares_index_with(snapshot.engine()));
+        assert_eq!((service.seqs(), snapshot.seq()), (vec![2], 2));
+        assert_eq!(service.journal_len(0), 2);
+
+        // The retry re-claims seqs 3 and 4 and detaches into the index
+        // the refused apply built and the reset reclaimed.
+        service.ingest_batch(&stream[2..4]).unwrap();
+        assert_eq!(recycled.get(), 1);
+        assert_eq!(service.seqs(), vec![4]);
+        let replay =
+            DeltaJournal::replay_path(ShardedLiveService::shard_journal_path(&dir, 0)).unwrap();
+        let records: Vec<(u64, &CorpusDelta)> =
+            replay.records.iter().map(|r| (r.seq, &r.delta)).collect();
+        let expected: Vec<(u64, &CorpusDelta)> = (1..).zip(&stream[..4]).collect();
+        assert_eq!(records, expected);
         cleanup(&dir);
     }
 

@@ -15,18 +15,25 @@
 //!   index is copy-on-write (shared via `Arc` until mutated), so
 //!   published snapshots are physically immune to later writes;
 //! * publishing swaps the `Arc` under the write lock — again a
-//!   pointer-sized critical section. The superseded snapshot is
-//!   dropped after the lock is released, so freeing an old index
-//!   epoch never delays a reader.
+//!   pointer-sized critical section. The superseded snapshot comes
+//!   back after the lock is released. If nothing else holds it or its
+//!   index, the writer keeps that index as a **spare**, and its next
+//!   apply detaches into the spare's buffers ([`Clone::clone_from`])
+//!   instead of allocating a fresh copy while the publish frees the
+//!   old one. Two epochs' storage so alternate for as long as no
+//!   reader lingers.
 //!
 //! The lock is therefore never held across an `apply_delta` or a
 //! `query`; the worst a reader can experience is waiting for a
 //! pointer swap. Readers holding an old snapshot keep its epoch of
 //! the index alive until they drop it — the classic epoch
-//! reclamation trade-off, made safe by `Arc`.
+//! reclamation trade-off, made safe by `Arc` — and while they do, the
+//! writer cannot recycle it: its next detach falls back to a fresh
+//! copy, and the reader frees the epoch when it lets go. A
+//! [`Checkpoint`](crate::Checkpoint) pins an epoch the same way.
 
 use crate::LiveError;
-use obs_search::SearchEngine;
+use obs_search::{InvertedIndex, SearchEngine};
 use std::sync::{Arc, RwLock};
 
 /// One published, immutable engine state.
@@ -54,6 +61,12 @@ impl EngineSnapshot {
     /// The frozen engine. Query it freely — nothing can mutate it.
     pub fn engine(&self) -> &SearchEngine {
         &self.engine
+    }
+
+    /// The snapshot's index, if no other handle holds the snapshot or
+    /// shares the index: storage free to recycle.
+    fn into_unshared_index(snapshot: Arc<EngineSnapshot>) -> Option<InvertedIndex> {
+        Arc::try_unwrap(snapshot).ok()?.engine.into_unshared_index()
     }
 }
 
@@ -120,6 +133,9 @@ pub struct LiveWriter {
     engine: SearchEngine,
     store: Arc<SnapshotStore>,
     seq: u64,
+    /// The index of the epoch the last publish superseded, when no
+    /// one else held it: the next apply detaches into it.
+    spare: Option<InvertedIndex>,
 }
 
 impl LiveWriter {
@@ -127,7 +143,12 @@ impl LiveWriter {
     /// the initial snapshot.
     pub fn new(engine: SearchEngine, seq: u64) -> LiveWriter {
         let store = Arc::new(SnapshotStore::new(EngineSnapshot::new(seq, engine.clone())));
-        LiveWriter { engine, store, seq }
+        LiveWriter {
+            engine,
+            store,
+            seq,
+            spare: None,
+        }
     }
 
     /// A reader handle onto this writer's store.
@@ -141,14 +162,15 @@ impl LiveWriter {
     /// them as changes `first_seq ..= first_seq + deltas.len() - 1`.
     ///
     /// The burst goes through
-    /// [`SearchEngine::apply_deltas`](obs_search::SearchEngine::apply_deltas)
-    /// *in replay order*: one copy-on-write index detach, one
-    /// tombstone sweep and one static-signal re-blend at the end,
-    /// however many deltas the burst carries — the amortization the
-    /// group-commit ingest path exists for, with rankings
-    /// unconditionally bit-identical to replaying the same records
-    /// one at a time. Not visible to readers until
-    /// [`LiveWriter::publish`]; an empty batch is a no-op.
+    /// [`SearchEngine::apply_deltas_into`](obs_search::SearchEngine::apply_deltas_into)
+    /// *in replay order*: one copy-on-write index detach (into the
+    /// spare the last publish reclaimed, if any), one tombstone sweep
+    /// and one static-signal re-blend at the end, however many deltas
+    /// the burst carries — the amortization the group-commit ingest
+    /// path exists for, with rankings unconditionally bit-identical
+    /// to replaying the same records one at a time. Not visible to
+    /// readers until [`LiveWriter::publish`]; an empty batch is a
+    /// no-op. Returns whether the detach recycled the spare.
     ///
     /// Fails with [`LiveError::OutOfOrder`], applying nothing, if
     /// `first_seq` is not exactly one past the last applied sequence.
@@ -156,9 +178,9 @@ impl LiveWriter {
         &mut self,
         first_seq: u64,
         deltas: &[&obs_model::CorpusDelta],
-    ) -> Result<(), LiveError> {
+    ) -> Result<bool, LiveError> {
         if deltas.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         let expected = self.seq + 1;
         if first_seq != expected {
@@ -167,20 +189,36 @@ impl LiveWriter {
                 got: first_seq,
             });
         }
-        self.engine.apply_deltas(deltas.iter().copied());
+        let recycled = self
+            .engine
+            .apply_deltas_into(&mut self.spare, deltas.iter().copied());
         self.seq = first_seq + deltas.len() as u64 - 1;
-        Ok(())
+        Ok(recycled)
     }
 
     /// Publishes the current engine state. Readers acquiring
-    /// snapshots from now on see every delta applied so far.
-    pub fn publish(&self) {
-        // The superseded snapshot is freed here, outside the store's
-        // write lock.
-        drop(
-            self.store
-                .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone()))),
-        );
+    /// snapshots from now on see every delta applied so far. The
+    /// superseded snapshot comes back outside the store's write lock;
+    /// its index becomes the spare if nothing else holds it, and is
+    /// otherwise left to its last holder to free.
+    pub fn publish(&mut self) {
+        let superseded = self
+            .store
+            .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone())));
+        self.spare = EngineSnapshot::into_unshared_index(superseded);
+    }
+
+    /// Discards every unpublished apply: the engine and sequence go
+    /// back to the published snapshot's, sharing its index. The
+    /// discarded index becomes the spare. Since every commit
+    /// publishes, this is the state before the commit that failed.
+    pub fn reset_to_published(&mut self) {
+        let published = self.store.load();
+        let discarded = std::mem::replace(&mut self.engine, published.engine().clone());
+        self.seq = published.seq();
+        if let Some(index) = discarded.into_unshared_index() {
+            self.spare = Some(index);
+        }
     }
 
     /// Sequence of the last applied (not necessarily published) delta.

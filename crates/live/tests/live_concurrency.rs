@@ -227,7 +227,7 @@ fn readers_never_observe_torn_or_regressing_pins() {
     let fx = fixture(7007, 16);
     let bursts: Vec<&[CorpusDelta]> = fx.recent.chunks(1).collect();
     for shards in [1, 2] {
-        // The writer: journal → apply → publish, one delta at a time.
+        // The writer: journal ∥ apply → publish, one delta at a time.
         race_readers(&fx, shards, "torn", &bursts, |service| {
             for delta in &fx.recent {
                 service.ingest(delta).unwrap();

@@ -170,10 +170,34 @@ impl SearchEngine {
     /// lets a group-commit serving layer and crash recovery cut the
     /// same records into different batches.
     pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
+        self.apply_deltas_into(&mut None, deltas);
+    }
+
+    /// [`SearchEngine::apply_deltas`], detaching a shared index into
+    /// `spare`'s storage ([`Clone::clone_from`]) instead of a fresh
+    /// copy: a serving layer hands back the epoch it superseded, so
+    /// the detach reuses that epoch's buffers rather than allocating
+    /// new ones and freeing the old. The spare is taken only when the
+    /// index is shared, and the result says whether it was. An empty
+    /// burst touches nothing.
+    pub fn apply_deltas_into<'a>(
+        &mut self,
+        spare: &mut Option<InvertedIndex>,
+        deltas: impl IntoIterator<Item = &'a CorpusDelta>,
+    ) -> bool {
         let deltas: Vec<&CorpusDelta> = deltas.into_iter().collect();
         if deltas.is_empty() {
-            return;
+            return false;
         }
+        let shared = Arc::get_mut(&mut self.index).is_none();
+        let recycled = match spare.take_if(|_| shared) {
+            Some(mut index) => {
+                index.clone_from(&self.index);
+                self.index = Arc::new(index);
+                true
+            }
+            None => false,
+        };
         Arc::make_mut(&mut self.index).apply_deltas(deltas.iter().copied());
         let mut engagement_touched = false;
         for delta in deltas {
@@ -182,6 +206,7 @@ impl SearchEngine {
         if engagement_touched {
             self.blend.reblend();
         }
+        recycled
     }
 
     /// Evaluates a query, returning the top `k` sources.
@@ -357,6 +382,24 @@ impl SearchEngine {
     /// checks and serving-layer diagnostics).
     pub fn index(&self) -> &InvertedIndex {
         &self.index
+    }
+
+    /// This engine's blend and scoring parameters over an empty
+    /// index: where a shard of a serving layer starts, holding none of
+    /// the rows, spare capacity or `ordinal_of` table `self` kept.
+    pub fn without_documents(&self) -> SearchEngine {
+        SearchEngine {
+            index: Arc::default(),
+            blend: self.blend.clone(),
+            params: self.params,
+        }
+    }
+
+    /// The index itself, if no clone of this engine shares it: the
+    /// storage a superseded epoch hands back for
+    /// [`SearchEngine::apply_deltas_into`] to detach into.
+    pub fn into_unshared_index(self) -> Option<InvertedIndex> {
+        Arc::try_unwrap(self.index).ok()
     }
 
     /// Whether this engine and `other` still share the same index

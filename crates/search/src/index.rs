@@ -49,7 +49,7 @@ pub struct Posting {
 /// One term's postings, in insertion order, plus the compaction
 /// generation that last swept it, so a batched commit never rescans
 /// a list twice.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PostingList {
     /// The term this list belongs to (the reverse of its dictionary
     /// entry, so an emptied list can retire its id); empty on a free
@@ -57,6 +57,24 @@ struct PostingList {
     term: String,
     entries: Vec<Posting>,
     clean_gen: u64,
+}
+
+// By hand, because `derive(Clone)` does not forward `clone_from`:
+// detaching into a recycled index must reuse each list's buffers.
+impl Clone for PostingList {
+    fn clone(&self) -> PostingList {
+        PostingList {
+            term: self.term.clone(),
+            entries: self.entries.clone(),
+            clean_gen: self.clean_gen,
+        }
+    }
+
+    fn clone_from(&mut self, source: &PostingList) {
+        self.term.clone_from(&source.term);
+        self.entries.clone_from(&source.entries);
+        self.clean_gen = source.clean_gen;
+    }
 }
 
 /// One row of the doc table.
@@ -88,7 +106,12 @@ impl Span {
 }
 
 /// The inverted index.
-#[derive(Debug, Clone, Default)]
+///
+/// [`Clone::clone_from`] copies into the target's existing buffers,
+/// growing only those too small for the source, so detaching a
+/// published epoch into a recycled older one allocates almost nothing
+/// and keeps the capacity the older epoch grew.
+#[derive(Debug, Default)]
 pub struct InvertedIndex {
     /// Term dictionary: each live term's id, its slot in `lists`.
     /// Always exactly the live vocabulary — an entry leaves in the
@@ -119,6 +142,29 @@ pub struct InvertedIndex {
     total_len: u64,
     /// Compaction generation, bumped once per sweep.
     generation: u64,
+}
+
+impl Clone for InvertedIndex {
+    fn clone(&self) -> InvertedIndex {
+        let mut index = InvertedIndex::default();
+        index.clone_from(self);
+        index
+    }
+
+    fn clone_from(&mut self, source: &InvertedIndex) {
+        self.term_ids.clone_from(&source.term_ids);
+        self.lists.clone_from(&source.lists);
+        self.free_ids.clone_from(&source.free_ids);
+        self.rows.clone_from(&source.rows);
+        self.spans.clone_from(&source.spans);
+        self.arena.clone_from(&source.arena);
+        self.dead_words = source.dead_words;
+        self.ordinal_of.clone_from(&source.ordinal_of);
+        self.free_ords.clone_from(&source.free_ords);
+        self.pending.clone_from(&source.pending);
+        self.total_len = source.total_len;
+        self.generation = source.generation;
+    }
 }
 
 impl InvertedIndex {
@@ -753,6 +799,26 @@ mod tests {
         assert!(idx.term_ids.is_empty());
         assert_eq!(idx.doc_count(), 0);
         assert_eq!(idx.total_token_length(), 0);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_target_buffers_and_keeps_every_bound() {
+        // A target that grew past the source: more rows, lists, arena.
+        let mut spare = three_docs();
+        let s = SourceId::new(1);
+        for doc in 3..40 {
+            spare.add_document(PostId::new(doc), s, "market fountain museum piazza");
+        }
+        let mut source = three_docs();
+        source.remove_document(PostId::new(1));
+        let (arena, rows) = (spare.arena.as_ptr(), spare.rows.as_ptr());
+        let capacity = spare.arena.capacity();
+
+        spare.clone_from(&source);
+        assert_bounds_exact(&spare);
+        assert_eq!(format!("{spare:?}"), format!("{:?}", source.clone()));
+        assert_eq!((spare.arena.as_ptr(), spare.rows.as_ptr()), (arena, rows));
+        assert_eq!(spare.arena.capacity(), capacity);
     }
 
     #[test]

@@ -9,8 +9,14 @@
 //! The batches mix removals, re-adds of live ids and reuse of removed
 //! ids; after every batch the index must equal a from-scratch index
 //! of the live documents, with every ordinal used once.
+//!
+//! A serving layer also detaches a published index *into* an older
+//! one's storage ([`Clone::clone_from`]), so whatever history that
+//! older index has, the result must be the same index a fresh clone
+//! gives, and must evolve like it.
 
 use obs_model::{CorpusDelta, PostId, SourceId};
+use obs_search::score::{bm25_scores, Bm25Params};
 use obs_search::InvertedIndex;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,6 +85,46 @@ fn assert_doc_table(idx: &InvertedIndex, live: &BTreeMap<u32, String>) -> Invert
     scratch
 }
 
+/// A batch of 1–5 one-op deltas over doc ids 0..40, mixing removals
+/// of live documents, re-adds of live ids (update semantics) and
+/// re-use of removed ids; `live` follows it.
+fn churn_batch(state: &mut u64, live: &mut BTreeMap<u32, String>) -> Vec<CorpusDelta> {
+    let batch = 1 + (lcg(state) % 5) as usize;
+    let mut deltas = Vec::with_capacity(batch);
+    for _ in 0..batch {
+        let mut delta = CorpusDelta::new();
+        let roll = lcg(state) % 3;
+        if roll == 0 && !live.is_empty() {
+            let nth = (lcg(state) as usize) % live.len();
+            let victim = *live.keys().nth(nth).unwrap();
+            delta.remove_doc(PostId::new(victim));
+            live.remove(&victim);
+        } else {
+            let doc = (lcg(state) % 40) as u32;
+            let text = synth_text(state);
+            delta.add_doc(PostId::new(doc), SourceId::new(doc % 5), text.clone());
+            live.insert(doc, text);
+        }
+        deltas.push(delta);
+    }
+    deltas
+}
+
+/// An index after churn batches of `ops` deltas or more in all from
+/// `seed`, and its live documents.
+fn history(seed: u64, ops: usize) -> (InvertedIndex, BTreeMap<u32, String>) {
+    let mut state = seed.wrapping_add(1);
+    let mut idx = InvertedIndex::default();
+    let mut live = BTreeMap::new();
+    let mut done = 0;
+    while done < ops {
+        let deltas = churn_batch(&mut state, &mut live);
+        done += deltas.len();
+        idx.apply_deltas(&deltas);
+    }
+    (idx, live)
+}
+
 /// Documents a churn batch removes and re-adds, at most.
 const MAX_BATCH: usize = 5;
 
@@ -102,30 +148,10 @@ proptest! {
 
         let mut done = 0usize;
         while done < ops {
-            // A batch of 1–5 one-op deltas: tombstones accumulate and
-            // compact in one generation sweep after the last.
-            let batch = 1 + (lcg(&mut state) % 5) as usize;
-            let mut deltas = Vec::with_capacity(batch);
-            for _ in 0..batch {
-                let mut delta = CorpusDelta::new();
-                let roll = lcg(&mut state) % 3;
-                if roll == 0 && !live.is_empty() {
-                    let nth = (lcg(&mut state) as usize) % live.len();
-                    let victim = *live.keys().nth(nth).unwrap();
-                    delta.remove_doc(PostId::new(victim));
-                    live.remove(&victim);
-                } else {
-                    // Doc ids from a small range, so re-adds of live
-                    // ids (update semantics) and re-use of removed
-                    // ids both occur.
-                    let doc = (lcg(&mut state) % 40) as u32;
-                    let text = synth_text(&mut state);
-                    delta.add_doc(PostId::new(doc), SourceId::new(doc % 5), text.clone());
-                    live.insert(doc, text);
-                }
-                deltas.push(delta);
-                done += 1;
-            }
+            // Tombstones accumulate and compact in one generation
+            // sweep after the batch's last delta.
+            let deltas = churn_batch(&mut state, &mut live);
+            done += deltas.len();
             idx.apply_deltas(&deltas);
             assert_doc_table(&idx, &live);
         }
@@ -187,6 +213,61 @@ proptest! {
                 "{} bytes against a fresh build's {}",
                 idx.heap_bytes(),
                 fresh.heap_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn clone_from_any_history_equals_a_fresh_clone(
+        seed_a in 0u64..10_000,
+        seed_b in 0u64..10_000,
+        ops_a in 0usize..60,
+        ops_b in 0usize..60,
+    ) {
+        let (mut recycled, _) = history(seed_a, ops_a);
+        let (source, mut live) = history(seed_b, ops_b);
+        let mut fresh = source.clone();
+        recycled.clone_from(&source);
+
+        // Field for field the same index (`Debug` prints every field,
+        // and hash tables clone bucket for bucket), whatever rows,
+        // lists and capacity the target held before.
+        prop_assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
+        assert_doc_table(&recycled, &live);
+        prop_assert_eq!(recycled.heap_bytes(), source.heap_bytes());
+        prop_assert_eq!(recycled.vocabulary_size(), source.vocabulary_size());
+        for &doc in live.keys() {
+            let post = PostId::new(doc);
+            prop_assert_eq!(recycled.ordinal_of(post), source.ordinal_of(post));
+        }
+        let probes = [vec!["duomo"], vec!["castle", "gardens"], POOL.to_vec()];
+        for probe in &probes {
+            prop_assert_eq!(
+                bm25_scores(&recycled, probe, Bm25Params::default()),
+                bm25_scores(&source, probe, Bm25Params::default())
+            );
+        }
+
+        // And it evolves like the fresh clone: the same next batch
+        // lands both on the same documents, rows and statistics.
+        // (Not on the same `Debug` text: each add tallies its terms
+        // in a freshly seeded hash map, so the order a document's
+        // postings and arena words go in varies from run to run.)
+        let mut state = seed_a ^ seed_b;
+        let deltas = churn_batch(&mut state, &mut live);
+        recycled.apply_deltas(&deltas);
+        fresh.apply_deltas(&deltas);
+        assert_doc_table(&recycled, &live);
+        prop_assert_eq!(recycled.heap_bytes(), fresh.heap_bytes());
+        prop_assert_eq!(recycled.free_ordinals(), fresh.free_ordinals());
+        for &doc in live.keys() {
+            let post = PostId::new(doc);
+            prop_assert_eq!(recycled.ordinal_of(post), fresh.ordinal_of(post));
+        }
+        for probe in &probes {
+            prop_assert_eq!(
+                bm25_scores(&recycled, probe, Bm25Params::default()),
+                bm25_scores(&fresh, probe, Bm25Params::default())
             );
         }
     }

@@ -99,6 +99,8 @@ catalog! {
         "Whole shard commit latency in ns.";
     LIVE_COMMIT_COPIED_BYTES: "live_commit_copied_bytes", Histogram, ["shard"],
         "Index bytes a shard commit's copy-on-write detach copies.";
+    LIVE_COMMIT_RECYCLED_TOTAL: "live_commit_recycled_total", Counter, ["shard"],
+        "Shard commits whose detach reused the superseded epoch's index storage.";
     LIVE_SHARD_COMMITS_TOTAL: "live_shard_commits_total", Counter, ["shard"],
         "Committed shard sub-batches.";
     LIVE_SHARD_FAILURES_TOTAL: "live_shard_failures_total", Counter, ["shard"],

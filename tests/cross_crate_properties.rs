@@ -775,7 +775,10 @@ proptest! {
         // times. Every probe query must still answer bit-identically
         // to a freshly ingested service, before and after recovery,
         // and no shard's index may outgrow twice the fresh one's,
-        // which it would without compaction.
+        // which it would without compaction. A reader pins the
+        // published epochs across every other re-crawl, so the
+        // commits alternate between detaching into the superseded
+        // epoch and copying afresh beside a pinned one.
         let world = tiny_world(seed);
         let panel = AlexaPanel::simulate(&world, seed);
         let links = LinkGraph::simulate(&world, seed ^ 1);
@@ -804,6 +807,8 @@ proptest! {
         let dir = base.join("recrawled");
         let mut service = ShardedLiveService::start(&seed_engine, 2, &dir).unwrap();
         service.ingest(&everything).unwrap();
+        let vocab = probe_terms(&world);
+        let reader = service.reader();
         for round in 0..48 {
             let recrawl: Vec<CorpusDelta> = by_source
                 .iter()
@@ -816,7 +821,15 @@ proptest! {
                     ]
                 })
                 .collect();
+            let pinned = (round % 2 == 1).then(|| {
+                let pin = reader.pin();
+                let hits = reader.query_uncached(&pin, &vocab, 20);
+                (pin, hits)
+            });
             service.ingest_batch(&recrawl).unwrap();
+            if let Some((pin, hits)) = pinned {
+                prop_assert_eq!(reader.query_uncached(&pin, &vocab, 20), hits);
+            }
         }
         for i in 0..2 {
             let (held, built) = (service.shard_engine(i).index(), fresh.shard_engine(i).index());
@@ -829,7 +842,6 @@ proptest! {
         }
 
         // The whole vocabulary at once, then small queries over it.
-        let vocab = probe_terms(&world);
         let mut queries: Vec<Vec<String>> = vec![vocab.clone()];
         queries.extend(vocab.windows(3).step_by(5).map(<[String]>::to_vec));
         let answers = |service: &ShardedLiveService| -> Vec<Vec<(SourceId, usize, u64)>> {
