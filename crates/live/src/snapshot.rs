@@ -21,7 +21,8 @@
 //!   apply detaches into the spare's buffers ([`Clone::clone_from`])
 //!   instead of allocating a fresh copy while the publish frees the
 //!   old one. Two epochs' storage so alternate for as long as no
-//!   reader lingers.
+//!   reader lingers, and both stay resident between commits: the
+//!   spare costs one index's memory per writer.
 //!
 //! The lock is therefore never held across an `apply_delta` or a
 //! `query`; the worst a reader can experience is waiting for a
@@ -134,7 +135,8 @@ pub struct LiveWriter {
     store: Arc<SnapshotStore>,
     seq: u64,
     /// The index of the epoch the last publish superseded, when no
-    /// one else held it: the next apply detaches into it.
+    /// one else held it: the next apply detaches into it. Resident
+    /// between commits, so an idle writer holds two epochs.
     spare: Option<InvertedIndex>,
 }
 

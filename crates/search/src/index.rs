@@ -63,17 +63,27 @@ struct PostingList {
 // detaching into a recycled index must reuse each list's buffers.
 impl Clone for PostingList {
     fn clone(&self) -> PostingList {
+        let PostingList {
+            term,
+            entries,
+            clean_gen,
+        } = self;
         PostingList {
-            term: self.term.clone(),
-            entries: self.entries.clone(),
-            clean_gen: self.clean_gen,
+            term: term.clone(),
+            entries: entries.clone(),
+            clean_gen: *clean_gen,
         }
     }
 
     fn clone_from(&mut self, source: &PostingList) {
-        self.term.clone_from(&source.term);
-        self.entries.clone_from(&source.entries);
-        self.clean_gen = source.clean_gen;
+        let PostingList {
+            term,
+            entries,
+            clean_gen,
+        } = source;
+        self.term.clone_from(term);
+        self.entries.clone_from(entries);
+        self.clean_gen = *clean_gen;
     }
 }
 
@@ -144,26 +154,69 @@ pub struct InvertedIndex {
     generation: u64,
 }
 
+// Both methods destructure their source exhaustively, so a field
+// added later fails to compile until each copies it; `clone` builds
+// a fresh value on its own and is an independent reference for
+// `clone_from`.
 impl Clone for InvertedIndex {
     fn clone(&self) -> InvertedIndex {
-        let mut index = InvertedIndex::default();
-        index.clone_from(self);
-        index
+        let InvertedIndex {
+            term_ids,
+            lists,
+            free_ids,
+            rows,
+            spans,
+            arena,
+            dead_words,
+            ordinal_of,
+            free_ords,
+            pending,
+            total_len,
+            generation,
+        } = self;
+        InvertedIndex {
+            term_ids: term_ids.clone(),
+            lists: lists.clone(),
+            free_ids: free_ids.clone(),
+            rows: rows.clone(),
+            spans: spans.clone(),
+            arena: arena.clone(),
+            dead_words: *dead_words,
+            ordinal_of: ordinal_of.clone(),
+            free_ords: free_ords.clone(),
+            pending: pending.clone(),
+            total_len: *total_len,
+            generation: *generation,
+        }
     }
 
     fn clone_from(&mut self, source: &InvertedIndex) {
-        self.term_ids.clone_from(&source.term_ids);
-        self.lists.clone_from(&source.lists);
-        self.free_ids.clone_from(&source.free_ids);
-        self.rows.clone_from(&source.rows);
-        self.spans.clone_from(&source.spans);
-        self.arena.clone_from(&source.arena);
-        self.dead_words = source.dead_words;
-        self.ordinal_of.clone_from(&source.ordinal_of);
-        self.free_ords.clone_from(&source.free_ords);
-        self.pending.clone_from(&source.pending);
-        self.total_len = source.total_len;
-        self.generation = source.generation;
+        let InvertedIndex {
+            term_ids,
+            lists,
+            free_ids,
+            rows,
+            spans,
+            arena,
+            dead_words,
+            ordinal_of,
+            free_ords,
+            pending,
+            total_len,
+            generation,
+        } = source;
+        self.term_ids.clone_from(term_ids);
+        self.lists.clone_from(lists);
+        self.free_ids.clone_from(free_ids);
+        self.rows.clone_from(rows);
+        self.spans.clone_from(spans);
+        self.arena.clone_from(arena);
+        self.dead_words = *dead_words;
+        self.ordinal_of.clone_from(ordinal_of);
+        self.free_ords.clone_from(free_ords);
+        self.pending.clone_from(pending);
+        self.total_len = *total_len;
+        self.generation = *generation;
     }
 }
 
