@@ -1,55 +1,82 @@
 //! The durable delta journal.
 //!
-//! An append-only on-disk log of serialized
-//! [`CorpusDelta`]s — the filtered source
-//! updates treated as a first-class, replayable stream rather than a
-//! transient mutation. One record per line:
+//! An append-only on-disk log of [`CorpusDelta`]s — the filtered
+//! source updates treated as a first-class, replayable stream rather
+//! than a transient mutation. A file header, then one binary frame
+//! per record, each delta in the [`obs_model::codec`] encoding:
 //!
 //! ```text
-//! <seq> <crc32-hex> <delta-json>\n
+//! file    := "OBS-JRN" version(1 byte) frame*
+//! frame   := len(u32) seq(u64) crc(u32) hcrc(u32) payload[len]
+//!            ╰──────────── 20-byte header ─────────╯
 //! ```
 //!
-//! * `seq` — contiguous, 1-based sequence number; replay refuses a
-//!   log with a gap or regression (that's corruption, not a crash);
-//! * `crc32` — IEEE CRC-32 of the JSON bytes, so a bit-flipped or
-//!   truncated record is detected rather than deserialized into
-//!   garbage;
-//! * `delta-json` — the delta through the in-tree serde_json shim.
+//! All integers are little-endian.
+//!
+//! * `seq` — contiguous sequence number; replay refuses a log with a
+//!   gap or regression (that's corruption, not a crash);
+//! * `crc` — IEEE CRC-32 of the payload, so a bit-flipped record is
+//!   detected rather than decoded into garbage;
+//! * `hcrc` — CRC-32 of `len ‖ seq ‖ crc`, so a damaged length can
+//!   never send the reader to a wrong frame boundary.
+//!
+//! A file that does not start with the header — every JSON-era
+//! journal among them — is refused as
+//! [`JournalError::UnsupportedFormat`], never migrated. A file that
+//! holds only a strict prefix of the header is an empty journal: the
+//! crash came between its creation and its first append.
 //!
 //! **Torn-tail tolerance:** a crash mid-append leaves at most one
-//! truncated record, and only at the end of the file. Replay detects
-//! a final record that is incomplete (no newline, bad CRC, or
-//! unparseable) and *drops it* — the delta was never acknowledged as
-//! durable, so dropping it is the correct recovery. The same damage
-//! anywhere else in the file is reported as
-//! [`JournalError::Corrupt`].
+//! damaged frame, and only at the end of the file. Replay drops it —
+//! the delta was never acknowledged as durable — and
+//! [`DeltaJournal::open`] heals the file to the end of the last
+//! intact frame, in three cases:
+//!
+//! * the file ends inside a frame, its header included;
+//! * the last frame's payload fails its CRC (only zero bytes, if
+//!   any, follow it);
+//! * only zero bytes follow the last intact frame (a file extended
+//!   before its data blocks reached the disk).
+//!
+//! Any other damage is [`JournalError::Corrupt`]: a header whose
+//! `hcrc` fails with anything but zeros after it, a payload that
+//! fails its CRC with a later frame after it, a sequence gap, or a
+//! verified payload that does not decode.
 //!
 //! **Group commit:** [`DeltaJournal::append_batch`] is the only
-//! writer: it appends any number of records, each rendered and written
+//! writer: it appends any number of frames, each encoded and written
 //! through one reused buffer, and makes them durable under **one**
 //! fsync — the amortization that turns a burst of crawl ticks from N
 //! disk syncs into one, while a bulk load never holds more than one
-//! record's text. The batch is all-or-nothing: if any render, write
-//! or the sync fails, the batch is truncated back out, so a retry
-//! re-claims the exact same sequence numbers and recovery never
-//! replays an unacknowledged record.
+//! frame in memory. The batch is all-or-nothing: if any write or the
+//! sync fails, the batch is truncated back out, so a retry re-claims
+//! the exact same sequence numbers and recovery never replays an
+//! unacknowledged record.
 //!
 //! **Compaction:** once a checkpoint (an engine snapshot at sequence
 //! `S`) makes the prefix `..=S` redundant, [`DeltaJournal::compact_through`]
 //! rewrites the log without it (atomically, via a temp file +
-//! rename, then a sync of the directory). Sequence numbers keep
-//! rising across compactions; the first retained record pins the
-//! replay base.
+//! rename, then a sync of the directory), copying the retained
+//! frames verbatim. Sequence numbers keep rising across compactions;
+//! the first retained record pins the replay base.
 
 // lint:deterministic — replaying this log must rebuild a
 // byte-identical engine, so nothing here may depend on hash order
 // or the wall clock.
 
+use obs_model::codec::{DecodeError, Reader};
 use obs_model::{CorpusDelta, SequencedDelta};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+
+/// Magic and format version: the first bytes of every journal file.
+const FILE_HEADER: [u8; 8] = *b"OBS-JRN\x01";
+
+/// Bytes of a frame before its payload: `len`, `seq`, `crc`, `hcrc`.
+const FRAME_HEADER: usize = 20;
 
 /// Why a journal operation failed.
 #[derive(Debug)]
@@ -59,10 +86,17 @@ pub enum JournalError {
     /// A record *before* the final one is damaged, or sequence
     /// numbers are not contiguous — the log cannot be trusted.
     Corrupt {
-        /// 1-based record (line) number of the damage.
+        /// 1-based frame number of the damage.
         record: usize,
         /// What was wrong with it.
         reason: String,
+    },
+    /// The file does not start with this format's header: a
+    /// JSON-era journal, another format version, or not a journal.
+    /// Refused untouched rather than migrated.
+    UnsupportedFormat {
+        /// The bytes found where the header belongs.
+        found: Vec<u8>,
     },
 }
 
@@ -73,6 +107,12 @@ impl fmt::Display for JournalError {
             JournalError::Corrupt { record, reason } => {
                 write!(f, "journal corrupt at record {record}: {reason}")
             }
+            JournalError::UnsupportedFormat { found } => write!(
+                f,
+                "not a journal of this format: expected header \"{}\", found \"{}\"",
+                FILE_HEADER.escape_ascii(),
+                found.escape_ascii()
+            ),
         }
     }
 }
@@ -90,10 +130,12 @@ impl From<std::io::Error> for JournalError {
 pub struct JournalReplay {
     /// Every intact record, in sequence order.
     pub records: Vec<SequencedDelta>,
-    /// Whether a truncated final record (torn tail) was dropped.
+    /// Whether a torn tail (a cut or damaged final frame, zero fill,
+    /// or a cut file header) was dropped.
     pub torn_tail_dropped: bool,
     /// Byte length of the intact prefix — the whole file when no
-    /// tail was torn. Healing truncates to exactly here.
+    /// tail was torn, 0 when not even the file header is whole.
+    /// Healing truncates to exactly here.
     pub clean_len: u64,
 }
 
@@ -104,46 +146,195 @@ impl JournalReplay {
     }
 }
 
-/// IEEE CRC-32 (the polynomial every zip/png reader uses),
-/// bit-reflected, table-free — journal records are small and append
-/// throughput is bounded by fsync, not the checksum.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table of
+/// the reflected IEEE polynomial, and `CRC_TABLES[k][b]` advances
+/// `CRC_TABLES[0][b]` by `k` more zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// IEEE CRC-32 (the polynomial every zip/png reader uses),
+/// bit-reflected, eight bytes per step through [`CRC_TABLES`].
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// One parse attempt over a record line (without its newline).
-fn parse_record(line: &str) -> Result<SequencedDelta, String> {
-    let (seq_text, rest) = line.split_once(' ').ok_or("missing field separators")?;
-    let (crc_text, json) = rest.split_once(' ').ok_or("missing crc separator")?;
-    let seq: u64 = seq_text
-        .parse()
-        .map_err(|_| format!("bad sequence number {seq_text:?}"))?;
-    let stored_crc =
-        u32::from_str_radix(crc_text, 16).map_err(|_| format!("bad crc field {crc_text:?}"))?;
-    let actual_crc = crc32(json.as_bytes());
-    if stored_crc != actual_crc {
-        return Err(format!(
-            "crc mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"
-        ));
+/// Encodes one frame — header and `delta`'s payload — into `frame`,
+/// replacing what it held.
+fn encode_frame(seq: u64, delta: &CorpusDelta, frame: &mut Vec<u8>) -> Result<(), JournalError> {
+    frame.clear();
+    frame.resize(FRAME_HEADER, 0);
+    delta.encode_into(frame);
+    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len())
+        .map_err(|_| std::io::Error::other("delta encodes to over 4 GiB"))?;
+    head[0..4].copy_from_slice(&len.to_le_bytes());
+    head[4..12].copy_from_slice(&seq.to_le_bytes());
+    head[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    let hcrc = crc32(&head[..16]);
+    head[16..20].copy_from_slice(&hcrc.to_le_bytes());
+    Ok(())
+}
+
+/// The fields of the frame header at the start of `bytes`: `len`,
+/// `seq`, `crc` and `hcrc`.
+fn frame_header(bytes: &[u8]) -> Result<(u32, u64, u32, u32), DecodeError> {
+    let mut r = Reader::new(bytes);
+    Ok((r.u32_le()?, r.u64_le()?, r.u32_le()?, r.u32_le()?))
+}
+
+/// One verified frame's place in the file.
+#[derive(Debug)]
+struct Frame {
+    seq: u64,
+    /// Offset of the frame header.
+    start: usize,
+    /// The payload's bytes; its end is the frame's end.
+    payload: Range<usize>,
+}
+
+/// Every intact frame of a journal file, found and checksummed
+/// without decoding a payload.
+#[derive(Debug, Default)]
+struct Scan {
+    frames: Vec<Frame>,
+    torn: bool,
+    clean_len: usize,
+}
+
+fn corrupt(record: usize, reason: impl Into<String>) -> JournalError {
+    JournalError::Corrupt {
+        record,
+        reason: reason.into(),
     }
-    let delta: CorpusDelta =
-        serde_json::from_str(json).map_err(|e| format!("undecodable delta: {e}"))?;
-    Ok(SequencedDelta::new(seq, delta))
+}
+
+/// Splits a journal file into its frames by the rules of the module
+/// docs: a torn tail ends the scan, any other damage fails it.
+fn scan(bytes: &[u8]) -> Result<Scan, JournalError> {
+    let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
+    if head != &FILE_HEADER[..head.len()] {
+        return Err(JournalError::UnsupportedFormat {
+            found: head.to_vec(),
+        });
+    }
+    if head.len() < FILE_HEADER.len() {
+        return Ok(Scan {
+            torn: !head.is_empty(),
+            ..Scan::default()
+        });
+    }
+    let mut scan = Scan {
+        clean_len: FILE_HEADER.len(),
+        ..Scan::default()
+    };
+    while scan.clean_len < bytes.len() {
+        let record = scan.frames.len() + 1;
+        let start = scan.clean_len;
+        let rest = &bytes[start..];
+        let zeros_from = |at: usize| bytes.get(at..).is_some_and(|t| t.iter().all(|&b| b == 0));
+        let Ok((len, seq, crc, hcrc)) = frame_header(rest) else {
+            // The file ends inside the frame header.
+            scan.torn = true;
+            break;
+        };
+        if crc32(&rest[..16]) != hcrc {
+            if zeros_from(start) {
+                scan.torn = true;
+                break;
+            }
+            return Err(corrupt(record, "frame header checksum mismatch"));
+        }
+        let payload_start = start + FRAME_HEADER;
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| payload_start.checked_add(len))
+            .filter(|&end| end <= bytes.len());
+        let Some(end) = end else {
+            // The header is whole and verified, its payload is not
+            // all there: the file ends inside the frame.
+            scan.torn = true;
+            break;
+        };
+        let actual = crc32(&bytes[payload_start..end]);
+        if actual != crc {
+            if zeros_from(end) {
+                scan.torn = true;
+                break;
+            }
+            return Err(corrupt(
+                record,
+                format!("payload crc mismatch: stored {crc:08x}, computed {actual:08x}"),
+            ));
+        }
+        if let Some(prev) = scan.frames.last() {
+            if seq != prev.seq.wrapping_add(1) {
+                return Err(corrupt(
+                    record,
+                    format!(
+                        "sequence gap: expected {}, found {seq}",
+                        prev.seq.wrapping_add(1)
+                    ),
+                ));
+            }
+        }
+        scan.frames.push(Frame {
+            seq,
+            start,
+            payload: payload_start..end,
+        });
+        scan.clean_len = end;
+    }
+    Ok(scan)
 }
 
 /// The append handle over a journal file.
 ///
 /// Writes go straight to the [`File`] — no userspace write buffer —
-/// and every handle is in append mode. Every record reaches the
-/// kernel in one write as soon as it is rendered and is immediately
+/// and every handle is in append mode. Every frame reaches the
+/// kernel in one write as soon as it is encoded and is immediately
 /// visible in the file's length, so failure handling only ever has
 /// to reason about file bytes (truncate back to the batch's clean
 /// length, and the next append lands there), never about a stale
@@ -184,12 +375,14 @@ pub struct DeltaJournal {
 }
 
 impl DeltaJournal {
-    /// Creates a fresh, empty journal, truncating any existing file.
+    /// Creates a fresh journal holding only the file header,
+    /// truncating any existing file.
     pub fn create(path: impl AsRef<Path>) -> Result<DeltaJournal, JournalError> {
         let path = path.as_ref().to_path_buf();
         // `OpenOptions` refuses `append` with `truncate`.
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
         file.set_len(0)?;
+        file.write_all(&FILE_HEADER)?;
         Ok(DeltaJournal {
             path,
             file,
@@ -201,8 +394,9 @@ impl DeltaJournal {
 
     /// Opens an existing journal (or creates an empty one), replaying
     /// it to find the append position. A torn tail is physically
-    /// truncated away so the file is clean for future appends; the
-    /// replay of everything intact is returned alongside the handle.
+    /// truncated away, and a missing or cut file header rewritten, so
+    /// the file is clean for future appends; the replay of
+    /// everything intact is returned alongside the handle.
     pub fn open(path: impl AsRef<Path>) -> Result<(DeltaJournal, JournalReplay), JournalError> {
         let path = path.as_ref().to_path_buf();
         let replay = match Self::replay_path(&path) {
@@ -212,15 +406,17 @@ impl DeltaJournal {
             }
             Err(e) => return Err(e),
         };
-        if replay.torn_tail_dropped {
-            // Heal by truncating to the end of the last intact
-            // record: O(1), and the durable prefix keeps its exact
-            // original bytes.
-            let file = OpenOptions::new().write(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if replay.torn_tail_dropped || replay.clean_len == 0 {
+            // Heal by truncating to the end of the last intact frame:
+            // O(1), and the durable prefix keeps its exact original
+            // bytes. With no whole file header, start it afresh.
             file.set_len(replay.clean_len)?;
+            if replay.clean_len == 0 {
+                file.write_all(&FILE_HEADER)?;
+            }
             file.sync_data()?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok((
             DeltaJournal {
                 path,
@@ -233,91 +429,33 @@ impl DeltaJournal {
         ))
     }
 
-    /// Reads and verifies every record of the journal at `path`
-    /// without taking an append handle. Tolerates (and reports) a
-    /// torn final record; fails on any other damage.
-    ///
-    /// The file is read as *bytes*, not as a string: a crash can
-    /// truncate mid-UTF-8-sequence or leave garbage blocks at the
-    /// tail, and that damage must be confined to the torn record,
-    /// not fail the whole read.
+    /// Reads, verifies and decodes every record of the journal at
+    /// `path` without taking an append handle. Tolerates (and
+    /// reports) a torn tail; fails on any other damage.
     pub fn replay_path(path: impl AsRef<Path>) -> Result<JournalReplay, JournalError> {
-        let mut bytes = Vec::new();
-        File::open(path.as_ref())?.read_to_end(&mut bytes)?;
-
-        let mut replay = JournalReplay::default();
-        let mut offset = 0usize;
-        let mut record_no = 0usize;
-        while offset < bytes.len() {
-            record_no += 1;
-            let rest = &bytes[offset..];
-            let (line_bytes, complete, consumed) = match rest.iter().position(|&b| b == b'\n') {
-                Some(nl) => (&rest[..nl], true, nl + 1),
-                None => (rest, false, rest.len()),
-            };
-            let is_last = offset + consumed >= bytes.len();
-            let parsed = std::str::from_utf8(line_bytes)
-                .map_err(|_| "invalid utf-8".to_owned())
-                .and_then(parse_record);
-            match parsed {
-                Ok(record) => {
-                    let expected = replay.records.last().map(|r| r.seq + 1);
-                    if !complete {
-                        // A record without its newline is a torn
-                        // append even if its payload happens to
-                        // verify — the trailing newline is part of
-                        // the durable format.
-                        replay.torn_tail_dropped = true;
-                    } else if expected.is_some_and(|e| record.seq != e) {
-                        return Err(JournalError::Corrupt {
-                            record: record_no,
-                            reason: format!(
-                                "sequence gap: expected {}, found {}",
-                                expected.unwrap_or(1),
-                                record.seq
-                            ),
-                        });
-                    } else {
-                        replay.records.push(record);
-                        replay.clean_len = (offset + consumed) as u64;
-                    }
-                }
-                Err(_) if is_last => {
-                    replay.torn_tail_dropped = true;
-                }
-                Err(reason) => {
-                    return Err(JournalError::Corrupt {
-                        record: record_no,
-                        reason,
-                    });
-                }
-            }
-            offset += consumed;
+        let bytes = std::fs::read(path.as_ref())?;
+        let scan = scan(&bytes)?;
+        let mut records = Vec::with_capacity(scan.frames.len());
+        for (i, frame) in scan.frames.iter().enumerate() {
+            let delta = CorpusDelta::decode(&bytes[frame.payload.clone()])
+                .map_err(|e| corrupt(i + 1, format!("undecodable delta: {e}")))?;
+            records.push(SequencedDelta::new(frame.seq, delta));
         }
-        Ok(replay)
-    }
-
-    /// Renders one record line (with its trailing newline) into
-    /// `line`, replacing what it held.
-    fn render_record(seq: u64, delta: &CorpusDelta, line: &mut String) -> Result<(), JournalError> {
-        use std::fmt::Write as _;
-        let json = serde_json::to_string(delta)
-            .map_err(|e| std::io::Error::other(format!("delta serialization failed: {e}")))?;
-        let crc = crc32(json.as_bytes());
-        line.clear();
-        writeln!(line, "{seq} {crc:08x} {json}")
-            .map_err(|e| std::io::Error::other(format!("record rendering failed: {e}")))?;
-        Ok(())
+        Ok(JournalReplay {
+            records,
+            torn_tail_dropped: scan.torn,
+            clean_len: scan.clean_len as u64,
+        })
     }
 
     /// Appends `deltas` as one *group commit*: every record gets its
     /// own contiguous sequence number and is written as soon as it is
-    /// rendered, through one reused line buffer, and one fsync makes
+    /// encoded, through one reused frame buffer, and one fsync makes
     /// the batch durable. Returns the `(first, last)` sequence range,
     /// or `None` for an empty batch (which touches neither the file
     /// nor the sequence).
     ///
-    /// All-or-nothing: if rendering or writing any record, or the
+    /// All-or-nothing: if encoding or writing any record, or the
     /// sync, fails, the file is truncated back to its pre-batch length
     /// and the counters stay put — no record of the batch survives to
     /// be replayed, and a retry re-claims the same sequence numbers.
@@ -336,8 +474,8 @@ impl DeltaJournal {
             // Best effort: if the truncate also fails, the file and
             // the counters have diverged and only a re-open can
             // reconcile them; the original error wins either way.
-            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the render, write or sync error wins
-            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the render, write or sync error wins
+            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the encode, write or sync error wins
+            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the encode, write or sync error wins
             return Err(e);
         }
         self.next_seq += deltas.len() as u64;
@@ -345,14 +483,14 @@ impl DeltaJournal {
         Ok(Some((first, self.next_seq - 1)))
     }
 
-    /// Renders and writes each record in turn, numbered from `first`,
+    /// Encodes and writes each record in turn, numbered from `first`,
     /// then fsyncs them all, failing instead of syncing while injected
     /// faults are armed.
     fn write_durably(&mut self, first: u64, deltas: &[&CorpusDelta]) -> Result<(), JournalError> {
-        let mut line = String::new();
+        let mut frame = Vec::new();
         for (seq, delta) in (first..).zip(deltas) {
-            Self::render_record(seq, delta, &mut line)?;
-            self.file.write_all(line.as_bytes())?;
+            encode_frame(seq, delta, &mut frame)?;
+            self.file.write_all(&frame)?;
         }
         if self.sync_faults > 0 {
             self.sync_faults -= 1;
@@ -374,24 +512,24 @@ impl DeltaJournal {
 
     /// Drops every record with `seq <= through_seq` — legal once a
     /// checkpoint covers that prefix — rewriting the file atomically
-    /// (temp file + rename). Returns how many records were dropped.
-    /// Sequence numbers are preserved, so replay-over-checkpoint
-    /// still lines up.
+    /// (temp file + rename) with the retained frames copied verbatim.
+    /// Returns how many records were dropped. Sequence numbers are
+    /// preserved, so replay-over-checkpoint still lines up.
     pub fn compact_through(&mut self, through_seq: u64) -> Result<usize, JournalError> {
-        let replay = Self::replay_path(&self.path)?;
-        let retained: Vec<&SequencedDelta> = replay
-            .records
-            .iter()
-            .filter(|r| r.seq > through_seq)
-            .collect();
-        let dropped = replay.records.len() - retained.len();
+        let bytes = std::fs::read(&self.path)?;
+        let scan = scan(&bytes)?;
+        let dropped = scan.frames.partition_point(|f| f.seq <= through_seq);
         if dropped == 0 {
             return Ok(0);
         }
-        Self::rewrite_refs(&self.path, &retained)?;
+        let retained = scan
+            .frames
+            .get(dropped)
+            .map_or(&[][..], |f| &bytes[f.start..scan.clean_len]);
+        Self::rewrite(&self.path, retained)?;
         // Reopen the handle onto the rewritten file.
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.len = retained.len();
+        self.len = scan.frames.len() - dropped;
         Ok(dropped)
     }
 
@@ -425,25 +563,21 @@ impl DeltaJournal {
         &self.path
     }
 
-    /// Writes `records` to a sibling temp file, fsyncs it, renames it
-    /// over `path` so the journal is never observable in a
-    /// half-rewritten state, and fsyncs the directory.
-    fn rewrite_refs(path: &Path, records: &[&SequencedDelta]) -> Result<(), JournalError> {
+    /// Writes the file header and `frames` to a sibling temp file,
+    /// fsyncs it, renames it over `path` so the journal is never
+    /// observable in a half-rewritten state, and fsyncs the
+    /// directory.
+    fn rewrite(path: &Path, frames: &[u8]) -> Result<(), JournalError> {
         let tmp = path.with_extension("journal.tmp");
         {
-            let file = OpenOptions::new()
+            let mut file = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .truncate(true)
                 .open(&tmp)?;
-            let mut out = BufWriter::new(file);
-            let mut line = String::new();
-            for record in records {
-                Self::render_record(record.seq, &record.delta, &mut line)?;
-                out.write_all(line.as_bytes())?;
-            }
-            out.flush()?;
-            out.get_ref().sync_data()?;
+            file.write_all(&FILE_HEADER)?;
+            file.write_all(frames)?;
+            file.sync_data()?;
         }
         std::fs::rename(&tmp, path)?;
         // The rename is an entry in the directory, durable only once
@@ -503,6 +637,41 @@ mod tests {
         d
     }
 
+    /// The byte range of each frame of the journal at `path`.
+    fn frame_ranges(path: &Path) -> Vec<Range<usize>> {
+        let bytes = std::fs::read(path).unwrap();
+        let scan = scan(&bytes).unwrap();
+        assert!(!scan.torn);
+        scan.frames.iter().map(|f| f.start..f.payload.end).collect()
+    }
+
+    /// The reference CRC-32: one bit per step, no table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_known_answer_and_the_bitwise_reference() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        // Every length 0–64 at every start alignment of the 8-byte
+        // step.
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "{start}+{len}");
+            }
+        }
+    }
+
     #[test]
     fn append_batch_replay_roundtrips() {
         let path = temp_path("roundtrip");
@@ -526,40 +695,26 @@ mod tests {
     }
 
     #[test]
-    fn invalid_utf8_torn_tail_is_dropped_not_io_error() {
-        let (path, _) = journal_with("utf8_tail", 2);
+    fn a_zero_filled_tail_is_torn_and_healed() {
+        let (path, _) = journal_with("zero_tail", 2);
+        let intact = std::fs::read(&path).unwrap();
 
-        // A crash can leave raw garbage (or a truncated multi-byte
-        // UTF-8 sequence) at the tail; replay must confine the
-        // damage to the torn record, not refuse the whole file.
-        {
-            use std::io::Write;
-            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-            file.write_all(b"3 deadbeef {\"added\xff\xfe\x00").unwrap();
+        // A crash can leave the file extended over blocks that never
+        // reached the disk: zeros, shorter or longer than a header.
+        for zeros in [1, FRAME_HEADER, 4096] {
+            let mut torn = intact.clone();
+            torn.resize(intact.len() + zeros, 0);
+            std::fs::write(&path, &torn).unwrap();
+            let replay = DeltaJournal::replay_path(&path).unwrap();
+            assert!(replay.torn_tail_dropped, "{zeros} zeros");
+            assert_eq!(replay.clean_len, intact.len() as u64);
+
+            // Re-opening heals it and appends continue.
+            let (mut journal, _) = DeltaJournal::open(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), intact);
+            assert_eq!(commit(&mut journal, 7), 3);
+            std::fs::write(&path, &intact).unwrap();
         }
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        assert!(replay.torn_tail_dropped);
-        assert_eq!(replay.records.len(), 2);
-
-        // Re-opening heals it and appends continue.
-        let (mut journal, _) = DeltaJournal::open(&path).unwrap();
-        assert_eq!(commit(&mut journal, 7), 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn invalid_utf8_mid_file_is_corruption() {
-        let (path, _) = journal_with("utf8_mid", 2);
-
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Clobber a byte inside the first record.
-        bytes[10] = 0xFF;
-        std::fs::write(&path, bytes).unwrap();
-        let err = DeltaJournal::replay_path(&path).unwrap_err();
-        assert!(
-            matches!(err, JournalError::Corrupt { record: 1, .. }),
-            "{err:?}"
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -610,7 +765,7 @@ mod tests {
         let durable = std::fs::read(&path).unwrap();
 
         // A long record between short ones: the records reach the file
-        // one by one through one reused line buffer, so by the refused
+        // one by one through one reused frame buffer, so by the refused
         // sync the file holds far more than any one record's bytes.
         let mut batch: Vec<CorpusDelta> = (1..6).map(sample_delta).collect();
         batch[2].add_doc(PostId::new(99), SourceId::new(1), "gardens ".repeat(200));
@@ -641,12 +796,16 @@ mod tests {
         for &delta in &refs {
             sequential.append_batch(&[delta]).unwrap();
         }
-        let bytes = std::fs::read(&path).unwrap();
-        let batch_bytes = &bytes[durable.len()..];
-        let longest_line = batch_bytes.split(|&b| b == b'\n').map(<[u8]>::len).max();
-        // The long line plus four short ones of over 64 bytes each.
-        assert!(batch_bytes.len() > longest_line.unwrap() + 4 * 64);
-        assert_eq!(bytes, std::fs::read(&sequential_path).unwrap());
+        let frames = frame_ranges(&path);
+        let batch_frames = &frames[1..];
+        let sizes: Vec<usize> = batch_frames.iter().map(|f| f.len()).collect();
+        let longest_frame = sizes.iter().max().unwrap();
+        // The long frame plus four short ones of over 32 bytes each.
+        assert!(sizes.iter().sum::<usize>() > longest_frame + 4 * 32);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&sequential_path).unwrap()
+        );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&sequential_path).ok();
     }
@@ -655,16 +814,14 @@ mod tests {
     fn a_tail_torn_at_any_byte_heals_to_the_intact_prefix() {
         let (path, _) = journal_with("torn_every_byte", 3);
         let intact = std::fs::read(&path).unwrap();
-        let newlines: Vec<usize> = (0..intact.len()).filter(|&i| intact[i] == b'\n').collect();
-        let prefix = newlines[1] + 1;
+        let prefix = frame_ranges(&path)[1].end;
 
-        // A crash can cut the last record after any of its bytes but
-        // the final newline. The last cut leaves a payload that
-        // verifies; without its newline the record is still torn.
-        for cut in prefix + 1..intact.len() {
+        // A crash can cut the last frame after any of its bytes, in
+        // its header or in its payload.
+        for cut in prefix..intact.len() {
             std::fs::write(&path, &intact[..cut]).unwrap();
             let replay = DeltaJournal::replay_path(&path).unwrap();
-            assert!(replay.torn_tail_dropped, "cut at {cut}");
+            assert_eq!(replay.torn_tail_dropped, cut > prefix, "cut at {cut}");
             let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
             assert_eq!(seqs, vec![1, 2], "cut at {cut}");
             assert_eq!(replay.records[1].delta, sample_delta(1));
@@ -675,6 +832,7 @@ mod tests {
             assert_eq!(commit(&mut journal, 2), 3, "cut at {cut}");
             let replay = DeltaJournal::replay_path(&path).unwrap();
             assert!(!replay.torn_tail_dropped && replay.last_seq() == 3);
+            assert_eq!(std::fs::read(&path).unwrap(), intact, "cut at {cut}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -682,10 +840,12 @@ mod tests {
     #[test]
     fn healing_a_torn_tail_preserves_the_intact_prefix_bytes() {
         let (path, _) = journal_with("heal_bytes", 2);
-
         let intact = std::fs::read(&path).unwrap();
-        let mut torn = intact.clone();
-        torn.extend_from_slice(b"3 0badc0de {\"trunc");
+
+        // The last frame's payload fails its CRC: torn, not corrupt.
+        let (torn_path, _) = journal_with("heal_bytes_torn", 3);
+        let mut torn = std::fs::read(&torn_path).unwrap();
+        *torn.last_mut().unwrap() ^= 0x40;
         std::fs::write(&path, &torn).unwrap();
 
         let (_journal, replay) = DeltaJournal::open(&path).unwrap();
@@ -694,6 +854,7 @@ mod tests {
         // Healing truncated, it did not rewrite: byte-identical.
         assert_eq!(std::fs::read(&path).unwrap(), intact);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&torn_path).ok();
     }
 
     #[test]
@@ -709,23 +870,55 @@ mod tests {
     }
 
     #[test]
-    fn mid_file_damage_is_corruption() {
+    fn a_flipped_byte_anywhere_in_a_middle_frame_is_corruption() {
         let (path, _) = journal_with("corrupt", 3);
+        let intact = std::fs::read(&path).unwrap();
+        let second = frame_ranges(&path)[1].clone();
 
-        // Flip a byte inside the *second* record's JSON.
-        let mut lines: Vec<String> = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .map(str::to_owned)
-            .collect();
-        lines[1] = lines[1].replace("doc 1", "doc X");
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        // Header and payload alike: with frame 3 after it, no damage
+        // to frame 2 passes for a torn tail.
+        for at in second {
+            let mut bytes = intact.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = DeltaJournal::replay_path(&path).unwrap_err();
+            assert!(
+                matches!(err, JournalError::Corrupt { record: 2, .. }),
+                "flip at {at}: {err:?}"
+            );
+            assert!(DeltaJournal::open(&path).is_err(), "flip at {at}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "flip at {at}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_verified_payload_that_does_not_decode_is_corruption() {
+        let path = temp_path("undecodable");
+        let mut journal = DeltaJournal::create(&path).unwrap();
+        commit(&mut journal, 0);
+        // A frame whose checksums hold over bytes that are no delta:
+        // the empty delta's encoding plus one trailing byte.
+        let mut frame = Vec::new();
+        encode_frame(2, &CorpusDelta::new(), &mut frame).unwrap();
+        let mut payload = frame.split_off(FRAME_HEADER);
+        payload.push(0);
+        let mut sealed = Vec::new();
+        sealed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        sealed.extend_from_slice(&2u64.to_le_bytes());
+        sealed.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let hcrc = crc32(&sealed);
+        sealed.extend_from_slice(&hcrc.to_le_bytes());
+        sealed.extend_from_slice(&payload);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&sealed);
+        std::fs::write(&path, &bytes).unwrap();
 
         let err = DeltaJournal::replay_path(&path).unwrap_err();
         match err {
             JournalError::Corrupt { record, reason } => {
                 assert_eq!(record, 2);
-                assert!(reason.contains("crc mismatch"), "{reason}");
+                assert!(reason.contains("undecodable"), "{reason}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -736,25 +929,75 @@ mod tests {
     fn sequence_gap_is_corruption() {
         let (path, _) = journal_with("gap", 3);
 
-        // Delete the middle line: seqs 1,3 remain.
-        let lines: Vec<String> = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .map(str::to_owned)
-            .collect();
-        std::fs::write(&path, format!("{}\n{}\n", lines[0], lines[2])).unwrap();
+        // Delete the middle frame: seqs 1,3 remain.
+        let frames = frame_ranges(&path);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.drain(frames[1].clone());
+        std::fs::write(&path, &bytes).unwrap();
 
         let err = DeltaJournal::replay_path(&path).unwrap_err();
-        assert!(
-            matches!(err, JournalError::Corrupt { record: 2, .. }),
-            "{err:?}"
-        );
+        match err {
+            JournalError::Corrupt { record, reason } => {
+                assert_eq!(record, 2);
+                assert!(reason.contains("sequence gap"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_file_without_the_header_is_an_unsupported_format() {
+        let path = temp_path("json_era");
+        // A journal of the JSON-line format, one cut after its first
+        // bytes, and one of a later version of this format.
+        let json_era = b"1 0badc0de {\"added\":[],\"removed\":[],\"engagement\":[]}\n".to_vec();
+        let mut next_version = FILE_HEADER.to_vec();
+        next_version[7] = 2;
+        for bytes in [json_era, b"1 ".to_vec(), next_version] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = DeltaJournal::replay_path(&path).unwrap_err();
+            let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
+            assert!(
+                matches!(&err, JournalError::UnsupportedFormat { found } if found == head),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("OBS-JRN"), "{err}");
+            // Refused untouched: open neither heals nor truncates.
+            assert!(matches!(
+                DeltaJournal::open(&path),
+                Err(JournalError::UnsupportedFormat { .. })
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_torn_create_is_an_empty_journal() {
+        let path = temp_path("torn_create");
+        // The crash came after the file was created and before its
+        // header was whole: any strict prefix of the header.
+        for cut in 0..FILE_HEADER.len() {
+            std::fs::write(&path, &FILE_HEADER[..cut]).unwrap();
+            let replay = DeltaJournal::replay_path(&path).unwrap();
+            assert!(replay.records.is_empty());
+            assert_eq!(replay.torn_tail_dropped, cut > 0);
+            assert_eq!(replay.clean_len, 0);
+
+            let (mut journal, _) = DeltaJournal::open(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), FILE_HEADER);
+            assert_eq!(commit(&mut journal, 0), 1);
+            assert_eq!(DeltaJournal::replay_path(&path).unwrap().last_seq(), 1);
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn compaction_drops_covered_prefix_and_keeps_sequences() {
         let (path, mut journal) = journal_with("compact", 6);
+        let before = std::fs::read(&path).unwrap();
+        let frames = frame_ranges(&path);
 
         // Compaction syncs nothing of the journal's own, so a fault
         // armed before it still fails the next commit.
@@ -762,6 +1005,10 @@ mod tests {
         let dropped = journal.compact_through(4).unwrap();
         assert_eq!(dropped, 4);
         assert_eq!(journal.len(), 2);
+        // The retained frames, verbatim behind the file header.
+        let mut expected = FILE_HEADER.to_vec();
+        expected.extend_from_slice(&before[frames[4].start..]);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         assert!(journal.append_batch(&[&sample_delta(8)]).is_err());
         // Appends continue the global sequence.
         assert_eq!(commit(&mut journal, 9), 7);
@@ -802,6 +1049,7 @@ mod tests {
         assert_eq!(journal.compact_through(100).unwrap(), 3);
         assert_eq!(journal.len(), 0);
         assert!(journal.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), FILE_HEADER);
         assert_eq!(journal.next_seq(), 4);
         assert_eq!(commit(&mut journal, 9), 4);
         let replay = DeltaJournal::replay_path(&path).unwrap();
@@ -829,6 +1077,11 @@ mod tests {
         assert!(journal.is_empty());
         assert!(replay.records.is_empty());
         assert_eq!(replay.last_seq(), 0);
+        // Opening a missing journal creates it, header and all.
+        assert_eq!(std::fs::read(&path).unwrap(), FILE_HEADER);
+        let replay = DeltaJournal::replay_path(&path).unwrap();
+        assert!(!replay.torn_tail_dropped);
+        assert_eq!(replay.clean_len, FILE_HEADER.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 }

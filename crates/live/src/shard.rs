@@ -1691,6 +1691,27 @@ mod tests {
     }
 
     #[test]
+    fn a_json_era_journal_is_refused_through_live_error() {
+        let (_, _, seed) = world_and_engine(607);
+        let dir = temp_dir("json_era");
+        drop(ShardedLiveService::start(&seed, 2, &dir).unwrap());
+        let path = ShardedLiveService::shard_journal_path(&dir, 1);
+        let json_era = b"1 0badc0de {\"added\":[],\"removed\":[],\"engagement\":[]}\n";
+        std::fs::write(&path, json_era).unwrap();
+
+        let err = ShardedLiveService::recover(&seed, 2, &dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LiveError::Journal(crate::JournalError::UnsupportedFormat { .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), json_era);
+        cleanup(&dir);
+    }
+
+    #[test]
     fn non_empty_seed_is_rejected() {
         let (_, engine, seed) = world_and_engine(606);
         let dir = temp_dir("bad_seed");

@@ -20,6 +20,8 @@
 
 use crate::{Corpus, ModelError, PostId, SourceId};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One opening post entering the observed world.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,13 +110,37 @@ impl CorpusDelta {
     /// earlier removal needs no reconciliation — remove-then-add is
     /// already update semantics.
     pub fn merge(&mut self, other: CorpusDelta) {
-        for doc in other.removed {
-            self.added.retain(|d| d.post != doc);
-            self.removed.push(doc);
+        if !other.removed.is_empty() {
+            let gone: BTreeSet<PostId> = other.removed.iter().copied().collect();
+            self.added.retain(|d| !gone.contains(&d.post));
         }
+        self.removed.extend(other.removed);
         self.added.extend(other.added);
-        for e in other.engagement {
-            self.note_engagement(e.source, e.discussions, e.comments);
+        self.fold_engagement(other.engagement);
+    }
+
+    /// [`CorpusDelta::note_engagement`] for many adjustments at once:
+    /// one entry per source, in first-appearance order, each found
+    /// through a map rather than a scan of the entries, so folding
+    /// adjustments over many sources stays linear in their number
+    /// (up to a log factor).
+    fn fold_engagement(&mut self, adjustments: Vec<EngagementDelta>) {
+        let mut slot: BTreeMap<SourceId, usize> = BTreeMap::new();
+        for (i, e) in self.engagement.iter().enumerate() {
+            slot.entry(e.source).or_insert(i);
+        }
+        for e in adjustments {
+            match slot.entry(e.source) {
+                Entry::Occupied(at) => {
+                    let entry = &mut self.engagement[*at.get()];
+                    entry.discussions += e.discussions;
+                    entry.comments += e.comments;
+                }
+                Entry::Vacant(at) => {
+                    at.insert(self.engagement.len());
+                    self.engagement.push(e);
+                }
+            }
         }
     }
 
@@ -145,14 +171,20 @@ impl CorpusDelta {
     /// build composes and one hosted discussion per post.
     pub fn for_posts(corpus: &Corpus, posts: &[PostId]) -> Result<CorpusDelta, ModelError> {
         let mut delta = CorpusDelta::new();
+        let mut engagement = Vec::with_capacity(posts.len());
         for &pid in posts {
             let (source, text) = document_text(corpus, pid)?;
             delta.add_doc(pid, source, text);
             let comments = corpus
                 .comments_of_discussion(corpus.post(pid)?.discussion)
                 .len() as i64;
-            delta.note_engagement(source, 1, comments);
+            engagement.push(EngagementDelta {
+                source,
+                discussions: 1,
+                comments,
+            });
         }
+        delta.fold_engagement(engagement);
         Ok(delta)
     }
 
@@ -160,13 +192,19 @@ impl CorpusDelta {
     /// the exact inverse of [`CorpusDelta::for_posts`].
     pub fn for_removals(corpus: &Corpus, posts: &[PostId]) -> Result<CorpusDelta, ModelError> {
         let mut delta = CorpusDelta::new();
+        let mut engagement = Vec::with_capacity(posts.len());
         for &pid in posts {
             let post = corpus.post(pid)?;
             let discussion = corpus.discussion(post.discussion)?;
             delta.remove_doc(pid);
             let comments = corpus.comments_of_discussion(discussion.id).len() as i64;
-            delta.note_engagement(discussion.source, -1, -comments);
+            engagement.push(EngagementDelta {
+                source: discussion.source,
+                discussions: -1,
+                comments: -comments,
+            });
         }
+        delta.fold_engagement(engagement);
         Ok(delta)
     }
 }
@@ -272,6 +310,59 @@ mod tests {
         assert_eq!(d.engagement.len(), 2);
         assert_eq!(d.engagement[0].discussions, 2);
         assert_eq!(d.engagement[0].comments, 3);
+    }
+
+    #[test]
+    fn folds_keep_first_appearance_order_on_interleaved_sources() {
+        // Sources 0 and 1 interleave: 0, 1, 0, 1.
+        let mut b = CorpusBuilder::new();
+        let cat = b.add_category("attractions");
+        let sources = [
+            b.add_source(SourceKind::Blog, "zero", Timestamp::EPOCH),
+            b.add_source(SourceKind::Forum, "one", Timestamp::EPOCH),
+        ];
+        let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
+        for (i, &s) in [0, 1, 0, 1].iter().map(|&k| &sources[k]).enumerate() {
+            let (d, _) = b.add_discussion_with_post(
+                s,
+                cat,
+                "title",
+                u,
+                Timestamp::from_days(1),
+                "body",
+                vec![],
+                None,
+            );
+            for _ in 0..i {
+                b.add_comment(d, u, "reply", Timestamp::from_days(2));
+            }
+        }
+        let c = b.build();
+        let posts: Vec<PostId> = (0..4).map(PostId::new).collect();
+        let entry = |source, discussions, comments| EngagementDelta {
+            source: SourceId::new(source),
+            discussions,
+            comments,
+        };
+
+        let added = CorpusDelta::for_posts(&c, &posts).unwrap();
+        assert_eq!(added.engagement, vec![entry(0, 2, 2), entry(1, 2, 4)]);
+        let removed = CorpusDelta::for_removals(&c, &[posts[1], posts[0], posts[3]]).unwrap();
+        assert_eq!(removed.engagement, vec![entry(1, -2, -4), entry(0, -1, 0)]);
+
+        // Merging folds into existing entries first, then appends
+        // unseen sources in the order they appear.
+        let mut merged = CorpusDelta::new();
+        merged.note_engagement(SourceId::new(1), 1, 1);
+        let mut other = CorpusDelta::new();
+        other.note_engagement(SourceId::new(5), 1, 0);
+        other.note_engagement(SourceId::new(1), 1, 1);
+        other.note_engagement(SourceId::new(2), 0, 3);
+        merged.merge(other);
+        assert_eq!(
+            merged.engagement,
+            vec![entry(1, 2, 2), entry(5, 1, 0), entry(2, 0, 3)]
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod corpus;
 mod delta;
 mod domain;

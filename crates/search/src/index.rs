@@ -33,7 +33,7 @@
 //! epoch pays — therefore copies a few flat arrays plus the posting
 //! lists, not one heap block per document.
 
-use crate::token::tokenize;
+use crate::token::for_each_token;
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::HashMap;
 
@@ -113,6 +113,21 @@ impl Span {
     fn range(self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
+}
+
+/// Scratch for staging a batch of documents, dropped with the batch
+/// (a field of [`InvertedIndex`] would have to be copied by every
+/// detach).
+#[derive(Debug, Default)]
+struct Staging {
+    /// The token being built.
+    token: String,
+    /// The staged document's frequency of each term, by term id;
+    /// all zero between documents.
+    tf: Vec<u32>,
+    /// The staged document's distinct term ids, in first-occurrence
+    /// order.
+    terms: Vec<u32>,
 }
 
 /// The inverted index.
@@ -224,32 +239,43 @@ impl InvertedIndex {
     /// Indexes every opening post of the corpus.
     pub fn build(corpus: &Corpus) -> InvertedIndex {
         let mut index = InvertedIndex::default();
+        let mut staging = Staging::default();
         for post in corpus.posts() {
             let (source, text) = match document_text(corpus, post.id) {
                 Ok(pair) => pair,
                 Err(_) => continue,
             };
-            index.add_document(post.id, source, &text);
+            index.stage_document(&mut staging, post.id, source, &text);
         }
+        index.sweep();
         index
     }
 
     /// Adds one document. Re-adding a live document replaces its
     /// previous contents (update semantics).
     pub fn add_document(&mut self, doc: PostId, source: SourceId, text: &str) {
-        self.stage_document(doc, source, text);
+        self.stage_document(&mut Staging::default(), doc, source, text);
         self.sweep();
     }
 
     /// Adds one document, tombstoning a live document of the same id
-    /// without sweeping it.
-    fn stage_document(&mut self, doc: PostId, source: SourceId, text: &str) {
+    /// without sweeping it. Term frequencies are counted by term id
+    /// in `staging`, so only a term new to the vocabulary allocates.
+    fn stage_document(&mut self, staging: &mut Staging, doc: PostId, source: SourceId, text: &str) {
         self.tombstone_document(doc);
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in tokenize(text) {
-            *tf.entry(t).or_insert(0) += 1;
-        }
-        let len: u32 = tf.values().sum();
+        let Staging { token, tf, terms } = staging;
+        let mut len = 0u32;
+        for_each_token(text, token, |t| {
+            let id = self.intern(t) as usize;
+            if tf.len() <= id {
+                tf.resize(id + 1, 0);
+            }
+            if tf[id] == 0 {
+                terms.push(id as u32);
+            }
+            tf[id] += 1;
+            len += 1;
+        });
         let row = DocRow {
             post: doc,
             source,
@@ -275,10 +301,10 @@ impl InvertedIndex {
         // below `u32::MAX` for any index in memory.
         let span = Span {
             start: self.arena.len() as u32,
-            len: tf.len() as u32,
+            len: terms.len() as u32,
         };
-        for (term, freq) in tf {
-            let id = self.intern(term);
+        for id in terms.drain(..) {
+            let freq = std::mem::take(&mut tf[id as usize]);
             self.lists[id as usize]
                 .entries
                 .push(Posting { ord, tf: freq });
@@ -289,8 +315,8 @@ impl InvertedIndex {
 
     /// The id of `term`, allocating one (and an empty posting list)
     /// if the term is new to the vocabulary.
-    fn intern(&mut self, term: String) -> u32 {
-        if let Some(&id) = self.term_ids.get(&term) {
+    fn intern(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.term_ids.get(term) {
             return id;
         }
         let id = match self.free_ids.pop() {
@@ -302,8 +328,8 @@ impl InvertedIndex {
                 (self.lists.len() - 1) as u32
             }
         };
-        self.lists[id as usize].term = term.clone();
-        self.term_ids.insert(term, id);
+        self.lists[id as usize].term = term.to_owned();
+        self.term_ids.insert(term.to_owned(), id);
         id
     }
 
@@ -339,12 +365,13 @@ impl InvertedIndex {
     /// list the batch dirtied is rescanned once, however many of the
     /// batch's removals it hosted.
     pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
+        let mut staging = Staging::default();
         for delta in deltas {
             for &doc in &delta.removed {
                 self.tombstone_document(doc);
             }
             for add in &delta.added {
-                self.stage_document(add.post, add.source, &add.text);
+                self.stage_document(&mut staging, add.post, add.source, &add.text);
             }
         }
         self.sweep();
@@ -792,7 +819,12 @@ mod tests {
         // keeps its stale postings, and its ordinal stays off the
         // free list, until the sweep, which also retires `castle`.
         let stale = idx.rows.iter().position(|r| r.tombstoned);
-        idx.stage_document(PostId::new(1), SourceId::new(0), "duomo fountain");
+        idx.stage_document(
+            &mut Staging::default(),
+            PostId::new(1),
+            SourceId::new(0),
+            "duomo fountain",
+        );
         assert_bounds_exact(&idx);
         assert_eq!(idx.pending.len(), 1);
         assert_ne!(idx.ordinal_of(PostId::new(1)).map(|o| o as usize), stale);

@@ -14,29 +14,41 @@ pub fn is_stopword(token: &str) -> bool {
 }
 
 /// Lowercases, splits on non-alphanumeric boundaries, drops
-/// single-character tokens and stopwords.
+/// single-character tokens and stopwords: the collecting form of
+/// [`for_each_token`].
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() {
-            current.push(c.to_ascii_lowercase());
-        } else if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
-        } else if !current.is_empty() {
-            push_token(&mut out, std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut out, current);
-    }
+    for_each_token(text, &mut String::new(), |token| out.push(token.to_owned()));
     out
 }
 
-fn push_token(out: &mut Vec<String>, token: String) {
-    if token.len() >= 2 && !is_stopword(&token) {
-        out.push(token);
+/// Calls `f` with each token of `text`, in order, exactly as
+/// [`tokenize`] returns them, building each in `buf` instead of a
+/// fresh `String`: a caller that reuses `buf` tokenizes without
+/// allocating.
+pub fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
+    for c in text.chars() {
+        if c.is_ascii_alphanumeric() {
+            buf.push(c.to_ascii_lowercase());
+        } else if c.is_alphanumeric() {
+            buf.extend(c.to_lowercase());
+        } else if !buf.is_empty() {
+            emit_token(buf, &mut f);
+        }
     }
+    if !buf.is_empty() {
+        emit_token(buf, &mut f);
+    }
+}
+
+/// Hands the token in `buf` to `f` unless it is too short or a
+/// stopword, and empties `buf`.
+fn emit_token(buf: &mut String, f: &mut impl FnMut(&str)) {
+    if buf.len() >= 2 && !is_stopword(buf) {
+        f(buf);
+    }
+    buf.clear();
 }
 
 /// Whether `term` is already exactly one output token of
@@ -78,6 +90,17 @@ mod tests {
             tokenize("metro-line 4, opens 2015?"),
             vec!["metro", "line", "opens", "2015"]
         );
+    }
+
+    #[test]
+    fn for_each_token_reuses_one_buffer() {
+        let mut buf = String::from("stale");
+        let mut seen = Vec::new();
+        for_each_token("Metro-line 4, CAFFÈ a Brera", &mut buf, |t| {
+            seen.push(t.to_owned())
+        });
+        assert_eq!(seen, ["metro", "line", "caffè", "brera"]);
+        assert!(buf.is_empty());
     }
 
     #[test]

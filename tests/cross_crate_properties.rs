@@ -3,7 +3,9 @@
 
 use informing_observers::analytics::{AlexaPanel, FeedRegistry, LinkGraph};
 use informing_observers::live::{DeltaJournal, ShardRouter, ShardedLiveService};
-use informing_observers::model::{document_text, Clock, CorpusDelta, PostId, SourceId, Timestamp};
+use informing_observers::model::{
+    document_text, Clock, CorpusDelta, EngagementDelta, PostId, SourceId, Timestamp,
+};
 use informing_observers::quality::{
     assess_source, influence_profiles, Benchmarks, SourceContext, Weights,
 };
@@ -77,6 +79,129 @@ fn boot_delta(world: &World) -> CorpusDelta {
 /// A fresh scratch directory for one proptest case.
 fn case_dir(tag: &str, seed: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("obs_live_{tag}_{}_{seed}", std::process::id()))
+}
+
+/// Appends to the journal at `path` a real frame cut short, as a
+/// crash mid-append leaves it: the one record of a probe journal,
+/// without the file header every journal starts with and without its
+/// last byte.
+fn append_torn_frame(path: &std::path::Path) {
+    use std::io::Write;
+    let probe = path.with_extension("probe");
+    drop(DeltaJournal::create(&probe).unwrap());
+    let header = std::fs::read(&probe).unwrap().len();
+    let mut journal = DeltaJournal::create(&probe).unwrap();
+    let mut delta = CorpusDelta::new();
+    delta.add_doc(
+        PostId::new(u32::MAX),
+        SourceId::new(0),
+        "torn before its fsync",
+    );
+    journal.append_batch(&[&delta]).unwrap();
+    let frame = std::fs::read(&probe).unwrap();
+    std::fs::remove_file(&probe).ok();
+    let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    file.write_all(&frame[header..frame.len() - 1]).unwrap();
+}
+
+/// An arbitrary delta drawn from `seed`: ids anywhere up to
+/// `u32::MAX`, counts up to the `i64` extremes, empty, ASCII and
+/// non-ASCII text.
+fn arbitrary_delta(seed: u64) -> CorpusDelta {
+    const TEXTS: [&str; 6] = [
+        "",
+        "duomo",
+        "caffè ☕ Brera",
+        "\u{0}\u{7f}\u{80}",
+        "𝄞ß",
+        "a b  c",
+    ];
+    const IDS: [u32; 5] = [0, 1, 127, 128, u32::MAX];
+    const COUNTS: [i64; 6] = [0, 1, -1, 63, i64::MIN, i64::MAX];
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let pick_id = |r: u64| match r % 3 {
+        0 => IDS[(r >> 8) as usize % IDS.len()],
+        _ => (r >> 16) as u32,
+    };
+    let mut delta = CorpusDelta::new();
+    for _ in 0..next() % 5 {
+        let (post, source) = (pick_id(next()), pick_id(next()));
+        let text: String = (0..next() % 3)
+            .map(|_| TEXTS[next() as usize % TEXTS.len()])
+            .collect();
+        delta.add_doc(PostId::new(post), SourceId::new(source), text);
+    }
+    for _ in 0..next() % 4 {
+        delta.remove_doc(PostId::new(pick_id(next())));
+    }
+    for _ in 0..next() % 4 {
+        let count = |r: u64| match r % 2 {
+            0 => COUNTS[(r >> 8) as usize % COUNTS.len()],
+            _ => r as i64,
+        };
+        let (discussions, comments) = (count(next()), count(next()));
+        // Pushed directly: `note_engagement` would sum (and could
+        // overflow) the extremes of a repeated source.
+        delta.engagement.push(EngagementDelta {
+            source: SourceId::new(pick_id(next())),
+            discussions,
+            comments,
+        });
+    }
+    delta
+}
+
+fn encoded(delta: &CorpusDelta) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    delta.encode_into(&mut bytes);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn delta_codec_roundtrips_canonically(seed in any::<u64>()) {
+        let delta = arbitrary_delta(seed);
+        let bytes = encoded(&delta);
+        let decoded = CorpusDelta::decode(&bytes);
+        prop_assert_eq!(&decoded, &Ok(delta));
+        // Canonical: what decodes re-encodes to exactly its bytes.
+        if let Ok(decoded) = decoded {
+            prop_assert_eq!(encoded(&decoded), bytes);
+        }
+    }
+
+    #[test]
+    fn damaged_delta_bytes_fail_to_decode_without_panicking(
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..48),
+        flip in any::<u64>(),
+    ) {
+        let bytes = encoded(&arbitrary_delta(seed));
+        // Every strict prefix is truncated: the encoding is
+        // self-delimiting.
+        for cut in 0..bytes.len() {
+            prop_assert!(CorpusDelta::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        // A flipped bit or arbitrary bytes may spell another delta,
+        // but only in its one canonical encoding; anything else errs.
+        let mut flipped = bytes.clone();
+        let bit = flip as usize % (8 * bytes.len());
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        for candidate in [flipped, noise] {
+            if let Ok(decoded) = CorpusDelta::decode(&candidate) {
+                prop_assert_eq!(encoded(&decoded), candidate);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -171,12 +296,7 @@ proptest! {
                 doomed.ingest(&delta).unwrap();
             }
         }
-        {
-            use std::io::Write;
-            let path = ShardedLiveService::shard_journal_path(&dir, 0);
-            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
-            write!(file, "99 deadbeef {{\"added\":[{{\"po").unwrap();
-        }
+        append_torn_frame(&ShardedLiveService::shard_journal_path(&dir, 0));
 
         // Recovery from the journal must reproduce the from-scratch
         // build exactly: identical BM25 score maps over the whole
@@ -733,10 +853,7 @@ proptest! {
             prop_assert_eq!(service.seqs(), seqs.clone());
             drop(service);
             for i in 0..n {
-                use std::io::Write;
-                let path = ShardedLiveService::shard_journal_path(&dir, i);
-                let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
-                write!(file, "99 deadbeef {{\"added\":[{{\"po").unwrap();
+                append_torn_frame(&ShardedLiveService::shard_journal_path(&dir, i));
             }
 
             let checkpoint = checkpoint.unwrap();
