@@ -69,13 +69,11 @@ impl LinkGraph {
 
     /// Sources linked *by* `source`.
     pub fn outbound(&self, source: SourceId) -> &[SourceId] {
-        // lint:allow(reach): SourceId::index is an infallible id accessor; Rng64::index is name-aliased here, never called
         self.outbound.get(source.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Sources linking *to* `source`.
     pub fn inbound(&self, source: SourceId) -> &[SourceId] {
-        // lint:allow(reach): SourceId::index is an infallible id accessor; Rng64::index is name-aliased here, never called
         self.inbound.get(source.index()).map_or(&[], Vec::as_slice)
     }
 

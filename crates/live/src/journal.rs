@@ -60,9 +60,11 @@
 //! frames verbatim. Sequence numbers keep rising across compactions;
 //! the first retained record pins the replay base.
 
-// lint:deterministic — replaying this log must rebuild a
-// byte-identical engine, so nothing here may depend on hash order
-// or the wall clock.
+// Replay determinism (clippy.toml bans hash-ordered containers and
+// the wall clock here): replaying this log must rebuild a
+// byte-identical engine, so nothing here may depend on hash order or
+// the wall clock.
+#![warn(clippy::disallowed_types)]
 
 use obs_model::codec::{DecodeError, Reader};
 use obs_model::{CorpusDelta, SequencedDelta};
@@ -474,8 +476,16 @@ impl DeltaJournal {
             // Best effort: if the truncate also fails, the file and
             // the counters have diverged and only a re-open can
             // reconcile them; the original error wins either way.
-            let _ = self.file.set_len(clean_len); // lint:allow(discard): best-effort undo; the encode, write or sync error wins
-            let _ = self.file.sync_data(); // lint:allow(discard): best-effort undo; the encode, write or sync error wins
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort undo; the encode, write or sync error wins"
+            )]
+            let _ = self.file.set_len(clean_len);
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort undo; the encode, write or sync error wins"
+            )]
+            let _ = self.file.sync_data();
             return Err(e);
         }
         self.next_seq += deltas.len() as u64;

@@ -1,10 +1,11 @@
 //! Serving-layer metrics: commit pipeline stages and per-shard
 //! health.
 //!
-//! This module is the *untagged* timing half of the serving layer's
-//! observability. [`shard`](crate::shard) is `lint:deterministic`
-//! (the router and commit order must replay identically), so it
-//! never reads a clock itself — it hands closures to
+//! This module is the clocked half of the serving layer's
+//! observability. [`shard`](crate::shard) bans the wall clock
+//! (`clippy::disallowed_types`: the router and commit order must
+//! replay identically), so it never reads a clock itself — it hands
+//! closures to
 //! [`ShardMetrics::time_shard_commit`], which lives here and owns
 //! the [`TelemetryClock`](obs_telemetry::TelemetryClock). Its
 //! instruments are specs in [`obs_telemetry::catalog`]. A shard
@@ -132,7 +133,7 @@ impl ShardMetrics {
 
     /// Runs one shard's commit of a `deltas`-record sub-batch under
     /// the latency/outcome instruments — the clock boundary the
-    /// `lint:deterministic` shard module calls instead of reading
+    /// replay-checked shard module calls instead of reading
     /// time itself. The commit closure gets a [`StageTimer`] to run
     /// each [`Stage`] through; a successful commit also records its
     /// batch size. A shard index beyond the registered range still

@@ -43,9 +43,11 @@
 //! marks of exactly the sources routed to the failed shards
 //! ([`HighWaterMarks::rollback_many`]).
 
-// lint:deterministic — routing decides which journal a delta lands
+// Replay determinism (clippy.toml bans hash-ordered containers and
+// the wall clock here): routing decides which journal a delta lands
 // in, so the same delta stream must route identically on every node
 // and on every recovery replay.
+#![warn(clippy::disallowed_types)]
 
 use crate::cache::QueryCache;
 use crate::error::LiveError;
@@ -258,7 +260,10 @@ impl Shard {
             let journaling =
                 scope.spawn(|| timer.time(Stage::JournalFsync, || journal.append_batch(&refs)));
             let applied = timer.time(Stage::Apply, || writer.apply_batch(first, &refs));
-            // lint:allow(panic): join only errs if the journal thread panicked; re-raising that panic is the designed propagation
+            #[expect(
+                clippy::expect_used,
+                reason = "join only errs if the journal thread panicked; re-raising that panic is the designed propagation"
+            )]
             let journaled = journaling.join().expect("journal append thread panicked");
             (journaled, applied)
         });
@@ -367,13 +372,13 @@ pub struct ShardedLiveService {
     blend: StaticBlend,
     /// Published copy of `blend` for readers.
     blend_cell: Arc<SnapshotStore<StaticBlend>>,
-    /// Per-shard commit instruments. This module is
-    /// `lint:deterministic`, so all timing happens inside
-    /// [`ShardMetrics`] (untagged `metrics` module) — the shard path
-    /// only hands it closures and plan facts, never reads a clock.
+    /// Per-shard commit instruments. This module bans the wall clock
+    /// (`clippy::disallowed_types`), so all timing happens inside
+    /// [`ShardMetrics`] (the `metrics` module) — the shard path only
+    /// hands it closures and plan facts, never reads a clock.
     metrics: Option<ShardMetrics>,
     /// Snapshot-keyed result cache shared by every reader this
-    /// service hands out. Lives in the untagged
+    /// service hands out. Lives in the
     /// [`cache`](crate::cache) module for the same reason as the
     /// metrics: this module only holds the handle and calls methods.
     query_cache: Option<Arc<QueryCache>>,
@@ -639,8 +644,12 @@ impl ShardedLiveService {
                 outcomes[i] = commit(i, shard, batch);
             }
             for (i, handle) in spawned {
-                // lint:allow(panic): join only errs if the commit thread panicked; re-raising that panic is the designed propagation
-                outcomes[i] = handle.join().expect("shard commit thread panicked");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "join only errs if the commit thread panicked; re-raising that panic is the designed propagation"
+                )]
+                let outcome = handle.join().expect("shard commit thread panicked");
+                outcomes[i] = outcome;
             }
         });
 
@@ -795,8 +804,7 @@ pub struct ShardedReader {
     blend: Arc<SnapshotStore<StaticBlend>>,
     /// Query-path instruments inherited from the service's
     /// [`ShardMetrics`]; the timing itself lives behind
-    /// [`SearchMetrics`] so this `lint:deterministic` module stays
-    /// clock-free.
+    /// [`SearchMetrics`] so this replay module stays clock-free.
     metrics: Option<SearchMetrics>,
     /// Snapshot-keyed result cache inherited from
     /// [`ShardedLiveService::with_query_cache`]; `None` means every

@@ -25,8 +25,10 @@
 //! or allocated from it, and a collection's capacity is bounded by
 //! the bytes left, since each element takes at least one.
 
-// lint:deterministic — a replayed journal must decode to the deltas
+// Replay determinism (clippy.toml bans hash-ordered containers and
+// the wall clock here): a replayed journal must decode to the deltas
 // that were written, and equal deltas must encode to equal bytes.
+#![warn(clippy::disallowed_types)]
 
 use crate::{CorpusDelta, DocDelta, EngagementDelta, PostId, SourceId};
 use std::fmt;

@@ -239,7 +239,10 @@ impl Corpus {
     /// crawled corpus lets downstream tools share snapshots without
     /// re-running generation.
     pub fn to_json(&self) -> String {
-        // lint:allow(panic): plain structs with string keys only; serde_json cannot fail here
+        #[expect(
+            clippy::expect_used,
+            reason = "plain structs with string keys only; serde_json cannot fail here"
+        )]
         serde_json::to_string(self).expect("corpus is always serializable")
     }
 
@@ -254,7 +257,10 @@ impl Corpus {
     pub fn stats(&self) -> CorpusStats {
         let mut sources_by_kind = [0usize; SourceKind::ALL.len()];
         for s in &self.sources {
-            // lint:allow(panic): SourceKind::ALL lists every variant by construction
+            #[expect(
+                clippy::unwrap_used,
+                reason = "SourceKind::ALL lists every variant by construction"
+            )]
             let pos = SourceKind::ALL.iter().position(|k| *k == s.kind).unwrap();
             sources_by_kind[pos] += 1;
         }
@@ -415,7 +421,10 @@ impl CorpusBuilder {
     }
 
     /// Opens a discussion with an explicit root post.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the root post"
+    )]
     pub fn add_discussion_with_post(
         &mut self,
         source: SourceId,
@@ -466,8 +475,11 @@ impl CorpusBuilder {
         body: impl Into<String>,
         at: Timestamp,
     ) -> CommentId {
+        #[expect(
+            clippy::expect_used,
+            reason = "the only failure mode is a reply_to parent; this passes None"
+        )]
         self.add_comment_inner(discussion, author, body.into(), at, None, None)
-            // lint:allow(panic): the only failure mode is a reply_to parent; this passes None
             .expect("root-level comments cannot fail")
     }
 
@@ -480,8 +492,11 @@ impl CorpusBuilder {
         at: Timestamp,
         geo: Option<GeoPoint>,
     ) -> CommentId {
+        #[expect(
+            clippy::expect_used,
+            reason = "the only failure mode is a reply_to parent; this passes None"
+        )]
         self.add_comment_inner(discussion, author, body.into(), at, None, geo)
-            // lint:allow(panic): the only failure mode is a reply_to parent; this passes None
             .expect("root-level comments cannot fail")
     }
 

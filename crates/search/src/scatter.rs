@@ -25,9 +25,11 @@
 //! two scorers — and is additionally pinned by workspace-level
 //! property tests.
 
-// lint:deterministic — the merge must rank identically on every
-// node that gathers the same shard snapshots, or scatter-gather
-// stops being bit-identical to the unsharded scorer.
+// Replay determinism (clippy.toml bans hash-ordered containers and
+// the wall clock here): the merge must rank identically on every node
+// that gathers the same shard snapshots, or scatter-gather stops
+// being bit-identical to the unsharded scorer.
+#![warn(clippy::disallowed_types)]
 
 use crate::blend::BlendWeights;
 use crate::engine::{SearchEngine, SearchHit};
@@ -209,9 +211,9 @@ pub fn merge_partials(
 
 /// Observer hooks for the phases of one scatter-gather evaluation.
 ///
-/// This module is `lint:deterministic`, so the query plan cannot
-/// read a wall clock itself; instead it announces each phase
-/// boundary through these callbacks and an *untagged* implementation
+/// This module bans the wall clock (`clippy::disallowed_types`), so
+/// the query plan cannot read one itself; instead it announces each
+/// phase boundary through these callbacks and an implementation
 /// (see [`SearchMetrics`](crate::trace::SearchMetrics)) turns the
 /// boundaries into latency histograms. The hooks carry only plan
 /// facts (shard index, result counts) — never time — and every

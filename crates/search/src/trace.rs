@@ -1,12 +1,12 @@
 //! Query-path metrics: the timing side of [`ScatterTrace`].
 //!
-//! [`scatter`](crate::scatter) is a `lint:deterministic` module, so
-//! the plan itself never reads a clock — it only announces phase
-//! boundaries through [`ScatterTrace`] hooks. This module is the
-//! untagged other half: [`SearchMetrics`] owns the histograms and
-//! the injectable [`TelemetryClock`](obs_telemetry::TelemetryClock),
-//! and [`QueryTimer`] turns hook invocations into recorded
-//! durations:
+//! [`scatter`](crate::scatter) bans the wall clock
+//! (`clippy::disallowed_types`), so the plan itself never reads a
+//! clock — it only announces phase boundaries through
+//! [`ScatterTrace`] hooks. This module is the clocked other half:
+//! [`SearchMetrics`] owns the histograms and the injectable
+//! [`TelemetryClock`](obs_telemetry::TelemetryClock), and
+//! [`QueryTimer`] turns hook invocations into recorded durations:
 //!
 //! * `search_query_ns` — whole-plan latency (normalize → merge);
 //! * `search_gather_ns` — the global statistics gather;

@@ -178,9 +178,11 @@ impl Matrix {
         let mut inv = Matrix::identity(n);
         for col in 0..n {
             // Partial pivot.
-            let pivot_row = (col..n)
-                .max_by(|&r1, &r2| a[(r1, col)].abs().total_cmp(&a[(r2, col)].abs()))
-                .unwrap();
+            let Some(pivot_row) =
+                (col..n).max_by(|&r1, &r2| a[(r1, col)].abs().total_cmp(&a[(r2, col)].abs()))
+            else {
+                return Err(StatsError::Singular("Matrix::inverse"));
+            };
             let pivot = a[(pivot_row, col)];
             if pivot.abs() < 1e-12 {
                 return Err(StatsError::Singular("Matrix::inverse"));

@@ -59,12 +59,14 @@ pub fn z_scores(xs: &[f64]) -> Vec<f64> {
 /// Winsorized min-max: clips to the `[p, 1−p]` quantiles before
 /// scaling, so a single outlier source cannot flatten everyone else.
 pub fn robust_min_max(xs: &[f64], p: f64) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
     let p = p.clamp(0.0, 0.5);
-    let lo = crate::desc::quantile(xs, p).unwrap();
-    let hi = crate::desc::quantile(xs, 1.0 - p).unwrap();
+    // Both quantiles are `None` exactly when `xs` is empty.
+    let (Some(lo), Some(hi)) = (
+        crate::desc::quantile(xs, p),
+        crate::desc::quantile(xs, 1.0 - p),
+    ) else {
+        return Vec::new();
+    };
     if hi - lo <= 0.0 {
         return vec![0.5; xs.len()];
     }

@@ -362,7 +362,10 @@ fn generate_sources(
     latents
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the generator's shared state, passed down from World::generate"
+)]
 fn generate_contents(
     builder: &mut CorpusBuilder,
     rng: &mut Rng64,
@@ -479,6 +482,10 @@ fn generate_contents(
                 };
                 let comment = if !prior_comments.is_empty() && rng.chance(0.25) {
                     let parent = prior_comments[rng.index(prior_comments.len())];
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "prior_comments holds only this discussion's comments"
+                    )]
                     builder
                         .add_reply(discussion, author, body, t, parent)
                         .expect("parent from same discussion")
@@ -516,7 +523,10 @@ fn source_kind(builder: &CorpusBuilder, source: SourceId) -> SourceKind {
     builder.source_kind(source)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one draw of events for one target, given as its own parameters"
+)]
 fn emit_interactions(
     builder: &mut CorpusBuilder,
     rng: &mut Rng64,

@@ -3,11 +3,11 @@
 //! Everything that measures a duration in this crate reads time
 //! through [`TelemetryClock`], never from `Instant::now()` directly.
 //! That buys two things: tests can drive time by hand with
-//! [`ManualClock`], and modules tagged `// lint:deterministic` can
-//! stay clean under `obs_lint` — the clock lives behind a trait
-//! object owned by *untagged* code, so tagged modules record
-//! durations that were measured elsewhere instead of naming a wall
-//! clock themselves.
+//! [`ManualClock`], and the replay modules that ban the wall clock
+//! (`#![warn(clippy::disallowed_types)]`) stay clean — the clock
+//! lives behind a trait object owned by code outside them, so they
+//! record durations that were measured elsewhere instead of naming a
+//! wall clock themselves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

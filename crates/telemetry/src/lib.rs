@@ -24,12 +24,12 @@
 //!   ([`Registry::to_json`]).
 //! * [`TelemetryClock`] — the injectable time source behind every
 //!   [`Stopwatch`]. Production uses [`RealClock`]
-//!   (monotonic `Instant`); tests use [`ManualClock`]. Modules under
-//!   a `lint:deterministic` tag never read a wall clock themselves:
-//!   they call closure-timing helpers (or record pre-measured
-//!   durations) owned by untagged code, so replay determinism and
-//!   observability coexist — the `obs_lint` determinism pass keeps
-//!   it that way.
+//!   (monotonic `Instant`); tests use [`ManualClock`]. Replay
+//!   modules never read a wall clock themselves: they call
+//!   closure-timing helpers (or record pre-measured durations) owned
+//!   by code outside them, so replay determinism and observability
+//!   coexist — `clippy::disallowed_types`, warned in each replay
+//!   module, keeps it that way.
 //!
 //! Recording never panics and never blocks: the registry's interior
 //! mutex is touched only at *registration* time (and by snapshots),
@@ -38,6 +38,17 @@
 //! to inherit.
 
 #![warn(missing_docs)]
+// Panic-freedom on the serving path (obs_live and every crate it
+// links): runtime code returns errors instead of panicking, and a
+// waiver is an `#[expect]` with a reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod catalog;
 pub mod clock;

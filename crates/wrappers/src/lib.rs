@@ -32,6 +32,17 @@
 //!   sweep wall clock.
 
 #![warn(missing_docs)]
+// Panic-freedom on the serving path (obs_live and every crate it
+// links): runtime code returns errors instead of panicking, and a
+// waiver is an `#[expect]` with a reason.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod crawler;
 mod error;

@@ -238,7 +238,8 @@ mod tests {
                 None,
             );
             let c1 = b.add_comment(d, eve, "nice!", Timestamp::from_days(i + 2));
-            let _ = b.add_reply(d, ada, "thanks", Timestamp::from_days(i + 3), c1);
+            b.add_reply(d, ada, "thanks", Timestamp::from_days(i + 3), c1)
+                .expect("c1 is a comment of d");
         }
         (b.build(), blog)
     }

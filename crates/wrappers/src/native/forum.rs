@@ -247,7 +247,8 @@ mod tests {
                 format!("first reply {i}"),
                 Timestamp::from_days(i + 1),
             );
-            let _ = b.add_reply(d, u1, "agreed", Timestamp::from_days(i + 2), c);
+            b.add_reply(d, u1, "agreed", Timestamp::from_days(i + 2), c)
+                .expect("c is a comment of d");
         }
         b.close_discussion(DiscussionId::new(0));
         (b.build(), forum)

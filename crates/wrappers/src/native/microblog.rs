@@ -65,7 +65,7 @@ pub struct StatusRecord {
 #[derive(Debug)]
 pub struct MicroblogApi<'a> {
     corpus: &'a Corpus,
-    #[allow(dead_code)] // identity kept for symmetry with the other APIs
+    #[allow(dead_code, reason = "identity kept for symmetry with the other APIs")]
     source: SourceId,
     bucket: TokenBucket,
     faults: FaultPlan,

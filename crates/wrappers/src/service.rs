@@ -117,9 +117,11 @@ impl<'a> AdapterBase<'a> {
             })
     }
 
-    // The argument list mirrors the ContentItem payload one-to-one;
-    // bundling them into a struct would just restate ContentItem.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the argument list mirrors the ContentItem payload one-to-one; \
+                  bundling them into a struct would just restate ContentItem"
+    )]
     fn item(
         &self,
         discussion: DiscussionId,

@@ -9,6 +9,11 @@
 //! magnitude regressions in CI logs; swap in the real crate for
 //! rigorous measurements.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the workspace's clippy.toml bans the wall clock for replay modules; a benchmark harness is made of it"
+)]
+
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
