@@ -4,7 +4,7 @@
 //! forums at the Section 4.1 scale) and the **sentiment** world
 //! (microblog/review-heavy, Milan tourism). `Scale::Quick` shrinks
 //! both for tests; `Scale::Full` matches the paper's magnitudes and
-//! is what the binaries and benches run.
+//! is what the binaries run.
 
 use obs_analytics::{AlexaPanel, FeedRegistry, LinkGraph};
 use obs_model::DomainOfInterest;

@@ -17,7 +17,7 @@
 //! * [`e6_sentiment`] — Section 6's quality-weighted sentiment claim.
 //!
 //! [`fixtures`] builds the standard worlds at two scales: `Full`
-//! (paper-sized, used by the binaries and benches) and `Quick` (CI
+//! (paper-sized, used by the binaries) and `Quick` (CI
 //! friendly, used by tests).
 
 #![warn(missing_docs)]

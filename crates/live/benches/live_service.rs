@@ -1,10 +1,10 @@
 //! The costs of the serving layer that the end-to-end benchmark
 //! (`e2ebench/`, gated by `BENCHMARK.json`) cannot see on its own:
 //!
-//! * the telemetry tax (`telemetry_overhead` group, see
+//! * the telemetry tax (`telemetry_overhead` lanes, see
 //!   [`bench_telemetry`]): per-recording costs, a registry walk, and
 //!   one scatter-gather query with and without instrumentation;
-//! * the crawl fan-out (`live_service_sweep` group, a 16-source
+//! * the crawl fan-out (`live_service_sweep` lanes, a 16-source
 //!   corpus behind a simulated 2 ms network round-trip per fetch —
 //!   crawling real Web 2.0 sources is latency-bound, which is exactly
 //!   what worker threads overlap; e2ebench crawls with a fixed 2
@@ -14,28 +14,88 @@
 //!     workers. The burst is byte-identical in every configuration
 //!     (proptest-enforced at the workspace level); only the wall
 //!     clock changes. The target is ≥2× throughput at 4 workers;
-//! * the 1M-doc smoke (`live_service_shard` group,
+//! * the 1M-doc smoke (`live_service_shard` lanes,
 //!   `smoke_ingest_shards_8` / `smoke_query_shards_8`): a synthetic
 //!   corpus across 8 shards, smoke-scale evidence the topology holds
 //!   an order of magnitude past the study corpus.
 //!
-//! Unlike the other targets this one also *persists* its numbers:
-//! the measurements recorded by the criterion shim are written to
-//! `BENCH_live.json` at the workspace root, stamped with the
-//! machine's available parallelism.
+//! Run with `cargo bench -p obs_live --bench live_service`. The
+//! measurements are written to `BENCH_live.json` at the workspace
+//! root, stamped with the machine's available parallelism.
 
-use criterion::{black_box, criterion_group, Criterion};
 use obs_analytics::{AlexaPanel, LinkGraph};
 use obs_live::ShardedLiveService;
 use obs_model::{CorpusDelta, PostId, SourceId};
 use obs_search::{BlendWeights, SearchEngine};
 use obs_synth::{World, WorldConfig};
 use serde_json::{json, Value};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-/// A ranking-style world with roughly `posts` opening posts (same
-/// sizing rule as the `index_maintenance` target).
+/// A labelled routine behind a timing loop: given `iters`, it runs
+/// the routine that many times and returns the elapsed wall clock.
+type Lane<'a> = (String, Box<dyn FnMut(u32) -> Duration + 'a>);
+
+/// Wraps `routine` in a [`Lane`]'s timing loop.
+fn lane<'a, O>(label: impl Into<String>, mut routine: impl FnMut() -> O + 'a) -> Lane<'a> {
+    let time = move |iters| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        start.elapsed()
+    };
+    (label.into(), Box::new(time))
+}
+
+/// Times `lanes` over `samples` rounds and appends one measurement
+/// per lane to `out`. Each lane first runs once as an unrecorded
+/// warm-up; a lane whose warm-up took under 10 µs runs 100
+/// iterations per sample, any other one. Every round takes one
+/// sample of each lane, in alternating order, so host drift hits all
+/// lanes alike. Reported per iteration: min, mean and nearest-rank
+/// p99 over the samples.
+fn sample(out: &mut Vec<Value>, samples: usize, mut lanes: Vec<Lane<'_>>) {
+    let iters: Vec<u32> = lanes
+        .iter_mut()
+        .map(|(_, run)| {
+            if run(1) < Duration::from_micros(10) {
+                100
+            } else {
+                1
+            }
+        })
+        .collect();
+    let mut times = vec![Vec::with_capacity(samples); lanes.len()];
+    let mut order: Vec<usize> = (0..lanes.len()).collect();
+    for _ in 0..samples {
+        for &i in &order {
+            times[i].push(lanes[i].1(iters[i]) / iters[i]);
+        }
+        order.reverse();
+    }
+    for (((label, _), mut t), iters) in lanes.into_iter().zip(times).zip(iters) {
+        t.sort_unstable();
+        let (min, p99) = (t[0], t[(samples * 99).div_ceil(100) - 1]);
+        let mean = t.iter().sum::<Duration>() / samples as u32;
+        println!(
+            "{label:<58} min {min:>11.2?} mean {mean:>11.2?} p99 {p99:>11.2?} \
+             ({samples} x {iters})"
+        );
+        out.push(json!({
+            "label": label,
+            "min_ns": (min.as_nanos() as u64),
+            "mean_ns": (mean.as_nanos() as u64),
+            "p99_ns": (p99.as_nanos() as u64),
+            "samples": samples,
+        }));
+    }
+}
+
+/// A ranking-style world with roughly `posts` opening posts (about
+/// 5.7 per source).
 fn world_with_posts(posts: usize, seed: u64) -> World {
     World::generate(WorldConfig {
         sources: (posts as f64 / 5.7).ceil() as usize,
@@ -63,9 +123,8 @@ fn probe_terms(world: &World) -> Vec<String> {
 /// charged a simulated network round trip. Every iteration resets
 /// the high-water marks so the sweep re-crawls the whole corpus —
 /// the measured unit is "one full multi-source collection pass".
-fn bench_sweep(c: &mut Criterion) {
+fn bench_sweep(out: &mut Vec<Value>) {
     use obs_wrappers::{service_for, Crawler, CrawlerConfig, DataService, HighWaterMarks};
-    use std::time::Duration;
 
     let world = World::generate(WorldConfig {
         sources: 16,
@@ -78,8 +137,6 @@ fn bench_sweep(c: &mut Criterion) {
     });
     let round_trip = Duration::from_millis(2);
 
-    let mut group = c.benchmark_group("live_service_sweep");
-    group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         let label = if workers == 1 {
             "sweep_sequential".to_owned()
@@ -110,19 +167,18 @@ fn bench_sweep(c: &mut Criterion) {
             })
             .collect();
         let mut clock = obs_model::Clock::starting_at(world.now);
-        group.bench_function(format!("{label}/16_sources"), |b| {
-            b.iter(|| {
-                clock.advance(obs_model::Duration(86_400));
-                let mut marks = HighWaterMarks::new();
-                let (deltas, report) = crawler
-                    .crawl_sweep(&mut services, &mut clock, &mut marks)
-                    .expect("sweep");
-                assert_eq!(report.sources, 16);
-                black_box((deltas, report))
-            })
-        });
+        let sweep = || {
+            clock.advance(obs_model::Duration(86_400));
+            let mut marks = HighWaterMarks::new();
+            let (deltas, report) = crawler
+                .crawl_sweep(&mut services, &mut clock, &mut marks)
+                .expect("sweep");
+            assert_eq!(report.sources, 16);
+            (deltas, report)
+        };
+        let label = format!("live_service_sweep/{label}/16_sources");
+        sample(out, 10, vec![lane(label, sweep)]);
     }
-    group.finish();
 }
 
 fn temp_shard_dir(tag: &str) -> PathBuf {
@@ -140,7 +196,7 @@ fn temp_shard_dir(tag: &str) -> PathBuf {
 /// documents over a 4096-term vocabulary) across 8 shards. Not a
 /// comparison target — evidence the sharded topology keeps serving
 /// an order of magnitude past the study corpus.
-fn bench_shard_smoke(c: &mut Criterion) {
+fn bench_shard_smoke(out: &mut Vec<Value>) {
     const DOCS: u32 = 1_000_000;
     const SHARDS: usize = 8;
 
@@ -209,49 +265,46 @@ fn bench_shard_smoke(c: &mut Criterion) {
         .collect();
     let probe: Vec<String> = vec!["t7".into(), "t13".into()];
 
-    let mut group = c.benchmark_group("live_service_shard");
-    group.sample_size(10);
-    group.bench_function(format!("smoke_ingest_shards_{SHARDS}/{DOCS}_docs"), |b| {
-        b.iter(|| service.ingest_batch(black_box(&churn)).expect("ingest"))
-    });
+    let ingest = || service.ingest_batch(black_box(&churn)).expect("ingest");
+    let label = format!("live_service_shard/smoke_ingest_shards_{SHARDS}/{DOCS}_docs");
+    sample(out, 10, vec![lane(label, ingest)]);
     let reader = service.reader();
-    group.bench_function(format!("smoke_query_shards_{SHARDS}/{DOCS}_docs"), |b| {
-        b.iter(|| black_box(reader.query(&probe, 20)))
-    });
-    group.finish();
+    let label = format!("live_service_shard/smoke_query_shards_{SHARDS}/{DOCS}_docs");
+    sample(out, 10, vec![lane(label, || reader.query(&probe, 20))]);
     drop(reader);
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The telemetry tax (`telemetry_overhead` group): what a serving
+/// The telemetry tax (`telemetry_overhead` lanes): what a serving
 /// thread pays per recording (`counter_inc`, `histogram_record` —
 /// one Relaxed atomic RMW each, target well under 50 ns), what a
 /// metrics scraper pays to walk a populated registry
 /// (`registry_snapshot`), and what full instrumentation adds to a
 /// scatter-gather query over the ~10k-doc corpus at 2 shards
-/// (`query_instrumented_2shards` vs `query_plain_2shards`, target
-/// <5% apart).
-fn bench_telemetry(c: &mut Criterion, world: &World) {
+/// (`query_instrumented_2shards` vs `query_plain_2shards`, sampled
+/// interleaved, target <5% apart).
+fn bench_telemetry(out: &mut Vec<Value>, world: &World) {
     use obs_live::ShardMetrics;
     use obs_telemetry::{Counter, Histogram, Registry};
 
-    let mut group = c.benchmark_group("telemetry_overhead");
-    group.sample_size(10);
-
     let counter = Counter::new();
-    group.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
+    let label = "telemetry_overhead/counter_inc";
+    sample(out, 10, vec![lane(label, || counter.inc())]);
 
     // A striding value so every iteration lands in a different
     // bucket — the worst case for cache-friendly recording.
     let hist = Histogram::new();
     let mut v = 1u64;
-    group.bench_function("histogram_record", |b| {
-        b.iter(|| {
-            v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            hist.record(black_box(v >> 16));
-        })
-    });
+    let record = || {
+        v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        hist.record(black_box(v >> 16));
+    };
+    sample(
+        out,
+        10,
+        vec![lane("telemetry_overhead/histogram_record", record)],
+    );
 
     // A registry populated the way the examples populate it: the
     // full sharded instrument set at 4 shards, everything recorded
@@ -262,9 +315,8 @@ fn bench_telemetry(c: &mut Criterion, world: &World) {
         let _unused: Result<(), obs_live::LiveError> =
             metrics.time_shard_commit(shard, 1, |_| Ok(()));
     }
-    group.bench_function("registry_snapshot", |b| {
-        b.iter(|| black_box(registry.snapshot()))
-    });
+    let label = "telemetry_overhead/registry_snapshot";
+    sample(out, 10, vec![lane(label, || registry.snapshot())]);
 
     // The same scatter-gather query with and without stage tracing.
     let panel = AlexaPanel::simulate(world, 1);
@@ -287,62 +339,39 @@ fn bench_telemetry(c: &mut Criterion, world: &World) {
     }
     assert_eq!(service.doc_count(), docs);
 
-    // A query is slow enough that the shim times it once per
-    // sample, so ten samples let one scheduler hiccup set the min;
-    // the <5% budget needs a min over many more.
-    group.sample_size(200);
+    // A query is slow enough to be timed once per sample, so ten
+    // samples let one scheduler hiccup set the min; the <5% budget
+    // needs a min over many more, taken alternately from both lanes.
     let plain = service.reader();
-    group.bench_function(format!("query_plain_2shards/{docs}_docs"), |b| {
-        b.iter(|| black_box(plain.query(&probe, 20)))
-    });
     let service = service.with_metrics(ShardMetrics::new(&registry, 2));
     let instrumented = service.reader();
-    group.bench_function(format!("query_instrumented_2shards/{docs}_docs"), |b| {
-        b.iter(|| black_box(instrumented.query(&probe, 20)))
-    });
-    group.finish();
+    let lanes = vec![
+        lane(
+            format!("telemetry_overhead/query_plain_2shards/{docs}_docs"),
+            || plain.query(&probe, 20),
+        ),
+        lane(
+            format!("telemetry_overhead/query_instrumented_2shards/{docs}_docs"),
+            || instrumented.query(&probe, 20),
+        ),
+    ];
+    sample(out, 200, lanes);
     drop((plain, instrumented, service));
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_live_service(c: &mut Criterion) {
-    bench_telemetry(c, &world_with_posts(10_000, 42));
-    bench_shard_smoke(c);
-    bench_sweep(c);
-}
-
-criterion_group!(benches, bench_live_service);
-
-/// Writes the baseline `BENCH_live.json` at the workspace root from
-/// the measurements the criterion shim recorded during this run,
-/// stamped with the host's available parallelism (`nproc`): on a
-/// 2-core host a multi-worker lane measures oversubscription, not
-/// scaling.
-fn write_baseline() {
-    let measurements = criterion::take_measurements();
-    if measurements.is_empty() {
-        return;
-    }
-    let entries: Vec<Value> = measurements
-        .iter()
-        .map(|m| {
-            json!({
-                "label": (m.label.as_str()),
-                "min_ns": (m.min_ns as u64),
-                "mean_ns": (m.mean_ns as u64),
-                "p99_ns": (m.p99_ns as u64),
-                "samples": m.samples,
-            })
-        })
-        .collect();
+/// Writes `BENCH_live.json` at the workspace root, stamped with the
+/// host's available parallelism (`nproc`): on a 2-core host a
+/// multi-worker lane measures oversubscription, not scaling.
+fn write_baseline(measurements: Vec<Value>) {
     let doc = json!({
         "bench": "live_service",
         "schema": 3,
         "nproc": (std::thread::available_parallelism().map_or(0, |n| n.get())),
         "unit": "ns/iter",
-        "note": "written by `cargo bench -p obs_bench --bench live_service`; \
-                 shim-timed wall clock, good for order-of-magnitude tracking",
-        "measurements": (Value::Array(entries)),
+        "note": "written by `cargo bench -p obs_live --bench live_service`; \
+                 wall clock of one run, good for order-of-magnitude tracking",
+        "measurements": (Value::Array(measurements)),
     });
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_live.json");
     let text = serde_json::to_string_pretty(&doc).expect("baseline serializes");
@@ -353,6 +382,9 @@ fn write_baseline() {
 }
 
 fn main() {
-    benches();
-    write_baseline();
+    let mut measurements = Vec::new();
+    bench_telemetry(&mut measurements, &world_with_posts(10_000, 42));
+    bench_shard_smoke(&mut measurements);
+    bench_sweep(&mut measurements);
+    write_baseline(measurements);
 }

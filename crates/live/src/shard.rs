@@ -82,7 +82,7 @@ use std::sync::Arc;
 /// use obs_live::ShardRouter;
 /// use obs_model::{CorpusDelta, PostId, SourceId};
 ///
-/// let mut router = ShardRouter::new(4);
+/// let mut router = ShardRouter::new(4)?;
 /// let mut delta = CorpusDelta::new();
 /// delta.add_doc(PostId::new(0), SourceId::new(3), "duomo rooftop");
 /// delta.add_doc(PostId::new(1), SourceId::new(9), "castle gardens");
@@ -102,6 +102,7 @@ use std::sync::Arc;
 /// removal.remove_doc(PostId::new(0));
 /// let routed = router.route(&removal);
 /// assert_eq!(routed[home].removed, vec![PostId::new(0)]);
+/// # Ok::<(), obs_live::LiveError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
@@ -115,16 +116,16 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// A router over `shards` partitions.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
-    pub fn new(shards: usize) -> ShardRouter {
-        assert!(shards >= 1, "a shard router needs at least one shard");
-        ShardRouter {
+    /// A router over `shards` partitions; [`LiveError::NoShards`] if
+    /// `shards` is zero.
+    pub fn new(shards: usize) -> Result<ShardRouter, LiveError> {
+        if shards == 0 {
+            return Err(LiveError::NoShards);
+        }
+        Ok(ShardRouter {
             shards,
             homes: BTreeMap::new(),
-        }
+        })
     }
 
     /// Number of shards routed across.
@@ -332,9 +333,7 @@ impl Checkpoint {
     /// rows and tables may be sized for a whole corpus); `seed`'s
     /// blend and an empty registry.
     fn genesis(seed: &SearchEngine, shards: usize) -> Result<Checkpoint, LiveError> {
-        if shards == 0 {
-            return Err(LiveError::NoShards);
-        }
+        let router = ShardRouter::new(shards)?;
         if seed.doc_count() > 0 {
             return Err(LiveError::NonEmptySeed {
                 docs: seed.doc_count(),
@@ -343,7 +342,7 @@ impl Checkpoint {
         Ok(Checkpoint {
             shards: vec![(seed.without_documents(), 0); shards],
             blend: seed.blend().clone(),
-            router: ShardRouter::new(shards),
+            router,
         })
     }
 
@@ -1000,7 +999,7 @@ mod tests {
 
     #[test]
     fn router_sends_docs_engagement_and_removals_to_the_source_shard() {
-        let mut router = ShardRouter::new(4);
+        let mut router = ShardRouter::new(4).unwrap();
         let source = SourceId::new(11);
         let home = router.shard_of(source);
         let mut delta = CorpusDelta::new();
@@ -1036,8 +1035,13 @@ mod tests {
     }
 
     #[test]
+    fn a_router_over_zero_shards_is_refused() {
+        assert!(matches!(ShardRouter::new(0), Err(LiveError::NoShards)));
+    }
+
+    #[test]
     fn single_shard_routing_is_the_identity() {
-        let mut router = ShardRouter::new(1);
+        let mut router = ShardRouter::new(1).unwrap();
         let mut delta = CorpusDelta::new();
         delta.remove_doc(PostId::new(9));
         delta.add_doc(PostId::new(1), SourceId::new(3), "duomo");

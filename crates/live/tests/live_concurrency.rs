@@ -90,7 +90,7 @@ struct Trajectory {
 
 impl Trajectory {
     fn new(seed: &SearchEngine, shards: usize, bursts: &[&[CorpusDelta]]) -> Trajectory {
-        let mut router = ShardRouter::new(shards);
+        let mut router = ShardRouter::new(shards).unwrap();
         let mut engines = vec![(0u64, seed.clone()); shards];
         let mut flat = seed.clone();
         let mut trajectory = Trajectory {

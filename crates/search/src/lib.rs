@@ -14,7 +14,7 @@
 //! * [`index`] — an inverted index over opening posts, maintainable
 //!   in place through [`CorpusDelta`](obs_model::CorpusDelta)
 //!   change-sets, with one tombstone sweep per batch;
-//! * [`score`] — TF-IDF and BM25 document scoring;
+//! * [`score`] — BM25 document scoring;
 //! * [`pagerank`](mod@pagerank) — PageRank over the inter-source
 //!   link graph, with a convergence-aware early exit;
 //! * [`blend`] — the [`StaticBlend`]: query-independent signal

@@ -1,4 +1,4 @@
-//! Document relevance scoring: TF-IDF and BM25.
+//! Document relevance scoring: BM25.
 
 use crate::index::InvertedIndex;
 use crate::scatter::ScatterStats;
@@ -27,7 +27,7 @@ pub(crate) fn idf_from_counts(n: f64, df: f64) -> f64 {
     ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
 }
 
-/// Smoothed IDF used by both scorers (never negative).
+/// Smoothed IDF used by the BM25 scorers (never negative).
 pub fn idf(index: &InvertedIndex, term: &str) -> f64 {
     idf_from_counts(index.doc_count() as f64, index.doc_frequency(term) as f64)
 }
@@ -46,20 +46,6 @@ pub(crate) fn distinct_terms<S: AsRef<str>>(terms: &[S]) -> Vec<&str> {
         .map(|t| t.as_ref())
         .filter(|t| seen.insert(t))
         .collect()
-}
-
-/// TF-IDF scores of all documents matching any query term.
-pub fn tfidf_scores<S: AsRef<str>>(index: &InvertedIndex, terms: &[S]) -> HashMap<PostId, f64> {
-    let rows = index.rows();
-    let mut scores: HashMap<PostId, f64> = HashMap::new();
-    for term in distinct_terms(terms) {
-        let w = idf(index, term);
-        for p in index.postings(term) {
-            let doc = rows[p.ord as usize].post;
-            *scores.entry(doc).or_insert(0.0) += (1.0 + (p.tf as f64).ln()) * w;
-        }
-    }
-    scores
 }
 
 /// BM25 scores of all documents matching any query term.
@@ -132,14 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn tfidf_ranks_repeated_terms_higher() {
-        let idx = tiny_index();
-        let scores = tfidf_scores(&idx, &["duomo".to_owned()]);
-        assert_eq!(scores.len(), 2);
-        assert!(scores[&PostId::new(0)] > scores[&PostId::new(2)]);
-    }
-
-    #[test]
     fn bm25_saturates_term_frequency() {
         let mut idx = InvertedIndex::default();
         let s = SourceId::new(0);
@@ -177,15 +155,11 @@ mod tests {
             Bm25Params::default(),
         );
         assert_eq!(once, twice);
-        let once = tfidf_scores(&idx, &["duomo".to_owned()]);
-        let twice = tfidf_scores(&idx, &["duomo".to_owned(), "duomo".to_owned()]);
-        assert_eq!(once, twice);
     }
 
     #[test]
     fn empty_query_scores_nothing() {
         let idx = tiny_index();
-        assert!(tfidf_scores::<String>(&idx, &[]).is_empty());
         assert!(bm25_scores::<String>(&idx, &[], Bm25Params::default()).is_empty());
     }
 

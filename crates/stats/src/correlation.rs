@@ -5,7 +5,7 @@
 //! when ranked by each of the quantities"*. Search rankings contain
 //! ties (equal scores), so we implement the tie-corrected tau-b, with
 //! Knight's O(n log n) merge-sort formulation and an O(n²) reference
-//! used by the property tests and the ablation benches.
+//! used by the property tests.
 
 use crate::rank::{average_ranks, Direction};
 use crate::StatsError;
@@ -163,8 +163,8 @@ fn merge_count(xs: &mut [f64], buf: &mut [f64]) -> u64 {
     swaps
 }
 
-/// O(n²) reference tau-b, used by property tests and the ablation
-/// benchmarks to validate the fast path.
+/// O(n²) reference tau-b, used by property tests to validate the fast
+/// path.
 pub fn kendall_tau_b_reference(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     check_pair("kendall_tau_b_reference", x, y)?;
     let n = x.len();

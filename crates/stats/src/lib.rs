@@ -22,7 +22,7 @@
 //!   Kaiser component retention;
 //! * [`anova`] — one-way ANOVA and Bonferroni-adjusted pairwise
 //!   comparisons;
-//! * [`normalize`] — min-max, z-score and benchmark-relative scaling
+//! * [`normalize`] — z-score and benchmark-relative scaling
 //!   (the paper normalizes measures against "benchmarks derived from
 //!   the assessment of well-known, highly-ranked sources").
 //!

@@ -1,4 +1,4 @@
-//! Dual exposition: Prometheus-style text and `serde_json` values.
+//! Exposition: Prometheus-style text.
 //!
 //! Text format (one sample per line, stable order), each family
 //! headed once by the `# HELP` and `# TYPE` lines of its
@@ -19,16 +19,12 @@
 //!
 //! Counters and gauges are one line; histograms expand to three
 //! quantile samples plus `_count` / `_sum` and declare `summary` (a
-//! summary family has no other sample, so the maximum is left to
-//! the JSON form). Help texts, label keys and values are emitted
-//! verbatim — they are code-chosen (catalog text, shard indices,
-//! source slugs), so no escaping layer is applied; callers must not
-//! feed `"`, `\` or newlines into help texts or label values.
-//!
-//! The JSON form is an object keyed by the rendered series name;
-//! histograms become `{count, sum, max, p50, p90, p99}` objects.
-
-use serde_json::{json, Value};
+//! summary family has no other sample, so the exact maximum is read
+//! from the [`HistogramSnapshot`] itself). Help texts, label keys and
+//! values are emitted verbatim — they are code-chosen (catalog text,
+//! shard indices, source slugs), so no escaping layer is applied;
+//! callers must not feed `"`, `\` or newlines into help texts or
+//! label values.
 
 use crate::catalog::InstrumentSpec;
 use crate::histogram::HistogramSnapshot;
@@ -103,29 +99,6 @@ pub fn render_text(snapshots: &[MetricSnapshot]) -> String {
         }
     }
     out
-}
-
-/// Renders snapshots as one JSON object keyed by rendered series
-/// name (`name{labels}`), values as described in the module docs.
-pub fn to_json(snapshots: &[MetricSnapshot]) -> Value {
-    let mut map = serde_json::Map::new();
-    for snap in snapshots {
-        let key = format!("{}{}", snap.spec.name, label_block(&snap.labels, None));
-        let value = match &snap.value {
-            MetricValue::Counter(v) => json!(v),
-            MetricValue::Gauge(v) => json!(v),
-            MetricValue::Histogram(h) => json!({
-                "count": h.count(),
-                "sum": h.sum(),
-                "max": h.max(),
-                "p50": h.p50(),
-                "p90": h.p90(),
-                "p99": h.p99(),
-            }),
-        };
-        map.insert(key, value);
-    }
-    Value::Object(map)
 }
 
 #[cfg(test)]
@@ -219,19 +192,5 @@ mod tests {
         assert_eq!(headers, [help.as_str(), "# TYPE crawl_fetch_ns summary"]);
         assert!(text.contains("crawl_fetch_ns_count 1\n"));
         assert!(text.contains("crawl_fetch_ns_count{source=\"7\"} 1\n"));
-    }
-
-    #[test]
-    fn json_format_carries_distribution_summary() {
-        let value = to_json(&sample_snapshots());
-        assert_eq!(value.get("commits_total"), Some(&serde_json::json!(42)));
-        assert_eq!(
-            value.get("queue_depth{shard=\"1\"}"),
-            Some(&serde_json::json!(-3))
-        );
-        let hist = value.get("commit_ns{shard=\"1\"}").cloned().unwrap();
-        assert_eq!(hist.get("count"), Some(&serde_json::json!(3)));
-        assert_eq!(hist.get("sum"), Some(&serde_json::json!(60)));
-        assert_eq!(hist.get("max"), Some(&serde_json::json!(30)));
     }
 }

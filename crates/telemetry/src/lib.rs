@@ -18,10 +18,9 @@
 //!   help) per instrument family, and [`CATALOG`] listing them all.
 //! * [`Registry`] — registers instruments through catalog specs
 //!   (series `name{label="value"}`), deduplicates registration, and
-//!   snapshots every instrument for the dual exposition layer:
+//!   snapshots every instrument for the exposition layer:
 //!   Prometheus-style text with `# HELP` / `# TYPE` per family
-//!   ([`Registry::render_text`]) and a `serde_json` value dump
-//!   ([`Registry::to_json`]).
+//!   ([`Registry::render_text`]).
 //! * [`TelemetryClock`] — the injectable time source behind every
 //!   [`Stopwatch`]. Production uses [`RealClock`]
 //!   (monotonic `Instant`); tests use [`ManualClock`]. Replay
@@ -61,7 +60,7 @@ pub mod span;
 pub use catalog::{InstrumentKind, InstrumentSpec, CATALOG};
 pub use clock::{ManualClock, RealClock, SharedClock, TelemetryClock};
 pub use counter::{Counter, Gauge};
-pub use expose::{render_text, to_json, MetricSnapshot, MetricValue};
+pub use expose::{render_text, MetricSnapshot, MetricValue};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::Registry;
 pub use span::Stopwatch;

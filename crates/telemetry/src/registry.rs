@@ -197,11 +197,6 @@ impl Registry {
     pub fn render_text(&self) -> String {
         crate::expose::render_text(&self.snapshot())
     }
-
-    /// Renders every series as a `serde_json` value.
-    pub fn to_json(&self) -> serde_json::Value {
-        crate::expose::to_json(&self.snapshot())
-    }
 }
 
 #[cfg(test)]

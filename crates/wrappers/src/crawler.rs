@@ -1170,11 +1170,10 @@ mod tests {
         );
         // Every fetch was timed: at least one round-trip per page,
         // in the aggregate and split per source.
-        let json = registry.to_json();
-        let fetches = json
-            .get("crawl_fetch_ns")
-            .and_then(|h| h.get("count"))
-            .and_then(|c| c.as_u64())
+        let fetches: u64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix("crawl_fetch_ns_count "))
+            .and_then(|n| n.parse().ok())
             .unwrap();
         assert!(fetches >= sweep.crawl.pages as u64);
         assert!(text.contains("crawl_fetch_ns{source="));

@@ -744,7 +744,7 @@ proptest! {
         let mut many = ShardedLiveService::start(&seed_engine, shards, &dir_many).unwrap();
         // Reference journals fed by a bare router, mirroring the
         // burst grouping of `ingest_batch`.
-        let mut ref_router = ShardRouter::new(shards);
+        let mut ref_router = ShardRouter::new(shards).unwrap();
         let mut ref_journals: Vec<DeltaJournal> = (0..shards)
             .map(|i| {
                 DeltaJournal::create(dir_ref.join(format!("shard-{i}.journal"))).unwrap()
@@ -834,7 +834,7 @@ proptest! {
         for n in 1..=4usize {
             let dir = base.join(format!("checkpointed-{n}"));
             let mut service = ShardedLiveService::start(&seed_engine, n, &dir).unwrap();
-            let mut router = ShardRouter::new(n);
+            let mut router = ShardRouter::new(n).unwrap();
             let mut seqs = vec![0u64; n];
             let mut checkpoint = None;
             for (b, burst) in bursts.iter().enumerate() {
