@@ -31,12 +31,12 @@
 //!   [`ShardedLiveService::tick_sweep`] amortize the per-delta costs
 //!   across a burst: a shard's N journal records share one fsync
 //!   ([`DeltaJournal::append_batch`], all-or-nothing), one
-//!   copy-on-write index detach and one deferred signal re-blend
-//!   ([`LiveWriter::apply_batch`], which applies the burst in replay
-//!   order), and one published snapshot. Readers only ever observe
-//!   batch boundaries; recovery replays each shard's journal tail
-//!   through the same batched apply and lands on the identical
-//!   engine by construction.
+//!   copy-on-write index detach ([`LiveWriter::apply_batch`], which
+//!   applies the burst's documents in replay order), one published
+//!   snapshot and one re-blend of the service's published blend.
+//!   Readers only ever observe batch boundaries; recovery replays
+//!   each shard's journal tail through the same batched apply and
+//!   lands on the identical engine by construction.
 //! * **Recovery** — [`ShardedLiveService::recover`] rebuilds the
 //!   exact pre-crash service by replaying every shard's journal;
 //!   [`ShardedLiveService::checkpoint`] captures a [`Checkpoint`]

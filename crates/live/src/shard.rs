@@ -5,12 +5,12 @@
 //! Every shard owns its own [`SearchEngine`] + [`DeltaJournal`] +
 //! [`SnapshotStore`] and enforces the ordering that makes crashes
 //! safe: **journal (fsync) ∥ apply → publish**. The journal append
-//! runs on a scoped thread while the writer applies the same records
-//! to its private engine; only the publish waits for both, so each
-//! journal is a superset of every snapshot its shard published. A
-//! refused fsync resets the writer to the published snapshot's
-//! engine, which is the pre-commit state because every commit
-//! publishes.
+//! runs on a scoped thread while the writer applies the same records'
+//! documents to its private engine; only the publish waits for both,
+//! so each journal is a superset of every snapshot its shard
+//! published. A refused fsync resets the writer to the published
+//! snapshot's engine, which is the pre-commit state because every
+//! commit publishes.
 //! Routing by source id ([`SourceId::shard`]) makes a commit's
 //! copy-on-write detach and fsync per-shard; routed sub-batches
 //! commit in parallel, and recovery replays each journal on its own,
@@ -31,10 +31,11 @@
 //! top-k — **bit-identical to the unsharded scorer** because every
 //! BM25 statistic is an exact integer sum and a source lives wholly
 //! in one shard. The one piece of state that cannot be partitioned —
-//! the z-score-standardized static blend — stays global: a single
-//! [`StaticBlend`] absorbs every committed shard's engagement
-//! through the same code path the unsharded engine uses and is
-//! published through its own epoch cell beside the shard snapshots.
+//! the z-score-standardized static blend — stays global: each commit
+//! folds every committed shard's engagement into a copy of the one
+//! published [`StaticBlend`] ([`StaticBlend::absorb`], the unsharded
+//! engine's code path) and publishes it through its own epoch cell
+//! beside the shard snapshots. Shard engines keep the seed's blend.
 //!
 //! Shards are **independent failure domains**: a refused fsync
 //! retracts only that shard's sub-batch
@@ -313,8 +314,8 @@ pub struct RecoveryReport {
 }
 
 /// A consistent capture of a whole service: every shard's engine and
-/// the sequence it covers, the global static blend and the router's
-/// post registry. Cheap to take — engine indexes are shared
+/// the sequence it covers, the published static blend and the
+/// router's post registry. Cheap to take — engine indexes are shared
 /// copy-on-write — and the only state recovery needs besides the
 /// journals: feed it to [`ShardedLiveService::recover_from`], and
 /// once it is safely stored, to
@@ -322,16 +323,16 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     shards: Vec<(SearchEngine, u64)>,
-    blend: StaticBlend,
+    blend: Arc<StaticBlend>,
     router: ShardRouter,
 }
 
 impl Checkpoint {
     /// The state before the first delta: for each of `shards` shards,
-    /// the empty `seed`'s blend and parameters over a fresh empty
-    /// index at sequence 0 (not a clone of the seed's index, whose
-    /// rows and tables may be sized for a whole corpus); `seed`'s
-    /// blend and an empty registry.
+    /// the empty `seed`'s shared blend and parameters over a fresh
+    /// empty index at sequence 0 (not a clone of the seed's index,
+    /// whose rows and tables may be sized for a whole corpus); a copy
+    /// of `seed`'s blend to publish and an empty registry.
     fn genesis(seed: &SearchEngine, shards: usize) -> Result<Checkpoint, LiveError> {
         let router = ShardRouter::new(shards)?;
         if seed.doc_count() > 0 {
@@ -341,7 +342,7 @@ impl Checkpoint {
         }
         Ok(Checkpoint {
             shards: vec![(seed.without_documents(), 0); shards],
-            blend: seed.blend().clone(),
+            blend: Arc::new(seed.blend().clone()),
             router,
         })
     }
@@ -367,9 +368,8 @@ pub struct ShardedLiveService {
     router: ShardRouter,
     shards: Vec<Shard>,
     /// The one global blend, absorbing every committed shard's
-    /// engagement in arrival order.
-    blend: StaticBlend,
-    /// Published copy of `blend` for readers.
+    /// engagement in arrival order: each commit publishes a re-blended
+    /// copy.
     blend_cell: Arc<SnapshotStore<StaticBlend>>,
     /// Per-shard commit instruments. This module bans the wall clock
     /// (`clippy::disallowed_types`), so all timing happens inside
@@ -391,9 +391,10 @@ impl ShardedLiveService {
 
     /// Starts a fresh service: `shards` journal files
     /// (`shard-{i}.journal`) created (truncated) under `dir` — the
-    /// directory is created if missing — and every shard's writer
-    /// seeded with `seed`'s blend and parameters over an empty index
-    /// at sequence 0. The global blend starts as `seed`'s blend.
+    /// directory is created if missing — and recovered, as
+    /// [`ShardedLiveService::recover`] does, into shards that hold
+    /// `seed`'s blend and parameters over an empty index at sequence
+    /// 0. The published blend starts as a copy of `seed`'s.
     ///
     /// Fails with [`LiveError::NoShards`] for zero shards and with
     /// [`LiveError::NonEmptySeed`] if `seed` already indexes
@@ -407,25 +408,10 @@ impl ShardedLiveService {
         let genesis = Checkpoint::genesis(seed, shards)?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(crate::journal::JournalError::Io)?;
-        let mut columns = Vec::with_capacity(shards);
-        for (i, (engine, seq)) in genesis.shards.into_iter().enumerate() {
-            columns.push(Shard {
-                writer: LiveWriter::new(engine, seq),
-                journal: DeltaJournal::create(Self::shard_journal_path(dir, i))?,
-            });
+        for i in 0..shards {
+            DeltaJournal::create(Self::shard_journal_path(dir, i))?;
         }
-        Ok(Self::assemble(genesis.router, columns, genesis.blend))
-    }
-
-    fn assemble(router: ShardRouter, shards: Vec<Shard>, blend: StaticBlend) -> ShardedLiveService {
-        ShardedLiveService {
-            router,
-            shards,
-            blend_cell: Arc::new(SnapshotStore::new(blend.clone())),
-            blend,
-            metrics: None,
-            query_cache: None,
-        }
+        Ok(Self::recover_from(genesis, dir)?.0)
     }
 
     /// Attaches per-shard commit and query instruments (see
@@ -471,9 +457,10 @@ impl ShardedLiveService {
     /// journal** (healing any torn tail) past that shard's sequence
     /// in `checkpoint` — shards recover independently, so the cost of
     /// a crash is proportional to the largest shard, not the corpus.
-    /// The router's post registry and the global blend continue from
-    /// the checkpoint's through the replayed records; the per-shard
-    /// reports come back in shard order.
+    /// The router's post registry and the published blend continue
+    /// from the checkpoint's through the replayed records (one
+    /// re-blend for every shard's engagement); the per-shard reports
+    /// come back in shard order.
     ///
     /// Fails with [`LiveError::CheckpointGap`] if compaction dropped
     /// records a shard's checkpoint does not cover. A fully compacted
@@ -489,7 +476,7 @@ impl ShardedLiveService {
             mut blend,
             mut router,
         } = checkpoint;
-        let mut blend_touched = false;
+        let mut engagement = Vec::new();
         let mut shards = Vec::with_capacity(columns.len());
         let mut reports = Vec::with_capacity(columns.len());
         for (i, (engine, checkpoint_seq)) in columns.into_iter().enumerate() {
@@ -514,11 +501,11 @@ impl ShardedLiveService {
                 for doc in &record.delta.added {
                     router.note_home(doc.post, i);
                 }
-                blend_touched |= blend.apply_engagement(&record.delta.engagement);
+                engagement.extend_from_slice(&record.delta.engagement);
                 tail.push(&record.delta);
             }
             // The whole tail is one batch, as a group commit applies
-            // it: one index detach, one re-blend.
+            // it: one index detach.
             let mut writer = LiveWriter::new(engine, checkpoint_seq);
             writer.apply_batch(checkpoint_seq + 1, &tail)?;
             writer.publish();
@@ -531,10 +518,15 @@ impl ShardedLiveService {
             journal.resume_at(writer.seq() + 1);
             shards.push(Shard { writer, journal });
         }
-        if blend_touched {
-            blend.reblend();
-        }
-        Ok((Self::assemble(router, shards, blend), reports))
+        StaticBlend::absorb(&mut blend, &engagement);
+        let service = ShardedLiveService {
+            router,
+            shards,
+            blend_cell: Arc::new(SnapshotStore::new(Arc::unwrap_or_clone(blend))),
+            metrics: None,
+            query_cache: None,
+        };
+        Ok((service, reports))
     }
 
     /// Captures a [`Checkpoint`] of the committed state.
@@ -545,7 +537,7 @@ impl ShardedLiveService {
                 .iter()
                 .map(|s| (s.writer.engine().clone(), s.writer.seq()))
                 .collect(),
-            blend: self.blend.clone(),
+            blend: self.blend_cell.load(),
             router: self.router.clone(),
         }
     }
@@ -574,11 +566,11 @@ impl ShardedLiveService {
     /// parallel** (the last non-empty shard on the calling thread, a
     /// scoped thread for each other non-empty shard), each as
     /// its own group commit — per-shard journal records under one
-    /// per-shard fsync, one batched apply, one published snapshot.
-    /// Engagement of every *committed* shard is then absorbed into
-    /// the global blend (in arrival order per source — exact, since
-    /// a source maps to one shard) and the blend is re-standardized
-    /// and published once.
+    /// per-shard fsync, one batched apply of the documents, one
+    /// published snapshot. Engagement of every *committed* shard is
+    /// then folded into a copy of the published blend (in arrival
+    /// order per source — exact, since a source maps to one shard),
+    /// which is re-standardized and published once.
     ///
     /// Failure is per-shard, not all-or-nothing across shards: a
     /// shard whose fsync is refused retracts its own sub-batch
@@ -655,29 +647,25 @@ impl ShardedLiveService {
         let mut failed: Option<(usize, LiveError)> = None;
         let mut refused = vec![false; outcomes.len()];
         let mut refused_sources: Vec<SourceId> = Vec::new();
-        let mut blend_touched = false;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(()) => {
-                    for sub in &routed[shard] {
-                        blend_touched |= self.blend.apply_engagement(&sub.engagement);
-                    }
+            if let Err(error) = outcome {
+                refused[shard] = true;
+                for sub in &routed[shard] {
+                    refused_sources.extend(sub.added.iter().map(|d| d.source));
+                    refused_sources.extend(sub.engagement.iter().map(|e| e.source));
                 }
-                Err(error) => {
-                    refused[shard] = true;
-                    for sub in &routed[shard] {
-                        refused_sources.extend(sub.added.iter().map(|d| d.source));
-                        refused_sources.extend(sub.engagement.iter().map(|e| e.source));
-                    }
-                    if failed.is_none() {
-                        failed = Some((shard, error));
-                    }
+                if failed.is_none() {
+                    failed = Some((shard, error));
                 }
             }
         }
-        if blend_touched {
-            self.blend.reblend();
-            drop(self.blend_cell.publish(Arc::new(self.blend.clone())));
+        let committed = routed.iter().zip(&refused).filter(|(_, &r)| !r);
+        let engagement = committed
+            .flat_map(|(batch, _)| batch)
+            .flat_map(|d| &d.engagement);
+        let mut blend = self.blend_cell.load();
+        if StaticBlend::absorb(&mut blend, engagement) {
+            drop(self.blend_cell.publish(blend));
         }
         match failed {
             None => Ok(()),
@@ -1589,17 +1577,52 @@ mod tests {
         // The stripped seed still carries a row per corpus document.
         assert!(seed.index().heap_bytes() > 0);
         let dir = temp_dir("genesis");
-        let service = ShardedLiveService::start(&seed, 3, &dir).unwrap();
+        let mut service = ShardedLiveService::start(&seed, 3, &dir).unwrap();
         let (recovered, _) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
         for shards in [&service, &recovered] {
             for i in 0..3 {
-                let engine = shards.shard_engine(i);
-                assert_eq!(engine.index().heap_bytes(), 0, "shard {i}");
-                for s in world.corpus.sources() {
+                assert_eq!(shards.shard_engine(i).index().heap_bytes(), 0, "shard {i}");
+            }
+        }
+        drop(recovered);
+
+        // Only the published blend absorbs engagement: through a
+        // commit, a refused fsync and both recoveries, every shard
+        // engine keeps the seed's static scores while readers score
+        // as one flat engine fed the same deltas.
+        let stream = delta_stream(&world, 5);
+        let (head, tail) = stream.split_at(stream.len() / 2);
+        let mut flat = seed.clone();
+        let one_blend = |service: &ShardedLiveService, flat: &SearchEngine| {
+            let reader = service.reader();
+            for s in world.corpus.sources() {
+                assert_eq!(reader.static_score(s.id), flat.static_score(s.id));
+                for i in 0..3 {
+                    let engine = service.shard_engine(i);
                     assert_eq!(engine.static_score(s.id), seed.static_score(s.id));
                 }
             }
-        }
+        };
+        service.ingest_batch(head).unwrap();
+        flat.apply_deltas(head);
+        let mut sources = world.corpus.sources().iter();
+        assert!(sources.any(|s| flat.static_score(s.id) != seed.static_score(s.id)));
+        one_blend(&service, &flat);
+        let checkpoint = service.checkpoint();
+
+        (0..3).for_each(|i| service.inject_journal_sync_failures(i, 1));
+        assert!(service.ingest_batch(tail).is_err());
+        one_blend(&service, &flat);
+        service.ingest_batch(tail).unwrap();
+        flat.apply_deltas(tail);
+        one_blend(&service, &flat);
+        drop(service);
+
+        let (recovered, _) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
+        one_blend(&recovered, &flat);
+        drop(recovered);
+        let (recovered, _) = ShardedLiveService::recover_from(checkpoint, &dir).unwrap();
+        one_blend(&recovered, &flat);
         cleanup(&dir);
     }
 

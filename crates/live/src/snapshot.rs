@@ -11,9 +11,9 @@
 //!   long enough to clone the `Arc`* — nanoseconds — and then query
 //!   their snapshot entirely outside any lock;
 //! * the [`LiveWriter`] owns a private [`SearchEngine`] and applies
-//!   deltas to it without holding any lock at all. The engine's
-//!   index is copy-on-write (shared via `Arc` until mutated), so
-//!   published snapshots are physically immune to later writes;
+//!   deltas' documents to it without holding any lock at all. The
+//!   engine's index is copy-on-write (shared via `Arc` until
+//!   mutated), so published snapshots are immune to later writes;
 //! * publishing swaps the `Arc` under the write lock — again a
 //!   pointer-sized critical section. The superseded snapshot comes
 //!   back after the lock is released. If nothing else holds it or its
@@ -125,10 +125,11 @@ impl SnapshotReader {
 
 /// The single owner of the mutable engine.
 ///
-/// Applies deltas to a private copy-on-write engine and decides when
-/// to publish. Keeping apply and publish separate lets a caller
-/// batch several deltas per published snapshot (publishing is cheap,
-/// but each publish-then-apply cycle detaches the index once).
+/// Applies deltas' documents (never engagement) to a private
+/// copy-on-write engine and decides when to publish. Keeping apply
+/// and publish separate lets a caller batch several deltas per
+/// published snapshot (publishing is cheap, but each
+/// publish-then-apply cycle detaches the index once).
 #[derive(Debug)]
 pub struct LiveWriter {
     engine: SearchEngine,
@@ -163,15 +164,15 @@ impl LiveWriter {
     /// Applies a contiguous run of deltas as one batch, stamping
     /// them as changes `first_seq ..= first_seq + deltas.len() - 1`.
     ///
-    /// The burst goes through
-    /// [`SearchEngine::apply_deltas_into`](obs_search::SearchEngine::apply_deltas_into)
+    /// The burst's documents go through
+    /// [`SearchEngine::apply_documents_into`](obs_search::SearchEngine::apply_documents_into)
     /// *in replay order*: one copy-on-write index detach (into the
-    /// spare the last publish reclaimed, if any), one tombstone sweep
-    /// and one static-signal re-blend at the end, however many deltas
-    /// the burst carries — the amortization the group-commit ingest
-    /// path exists for, with rankings unconditionally bit-identical
-    /// to replaying the same records one at a time. Not visible to
-    /// readers until [`LiveWriter::publish`]; an empty batch is a
+    /// spare the last publish reclaimed, if any) and one tombstone
+    /// sweep, however many deltas the burst carries — the
+    /// amortization the group-commit ingest path exists for, with an
+    /// index bit-identical to replaying the same records one at a
+    /// time. The engagement is left to the caller's blend. Not visible
+    /// to readers until [`LiveWriter::publish`]; an empty batch is a
     /// no-op. Returns whether the detach recycled the spare.
     ///
     /// Fails with [`LiveError::OutOfOrder`], applying nothing, if
@@ -193,7 +194,7 @@ impl LiveWriter {
         }
         let recycled = self
             .engine
-            .apply_deltas_into(&mut self.spare, deltas.iter().copied());
+            .apply_documents_into(&mut self.spare, deltas.iter().copied());
         self.seq = first_seq + deltas.len() as u64 - 1;
         Ok(recycled)
     }
@@ -240,8 +241,10 @@ mod tests {
     use super::*;
     use obs_analytics::{AlexaPanel, LinkGraph};
     use obs_model::{CorpusDelta, PostId};
+    use obs_search::score::{bm25_scores, Bm25Params};
     use obs_search::BlendWeights;
     use obs_synth::{World, WorldConfig};
+    use std::collections::BTreeSet;
 
     fn engine() -> (World, SearchEngine) {
         let world = World::generate(WorldConfig::small(404));
@@ -302,8 +305,7 @@ mod tests {
             .map(|chunk| CorpusDelta::for_removals(&world.corpus, chunk).unwrap())
             .collect();
 
-        // The reference: the same records applied one at a time,
-        // each with its own re-blend.
+        // The reference: the same records applied one at a time.
         let mut sequential = engine.clone();
         for delta in &deltas {
             sequential.apply_delta(delta);
@@ -318,9 +320,18 @@ mod tests {
         let b = batched.reader().snapshot();
         assert_eq!(b.seq(), deltas.len() as u64);
         assert_eq!(sequential.doc_count(), b.engine().doc_count());
-        for s in world.corpus.sources() {
-            assert_eq!(sequential.static_score(s.id), b.engine().static_score(s.id));
-        }
+        // The writer owns documents only (engagement is the service
+        // blend's), so the batch must answer every tag as the
+        // sequence does.
+        let posts = world.corpus.posts().iter();
+        let terms: BTreeSet<&str> = posts.flat_map(|p| &p.tags).map(|t| t.as_str()).collect();
+        let terms: Vec<&str> = terms.into_iter().collect();
+        let scores = bm25_scores(sequential.index(), &terms, Bm25Params::default());
+        assert!(!scores.is_empty());
+        assert_eq!(
+            bm25_scores(b.engine().index(), &terms, Bm25Params::default()),
+            scores
+        );
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! of sources before it is weighted, so a source's static score
 //! depends on every other source's signals. That makes the blend the
 //! one piece of engine state that cannot be partitioned — a sharded
-//! serving layer keeps exactly one [`StaticBlend`] beside its
-//! per-shard indexes and feeds [`StaticBlend::score`] to the
+//! serving layer publishes exactly one [`StaticBlend`], the only one
+//! that absorbs engagement, and feeds [`StaticBlend::score`] to the
 //! scatter-gather merge. Because engagement adjustments touch only
 //! the adjusted source's cells (and per-source application order is
 //! preserved by source-hash routing), applying each shard's routed
 //! engagement to the one global blend reproduces the unsharded
 //! signal vectors bit-for-bit.
 
+// Checked indexing only: every re-blend runs through here.
+#![warn(clippy::indexing_slicing)]
+
 use obs_model::{EngagementDelta, SourceId};
 use obs_stats::normalize::z_scores;
+use std::sync::Arc;
 
 /// Signal weights of the blended ranker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,13 +78,11 @@ impl StaticSignals {
     /// Participation density as a crawler would see it: comments per
     /// discussion plus discussion-opening rate.
     pub(crate) fn refresh(&mut self, source: usize) {
-        let discussions = self.discussions[source];
-        let density = if discussions == 0.0 {
-            0.0
-        } else {
-            self.comments[source] / discussions
-        };
-        self.participation[source] = (1.0 + density).ln() + (1.0 + discussions).ln() * 0.3;
+        let (d, c) = (self.discussions.get(source), self.comments.get(source));
+        if let (Some(&d), Some(&c), Some(p)) = (d, c, self.participation.get_mut(source)) {
+            let density = if d == 0.0 { 0.0 } else { c / d };
+            *p = (1.0 + density).ln() + (1.0 + d).ln() * 0.3;
+        }
     }
 
     /// Grows every vector so `source` is addressable, with neutral
@@ -102,13 +104,12 @@ impl StaticSignals {
 /// vectors plus the standardized, weighted static scores derived
 /// from them.
 ///
-/// A [`SearchEngine`](crate::SearchEngine) owns one blend for its
-/// corpus. A sharded serving layer owns one **global** blend beside
-/// its per-shard engines, routes every engagement adjustment through
-/// [`StaticBlend::apply_engagement`] (the exact code path the
-/// unsharded engine uses) and re-standardizes once per burst with
-/// [`StaticBlend::reblend`] — which is what keeps sharded rankings
-/// bit-identical to the unsharded scorer.
+/// A [`SearchEngine`](crate::SearchEngine) shares its blend with its
+/// clones. A sharded serving layer publishes one **global** blend and
+/// folds every committed engagement adjustment into it with
+/// [`StaticBlend::absorb`] (the exact code path the unsharded engine
+/// uses), re-standardizing once per burst — which is what keeps
+/// sharded rankings bit-identical to the unsharded scorer.
 #[derive(Debug, Clone)]
 pub struct StaticBlend {
     pub(crate) signals: StaticSignals,
@@ -135,22 +136,43 @@ impl StaticBlend {
     /// cells of the touched sources (with the zero clamp the live
     /// engine applies per delta), returning whether anything changed.
     ///
-    /// The standardized scores are **not** refreshed — call
-    /// [`StaticBlend::reblend`] once after the burst. Splitting the
-    /// two is what lets a group-commit path apply many deltas'
-    /// engagement and pay the `O(sources)` re-standardization once.
-    pub fn apply_engagement(&mut self, entries: &[EngagementDelta]) -> bool {
+    /// The standardized scores are **not** refreshed: call
+    /// [`StaticBlend::reblend`] once after a burst, as
+    /// [`StaticBlend::absorb`] does.
+    pub fn apply_engagement<'a>(
+        &mut self,
+        entries: impl IntoIterator<Item = &'a EngagementDelta>,
+    ) -> bool {
+        let s = &mut self.signals;
         let mut touched = false;
         for e in entries {
             let i = e.source.index();
-            self.signals.ensure(i);
-            self.signals.discussions[i] =
-                (self.signals.discussions[i] + e.discussions as f64).max(0.0);
-            self.signals.comments[i] = (self.signals.comments[i] + e.comments as f64).max(0.0);
-            self.signals.refresh(i);
+            s.ensure(i);
+            if let (Some(d), Some(c)) = (s.discussions.get_mut(i), s.comments.get_mut(i)) {
+                *d = (*d + e.discussions as f64).max(0.0);
+                *c = (*c + e.comments as f64).max(0.0);
+            }
+            s.refresh(i);
             touched = true;
         }
         touched
+    }
+
+    /// Folds `entries` into `blend` in order and re-standardizes once,
+    /// copying a shared blend first ([`Arc::make_mut`]); no entries
+    /// leave it untouched. Returns whether it changed.
+    pub fn absorb<'a>(
+        blend: &mut Arc<StaticBlend>,
+        entries: impl IntoIterator<Item = &'a EngagementDelta>,
+    ) -> bool {
+        let mut entries = entries.into_iter().peekable();
+        if entries.peek().is_none() {
+            return false;
+        }
+        let blend = Arc::make_mut(blend);
+        blend.apply_engagement(entries);
+        blend.reblend();
+        true
     }
 
     /// Standardizes each raw signal and re-blends the static scores.

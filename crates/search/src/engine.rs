@@ -69,10 +69,10 @@ pub struct SearchHit {
 /// The search engine: index + per-source static signals.
 ///
 /// Cloning is *cheap*: the inverted index — by far the largest piece
-/// — is behind an [`Arc`] shared by the clone, so a clone costs a
-/// reference-count bump plus `O(sources)` signal vectors. Mutation
-/// stays safe through copy-on-write: [`SearchEngine::apply_delta`]
-/// detaches (deep-copies) the index only when clones still share it.
+/// — and the static blend are each behind an [`Arc`] shared by the
+/// clone, so a clone costs two reference-count bumps. Mutation stays
+/// safe through copy-on-write: [`SearchEngine::apply_delta`] detaches
+/// (deep-copies) what clones still share and the delta changes.
 /// That copy is a few flat arrays (the doc table, the forward-index
 /// arena and its spans), the posting lists and two hash tables, not
 /// one heap block per document; [`InvertedIndex::heap_bytes`] counts
@@ -85,7 +85,7 @@ pub struct SearchEngine {
     index: Arc<InvertedIndex>,
     /// Static signals and their standardized blend, re-blended after
     /// every engagement-carrying delta.
-    blend: StaticBlend,
+    blend: Arc<StaticBlend>,
     params: Bm25Params,
 }
 
@@ -131,35 +131,29 @@ impl SearchEngine {
 
         SearchEngine {
             index: Arc::new(index),
-            blend: StaticBlend::new(signals, weights),
+            blend: Arc::new(StaticBlend::new(signals, weights)),
             params: Bm25Params::default(),
         }
     }
 
     /// Applies one change-set — typically what a crawl tick observed
-    /// — to the engine in place.
-    ///
-    /// The inverted index absorbs document adds/removes with one
-    /// tombstone sweep; engagement adjustments update the
-    /// raw participation inputs of *only the touched sources* before
-    /// the static blend is re-standardized. Traffic and PageRank
-    /// inputs are untouched (a content delta carries no new panel or
-    /// link observations). Applying a delta and its exact inverse
-    /// restores the engine's rankings bit-for-bit.
-    ///
-    /// If clones of this engine still share the index (published
-    /// snapshots), the index is detached first — copy-on-write — so
-    /// concurrent readers of those clones never observe a
-    /// half-applied delta.
+    /// — to the engine in place: the index absorbs document
+    /// adds/removes with one tombstone sweep, and engagement updates
+    /// the raw participation inputs of *only the touched sources*
+    /// before the static blend is re-standardized. Traffic and
+    /// PageRank inputs are untouched (a content delta carries no new
+    /// panel or link observations). Applying a delta and its exact
+    /// inverse restores the engine's rankings bit-for-bit. What clones
+    /// still share is detached first, so readers of those clones never
+    /// observe a half-applied delta.
     pub fn apply_delta(&mut self, delta: &CorpusDelta) {
         self.apply_deltas(std::iter::once(delta));
     }
 
     /// Applies a burst of change-sets *in order*, amortizing the
-    /// shared costs across the batch: one index detach
-    /// ([`Arc::make_mut`]), one tombstone sweep
-    /// ([`InvertedIndex::apply_deltas`]) and one static re-blend at
-    /// the end, however many deltas the burst carries.
+    /// shared costs across the batch: one index detach and tombstone
+    /// sweep ([`SearchEngine::apply_documents_into`]) and one
+    /// copy-on-write re-blend ([`StaticBlend::absorb`]).
     ///
     /// The rankings are bit-identical to applying the deltas one at
     /// a time: the index ends with the same documents and postings
@@ -170,23 +164,25 @@ impl SearchEngine {
     /// lets a group-commit serving layer and crash recovery cut the
     /// same records into different batches.
     pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
-        self.apply_deltas_into(&mut None, deltas);
+        let deltas: Vec<&CorpusDelta> = deltas.into_iter().collect();
+        self.apply_documents_into(&mut None, deltas.iter().copied());
+        StaticBlend::absorb(&mut self.blend, deltas.iter().flat_map(|d| &d.engagement));
     }
 
-    /// [`SearchEngine::apply_deltas`], detaching a shared index into
-    /// `spare`'s storage ([`Clone::clone_from`]) instead of a fresh
-    /// copy: a serving layer hands back the epoch it superseded, so
-    /// the detach reuses that epoch's buffers rather than allocating
-    /// new ones and freeing the old. The spare is taken only when the
+    /// [`SearchEngine::apply_deltas`] without the engagement, which
+    /// the caller's blend owns, detaching a shared index into `spare`'s
+    /// storage ([`Clone::clone_from`]) instead of a fresh copy: a
+    /// serving layer hands back the epoch it superseded, so the detach
+    /// reuses that epoch's buffers. The spare is taken only when the
     /// index is shared, and the result says whether it was. An empty
     /// burst touches nothing.
-    pub fn apply_deltas_into<'a>(
+    pub fn apply_documents_into<'a>(
         &mut self,
         spare: &mut Option<InvertedIndex>,
         deltas: impl IntoIterator<Item = &'a CorpusDelta>,
     ) -> bool {
-        let deltas: Vec<&CorpusDelta> = deltas.into_iter().collect();
-        if deltas.is_empty() {
+        let mut deltas = deltas.into_iter().peekable();
+        if deltas.peek().is_none() {
             return false;
         }
         let shared = Arc::get_mut(&mut self.index).is_none();
@@ -198,14 +194,7 @@ impl SearchEngine {
             }
             None => false,
         };
-        Arc::make_mut(&mut self.index).apply_deltas(deltas.iter().copied());
-        let mut engagement_touched = false;
-        for delta in deltas {
-            engagement_touched |= self.blend.apply_engagement(&delta.engagement);
-        }
-        if engagement_touched {
-            self.blend.reblend();
-        }
+        Arc::make_mut(&mut self.index).apply_deltas(deltas);
         recycled
     }
 
@@ -362,8 +351,8 @@ impl SearchEngine {
     }
 
     /// The static blend this engine ranks with. A sharded serving
-    /// layer clones this off its (empty) seed engine to maintain the
-    /// one global blend beside its per-shard engines.
+    /// layer copies this off its (empty) seed engine to start the one
+    /// global blend it publishes beside its per-shard engines.
     pub fn blend(&self) -> &StaticBlend {
         &self.blend
     }
@@ -384,20 +373,20 @@ impl SearchEngine {
         &self.index
     }
 
-    /// This engine's blend and scoring parameters over an empty
+    /// This engine's shared blend and scoring parameters over an empty
     /// index: where a shard of a serving layer starts, holding none of
     /// the rows, spare capacity or `ordinal_of` table `self` kept.
     pub fn without_documents(&self) -> SearchEngine {
         SearchEngine {
             index: Arc::default(),
-            blend: self.blend.clone(),
+            blend: Arc::clone(&self.blend),
             params: self.params,
         }
     }
 
     /// The index itself, if no clone of this engine shares it: the
     /// storage a superseded epoch hands back for
-    /// [`SearchEngine::apply_deltas_into`] to detach into.
+    /// [`SearchEngine::apply_documents_into`] to detach into.
     pub fn into_unshared_index(self) -> Option<InvertedIndex> {
         Arc::try_unwrap(self.index).ok()
     }
@@ -572,6 +561,37 @@ mod tests {
         // of applies would have: the original is untouched.
         assert!(!batched.shares_index_with(&engine));
         assert_eq!(engine.doc_count(), batched.doc_count());
+    }
+
+    #[test]
+    fn engagement_applied_to_a_clone_leaves_the_original_blend_alone() {
+        let (world, engine) = engine();
+        let scores = |e: &SearchEngine| -> Vec<f64> {
+            let sources = world.corpus.sources().iter();
+            sources.map(|s| e.static_score(s.id)).collect()
+        };
+        let before = scores(&engine);
+        let recent: Vec<PostId> = world
+            .corpus
+            .posts()
+            .iter()
+            .rev()
+            .take(6)
+            .map(|p| p.id)
+            .collect();
+        let removal = obs_model::CorpusDelta::for_removals(&world.corpus, &recent).unwrap();
+        assert!(!removal.engagement.is_empty());
+
+        let mut live = engine.clone();
+        live.apply_delta(&removal);
+        assert_ne!(scores(&live), before);
+        assert_eq!(scores(&engine), before);
+
+        // The document half alone leaves even the clone's blend as is.
+        let mut documents_only = engine.clone();
+        documents_only.apply_documents_into(&mut None, [&removal]);
+        assert_eq!(documents_only.doc_count(), live.doc_count());
+        assert_eq!(scores(&documents_only), before);
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub fn one_way_anova(groups: &[&[f64]]) -> Result<AnovaResult, StatsError> {
         }
     } else {
         let f = ms_between / ms_within;
-        (f, FisherF::new(df_between as f64, df_within as f64).sf(f))
+        (f, FisherF::new(df_between as f64, df_within as f64)?.sf(f))
     };
 
     Ok(AnovaResult {
@@ -165,7 +165,7 @@ pub fn bonferroni_pairwise(
     let anova = one_way_anova(groups)?;
     let k = groups.len();
     let n_pairs = (k * (k - 1) / 2) as f64;
-    let t_dist = StudentT::new(anova.df_within as f64);
+    let t_dist = StudentT::new(anova.df_within as f64)?;
 
     let mut out = Vec::with_capacity(k * (k - 1) / 2);
     for a in 0..k {
@@ -287,7 +287,7 @@ mod tests {
         let c = [10.0, 11.0, 12.0, 13.0, 14.0];
         let pairs = bonferroni_pairwise(&[&a, &b, &c], 0.05).unwrap();
         let anova = one_way_anova(&[&a, &b, &c]).unwrap();
-        let t_dist = StudentT::new(anova.df_within as f64);
+        let t_dist = StudentT::new(anova.df_within as f64).unwrap();
         let raw_p = t_dist.two_sided_p(pairs[0].t_statistic);
         close(pairs[0].p_adjusted, (raw_p * 3.0).min(1.0), 1e-12);
     }

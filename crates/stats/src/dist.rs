@@ -1,6 +1,7 @@
 //! Probability distributions used to convert statistics to p-values.
 
 use crate::special::{beta_inc, normal_cdf};
+use crate::StatsError;
 
 /// Student's t distribution with `df` degrees of freedom.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -10,10 +11,11 @@ pub struct StudentT {
 }
 
 impl StudentT {
-    /// Creates the distribution; panics on non-positive df.
-    pub fn new(df: f64) -> Self {
-        assert!(df > 0.0, "t distribution needs df > 0, got {df}");
-        StudentT { df }
+    /// Creates the distribution; [`StatsError::NonPositiveDf`] unless
+    /// `df > 0`, which a NaN df is not.
+    pub fn new(df: f64) -> Result<Self, StatsError> {
+        let t = (df > 0.0).then_some(StudentT { df });
+        t.ok_or(StatsError::NonPositiveDf("StudentT"))
     }
 
     /// Cumulative distribution function `P(T ≤ t)`.
@@ -45,10 +47,11 @@ pub struct FisherF {
 }
 
 impl FisherF {
-    /// Creates the distribution; panics on non-positive df.
-    pub fn new(df1: f64, df2: f64) -> Self {
-        assert!(df1 > 0.0 && df2 > 0.0, "F distribution needs df > 0");
-        FisherF { df1, df2 }
+    /// Creates the distribution; [`StatsError::NonPositiveDf`] unless
+    /// both `df1 > 0` and `df2 > 0`, which a NaN df is not.
+    pub fn new(df1: f64, df2: f64) -> Result<Self, StatsError> {
+        let f = (df1 > 0.0 && df2 > 0.0).then_some(FisherF { df1, df2 });
+        f.ok_or(StatsError::NonPositiveDf("FisherF"))
     }
 
     /// Cumulative distribution function `P(F ≤ f)`.
@@ -103,7 +106,7 @@ mod tests {
 
     #[test]
     fn t_cdf_is_symmetric_around_zero() {
-        let t = StudentT::new(7.0);
+        let t = StudentT::new(7.0).unwrap();
         close(t.cdf(0.0), 0.5, 1e-12);
         for v in [0.5, 1.3, 2.7] {
             close(t.cdf(v) + t.cdf(-v), 1.0, 1e-12);
@@ -113,17 +116,17 @@ mod tests {
     #[test]
     fn t_critical_values_match_tables() {
         // t_{0.975, 10} = 2.228139; t_{0.95, 10} = 1.812461
-        let t = StudentT::new(10.0);
+        let t = StudentT::new(10.0).unwrap();
         close(t.cdf(2.228_139), 0.975, 1e-5);
         close(t.cdf(1.812_461), 0.95, 1e-5);
         // t_{0.975, 1} = 12.7062
-        let t1 = StudentT::new(1.0);
+        let t1 = StudentT::new(1.0).unwrap();
         close(t1.cdf(12.706_2), 0.975, 1e-4);
     }
 
     #[test]
     fn t_two_sided_p_matches_tables() {
-        let t = StudentT::new(10.0);
+        let t = StudentT::new(10.0).unwrap();
         close(t.two_sided_p(2.228_139), 0.05, 1e-5);
         close(t.two_sided_p(-2.228_139), 0.05, 1e-5);
         close(t.two_sided_p(0.0), 1.0, 1e-12);
@@ -131,7 +134,7 @@ mod tests {
 
     #[test]
     fn t_approaches_normal_for_large_df() {
-        let t = StudentT::new(1e6);
+        let t = StudentT::new(1e6).unwrap();
         let n = StdNormal;
         for v in [-2.0, -0.5, 0.0, 1.0, 2.5] {
             close(t.cdf(v), n.cdf(v), 1e-4);
@@ -141,16 +144,16 @@ mod tests {
     #[test]
     fn f_critical_values_match_tables() {
         // F_{0.95}(1, 10) = 4.9646
-        close(FisherF::new(1.0, 10.0).sf(4.964_6), 0.05, 1e-4);
+        close(FisherF::new(1.0, 10.0).unwrap().sf(4.964_6), 0.05, 1e-4);
         // F_{0.95}(2, 20) = 3.4928
-        close(FisherF::new(2.0, 20.0).sf(3.492_8), 0.05, 1e-4);
+        close(FisherF::new(2.0, 20.0).unwrap().sf(3.492_8), 0.05, 1e-4);
         // F_{0.99}(3, 30) = 4.5097
-        close(FisherF::new(3.0, 30.0).sf(4.509_7), 0.01, 1e-4);
+        close(FisherF::new(3.0, 30.0).unwrap().sf(4.509_7), 0.01, 1e-4);
     }
 
     #[test]
     fn f_cdf_plus_sf_is_one() {
-        let f = FisherF::new(3.0, 12.0);
+        let f = FisherF::new(3.0, 12.0).unwrap();
         for v in [0.1, 0.5, 1.0, 2.0, 5.0] {
             close(f.cdf(v) + f.sf(v), 1.0, 1e-10);
         }
@@ -159,8 +162,8 @@ mod tests {
     #[test]
     fn f_of_t_squared_matches_t_two_sided() {
         // If T ~ t(df) then T² ~ F(1, df): P(F ≥ t²) = two-sided t p.
-        let t = StudentT::new(15.0);
-        let f = FisherF::new(1.0, 15.0);
+        let t = StudentT::new(15.0).unwrap();
+        let f = FisherF::new(1.0, 15.0).unwrap();
         for v in [0.5, 1.0, 2.0, 3.0] {
             close(f.sf(v * v), t.two_sided_p(v), 1e-10);
         }
@@ -174,8 +177,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "df > 0")]
-    fn t_rejects_zero_df() {
-        let _ = StudentT::new(0.0);
+    fn t_and_f_refuse_zero_negative_and_nan_df() {
+        for bad in [0.0, -1.0, -0.5, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(
+                StudentT::new(bad),
+                Err(StatsError::NonPositiveDf("StudentT"))
+            );
+            let refused = Err(StatsError::NonPositiveDf("FisherF"));
+            assert_eq!(FisherF::new(bad, 10.0), refused);
+            assert_eq!(FisherF::new(3.0, bad), refused);
+            assert_eq!(FisherF::new(bad, bad), refused);
+        }
     }
 }

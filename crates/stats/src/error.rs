@@ -26,6 +26,9 @@ pub enum StatsError {
     Singular(&'static str),
     /// An iterative algorithm failed to converge.
     NoConvergence(&'static str),
+    /// A distribution was asked for with degrees of freedom that are
+    /// not positive (zero, negative or NaN).
+    NonPositiveDf(&'static str),
 }
 
 impl std::fmt::Display for StatsError {
@@ -50,6 +53,9 @@ impl std::fmt::Display for StatsError {
             }
             StatsError::Singular(context) => write!(f, "{context}: singular system"),
             StatsError::NoConvergence(context) => write!(f, "{context}: did not converge"),
+            StatsError::NonPositiveDf(context) => {
+                write!(f, "{context}: degrees of freedom must be positive")
+            }
         }
     }
 }

@@ -6,6 +6,9 @@
 //! highly-ranked sources."* [`benchmark_relative`] is that scheme;
 //! [`z_scores`] standardizes the search engine's static signals.
 
+// Checked indexing only: every re-blend calls `z_scores`.
+#![warn(clippy::indexing_slicing)]
+
 /// Scales `value` against a benchmark ceiling: `min(value / benchmark, 1)`.
 ///
 /// The benchmark is typically the value observed on a well-known,

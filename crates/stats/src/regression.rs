@@ -153,7 +153,7 @@ pub fn ols(y: &[f64], predictors: &[Vec<f64>]) -> Result<Ols, StatsError> {
 
     let df_residual = n - p - 1;
     let sigma2 = rss / df_residual as f64;
-    let t_dist = StudentT::new(df_residual as f64);
+    let t_dist = StudentT::new(df_residual as f64)?;
 
     let mut std_errors = Vec::with_capacity(p + 1);
     let mut t_stats = Vec::with_capacity(p + 1);
@@ -178,7 +178,7 @@ pub fn ols(y: &[f64], predictors: &[Vec<f64>]) -> Result<Ols, StatsError> {
         (f64::INFINITY, 0.0)
     } else {
         let f = ((tss - rss) / p as f64) / sigma2;
-        (f, FisherF::new(p as f64, df_residual as f64).sf(f))
+        (f, FisherF::new(p as f64, df_residual as f64)?.sf(f))
     };
 
     Ok(Ols {

@@ -40,6 +40,13 @@ const REPLAY_MODULES: [&str; 4] = [
     "crates/live/src/shard.rs",
 ];
 
+/// Serving-path modules held to checked indexing (`get`/`get_mut`,
+/// or an `#[expect]` with a reason): every re-blend runs through both.
+const CHECKED_INDEXING_MODULES: [&str; 2] = [
+    "crates/search/src/blend.rs",
+    "crates/stats/src/normalize.rs",
+];
+
 const BANNED_TYPES: [&str; 4] = [
     "std::collections::HashMap",
     "std::collections::HashSet",
@@ -86,6 +93,17 @@ fn replay_modules_warn_on_disallowed_types() {
         assert!(
             warned_lints(&source).contains(&"clippy::disallowed_types"),
             "{module} lost #![warn(clippy::disallowed_types)]"
+        );
+    }
+}
+
+#[test]
+fn checked_indexing_modules_warn_on_indexing_slicing() {
+    for module in CHECKED_INDEXING_MODULES {
+        let source = read(module);
+        assert!(
+            warned_lints(&source).contains(&"clippy::indexing_slicing"),
+            "{module} lost #![warn(clippy::indexing_slicing)]"
         );
     }
 }
