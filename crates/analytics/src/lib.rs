@@ -18,13 +18,22 @@
 //!   (popular sources attract links, topically close sources link
 //!   more), feeding both the authority measure and the search
 //!   baseline's PageRank;
+//! * [`pagerank`](mod@pagerank) — PageRank over the link graph, with
+//!   a convergence-aware early exit;
 //! * [`feeds`] — the [`FeedRegistry`]
 //!   (Feedburner substitute) for feed-subscription counts.
+//!
+//! The search baseline (`obs_search`) takes plain per-source inputs
+//! and links none of these simulators: `From<&AlexaPanel>` builds its
+//! [`Traffic`](obs_search::Traffic) and `From<&LinkGraph>` its
+//! [`PageRank`](obs_search::PageRank), so
+//! `SearchEngine::build(&corpus, &panel, &links, weights)` reads
+//! straight off the simulated panels.
 
 #![warn(missing_docs)]
-// Panic-freedom on the serving path (obs_live and every crate it
-// links): runtime code returns errors instead of panicking, and a
-// waiver is an `#[expect]` with a reason.
+// Panic-freedom to the serving path's standard, though obs_live does
+// not link this crate: runtime code returns errors instead of
+// panicking, and a waiver is an `#[expect]` with a reason.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -36,10 +45,12 @@
 
 pub mod feeds;
 pub mod links;
+pub mod pagerank;
 pub mod panel;
 pub mod visits;
 
 pub use feeds::FeedRegistry;
 pub use links::LinkGraph;
+pub use pagerank::{pagerank, pagerank_converged, PagerankRun};
 pub use panel::{AlexaPanel, SourceTraffic};
 pub use visits::{VisitLog, VisitSession};

@@ -8,6 +8,7 @@
 
 use crate::visits::VisitLog;
 use obs_model::SourceId;
+use obs_search::Traffic;
 use obs_synth::World;
 
 /// Per-source traffic aggregates.
@@ -126,6 +127,17 @@ impl AlexaPanel {
     }
 }
 
+impl From<&AlexaPanel> for Traffic {
+    /// The search baseline's traffic input: each source's daily
+    /// visitors and average time on site, in id order.
+    fn from(panel: &AlexaPanel) -> Traffic {
+        Traffic {
+            daily_visitors: panel.all().iter().map(|t| t.daily_visitors).collect(),
+            avg_time_on_site: panel.all().iter().map(|t| t.avg_time_on_site).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +203,26 @@ mod tests {
         let rb = obs_stats::spearman(&stick, &bounce).unwrap();
         assert!(rt > 0.6, "time spearman {rt}");
         assert!(rb < -0.5, "bounce spearman {rb}");
+    }
+
+    #[test]
+    fn traffic_input_has_one_entry_per_source_in_id_order() {
+        let (world, panel) = panel();
+        let traffic = Traffic::from(&panel);
+        assert_eq!(traffic.daily_visitors.len(), world.corpus.sources().len());
+        assert_eq!(traffic.avg_time_on_site.len(), world.corpus.sources().len());
+        for s in world.corpus.sources() {
+            let t = panel.traffic(s.id).unwrap();
+            let i = s.id.index();
+            assert_eq!(
+                traffic.daily_visitors[i].to_bits(),
+                t.daily_visitors.to_bits()
+            );
+            assert_eq!(
+                traffic.avg_time_on_site[i].to_bits(),
+                t.avg_time_on_site.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -535,35 +535,39 @@ mod tests {
     fn activity_counts_only_active_interactions() {
         use obs_model::{AccountKind, CorpusBuilder, SourceKind, Timestamp};
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("c");
+        let cat = b.add_category("c").unwrap();
         let s = b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
         let v = b.add_user("v", AccountKind::Person, Timestamp::EPOCH);
-        let (_, p) = b.add_discussion_with_post(
-            s,
-            cat,
-            "t",
-            u,
-            Timestamp::from_days(1),
-            "body",
-            vec![],
-            None,
-        );
+        let (_, p) = b
+            .add_discussion_with_post(
+                s,
+                cat,
+                "t",
+                u,
+                Timestamp::from_days(1),
+                "body",
+                vec![],
+                None,
+            )
+            .unwrap();
         // v: one comment + one like + one read.
         let d = obs_model::DiscussionId::new(0);
-        b.add_comment(d, v, "hi", Timestamp::from_days(2));
+        b.add_comment(d, v, "hi", Timestamp::from_days(2)).unwrap();
         b.add_interaction(
             v,
             ContentRef::Post(p),
             InteractionKind::Like,
             Timestamp::from_days(3),
-        );
+        )
+        .unwrap();
         b.add_interaction(
             v,
             ContentRef::Post(p),
             InteractionKind::Read,
             Timestamp::from_days(3),
-        );
+        )
+        .unwrap();
         let corpus = b.build();
 
         let world = World::generate(WorldConfig::small(1));
@@ -590,12 +594,16 @@ mod tests {
     fn replies_received_counts_threads_and_mentions() {
         use obs_model::{AccountKind, CorpusBuilder, SourceKind, Timestamp};
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("c");
+        let cat = b.add_category("c").unwrap();
         let s = b.add_source(SourceKind::Microblog, "m", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
         let v = b.add_user("v", AccountKind::Person, Timestamp::EPOCH);
-        let d = b.add_discussion(s, cat, "t", u, Timestamp::from_days(1));
-        let c1 = b.add_comment(d, u, "hello", Timestamp::from_days(2));
+        let d = b
+            .add_discussion(s, cat, "t", u, Timestamp::from_days(1))
+            .unwrap();
+        let c1 = b
+            .add_comment(d, u, "hello", Timestamp::from_days(2))
+            .unwrap();
         let _r = b
             .add_reply(d, v, "re: hello", Timestamp::from_days(3), c1)
             .unwrap();
@@ -604,7 +612,8 @@ mod tests {
             ContentRef::Comment(c1),
             InteractionKind::Mention,
             Timestamp::from_days(4),
-        );
+        )
+        .unwrap();
         let corpus = b.build();
 
         let world = World::generate(WorldConfig::small(1));
@@ -640,7 +649,7 @@ mod tests {
     fn silent_users_score_zero_everywhere_applicable() {
         use obs_model::{AccountKind, CorpusBuilder, SourceKind, Timestamp};
         let mut b = CorpusBuilder::new();
-        b.add_category("c");
+        b.add_category("c").unwrap();
         b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
         let silent = b.add_user("silent", AccountKind::Person, Timestamp::EPOCH);
         let corpus = b.build();

@@ -725,13 +725,15 @@ mod tests {
         use obs_model::{AccountKind, CorpusBuilder, SourceKind, Timestamp};
         let build = |extra: bool| {
             let mut b = CorpusBuilder::new();
-            let cat = b.add_category("attractions");
+            let cat = b.add_category("attractions").unwrap();
             let s = b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
             let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
-            let d = b.add_discussion(s, cat, "t", u, Timestamp::from_days(1));
-            b.add_comment(d, u, "one", Timestamp::from_days(2));
+            let d = b
+                .add_discussion(s, cat, "t", u, Timestamp::from_days(1))
+                .unwrap();
+            b.add_comment(d, u, "one", Timestamp::from_days(2)).unwrap();
             if extra {
-                b.add_comment(d, u, "two", Timestamp::from_days(3));
+                b.add_comment(d, u, "two", Timestamp::from_days(3)).unwrap();
             }
             b.build()
         };

@@ -49,6 +49,8 @@
 // in, so the same delta stream must route identically on every node
 // and on every recovery replay.
 #![warn(clippy::disallowed_types)]
+// Checked indexing only: every commit and recovery runs through here.
+#![warn(clippy::indexing_slicing)]
 
 use crate::cache::QueryCache;
 use crate::error::LiveError;
@@ -166,12 +168,16 @@ impl ShardRouter {
         delta: &CorpusDelta,
         unhomed: &mut Vec<(usize, PostId)>,
     ) -> Vec<CorpusDelta> {
+        // Homes and `shard_of` are below `self.shards`: every `get_mut`
+        // hits.
         let mut routed = vec![CorpusDelta::new(); self.shards];
         for &post in &delta.removed {
             match self.homes.remove(&post) {
                 Some(home) => {
                     unhomed.push((home, post));
-                    routed[home].remove_doc(post);
+                    if let Some(sub) = routed.get_mut(home) {
+                        sub.remove_doc(post);
+                    }
                 }
                 // Unknown post: broadcast. Whichever shard holds it
                 // removes it; for the rest it is a no-op.
@@ -185,10 +191,14 @@ impl ShardRouter {
         for doc in &delta.added {
             let home = self.shard_of(doc.source);
             self.homes.insert(doc.post, home);
-            routed[home].add_doc(doc.post, doc.source, doc.text.clone());
+            if let Some(sub) = routed.get_mut(home) {
+                sub.add_doc(doc.post, doc.source, doc.text.clone());
+            }
         }
         for e in &delta.engagement {
-            routed[self.shard_of(e.source)].note_engagement(e.source, e.discussions, e.comments);
+            if let Some(sub) = routed.get_mut(self.shard_of(e.source)) {
+                sub.note_engagement(e.source, e.discussions, e.comments);
+            }
         }
         routed
     }
@@ -234,7 +244,8 @@ struct Shard {
 #[derive(Debug, Clone, Copy, Default)]
 struct Detach {
     /// Index bytes copied: the last publish shares the writer's
-    /// index, so every apply detaches it.
+    /// index, so every apply that adds or removes a document detaches
+    /// it; an engagement-only sub-batch copies nothing.
     copied: usize,
     /// Whether the copy went into the superseded epoch's storage.
     recycled: bool,
@@ -256,7 +267,11 @@ impl Shard {
         }
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
         let first = self.journal.next_seq();
-        let copied = self.writer.engine().index().heap_bytes();
+        let copied = if refs.iter().any(|d| d.touches_documents()) {
+            self.writer.engine().index().heap_bytes()
+        } else {
+            0
+        };
         let Shard { writer, journal } = self;
         let (journaled, applied) = std::thread::scope(|scope| {
             let journaling =
@@ -491,7 +506,7 @@ impl ShardedLiveService {
             }
             let skipped = replay.records.partition_point(|r| r.seq <= checkpoint_seq);
             let mut tail = Vec::with_capacity(replay.records.len() - skipped);
-            for record in &replay.records[skipped..] {
+            for record in replay.records.iter().skip(skipped) {
                 // Registry rebuild mirrors routing order: removals
                 // before adds, so a remove-then-readd inside one
                 // delta leaves the post homed.
@@ -598,9 +613,9 @@ impl ShardedLiveService {
                 continue;
             }
             let subs = self.router.route_logged(delta, &mut unhomed);
-            for (shard, sub) in subs.into_iter().enumerate() {
+            for (batch, sub) in routed.iter_mut().zip(subs) {
                 if !sub.is_empty() {
-                    routed[shard].push(sub);
+                    batch.push(sub);
                 }
             }
         }
@@ -616,41 +631,34 @@ impl ShardedLiveService {
             None => shard.commit(batch, StageTimer::OFF).map(drop),
         };
         let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
+        // Each commit writes its own outcome slot. The scope joins every
+        // spawned commit and re-raises a commit thread's panic.
         std::thread::scope(|scope| {
             let mut busy: Vec<_> = self
                 .shards
                 .iter_mut()
                 .zip(&routed)
+                .zip(&mut outcomes)
                 .enumerate()
-                .filter(|(_, (_, batch))| !batch.is_empty())
+                .filter(|(_, ((_, batch), _))| !batch.is_empty())
                 .collect();
             // The last busy shard commits on this thread; only the
             // others pay a thread spawn.
             let inline = busy.pop();
-            let spawned: Vec<_> = busy
-                .into_iter()
-                .map(|(i, (shard, batch))| (i, scope.spawn(move || commit(i, shard, batch))))
-                .collect();
-            if let Some((i, (shard, batch))) = inline {
-                outcomes[i] = commit(i, shard, batch);
+            for (i, ((shard, batch), outcome)) in busy {
+                scope.spawn(move || *outcome = commit(i, shard, batch));
             }
-            for (i, handle) in spawned {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "join only errs if the commit thread panicked; re-raising that panic is the designed propagation"
-                )]
-                let outcome = handle.join().expect("shard commit thread panicked");
-                outcomes[i] = outcome;
+            if let Some((i, ((shard, batch), outcome))) = inline {
+                *outcome = commit(i, shard, batch);
             }
         });
 
+        let refused: Vec<bool> = outcomes.iter().map(Result::is_err).collect();
         let mut failed: Option<(usize, LiveError)> = None;
-        let mut refused = vec![false; outcomes.len()];
         let mut refused_sources: Vec<SourceId> = Vec::new();
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
+        for (shard, (outcome, batch)) in outcomes.into_iter().zip(&routed).enumerate() {
             if let Err(error) = outcome {
-                refused[shard] = true;
-                for sub in &routed[shard] {
+                for sub in batch {
                     refused_sources.extend(sub.added.iter().map(|d| d.source));
                     refused_sources.extend(sub.engagement.iter().map(|e| e.source));
                 }
@@ -670,7 +678,8 @@ impl ShardedLiveService {
         match failed {
             None => Ok(()),
             Some((shard, error)) => {
-                self.router.rehome(&unhomed, |s| refused[s]);
+                self.router
+                    .rehome(&unhomed, |s| refused.get(s) == Some(&true));
                 refused_sources.sort_unstable();
                 refused_sources.dedup();
                 Err(FailedCommit {
@@ -752,6 +761,14 @@ impl ShardedLiveService {
     }
 
     /// Number of records in one shard's journal.
+    ///
+    /// # Panics
+    ///
+    /// If `shard` is not below [`ShardedLiveService::shards`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a diagnostics accessor addressed by the caller's shard number; an out-of-range shard is a caller bug"
+    )]
     pub fn journal_len(&self, shard: usize) -> usize {
         self.shards[shard].journal.len()
     }
@@ -759,6 +776,14 @@ impl ShardedLiveService {
     /// One shard's private engine state (diagnostics and equivalence
     /// tests; readers should go through
     /// [`ShardedLiveService::reader`]).
+    ///
+    /// # Panics
+    ///
+    /// If `shard` is not below [`ShardedLiveService::shards`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a diagnostics accessor addressed by the caller's shard number; an out-of-range shard is a caller bug"
+    )]
     pub fn shard_engine(&self, shard: usize) -> &SearchEngine {
         self.shards[shard].writer.engine()
     }
@@ -772,6 +797,14 @@ impl ShardedLiveService {
     /// Arms the next `n` fsyncs of one shard's journal to fail
     /// deterministically — per-shard durability fault injection for
     /// tests.
+    ///
+    /// # Panics
+    ///
+    /// If `shard` is not below [`ShardedLiveService::shards`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fault injection addressed by the caller's shard number; an out-of-range shard is a caller bug"
+    )]
     pub fn inject_journal_sync_failures(&mut self, shard: usize, n: u32) {
         self.shards[shard].journal.inject_sync_failures(n);
     }
@@ -1690,6 +1723,54 @@ mod tests {
         assert_eq!(checkpoint.seqs(), vec![*seq]);
         drop(checkpoint);
         assert_eq!(commit(&mut service), 1);
+        cleanup(&dir);
+    }
+
+    /// A delta that only adjusts the engagement of the world's first
+    /// source.
+    fn engagement_only(world: &World) -> CorpusDelta {
+        let mut delta = CorpusDelta::new();
+        delta.note_engagement(world.corpus.sources()[0].id, 2, 5);
+        delta
+    }
+
+    #[test]
+    fn an_engagement_only_commit_moves_the_blend_and_copies_no_index() {
+        let (world, _, seed) = world_and_engine(613);
+        let stream = delta_stream(&world, 5);
+        let dir = temp_dir("engagement_only");
+        let (mut service, recycled) = recycling_service(&seed, &dir);
+        service.ingest_batch(&stream[..2]).unwrap();
+        let reader = service.reader();
+        let pinned = reader.pin();
+
+        service.ingest(&engagement_only(&world)).unwrap();
+        let now = reader.pin();
+        assert_eq!(now.seqs(), vec![pinned.seqs()[0] + 1]);
+        let (before, after) = (pinned.snapshots[0].engine(), now.snapshots[0].engine());
+        assert!(after.shares_index_with(before), "the index was detached");
+        let source = world.corpus.sources()[0].id;
+        assert_ne!(now.blend.score(source), pinned.blend.score(source));
+        assert_eq!(recycled.get(), 0);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn an_engagement_only_commit_keeps_the_spare() {
+        let (world, _, seed) = world_and_engine(614);
+        let stream = delta_stream(&world, 5);
+        let dir = temp_dir("engagement_spare");
+        let (mut service, recycled) = recycling_service(&seed, &dir);
+        service.ingest_batch(&stream[..2]).unwrap();
+        service.ingest_batch(&stream[2..4]).unwrap();
+        assert_eq!(recycled.get(), 1);
+
+        // Its publish supersedes an epoch that still shares the
+        // writer's index, so the spare the last publish reclaimed
+        // stays for the next document commit.
+        service.ingest(&engagement_only(&world)).unwrap();
+        service.ingest_batch(&stream[4..6]).unwrap();
+        assert_eq!(recycled.get(), 2, "the spare was dropped");
         cleanup(&dir);
     }
 

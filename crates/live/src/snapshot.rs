@@ -167,8 +167,9 @@ impl LiveWriter {
     /// The burst's documents go through
     /// [`SearchEngine::apply_documents_into`](obs_search::SearchEngine::apply_documents_into)
     /// *in replay order*: one copy-on-write index detach (into the
-    /// spare the last publish reclaimed, if any) and one tombstone
-    /// sweep, however many deltas the burst carries — the
+    /// spare the last publish reclaimed, if any; none if no delta adds
+    /// or removes a document) and one tombstone sweep, however many
+    /// deltas the burst carries — the
     /// amortization the group-commit ingest path exists for, with an
     /// index bit-identical to replaying the same records one at a
     /// time. The engagement is left to the caller's blend. Not visible
@@ -203,12 +204,16 @@ impl LiveWriter {
     /// snapshots from now on see every delta applied so far. The
     /// superseded snapshot comes back outside the store's write lock;
     /// its index becomes the spare if nothing else holds it, and is
-    /// otherwise left to its last holder to free.
+    /// otherwise left to its last holder to free. A superseded
+    /// snapshot that still shares the writer's index (an apply that
+    /// detached nothing) leaves the held spare in place.
     pub fn publish(&mut self) {
         let superseded = self
             .store
             .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone())));
-        self.spare = EngineSnapshot::into_unshared_index(superseded);
+        if let Some(index) = EngineSnapshot::into_unshared_index(superseded) {
+            self.spare = Some(index);
+        }
     }
 
     /// Discards every unpublished apply: the engine and sequence go

@@ -336,8 +336,9 @@ impl CorpusBuilder {
         Self::default()
     }
 
-    /// Interns a content category.
-    pub fn add_category(&mut self, name: impl AsRef<str>) -> CategoryId {
+    /// Interns a content category; fails with
+    /// [`ModelError::CategoryOverflow`] once the book is full.
+    pub fn add_category(&mut self, name: impl AsRef<str>) -> Result<CategoryId, ModelError> {
         self.categories.intern(name)
     }
 
@@ -397,6 +398,7 @@ impl CorpusBuilder {
     }
 
     /// Opens a discussion whose root post body is the title, untagged.
+    /// Fails as [`CorpusBuilder::add_discussion_with_post`] does.
     pub fn add_discussion(
         &mut self,
         source: SourceId,
@@ -404,7 +406,7 @@ impl CorpusBuilder {
         title: impl Into<String>,
         opened_by: UserId,
         at: Timestamp,
-    ) -> DiscussionId {
+    ) -> Result<DiscussionId, ModelError> {
         let title = title.into();
         let body = title.clone();
         self.add_discussion_with_post(
@@ -417,10 +419,12 @@ impl CorpusBuilder {
             Vec::new(),
             None,
         )
-        .0
+        .map(|(discussion, _)| discussion)
     }
 
-    /// Opens a discussion with an explicit root post.
+    /// Opens a discussion with an explicit root post. Fails with
+    /// [`ModelError::UnknownSource`] or [`ModelError::UnknownUser`]
+    /// for an id this builder never issued.
     #[allow(
         clippy::too_many_arguments,
         reason = "one argument per field of the root post"
@@ -435,9 +439,13 @@ impl CorpusBuilder {
         body: impl Into<String>,
         tags: Vec<Tag>,
         geo: Option<GeoPoint>,
-    ) -> (DiscussionId, PostId) {
-        assert!(source.index() < self.sources.len(), "unknown {source}");
-        assert!(opened_by.index() < self.users.len(), "unknown {opened_by}");
+    ) -> Result<(DiscussionId, PostId), ModelError> {
+        if source.index() >= self.sources.len() {
+            return Err(ModelError::UnknownSource(source));
+        }
+        if opened_by.index() >= self.users.len() {
+            return Err(ModelError::UnknownUser(opened_by));
+        }
         let did = DiscussionId::new(self.discussions.len() as u32);
         let pid = PostId::new(self.posts.len() as u32);
         self.posts.push(Post {
@@ -459,7 +467,7 @@ impl CorpusBuilder {
             closed: false,
             root_post: pid,
         });
-        (did, pid)
+        Ok((did, pid))
     }
 
     /// Marks a discussion closed.
@@ -467,23 +475,21 @@ impl CorpusBuilder {
         self.discussions[id.index()].closed = true;
     }
 
-    /// Adds a comment replying to the opening post.
+    /// Adds a comment replying to the opening post. Fails with
+    /// [`ModelError::UnknownDiscussion`] or [`ModelError::UnknownUser`]
+    /// for an id this builder never issued.
     pub fn add_comment(
         &mut self,
         discussion: DiscussionId,
         author: UserId,
         body: impl Into<String>,
         at: Timestamp,
-    ) -> CommentId {
-        #[expect(
-            clippy::expect_used,
-            reason = "the only failure mode is a reply_to parent; this passes None"
-        )]
+    ) -> Result<CommentId, ModelError> {
         self.add_comment_inner(discussion, author, body.into(), at, None, None)
-            .expect("root-level comments cannot fail")
     }
 
-    /// Adds a comment with an optional geo-tag.
+    /// Adds a comment with an optional geo-tag. Fails as
+    /// [`CorpusBuilder::add_comment`] does.
     pub fn add_comment_geo(
         &mut self,
         discussion: DiscussionId,
@@ -491,17 +497,13 @@ impl CorpusBuilder {
         body: impl Into<String>,
         at: Timestamp,
         geo: Option<GeoPoint>,
-    ) -> CommentId {
-        #[expect(
-            clippy::expect_used,
-            reason = "the only failure mode is a reply_to parent; this passes None"
-        )]
+    ) -> Result<CommentId, ModelError> {
         self.add_comment_inner(discussion, author, body.into(), at, None, geo)
-            .expect("root-level comments cannot fail")
     }
 
-    /// Adds a reply to an existing comment. Fails when the parent
-    /// belongs to a different discussion.
+    /// Adds a reply to an existing comment. Fails as
+    /// [`CorpusBuilder::add_comment`] does, and when the parent is
+    /// unknown or belongs to a different discussion.
     pub fn add_reply(
         &mut self,
         discussion: DiscussionId,
@@ -522,11 +524,12 @@ impl CorpusBuilder {
         reply_to: Option<CommentId>,
         geo: Option<GeoPoint>,
     ) -> Result<CommentId, ModelError> {
-        assert!(
-            discussion.index() < self.discussions.len(),
-            "unknown {discussion}"
-        );
-        assert!(author.index() < self.users.len(), "unknown {author}");
+        if discussion.index() >= self.discussions.len() {
+            return Err(ModelError::UnknownDiscussion(discussion));
+        }
+        if author.index() >= self.users.len() {
+            return Err(ModelError::UnknownUser(author));
+        }
         let id = CommentId::new(self.comments.len() as u32);
         if let Some(parent) = reply_to {
             let parent_comment = self
@@ -552,18 +555,28 @@ impl CorpusBuilder {
         Ok(id)
     }
 
-    /// Records a social interaction.
+    /// Records a social interaction. Fails with
+    /// [`ModelError::UnknownUser`], [`ModelError::UnknownPost`] or
+    /// [`ModelError::UnknownComment`] for an id this builder never
+    /// issued.
     pub fn add_interaction(
         &mut self,
         actor: UserId,
         target: ContentRef,
         kind: InteractionKind,
         at: Timestamp,
-    ) -> InteractionId {
-        assert!(actor.index() < self.users.len(), "unknown {actor}");
+    ) -> Result<InteractionId, ModelError> {
+        if actor.index() >= self.users.len() {
+            return Err(ModelError::UnknownUser(actor));
+        }
         match target {
-            ContentRef::Post(p) => assert!(p.index() < self.posts.len(), "unknown {p}"),
-            ContentRef::Comment(c) => assert!(c.index() < self.comments.len(), "unknown {c}"),
+            ContentRef::Post(p) if p.index() >= self.posts.len() => {
+                return Err(ModelError::UnknownPost(p))
+            }
+            ContentRef::Comment(c) if c.index() >= self.comments.len() => {
+                return Err(ModelError::UnknownComment(c))
+            }
+            _ => {}
         }
         let id = InteractionId::new(self.interactions.len() as u32);
         self.interactions.push(Interaction {
@@ -573,7 +586,7 @@ impl CorpusBuilder {
             kind,
             at,
         });
-        id
+        Ok(id)
     }
 
     /// Number of sources registered so far.
@@ -686,32 +699,42 @@ mod tests {
 
     fn small_world() -> Corpus {
         let mut b = CorpusBuilder::new();
-        let tourism = b.add_category("tourism");
-        let food = b.add_category("food");
+        let tourism = b.add_category("tourism").unwrap();
+        let food = b.add_category("food").unwrap();
         let blog = b.add_source(SourceKind::Blog, "milan-diaries", Timestamp::from_days(0));
         let forum = b.add_source(SourceKind::Forum, "ask-milano", Timestamp::from_days(2));
         let ada = b.add_user("ada", AccountKind::Person, Timestamp::from_days(0));
         let bbc = b.add_user("bbc", AccountKind::News, Timestamp::from_days(0));
-        let d1 = b.add_discussion(blog, tourism, "duomo tips", ada, Timestamp::from_days(3));
-        let d2 = b.add_discussion(forum, food, "best risotto", bbc, Timestamp::from_days(4));
-        let c1 = b.add_comment(d1, bbc, "go early", Timestamp::from_days(5));
+        let d1 = b
+            .add_discussion(blog, tourism, "duomo tips", ada, Timestamp::from_days(3))
+            .unwrap();
+        let d2 = b
+            .add_discussion(forum, food, "best risotto", bbc, Timestamp::from_days(4))
+            .unwrap();
+        let c1 = b
+            .add_comment(d1, bbc, "go early", Timestamp::from_days(5))
+            .unwrap();
         let _r1 = b
             .add_reply(d1, ada, "thanks!", Timestamp::from_days(6), c1)
             .unwrap();
-        let c2 = b.add_comment(d2, ada, "try da Vittorio", Timestamp::from_days(7));
+        let c2 = b
+            .add_comment(d2, ada, "try da Vittorio", Timestamp::from_days(7))
+            .unwrap();
         let root1 = b.discussions[d1.index()].root_post;
         b.add_interaction(
             bbc,
             ContentRef::Post(root1),
             InteractionKind::Like,
             Timestamp::from_days(8),
-        );
+        )
+        .unwrap();
         b.add_interaction(
             ada,
             ContentRef::Comment(c2),
             InteractionKind::Feedback,
             Timestamp::from_days(9),
-        );
+        )
+        .unwrap();
         b.build()
     }
 
@@ -780,16 +803,74 @@ mod tests {
     #[test]
     fn cross_discussion_reply_is_rejected() {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("c");
+        let cat = b.add_category("c").unwrap();
         let s = b.add_source(SourceKind::Forum, "f", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
-        let d1 = b.add_discussion(s, cat, "one", u, Timestamp::from_days(1));
-        let d2 = b.add_discussion(s, cat, "two", u, Timestamp::from_days(1));
-        let c1 = b.add_comment(d1, u, "hello", Timestamp::from_days(2));
+        let d1 = b
+            .add_discussion(s, cat, "one", u, Timestamp::from_days(1))
+            .unwrap();
+        let d2 = b
+            .add_discussion(s, cat, "two", u, Timestamp::from_days(1))
+            .unwrap();
+        let c1 = b
+            .add_comment(d1, u, "hello", Timestamp::from_days(2))
+            .unwrap();
         let err = b
             .add_reply(d2, u, "wrong thread", Timestamp::from_days(3), c1)
             .unwrap_err();
         assert!(matches!(err, ModelError::CrossDiscussionReply { .. }));
+    }
+
+    #[test]
+    fn builder_refuses_ids_it_never_issued() {
+        let mut b = CorpusBuilder::new();
+        let cat = b.add_category("c").unwrap();
+        let s = b.add_source(SourceKind::Forum, "f", Timestamp::EPOCH);
+        let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
+        let at = Timestamp::from_days(1);
+        let (ghost_source, ghost_user) = (SourceId::new(7), UserId::new(7));
+        assert_eq!(
+            b.add_discussion(ghost_source, cat, "t", u, at),
+            Err(ModelError::UnknownSource(ghost_source))
+        );
+        assert_eq!(
+            b.add_discussion(s, cat, "t", ghost_user, at),
+            Err(ModelError::UnknownUser(ghost_user))
+        );
+        let d = b.add_discussion(s, cat, "t", u, at).unwrap();
+
+        let ghost_discussion = DiscussionId::new(7);
+        assert_eq!(
+            b.add_comment(ghost_discussion, u, "hi", at),
+            Err(ModelError::UnknownDiscussion(ghost_discussion))
+        );
+        assert_eq!(
+            b.add_comment_geo(d, ghost_user, "hi", at, None),
+            Err(ModelError::UnknownUser(ghost_user))
+        );
+        let c = b.add_comment(d, u, "hi", at).unwrap();
+
+        let (ghost_post, ghost_comment) = (PostId::new(7), CommentId::new(7));
+        let like = InteractionKind::Like;
+        assert_eq!(
+            b.add_interaction(ghost_user, ContentRef::Comment(c), like, at),
+            Err(ModelError::UnknownUser(ghost_user))
+        );
+        assert_eq!(
+            b.add_interaction(u, ContentRef::Post(ghost_post), like, at),
+            Err(ModelError::UnknownPost(ghost_post))
+        );
+        assert_eq!(
+            b.add_interaction(u, ContentRef::Comment(ghost_comment), like, at),
+            Err(ModelError::UnknownComment(ghost_comment))
+        );
+
+        // Every refusal left the builder as it was.
+        let corpus = b.build();
+        assert_eq!(corpus.discussions().len(), 1);
+        assert_eq!(corpus.posts().len(), 1);
+        assert_eq!(corpus.comments().len(), 1);
+        assert!(corpus.interactions().is_empty());
     }
 
     #[test]
@@ -850,10 +931,12 @@ mod tests {
     #[test]
     fn closed_flag_is_settable() {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("c");
+        let cat = b.add_category("c").unwrap();
         let s = b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
-        let d = b.add_discussion(s, cat, "t", u, Timestamp::from_days(1));
+        let d = b
+            .add_discussion(s, cat, "t", u, Timestamp::from_days(1))
+            .unwrap();
         b.close_discussion(d);
         let c = b.build();
         assert!(c.discussion(d).unwrap().closed);

@@ -68,6 +68,12 @@ impl CorpusDelta {
         self.added.is_empty() && self.removed.is_empty() && self.engagement.is_empty()
     }
 
+    /// Whether the delta adds or removes a document: an index applies
+    /// nothing for one that carries only engagement.
+    pub fn touches_documents(&self) -> bool {
+        !self.added.is_empty() || !self.removed.is_empty()
+    }
+
     /// Number of document-level changes (adds + removals).
     pub fn len(&self) -> usize {
         self.added.len() + self.removed.len()
@@ -256,20 +262,23 @@ mod tests {
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("attractions");
+        let cat = b.add_category("attractions").unwrap();
         let s = b.add_source(SourceKind::Blog, "one", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
-        let (d, _) = b.add_discussion_with_post(
-            s,
-            cat,
-            "duomo views",
-            u,
-            Timestamp::from_days(1),
-            "rooftop is amazing",
-            vec![Tag::new("duomo")],
-            None,
-        );
-        b.add_comment(d, u, "agreed", Timestamp::from_days(2));
+        let (d, _) = b
+            .add_discussion_with_post(
+                s,
+                cat,
+                "duomo views",
+                u,
+                Timestamp::from_days(1),
+                "rooftop is amazing",
+                vec![Tag::new("duomo")],
+                None,
+            )
+            .unwrap();
+        b.add_comment(d, u, "agreed", Timestamp::from_days(2))
+            .unwrap();
         b.build()
     }
 
@@ -316,25 +325,28 @@ mod tests {
     fn folds_keep_first_appearance_order_on_interleaved_sources() {
         // Sources 0 and 1 interleave: 0, 1, 0, 1.
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("attractions");
+        let cat = b.add_category("attractions").unwrap();
         let sources = [
             b.add_source(SourceKind::Blog, "zero", Timestamp::EPOCH),
             b.add_source(SourceKind::Forum, "one", Timestamp::EPOCH),
         ];
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
         for (i, &s) in [0, 1, 0, 1].iter().map(|&k| &sources[k]).enumerate() {
-            let (d, _) = b.add_discussion_with_post(
-                s,
-                cat,
-                "title",
-                u,
-                Timestamp::from_days(1),
-                "body",
-                vec![],
-                None,
-            );
+            let (d, _) = b
+                .add_discussion_with_post(
+                    s,
+                    cat,
+                    "title",
+                    u,
+                    Timestamp::from_days(1),
+                    "body",
+                    vec![],
+                    None,
+                )
+                .unwrap();
             for _ in 0..i {
-                b.add_comment(d, u, "reply", Timestamp::from_days(2));
+                b.add_comment(d, u, "reply", Timestamp::from_days(2))
+                    .unwrap();
             }
         }
         let c = b.build();

@@ -8,7 +8,7 @@
 //! Domain-dependent quality measures are evaluated against a DI;
 //! domain-independent ones ignore it.
 
-use crate::{CategoryId, GeoPoint, Region, TimeRange, Timestamp};
+use crate::{CategoryId, GeoPoint, ModelError, Region, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -21,23 +21,27 @@ pub struct CategoryBook {
 }
 
 impl CategoryBook {
+    /// The most names a book holds: ids are `u16`.
+    pub const CAPACITY: usize = u16::MAX as usize;
+
     /// Creates an empty book.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Interns a category name (case-insensitive); returns its id.
-    pub fn intern(&mut self, name: impl AsRef<str>) -> CategoryId {
+    /// Fails with [`ModelError::CategoryOverflow`] for a new name once
+    /// the book holds [`CategoryBook::CAPACITY`] names.
+    pub fn intern(&mut self, name: impl AsRef<str>) -> Result<CategoryId, ModelError> {
         let name = name.as_ref().trim().to_ascii_lowercase();
         if let Some(pos) = self.names.iter().position(|n| *n == name) {
-            return CategoryId::new(pos as u16);
+            return Ok(CategoryId::new(pos as u16));
         }
-        assert!(
-            self.names.len() < u16::MAX as usize,
-            "category book overflow"
-        );
+        if self.names.len() >= Self::CAPACITY {
+            return Err(ModelError::CategoryOverflow);
+        }
         self.names.push(name);
-        CategoryId::new((self.names.len() - 1) as u16)
+        Ok(CategoryId::new((self.names.len() - 1) as u16))
     }
 
     /// Looks a category up by name without interning.
@@ -151,9 +155,9 @@ mod tests {
     #[test]
     fn interning_is_case_insensitive_and_stable() {
         let mut book = CategoryBook::new();
-        let a = book.intern("Tourism");
-        let b = book.intern("tourism ");
-        let c = book.intern("food");
+        let a = book.intern("Tourism").unwrap();
+        let b = book.intern("tourism ").unwrap();
+        let c = book.intern("food").unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(book.len(), 2);
@@ -163,9 +167,31 @@ mod tests {
     }
 
     #[test]
+    fn a_full_book_refuses_new_names_but_finds_old_ones() {
+        let mut book = CategoryBook {
+            names: (0..CategoryBook::CAPACITY)
+                .map(|i| format!("c{i}"))
+                .collect(),
+        };
+        assert_eq!(
+            book.intern("one too many"),
+            Err(ModelError::CategoryOverflow)
+        );
+        assert_eq!(book.len(), CategoryBook::CAPACITY);
+        let last = CategoryBook::CAPACITY - 1;
+        assert_eq!(
+            book.intern(format!("c{last}")),
+            Ok(CategoryId::new(last as u16))
+        );
+    }
+
+    #[test]
     fn iter_yields_in_id_order() {
         let mut book = CategoryBook::new();
-        let ids: Vec<_> = ["a", "b", "c"].iter().map(|n| book.intern(n)).collect();
+        let ids: Vec<_> = ["a", "b", "c"]
+            .iter()
+            .map(|n| book.intern(n).unwrap())
+            .collect();
         let listed: Vec<_> = book.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, listed);
     }
@@ -182,8 +208,8 @@ mod tests {
     #[test]
     fn category_filter_restricts() {
         let mut book = CategoryBook::new();
-        let tourism = book.intern("tourism");
-        let food = book.intern("food");
+        let tourism = book.intern("tourism").unwrap();
+        let food = book.intern("food").unwrap();
         let di = DomainOfInterest::new("t", [tourism], TimeRange::ALL, vec![]);
         assert!(di.covers_category(tourism));
         assert!(!di.covers_category(food));
@@ -201,7 +227,7 @@ mod tests {
     #[test]
     fn di_serializes_roundtrip() {
         let mut book = CategoryBook::new();
-        let c = book.intern("tourism");
+        let c = book.intern("tourism").unwrap();
         let di = DomainOfInterest::new(
             "milan",
             [c],

@@ -23,6 +23,9 @@ pub enum ModelError {
         /// The parent it claimed.
         claimed_parent: CommentId,
     },
+    /// A new category name, but the category book is full
+    /// ([`CategoryBook::CAPACITY`](crate::CategoryBook::CAPACITY)).
+    CategoryOverflow,
 }
 
 impl std::fmt::Display for ModelError {
@@ -39,6 +42,11 @@ impl std::fmt::Display for ModelError {
             } => write!(
                 f,
                 "comment {comment} replies to {claimed_parent} from another discussion"
+            ),
+            ModelError::CategoryOverflow => write!(
+                f,
+                "category book is full ({} categories)",
+                crate::CategoryBook::CAPACITY
             ),
         }
     }

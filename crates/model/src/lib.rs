@@ -23,15 +23,16 @@
 //! use obs_model::{CorpusBuilder, SourceKind, AccountKind, Timestamp};
 //!
 //! let mut b = CorpusBuilder::new();
-//! let cat = b.add_category("tourism");
+//! let cat = b.add_category("tourism")?;
 //! let src = b.add_source(SourceKind::Blog, "milan-diaries", Timestamp::from_days(0));
 //! let user = b.add_user("ada", AccountKind::Person, Timestamp::from_days(1));
 //! let d = b.add_discussion(src, cat, "best gelato near the Duomo", user,
-//!                          Timestamp::from_days(3));
-//! b.add_comment(d, user, "try the one in Brera!", Timestamp::from_days(4));
+//!                          Timestamp::from_days(3))?;
+//! b.add_comment(d, user, "try the one in Brera!", Timestamp::from_days(4))?;
 //! let corpus = b.build();
 //! assert_eq!(corpus.sources().len(), 1);
 //! assert_eq!(corpus.comments_of_discussion(d).len(), 1);
+//! # Ok::<(), obs_model::ModelError>(())
 //! ```
 
 #![warn(missing_docs)]

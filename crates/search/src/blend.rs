@@ -1,5 +1,6 @@
-//! Query-independent static scoring: raw per-source signals and the
-//! standardized blend derived from them.
+//! Query-independent static scoring: the per-source inputs
+//! ([`Traffic`], [`PageRank`]), the raw signals derived from them and
+//! the standardized blend.
 //!
 //! The static half of the ranking is **global by definition**: every
 //! signal is standardized (z-scored) against the *whole* population
@@ -18,8 +19,27 @@
 #![warn(clippy::indexing_slicing)]
 
 use obs_model::{EngagementDelta, SourceId};
-use obs_stats::normalize::z_scores;
 use std::sync::Arc;
+
+/// Per-source traffic figures, indexed by raw source id: what
+/// [`SearchEngine::build`](crate::SearchEngine::build) reads off a
+/// traffic panel. A source past the end of a vector keeps a neutral
+/// (zero) raw signal.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Traffic {
+    /// Estimated daily visitors.
+    pub daily_visitors: Vec<f64>,
+    /// Average time on site, in seconds.
+    pub avg_time_on_site: Vec<f64>,
+}
+
+/// One PageRank score per source over the inter-source link graph,
+/// indexed by raw source id.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PageRank {
+    /// The scores, summing to 1 over a non-empty graph.
+    pub scores: Vec<f64>,
+}
 
 /// Signal weights of the blended ranker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,11 +80,11 @@ impl Default for BlendWeights {
 /// the others from a corpus walk.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StaticSignals {
-    /// `ln(1 + daily visitors)` from the traffic panel.
+    /// `ln(1 + daily visitors)` from the traffic input.
     pub(crate) visitors: Vec<f64>,
-    /// `ln(1 + avg time on site)` from the traffic panel.
+    /// `ln(1 + avg time on site)` from the traffic input.
     pub(crate) dwell: Vec<f64>,
-    /// `ln(pagerank)` over the link graph.
+    /// `ln(1e-12 + PageRank)` from the PageRank input.
     pub(crate) pr_log: Vec<f64>,
     /// Hosted discussion count (participation input).
     pub(crate) discussions: Vec<f64>,
@@ -204,5 +224,40 @@ impl StaticBlend {
     /// The weights this blend standardizes under.
     pub fn weights(&self) -> &BlendWeights {
         &self.weights
+    }
+}
+
+/// Z-score standardization (population standard deviation). Constant
+/// samples map to all zeros.
+fn z_scores(xs: &[f64]) -> Vec<f64> {
+    if xs.is_empty() {
+        return Vec::new();
+    }
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    let sd = var.sqrt();
+    if sd == 0.0 {
+        return vec![0.0; xs.len()];
+    }
+    xs.iter().map(|&x| (x - mean) / sd).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn z_scores_have_zero_mean_unit_sd() {
+        let z = z_scores(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mean: f64 = z.iter().sum::<f64>() / z.len() as f64;
+        let var: f64 = z.iter().map(|x| x * x).sum::<f64>() / z.len() as f64;
+        assert!(mean.abs() < 1e-12);
+        assert!((var - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn z_scores_constant_sample() {
+        assert_eq!(z_scores(&[7.0, 7.0, 7.0]), vec![0.0, 0.0, 0.0]);
     }
 }

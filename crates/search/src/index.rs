@@ -543,7 +543,7 @@ mod tests {
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("attractions");
+        let cat = b.add_category("attractions").unwrap();
         let s1 = b.add_source(SourceKind::Blog, "one", Timestamp::EPOCH);
         let s2 = b.add_source(SourceKind::Forum, "two", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
@@ -556,7 +556,8 @@ mod tests {
             "the duomo rooftop is amazing",
             vec![Tag::new("duomo")],
             None,
-        );
+        )
+        .unwrap();
         b.add_discussion_with_post(
             s2,
             cat,
@@ -566,7 +567,8 @@ mod tests {
             "the castle gardens are lovely",
             vec![],
             None,
-        );
+        )
+        .unwrap();
         b.build()
     }
 

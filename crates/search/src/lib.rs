@@ -15,9 +15,8 @@
 //!   in place through [`CorpusDelta`](obs_model::CorpusDelta)
 //!   change-sets, with one tombstone sweep per batch;
 //! * [`score`] — BM25 document scoring;
-//! * [`pagerank`](mod@pagerank) — PageRank over the inter-source
-//!   link graph, with a convergence-aware early exit;
-//! * [`blend`] — the [`StaticBlend`]: query-independent signal
+//! * [`blend`] — the per-source inputs ([`Traffic`], [`PageRank`])
+//!   and the [`StaticBlend`]: query-independent signal
 //!   standardization and weighting, shared between a single engine
 //!   and a sharded serving layer's one global blend;
 //! * [`scatter`] — scatter-gather query evaluation over partitioned
@@ -29,6 +28,11 @@
 //! * [`engine`] — the [`SearchEngine`]: per-source signal blending,
 //!   top-k query evaluation, and incremental refresh via
 //!   [`apply_delta`](engine::SearchEngine::apply_delta).
+//!
+//! The static inputs are plain per-source vectors, so this crate
+//! links no simulator: `obs_analytics` computes PageRank over its
+//! link graph and converts its traffic panel, and any other source of
+//! the same figures can build an engine.
 
 #![warn(missing_docs)]
 // Panic-freedom on the serving path (obs_live and every crate it
@@ -46,16 +50,14 @@
 pub mod blend;
 pub mod engine;
 pub mod index;
-pub mod pagerank;
 pub mod scatter;
 pub mod score;
 pub mod token;
 pub mod trace;
 
-pub use blend::{BlendWeights, StaticBlend};
+pub use blend::{BlendWeights, PageRank, StaticBlend, Traffic};
 pub use engine::{SearchEngine, SearchHit};
 pub use index::InvertedIndex;
-pub use pagerank::{pagerank, pagerank_converged, PagerankRun};
 pub use scatter::{
     merge_partials, normalize_query, scatter_query, scatter_query_traced, scatter_query_unpruned,
     NopTrace, ScatterStats, ScatterTrace, SourcePartial,

@@ -30,6 +30,8 @@
 // that gathers the same shard snapshots, or scatter-gather stops
 // being bit-identical to the unsharded scorer.
 #![warn(clippy::disallowed_types)]
+// Checked indexing only: every query's merge runs through here.
+#![warn(clippy::indexing_slicing)]
 
 use crate::blend::BlendWeights;
 use crate::engine::{SearchEngine, SearchHit};

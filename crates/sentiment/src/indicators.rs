@@ -134,8 +134,8 @@ mod tests {
 
     fn book() -> CategoryBook {
         let mut b = CategoryBook::new();
-        b.intern("attractions"); // id 0 → Place
-        b.intern("hotels"); // id 1 → Prerequisites
+        b.intern("attractions").unwrap(); // id 0 → Place
+        b.intern("hotels").unwrap(); // id 1 → Prerequisites
         b
     }
 

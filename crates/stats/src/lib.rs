@@ -22,7 +22,7 @@
 //!   Kaiser component retention;
 //! * [`anova`] — one-way ANOVA and Bonferroni-adjusted pairwise
 //!   comparisons;
-//! * [`normalize`] — z-score and benchmark-relative scaling
+//! * [`normalize`] — benchmark-relative scaling
 //!   (the paper normalizes measures against "benchmarks derived from
 //!   the assessment of well-known, highly-ranked sources").
 //!
@@ -31,9 +31,9 @@
 //! property tests.
 
 #![warn(missing_docs)]
-// Panic-freedom on the serving path (obs_live and every crate it
-// links): runtime code returns errors instead of panicking, and a
-// waiver is an `#[expect]` with a reason.
+// Panic-freedom to the serving path's standard, though obs_live does
+// not link this crate: runtime code returns errors instead of
+// panicking, and a waiver is an `#[expect]` with a reason.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,

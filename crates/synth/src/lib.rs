@@ -26,9 +26,9 @@
 //!   ranking study.
 
 #![warn(missing_docs)]
-// Panic-freedom on the serving path (obs_live and every crate it
-// links): runtime code returns errors instead of panicking, and a
-// waiver is an `#[expect]` with a reason.
+// Panic-freedom to the serving path's standard, though obs_live does
+// not link this crate: runtime code returns errors instead of
+// panicking, and a waiver is an `#[expect]` with a reason.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,

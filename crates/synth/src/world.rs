@@ -19,8 +19,8 @@ use crate::rng::{CumulativeSampler, Rng64};
 use crate::text::{TextGenerator, CATEGORIES};
 use obs_model::{
     AccountKind, CategoryId, ContentRef, Corpus, CorpusBuilder, DomainOfInterest, Duration,
-    GeoPoint, InteractionKind, Region, SourceId, SourceKind, Tag, TimeRange, Timestamp, UserId,
-    SECONDS_PER_DAY,
+    GeoPoint, InteractionKind, ModelError, Region, SourceId, SourceKind, Tag, TimeRange, Timestamp,
+    UserId, SECONDS_PER_DAY,
 };
 
 /// Configuration of a synthetic world.
@@ -178,15 +178,23 @@ pub const MILAN: GeoPoint = GeoPoint {
 impl World {
     /// Generates a world from a configuration.
     pub fn generate(config: WorldConfig) -> World {
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator passes its builder only ids that builder issued, and only the 18 CATEGORIES names"
+        )]
+        World::try_generate(config).expect("a generated world is consistent")
+    }
+
+    fn try_generate(config: WorldConfig) -> Result<World, ModelError> {
         let root = Rng64::seeded(config.seed);
         let text = TextGenerator::new();
 
         let mut builder = CorpusBuilder::new();
         let n_categories = config.categories.clamp(1, CATEGORIES.len());
-        let category_ids: Vec<CategoryId> = CATEGORIES[..n_categories]
+        let category_ids = CATEGORIES[..n_categories]
             .iter()
             .map(|c| builder.add_category(c.name))
-            .collect();
+            .collect::<Result<Vec<CategoryId>, _>>()?;
 
         let mut rng_users = root.fork(1);
         let user_latents = generate_users(&mut builder, &mut rng_users, &config);
@@ -207,15 +215,15 @@ impl World {
             &user_latents,
             &audience_sampler,
             &text,
-        );
+        )?;
 
-        World {
+        Ok(World {
             now: Timestamp::from_days(config.days),
             corpus: builder.build(),
             source_latents,
             user_latents,
             config,
-        }
+        })
     }
 
     /// Category names actually present in this world, in id order.
@@ -374,7 +382,7 @@ fn generate_contents(
     user_latents: &[UserLatent],
     audience_sampler: &CumulativeSampler,
     text: &TextGenerator,
-) {
+) -> Result<(), ModelError> {
     let horizon = Timestamp::from_days(config.days);
     let category_names: Vec<String> = CATEGORIES
         .iter()
@@ -430,7 +438,7 @@ fn generate_contents(
             };
             let (discussion, root_post) = builder.add_discussion_with_post(
                 source, category, title, opener, opened_at, body, tags, geo,
-            );
+            )?;
             if opened_at.seconds() < horizon.seconds() / 2 && rng.chance(0.25) {
                 builder.close_discussion(discussion);
             }
@@ -449,7 +457,7 @@ fn generate_contents(
                 horizon,
                 post_lambda,
                 source_kind(builder, source),
-            );
+            )?;
 
             // Comments.
             let comment_lambda =
@@ -482,15 +490,9 @@ fn generate_contents(
                 };
                 let comment = if !prior_comments.is_empty() && rng.chance(0.25) {
                     let parent = prior_comments[rng.index(prior_comments.len())];
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "prior_comments holds only this discussion's comments"
-                    )]
-                    builder
-                        .add_reply(discussion, author, body, t, parent)
-                        .expect("parent from same discussion")
+                    builder.add_reply(discussion, author, body, t, parent)?
                 } else {
-                    builder.add_comment_geo(discussion, author, body, t, geo)
+                    builder.add_comment_geo(discussion, author, body, t, geo)?
                 };
                 prior_comments.push(comment);
 
@@ -507,10 +509,11 @@ fn generate_contents(
                     horizon,
                     lambda,
                     source_kind(builder, source),
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
 /// Looks up a source's founding time from the builder (sources are
@@ -536,7 +539,7 @@ fn emit_interactions(
     horizon: Timestamp,
     lambda: f64,
     kind: SourceKind,
-) {
+) -> Result<(), ModelError> {
     let n = rng.poisson(lambda.min(40.0)).min(200);
     for _ in 0..n {
         let actor = audience[rng.index(audience.len())];
@@ -548,7 +551,7 @@ fn emit_interactions(
             continue;
         }
         let ikind = sample_interaction_kind(rng, kind);
-        builder.add_interaction(actor, target, ikind, at);
+        builder.add_interaction(actor, target, ikind, at)?;
     }
     // Passive reads, proportional to the active stream.
     let reads = rng.poisson((lambda * 0.6).min(20.0)).min(100);
@@ -561,8 +564,9 @@ fn emit_interactions(
         if at >= horizon {
             continue;
         }
-        builder.add_interaction(actor, target, InteractionKind::Read, at);
+        builder.add_interaction(actor, target, InteractionKind::Read, at)?;
     }
+    Ok(())
 }
 
 /// Interaction mixes differ per source kind: microblogs retweet and

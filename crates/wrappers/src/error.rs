@@ -63,6 +63,7 @@ impl From<ModelError> for WrapperError {
             ModelError::UnknownPost(_) => "post id with no record",
             ModelError::UnknownComment(_) => "comment id with no record",
             ModelError::CrossDiscussionReply { .. } => "reply crossing discussions",
+            ModelError::CategoryOverflow => "category past the book's capacity",
         };
         WrapperError::Inconsistent {
             what,

@@ -222,22 +222,26 @@ mod tests {
 
     fn blog_corpus() -> (Corpus, SourceId) {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("attractions");
+        let cat = b.add_category("attractions").unwrap();
         let blog = b.add_source(SourceKind::Blog, "milan-diaries", Timestamp::EPOCH);
         let ada = b.add_user("ada", AccountKind::Person, Timestamp::EPOCH);
         let eve = b.add_user("eve", AccountKind::Person, Timestamp::EPOCH);
         for i in 0..23u64 {
-            let (d, _) = b.add_discussion_with_post(
-                blog,
-                cat,
-                format!("post number {i}"),
-                ada,
-                Timestamp::from_days(i + 1),
-                format!("body {i}"),
-                vec![obs_model::Tag::new("duomo")],
-                None,
-            );
-            let c1 = b.add_comment(d, eve, "nice!", Timestamp::from_days(i + 2));
+            let (d, _) = b
+                .add_discussion_with_post(
+                    blog,
+                    cat,
+                    format!("post number {i}"),
+                    ada,
+                    Timestamp::from_days(i + 1),
+                    format!("body {i}"),
+                    vec![obs_model::Tag::new("duomo")],
+                    None,
+                )
+                .unwrap();
+            let c1 = b
+                .add_comment(d, eve, "nice!", Timestamp::from_days(i + 2))
+                .unwrap();
             b.add_reply(d, ada, "thanks", Timestamp::from_days(i + 3), c1)
                 .expect("c1 is a comment of d");
         }
@@ -352,7 +356,7 @@ mod tests {
     #[test]
     fn non_blog_sources_are_rejected() {
         let mut b = CorpusBuilder::new();
-        b.add_category("c");
+        b.add_category("c").unwrap();
         let forum = b.add_source(SourceKind::Forum, "f", Timestamp::EPOCH);
         let corpus = b.build();
         assert!(matches!(

@@ -229,24 +229,28 @@ mod tests {
 
     fn forum_corpus() -> (Corpus, SourceId) {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("transport");
+        let cat = b.add_category("transport").unwrap();
         let forum = b.add_source(SourceKind::Forum, "ask-milano", Timestamp::EPOCH);
         let u1 = b.add_user("u1", AccountKind::Person, Timestamp::EPOCH);
         let u2 = b.add_user("u2", AccountKind::Person, Timestamp::EPOCH);
         for i in 0..5u64 {
-            let d = b.add_discussion(
-                forum,
-                cat,
-                format!("thread {i}"),
-                u1,
-                Timestamp::from_days(i),
-            );
-            let c = b.add_comment(
-                d,
-                u2,
-                format!("first reply {i}"),
-                Timestamp::from_days(i + 1),
-            );
+            let d = b
+                .add_discussion(
+                    forum,
+                    cat,
+                    format!("thread {i}"),
+                    u1,
+                    Timestamp::from_days(i),
+                )
+                .unwrap();
+            let c = b
+                .add_comment(
+                    d,
+                    u2,
+                    format!("first reply {i}"),
+                    Timestamp::from_days(i + 1),
+                )
+                .unwrap();
             b.add_reply(d, u1, "agreed", Timestamp::from_days(i + 2), c)
                 .expect("c is a comment of d");
         }

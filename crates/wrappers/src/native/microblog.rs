@@ -213,29 +213,33 @@ mod tests {
 
     fn micro_corpus() -> (Corpus, SourceId) {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("events");
+        let cat = b.add_category("events").unwrap();
         let m = b.add_source(SourceKind::Microblog, "chirper", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
         let v = b.add_user("v", AccountKind::Person, Timestamp::EPOCH);
         for i in 0..60u64 {
-            let (d, p) = b.add_discussion_with_post(
-                m,
-                cat,
-                format!("tweet {i}"),
-                u,
-                Timestamp::from_hours(i + 1),
-                format!("status text {i}"),
-                vec![obs_model::Tag::new("expo")],
-                None,
-            );
+            let (d, p) = b
+                .add_discussion_with_post(
+                    m,
+                    cat,
+                    format!("tweet {i}"),
+                    u,
+                    Timestamp::from_hours(i + 1),
+                    format!("status text {i}"),
+                    vec![obs_model::Tag::new("expo")],
+                    None,
+                )
+                .unwrap();
             if i % 3 == 0 {
-                b.add_comment(d, v, format!("reply to {i}"), Timestamp::from_hours(i + 2));
+                b.add_comment(d, v, format!("reply to {i}"), Timestamp::from_hours(i + 2))
+                    .unwrap();
                 b.add_interaction(
                     v,
                     ContentRef::Post(p),
                     InteractionKind::Retweet,
                     Timestamp::from_hours(i + 3),
-                );
+                )
+                .unwrap();
             }
         }
         (b.build(), m)
@@ -315,7 +319,7 @@ mod tests {
     #[test]
     fn non_microblog_is_rejected() {
         let mut b = CorpusBuilder::new();
-        b.add_category("c");
+        b.add_category("c").unwrap();
         let blog = b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
         let corpus = b.build();
         assert!(MicroblogApi::open(&corpus, blog, Timestamp::EPOCH).is_err());

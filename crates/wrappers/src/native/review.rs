@@ -182,26 +182,31 @@ mod tests {
 
     fn review_corpus() -> (Corpus, SourceId) {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("restaurants");
+        let cat = b.add_category("restaurants").unwrap();
         let r = b.add_source(SourceKind::ReviewSite, "tastemap", Timestamp::EPOCH);
         let u = b.add_user("critic", AccountKind::Person, Timestamp::EPOCH);
         let v = b.add_user("foodie", AccountKind::Person, Timestamp::EPOCH);
         for i in 0..12u64 {
-            let d = b.add_discussion(r, cat, format!("osteria {i}"), u, Timestamp::from_days(i));
+            let d = b
+                .add_discussion(r, cat, format!("osteria {i}"), u, Timestamp::from_days(i))
+                .unwrap();
             for j in 0..3u64 {
-                let c = b.add_comment(
-                    d,
-                    v,
-                    format!("review {i}-{j}"),
-                    Timestamp::from_days(i + j + 1),
-                );
+                let c = b
+                    .add_comment(
+                        d,
+                        v,
+                        format!("review {i}-{j}"),
+                        Timestamp::from_days(i + j + 1),
+                    )
+                    .unwrap();
                 if j == 0 {
                     b.add_interaction(
                         u,
                         ContentRef::Comment(c),
                         InteractionKind::Feedback,
                         Timestamp::from_days(i + 5),
-                    );
+                    )
+                    .unwrap();
                 }
             }
         }
@@ -253,7 +258,7 @@ mod tests {
     #[test]
     fn non_review_source_is_rejected() {
         let mut b = CorpusBuilder::new();
-        b.add_category("c");
+        b.add_category("c").unwrap();
         let wiki = b.add_source(SourceKind::Wiki, "w", Timestamp::EPOCH);
         let corpus = b.build();
         assert!(ReviewApi::open(&corpus, wiki, Timestamp::EPOCH).is_err());

@@ -156,27 +156,30 @@ mod tests {
 
     fn wiki_corpus() -> (Corpus, SourceId) {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("museums");
+        let cat = b.add_category("museums").unwrap();
         let w = b.add_source(SourceKind::Wiki, "milanopedia", Timestamp::EPOCH);
         let u = b.add_user("curator", AccountKind::Person, Timestamp::EPOCH);
         let e = b.add_user("editor", AccountKind::Person, Timestamp::EPOCH);
         for i in 0..4u64 {
-            let (d, _) = b.add_discussion_with_post(
-                w,
-                cat,
-                format!("Museum Guide {i}"),
-                u,
-                Timestamp::from_days(i),
-                format!("article body {i}"),
-                vec![],
-                None,
-            );
+            let (d, _) = b
+                .add_discussion_with_post(
+                    w,
+                    cat,
+                    format!("Museum Guide {i}"),
+                    u,
+                    Timestamp::from_days(i),
+                    format!("article body {i}"),
+                    vec![],
+                    None,
+                )
+                .unwrap();
             b.add_comment(
                 d,
                 e,
                 format!("fixed typos {i}"),
                 Timestamp::from_days(i + 1),
-            );
+            )
+            .unwrap();
         }
         (b.build(), w)
     }
@@ -222,7 +225,7 @@ mod tests {
     #[test]
     fn non_wiki_is_rejected() {
         let mut b = CorpusBuilder::new();
-        b.add_category("c");
+        b.add_category("c").unwrap();
         let blog = b.add_source(SourceKind::Blog, "b", Timestamp::EPOCH);
         let corpus = b.build();
         assert!(WikiApi::open(&corpus, blog, Timestamp::EPOCH).is_err());

@@ -153,25 +153,31 @@ mod tests {
     #[test]
     fn tally_counts_by_kind() {
         let mut b = CorpusBuilder::new();
-        let cat = b.add_category("c");
+        let cat = b.add_category("c").unwrap();
         let s = b.add_source(SourceKind::Microblog, "m", Timestamp::EPOCH);
         let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
         let v = b.add_user("v", AccountKind::Person, Timestamp::EPOCH);
-        let (_, post) = b.add_discussion_with_post(
-            s,
-            cat,
-            "t",
-            u,
-            Timestamp::from_days(1),
-            "hello",
-            vec![],
-            None,
-        );
+        let (_, post) = b
+            .add_discussion_with_post(
+                s,
+                cat,
+                "t",
+                u,
+                Timestamp::from_days(1),
+                "hello",
+                vec![],
+                None,
+            )
+            .unwrap();
         let target = ContentRef::Post(post);
-        b.add_interaction(v, target, InteractionKind::Like, Timestamp::from_days(2));
-        b.add_interaction(v, target, InteractionKind::Retweet, Timestamp::from_days(2));
-        b.add_interaction(v, target, InteractionKind::Retweet, Timestamp::from_days(3));
-        b.add_interaction(v, target, InteractionKind::Read, Timestamp::from_days(3));
+        b.add_interaction(v, target, InteractionKind::Like, Timestamp::from_days(2))
+            .unwrap();
+        b.add_interaction(v, target, InteractionKind::Retweet, Timestamp::from_days(2))
+            .unwrap();
+        b.add_interaction(v, target, InteractionKind::Retweet, Timestamp::from_days(3))
+            .unwrap();
+        b.add_interaction(v, target, InteractionKind::Read, Timestamp::from_days(3))
+            .unwrap();
         let corpus = b.build();
 
         let counts = InteractionCounts::tally(&corpus, target);
