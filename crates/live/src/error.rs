@@ -1,5 +1,6 @@
 //! Serving-layer errors.
 
+use crate::checkpoint::CheckpointError;
 use crate::journal::JournalError;
 use obs_wrappers::WrapperError;
 use std::fmt;
@@ -11,6 +12,9 @@ pub enum LiveError {
     Journal(JournalError),
     /// A crawl tick failed at the wrapper layer.
     Crawl(WrapperError),
+    /// The checkpoint image could not be written, or recovery refused
+    /// the one it found.
+    Checkpoint(CheckpointError),
     /// The journal does not connect to the checkpoint: its first
     /// retained record is later than the checkpoint's next change,
     /// so the intervening deltas are unrecoverable.
@@ -58,6 +62,7 @@ impl fmt::Display for LiveError {
         match self {
             LiveError::Journal(e) => write!(f, "journal failure: {e}"),
             LiveError::Crawl(e) => write!(f, "crawl tick failed: {e}"),
+            LiveError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
             LiveError::CheckpointGap {
                 checkpoint_seq,
                 journal_first_seq,
@@ -94,5 +99,11 @@ impl From<JournalError> for LiveError {
 impl From<WrapperError> for LiveError {
     fn from(e: WrapperError) -> Self {
         LiveError::Crawl(e)
+    }
+}
+
+impl From<CheckpointError> for LiveError {
+    fn from(e: CheckpointError) -> Self {
+        LiveError::Checkpoint(e)
     }
 }

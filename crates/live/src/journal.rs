@@ -53,18 +53,20 @@
 //! the exact same sequence numbers and recovery never replays an
 //! unacknowledged record.
 //!
-//! **Compaction:** once a checkpoint (an engine snapshot at sequence
-//! `S`) makes the prefix `..=S` redundant, [`DeltaJournal::compact_through`]
-//! rewrites the log without it (atomically, via a temp file +
-//! rename, then a sync of the directory), copying the retained
-//! frames verbatim. Sequence numbers keep rising across compactions;
-//! the first retained record pins the replay base.
+//! **Compaction:** once a checkpoint image covers every record,
+//! [`DeltaJournal::compact`] truncates the file to its header and
+//! syncs it: one fsync and no read. Sequence numbers keep rising
+//! across compactions; the owner re-pins the position of an empty
+//! journal with [`DeltaJournal::resume_at`].
 
 // Replay determinism (clippy.toml bans hash-ordered containers and
 // the wall clock here): replaying this log must rebuild a
 // byte-identical engine, so nothing here may depend on hash order or
 // the wall clock.
 #![warn(clippy::disallowed_types)]
+// Checked indexing only: every commit and recovery reads and writes
+// frames through here.
+#![warn(clippy::indexing_slicing)]
 
 use obs_model::codec::{DecodeError, Reader};
 use obs_model::{CorpusDelta, SequencedDelta};
@@ -75,7 +77,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic and format version: the first bytes of every journal file.
-const FILE_HEADER: [u8; 8] = *b"OBS-JRN\x01";
+pub(crate) const FILE_HEADER: [u8; 8] = *b"OBS-JRN\x01";
 
 /// Bytes of a frame before its payload: `len`, `seq`, `crc`, `hcrc`.
 const FRAME_HEADER: usize = 20;
@@ -153,6 +155,10 @@ impl JournalReplay {
 /// `CRC_TABLES[0][b]` by `k` more zero bytes.
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time, where an index out of bounds fails the build"
+)]
 const fn crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut b = 0;
@@ -181,7 +187,11 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// IEEE CRC-32 (the polynomial every zip/png reader uses),
 /// bit-reflected, eight bytes per step through [`CRC_TABLES`].
-fn crc32(bytes: &[u8]) -> u32 {
+#[expect(
+    clippy::indexing_slicing,
+    reason = "fixed offsets into 8-byte chunks and byte-valued indexes into 256-entry tables"
+)]
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;
     let mut words = bytes.chunks_exact(8);
@@ -209,12 +219,16 @@ fn encode_frame(seq: u64, delta: &CorpusDelta, frame: &mut Vec<u8>) -> Result<()
     frame.clear();
     frame.resize(FRAME_HEADER, 0);
     delta.encode_into(frame);
-    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
+    let (slot, payload) = frame.split_at_mut(FRAME_HEADER);
     let len = u32::try_from(payload.len())
         .map_err(|_| std::io::Error::other("delta encodes to over 4 GiB"))?;
+    let crc = crc32(payload);
+    let head: &mut [u8; FRAME_HEADER] = slot
+        .try_into()
+        .map_err(|_| std::io::Error::other("frame header slot of the wrong size"))?;
     head[0..4].copy_from_slice(&len.to_le_bytes());
     head[4..12].copy_from_slice(&seq.to_le_bytes());
-    head[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    head[12..16].copy_from_slice(&crc.to_le_bytes());
     let hcrc = crc32(&head[..16]);
     head[16..20].copy_from_slice(&hcrc.to_le_bytes());
     Ok(())
@@ -231,9 +245,8 @@ fn frame_header(bytes: &[u8]) -> Result<(u32, u64, u32, u32), DecodeError> {
 #[derive(Debug)]
 struct Frame {
     seq: u64,
-    /// Offset of the frame header.
-    start: usize,
-    /// The payload's bytes; its end is the frame's end.
+    /// The payload's bytes, right after the frame header; its end is
+    /// the frame's end.
     payload: Range<usize>,
 }
 
@@ -256,8 +269,8 @@ fn corrupt(record: usize, reason: impl Into<String>) -> JournalError {
 /// Splits a journal file into its frames by the rules of the module
 /// docs: a torn tail ends the scan, any other damage fails it.
 fn scan(bytes: &[u8]) -> Result<Scan, JournalError> {
-    let head = &bytes[..bytes.len().min(FILE_HEADER.len())];
-    if head != &FILE_HEADER[..head.len()] {
+    let head = bytes.get(..FILE_HEADER.len()).unwrap_or(bytes);
+    if !FILE_HEADER.starts_with(head) {
         return Err(JournalError::UnsupportedFormat {
             found: head.to_vec(),
         });
@@ -275,14 +288,14 @@ fn scan(bytes: &[u8]) -> Result<Scan, JournalError> {
     while scan.clean_len < bytes.len() {
         let record = scan.frames.len() + 1;
         let start = scan.clean_len;
-        let rest = &bytes[start..];
+        let rest = bytes.get(start..).unwrap_or_default();
         let zeros_from = |at: usize| bytes.get(at..).is_some_and(|t| t.iter().all(|&b| b == 0));
         let Ok((len, seq, crc, hcrc)) = frame_header(rest) else {
             // The file ends inside the frame header.
             scan.torn = true;
             break;
         };
-        if crc32(&rest[..16]) != hcrc {
+        if rest.get(..16).map(crc32) != Some(hcrc) {
             if zeros_from(start) {
                 scan.torn = true;
                 break;
@@ -300,7 +313,7 @@ fn scan(bytes: &[u8]) -> Result<Scan, JournalError> {
             scan.torn = true;
             break;
         };
-        let actual = crc32(&bytes[payload_start..end]);
+        let actual = crc32(bytes.get(payload_start..end).unwrap_or_default());
         if actual != crc {
             if zeros_from(end) {
                 scan.torn = true;
@@ -324,7 +337,6 @@ fn scan(bytes: &[u8]) -> Result<Scan, JournalError> {
         }
         scan.frames.push(Frame {
             seq,
-            start,
             payload: payload_start..end,
         });
         scan.clean_len = end;
@@ -439,7 +451,8 @@ impl DeltaJournal {
         let scan = scan(&bytes)?;
         let mut records = Vec::with_capacity(scan.frames.len());
         for (i, frame) in scan.frames.iter().enumerate() {
-            let delta = CorpusDelta::decode(&bytes[frame.payload.clone()])
+            let payload = bytes.get(frame.payload.clone()).unwrap_or_default();
+            let delta = CorpusDelta::decode(payload)
                 .map_err(|e| corrupt(i + 1, format!("undecodable delta: {e}")))?;
             records.push(SequencedDelta::new(frame.seq, delta));
         }
@@ -520,32 +533,31 @@ impl DeltaJournal {
         self.sync_faults = n;
     }
 
-    /// Drops every record with `seq <= through_seq` — legal once a
-    /// checkpoint covers that prefix — rewriting the file atomically
-    /// (temp file + rename) with the retained frames copied verbatim.
-    /// Returns how many records were dropped. Sequence numbers are
-    /// preserved, so replay-over-checkpoint still lines up.
-    pub fn compact_through(&mut self, through_seq: u64) -> Result<usize, JournalError> {
-        let bytes = std::fs::read(&self.path)?;
-        let scan = scan(&bytes)?;
-        let dropped = scan.frames.partition_point(|f| f.seq <= through_seq);
-        if dropped == 0 {
-            return Ok(0);
+    /// Drops every record — legal once a checkpoint covers them all —
+    /// by truncating the file to its header and syncing it. Returns
+    /// how many records were dropped. The next append keeps the
+    /// sequence; a crash before the truncation is durable leaves
+    /// records the checkpoint covers, which recovery skips.
+    pub fn compact(&mut self) -> Result<usize, JournalError> {
+        let dropped = self.len;
+        if dropped > 0 {
+            self.file.set_len(FILE_HEADER.len() as u64)?;
+            self.file.sync_data()?;
+            self.len = 0;
         }
-        let retained = scan
-            .frames
-            .get(dropped)
-            .map_or(&[][..], |f| &bytes[f.start..scan.clean_len]);
-        Self::rewrite(&self.path, retained)?;
-        // Reopen the handle onto the rewritten file.
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.len = scan.frames.len() - dropped;
         Ok(dropped)
     }
 
     /// Number of records currently in the file.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Bytes of the records currently in the file: its length past
+    /// the file header.
+    pub fn bytes(&self) -> Result<u64, JournalError> {
+        let len = self.file.metadata()?.len();
+        Ok(len.saturating_sub(FILE_HEADER.len() as u64))
     }
 
     /// Whether the file currently holds no records.
@@ -571,35 +583,6 @@ impl DeltaJournal {
     /// Where the journal lives.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Writes the file header and `frames` to a sibling temp file,
-    /// fsyncs it, renames it over `path` so the journal is never
-    /// observable in a half-rewritten state, and fsyncs the
-    /// directory.
-    fn rewrite(path: &Path, frames: &[u8]) -> Result<(), JournalError> {
-        let tmp = path.with_extension("journal.tmp");
-        {
-            let mut file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)?;
-            file.write_all(&FILE_HEADER)?;
-            file.write_all(frames)?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // The rename is an entry in the directory, durable only once
-        // the directory is synced. Until then a power loss can bring
-        // back the pre-rename entry, and with it drop the records
-        // appended, synced and acknowledged on the new file since.
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        File::open(dir)?.sync_all()?;
-        Ok(())
     }
 }
 
@@ -652,7 +635,10 @@ mod tests {
         let bytes = std::fs::read(path).unwrap();
         let scan = scan(&bytes).unwrap();
         assert!(!scan.torn);
-        scan.frames.iter().map(|f| f.start..f.payload.end).collect()
+        scan.frames
+            .iter()
+            .map(|f| f.payload.start - FRAME_HEADER..f.payload.end)
+            .collect()
     }
 
     /// The reference CRC-32: one bit per step, no table.
@@ -1004,79 +990,37 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_covered_prefix_and_keeps_sequences() {
+    fn compaction_drops_every_record_and_keeps_sequences() {
         let (path, mut journal) = journal_with("compact", 6);
-        let before = std::fs::read(&path).unwrap();
-        let frames = frame_ranges(&path);
+        let past_header =
+            |path: &Path| std::fs::metadata(path).unwrap().len() - FILE_HEADER.len() as u64;
+        assert_eq!(journal.bytes().unwrap(), past_header(&path));
+        assert!(journal.bytes().unwrap() > 0);
 
-        // Compaction syncs nothing of the journal's own, so a fault
-        // armed before it still fails the next commit.
+        // Compaction syncs nothing through the injected faults, so a
+        // fault armed before it still fails the next commit.
         journal.inject_sync_failures(1);
-        let dropped = journal.compact_through(4).unwrap();
-        assert_eq!(dropped, 4);
-        assert_eq!(journal.len(), 2);
-        // The retained frames, verbatim behind the file header.
-        let mut expected = FILE_HEADER.to_vec();
-        expected.extend_from_slice(&before[frames[4].start..]);
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
-        assert!(journal.append_batch(&[&sample_delta(8)]).is_err());
-        // Appends continue the global sequence.
-        assert_eq!(commit(&mut journal, 9), 7);
-
-        let replay = DeltaJournal::replay_path(&path).unwrap();
-        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7]);
-
-        // Compacting an already-covered prefix is a no-op.
-        assert_eq!(journal.compact_through(3).unwrap(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compacting_below_the_first_retained_record_is_idempotent() {
-        let (path, mut journal) = journal_with("compact_below", 6);
-        assert_eq!(journal.compact_through(4).unwrap(), 4);
-        let bytes = std::fs::read(&path).unwrap();
-
-        // `through_seq` below the first retained record (5): not an
-        // error, not a rewrite — the file keeps its exact bytes.
-        for covered in [0, 1, 4] {
-            assert_eq!(journal.compact_through(covered).unwrap(), 0);
-            assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        }
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal.next_seq(), 7);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compacting_beyond_the_last_record_does_not_invent_sequences() {
-        let (path, mut journal) = journal_with("compact_beyond", 3);
-
-        // Compacting through a sequence past the end drops every
-        // record but must not fast-forward the stream: the next
-        // append still continues where the journal left off.
-        assert_eq!(journal.compact_through(100).unwrap(), 3);
-        assert_eq!(journal.len(), 0);
+        assert_eq!(journal.compact().unwrap(), 6);
         assert!(journal.is_empty());
+        assert_eq!(journal.bytes().unwrap(), 0);
         assert_eq!(std::fs::read(&path).unwrap(), FILE_HEADER);
-        assert_eq!(journal.next_seq(), 4);
-        assert_eq!(commit(&mut journal, 9), 4);
+        assert!(journal.append_batch(&[&sample_delta(8)]).is_err());
+        assert_eq!(journal.bytes().unwrap(), 0);
+
+        // Appends continue the global sequence; nothing is invented.
+        assert_eq!(journal.next_seq(), 7);
+        assert_eq!(commit(&mut journal, 9), 7);
+        assert_eq!(journal.bytes().unwrap(), past_header(&path));
         let replay = DeltaJournal::replay_path(&path).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![4]);
-        std::fs::remove_file(&path).ok();
-    }
+        assert_eq!(seqs, vec![7]);
 
-    #[test]
-    fn double_compaction_at_the_same_seq_is_a_no_op() {
-        let (path, mut journal) = journal_with("compact_twice", 5);
-        assert_eq!(journal.compact_through(3).unwrap(), 3);
+        // Compacting an empty journal is a no-op.
+        assert_eq!(journal.compact().unwrap(), 1);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(journal.compact_through(3).unwrap(), 0);
+        assert_eq!(journal.compact().unwrap(), 0);
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal.next_seq(), 6);
+        assert_eq!(journal.next_seq(), 8);
         std::fs::remove_file(&path).ok();
     }
 

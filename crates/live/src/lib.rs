@@ -38,10 +38,11 @@
 //!   each shard's journal tail through the same batched apply and
 //!   lands on the identical engine by construction.
 //! * **Recovery** — [`ShardedLiveService::recover`] rebuilds the
-//!   exact pre-crash service by replaying every shard's journal;
-//!   [`ShardedLiveService::checkpoint`] captures a [`Checkpoint`]
-//!   that [`ShardedLiveService::compact_through`] lets the journals
-//!   drop and [`ShardedLiveService::recover_from`] replays past.
+//!   exact pre-crash service from the durable checkpoint image (see
+//!   [`checkpoint`]) and each shard's journal tail past it. Before a
+//!   commit, once the journals hold eight times as many bytes as the
+//!   last image, the service writes a new image and compacts the
+//!   journals through it, so images grow geometrically with a corpus.
 //! * **Query caching** — [`QueryCache`] memoizes top-k rankings
 //!   keyed by the exact snapshot epochs that produced them, so a
 //!   publish invalidates for free and a cached reader is observably
@@ -55,7 +56,7 @@
 //! ```
 //!
 //! The recovery invariant — replaying the journal over a checkpoint
-//! reproduces the uninterrupted engine down to identical BM25 score
+//! image reproduces the uninterrupted engine down to identical BM25 score
 //! maps — is enforced by property tests at the workspace level.
 
 #![warn(missing_docs)]
@@ -72,6 +73,7 @@
 )]
 
 pub mod cache;
+pub mod checkpoint;
 mod error;
 pub mod journal;
 pub mod metrics;
@@ -79,10 +81,9 @@ pub mod shard;
 pub mod snapshot;
 
 pub use cache::{CacheMetrics, QueryCache};
+pub use checkpoint::{CheckpointError, CheckpointStep};
 pub use error::LiveError;
 pub use journal::{DeltaJournal, JournalError, JournalReplay};
 pub use metrics::{ShardMetrics, Stage, StageTimer};
-pub use shard::{
-    Checkpoint, PinnedShards, RecoveryReport, ShardRouter, ShardedLiveService, ShardedReader,
-};
+pub use shard::{PinnedShards, RecoveryReport, ShardRouter, ShardedLiveService, ShardedReader};
 pub use snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};

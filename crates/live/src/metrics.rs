@@ -61,7 +61,7 @@ impl StageTimer<'_> {
 /// commit latency, stage split, outcome counters, detach size and
 /// recycled detaches, group-commit batch sizes, commit fan-out
 /// width, the shared
-/// mark-rollback counter, and the query path's [`SearchMetrics`] for its
+/// mark-rollback counter, checkpoint outcomes, and the query path's [`SearchMetrics`] for its
 /// [`ShardedReader`](crate::ShardedReader). Cheap to clone;
 /// recording is lock-free.
 #[derive(Debug, Clone)]
@@ -78,6 +78,8 @@ pub struct ShardMetrics {
     batch_deltas: Histogram,
     pub(crate) fanout: Histogram,
     pub(crate) rollbacks: Counter,
+    /// Checkpoint attempts: written, failed.
+    checkpoints: [Counter; 2],
     search: SearchMetrics,
 }
 
@@ -121,6 +123,9 @@ impl ShardMetrics {
             batch_deltas: registry.histogram(&catalog::LIVE_INGEST_BATCH_DELTAS),
             fanout: registry.histogram(&catalog::LIVE_COMMIT_FANOUT_SHARDS),
             rollbacks: registry.counter(&catalog::LIVE_MARK_ROLLBACKS_TOTAL),
+            checkpoints: ["written", "failed"].map(|outcome| {
+                registry.counter_with(&catalog::LIVE_CHECKPOINTS_TOTAL, &[("outcome", outcome)])
+            }),
             search: SearchMetrics::new(registry, shards),
         }
     }
@@ -176,6 +181,18 @@ impl ShardMetrics {
         if let Some(counter) = self.recycled.get(shard).filter(|_| recycled) {
             counter.inc();
         }
+    }
+
+    /// Records one checkpoint attempt of the commit policy.
+    pub(crate) fn record_checkpoint(&self, written: bool) {
+        let [ok, failed] = &self.checkpoints;
+        if written { ok } else { failed }.inc();
+    }
+
+    /// Checkpoint attempts `(written, failed)` so far.
+    pub fn checkpoint_counts(&self) -> (u64, u64) {
+        let [written, failed] = &self.checkpoints;
+        (written.get(), failed.get())
     }
 
     /// Per-shard commit counts `(shard, commits, failures)` — the

@@ -14,7 +14,8 @@
 //! Routing by source id ([`SourceId::shard`]) makes a commit's
 //! copy-on-write detach and fsync per-shard; routed sub-batches
 //! commit in parallel, and recovery replays each journal on its own,
-//! past that shard's sequence in a [`Checkpoint`]:
+//! past that shard's sequence in the durable image the commit policy
+//! last wrote ([`crate::checkpoint`]), or past genesis:
 //!
 //! ```text
 //!                 ┌► shard 0: journal (fsync) ∥ apply ─► publish
@@ -53,6 +54,7 @@
 #![warn(clippy::indexing_slicing)]
 
 use crate::cache::QueryCache;
+use crate::checkpoint::{self, CheckpointStep};
 use crate::error::LiveError;
 use crate::journal::DeltaJournal;
 use crate::metrics::{ShardMetrics, Stage, StageTimer};
@@ -65,6 +67,16 @@ use obs_wrappers::{Crawler, DataService, HighWaterMarks, SweepReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// How many times the last image's size the journals must hold
+/// before the checkpoint policy writes the next image. An image costs
+/// the commit that writes it an encode and two fsyncs plus one per
+/// shard, which puts that commit above the median commit. A service
+/// filled from empty by many small commits is where that shows: at 8
+/// rather than 1, a fill of 22 like-sized commits writes 2 images
+/// instead of 5 (the first one after the first commit), while
+/// recovery still replays at most eight images' bytes of journal.
+const IMAGE_GROWTH: u64 = 8;
 
 /// Routes change-sets to shards by source id.
 ///
@@ -109,13 +121,15 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
-    shards: usize,
+    pub(crate) shards: usize,
     /// Which shard each live post's document went to — consulted
     /// (and cleared) by removals, which carry no source id. Grows
-    /// O(live posts); rebuilt from the journals on recovery.
+    /// O(live posts); on recovery, loaded from the checkpoint image
+    /// and rebuilt through the journal tails.
     /// BTreeMap so iteration (debug dumps, future rebalancing) is
-    /// ordered the same on every node and replay.
-    homes: BTreeMap<PostId, usize>,
+    /// ordered the same on every node and replay, and a checkpoint
+    /// image lists it in post order.
+    pub(crate) homes: BTreeMap<PostId, usize>,
 }
 
 impl ShardRouter {
@@ -315,7 +329,7 @@ impl FailedCommit {
     }
 }
 
-/// What [`ShardedLiveService::recover_from`] did for one shard.
+/// What [`ShardedLiveService::recover`] did for one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Journal records replayed into the checkpoint engine.
@@ -324,22 +338,25 @@ pub struct RecoveryReport {
     pub skipped: usize,
     /// Whether a truncated final record was dropped (torn tail).
     pub torn_tail_dropped: bool,
+    /// Sequence the checkpoint recovery started from covers (0 from
+    /// genesis): `checkpoint_seq + replayed == recovered_seq`.
+    pub checkpoint_seq: u64,
     /// Sequence the recovered shard resumed at.
     pub recovered_seq: u64,
 }
 
-/// A consistent capture of a whole service: every shard's engine and
-/// the sequence it covers, the published static blend and the
-/// router's post registry. Cheap to take — engine indexes are shared
-/// copy-on-write — and the only state recovery needs besides the
-/// journals: feed it to [`ShardedLiveService::recover_from`], and
-/// once it is safely stored, to
-/// [`ShardedLiveService::compact_through`].
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
+/// The state recovery starts from: every shard's engine and the
+/// sequence it covers, the published static blend and the router's
+/// post registry — genesis, or the image under the service's
+/// directory.
+#[derive(Debug)]
+struct Checkpoint {
     shards: Vec<(SearchEngine, u64)>,
     blend: Arc<StaticBlend>,
     router: ShardRouter,
+    /// Size of the image file this checkpoint was loaded from; 0 for
+    /// genesis.
+    image_bytes: u64,
 }
 
 impl Checkpoint {
@@ -359,12 +376,33 @@ impl Checkpoint {
             shards: vec![(seed.without_documents(), 0); shards],
             blend: Arc::new(seed.blend().clone()),
             router,
+            image_bytes: 0,
         })
     }
 
-    /// The sequence each shard's engine covers, in shard order.
-    pub fn seqs(&self) -> Vec<u64> {
-        self.shards.iter().map(|(_, seq)| *seq).collect()
+    /// The image under `dir`, each shard's index behind `seed`'s blend
+    /// and parameters, or `None` if there is no image. Refuses an
+    /// image of another shard count, one that fails its CRC and one
+    /// that does not decode.
+    fn load(
+        seed: &SearchEngine,
+        shards: usize,
+        dir: &Path,
+    ) -> Result<Option<Checkpoint>, LiveError> {
+        let Some(file) = checkpoint::read(dir)? else {
+            return Ok(None);
+        };
+        let image = checkpoint::decode(&file, shards)?;
+        Ok(Some(Checkpoint {
+            shards: image
+                .shards
+                .into_iter()
+                .map(|(seq, index)| (seed.with_index(index), seq))
+                .collect(),
+            blend: Arc::new(image.blend),
+            router: image.router,
+            image_bytes: file.len() as u64,
+        }))
     }
 }
 
@@ -396,6 +434,15 @@ pub struct ShardedLiveService {
     /// [`cache`](crate::cache) module for the same reason as the
     /// metrics: this module only holds the handle and calls methods.
     query_cache: Option<Arc<QueryCache>>,
+    /// Where the journals and the checkpoint image live.
+    dir: PathBuf,
+    /// Size of the last checkpoint image, 0 before the first and after
+    /// a failed one: the policy writes the next once the journals hold
+    /// [`IMAGE_GROWTH`] times as many bytes.
+    image_bytes: u64,
+    /// A checkpoint failure armed for tests
+    /// ([`ShardedLiveService::inject_checkpoint_failure`]).
+    checkpoint_fault: Option<CheckpointStep>,
 }
 
 impl ShardedLiveService {
@@ -406,7 +453,8 @@ impl ShardedLiveService {
 
     /// Starts a fresh service: `shards` journal files
     /// (`shard-{i}.journal`) created (truncated) under `dir` — the
-    /// directory is created if missing — and recovered, as
+    /// directory is created if missing, and a checkpoint image left
+    /// there deleted — and recovered, as
     /// [`ShardedLiveService::recover`] does, into shards that hold
     /// `seed`'s blend and parameters over an empty index at sequence
     /// 0. The published blend starts as a copy of `seed`'s.
@@ -423,6 +471,7 @@ impl ShardedLiveService {
         let genesis = Checkpoint::genesis(seed, shards)?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(crate::journal::JournalError::Io)?;
+        checkpoint::remove(dir)?;
         for i in 0..shards {
             DeltaJournal::create(Self::shard_journal_path(dir, i))?;
         }
@@ -455,33 +504,39 @@ impl ShardedLiveService {
         self
     }
 
-    /// Rebuilds the pre-crash service from the journals under `dir`
-    /// alone: [`ShardedLiveService::recover_from`] the state before
-    /// the first delta (`shards` empty shards over `seed`'s blend).
+    /// Rebuilds the pre-crash service from what is durable under
+    /// `dir`: the checkpoint image there, each shard's index behind
+    /// `seed`'s blend and parameters, or without one, the state
+    /// before the first delta (`shards` empty shards over `seed`'s
+    /// blend), and past it each shard's **own journal** (healing any
+    /// torn tail). Shards recover independently, so the cost of a
+    /// crash is proportional to the largest shard's tail, not the
+    /// corpus. The router's post registry and the published blend
+    /// continue from the image's through the replayed records (one
+    /// re-blend for every shard's engagement); the per-shard reports
+    /// come back in shard order. Recovery reads the image and writes
+    /// none.
+    ///
     /// Fails as [`ShardedLiveService::start`] does on a bad seed or
-    /// shard count.
+    /// shard count, with [`LiveError::Checkpoint`] on an image of
+    /// another shard count, one that fails its CRC and one that does
+    /// not decode, and with [`LiveError::CheckpointGap`] if a journal
+    /// was compacted past what the image (or genesis) covers.
     pub fn recover(
         seed: &SearchEngine,
         shards: usize,
         dir: impl AsRef<Path>,
     ) -> Result<(ShardedLiveService, Vec<RecoveryReport>), LiveError> {
-        Self::recover_from(Checkpoint::genesis(seed, shards)?, dir)
+        let dir = dir.as_ref();
+        let genesis = Checkpoint::genesis(seed, shards)?;
+        let checkpoint = Checkpoint::load(seed, shards, dir)?.unwrap_or(genesis);
+        Self::recover_from(checkpoint, dir)
     }
 
-    /// Rebuilds the pre-crash service by replaying **each shard's own
-    /// journal** (healing any torn tail) past that shard's sequence
-    /// in `checkpoint` — shards recover independently, so the cost of
-    /// a crash is proportional to the largest shard, not the corpus.
-    /// The router's post registry and the published blend continue
-    /// from the checkpoint's through the replayed records (one
-    /// re-blend for every shard's engagement); the per-shard reports
-    /// come back in shard order.
-    ///
-    /// Fails with [`LiveError::CheckpointGap`] if compaction dropped
-    /// records a shard's checkpoint does not cover. A fully compacted
-    /// journal carries no position of its own, so each journal
-    /// resumes after its recovered sequence.
-    pub fn recover_from(
+    /// [`ShardedLiveService::recover`] past `checkpoint`. A fully
+    /// compacted journal carries no position of its own, so each
+    /// journal resumes after its recovered sequence.
+    fn recover_from(
         checkpoint: Checkpoint,
         dir: impl AsRef<Path>,
     ) -> Result<(ShardedLiveService, Vec<RecoveryReport>), LiveError> {
@@ -490,6 +545,7 @@ impl ShardedLiveService {
             shards: columns,
             mut blend,
             mut router,
+            image_bytes,
         } = checkpoint;
         let mut engagement = Vec::new();
         let mut shards = Vec::with_capacity(columns.len());
@@ -528,6 +584,7 @@ impl ShardedLiveService {
                 replayed: tail.len(),
                 skipped,
                 torn_tail_dropped: replay.torn_tail_dropped,
+                checkpoint_seq,
                 recovered_seq: writer.seq(),
             });
             journal.resume_at(writer.seq() + 1);
@@ -540,34 +597,11 @@ impl ShardedLiveService {
             blend_cell: Arc::new(SnapshotStore::new(Arc::unwrap_or_clone(blend))),
             metrics: None,
             query_cache: None,
+            dir: dir.to_path_buf(),
+            image_bytes,
+            checkpoint_fault: None,
         };
         Ok((service, reports))
-    }
-
-    /// Captures a [`Checkpoint`] of the committed state.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| (s.writer.engine().clone(), s.writer.seq()))
-                .collect(),
-            blend: self.blend_cell.load(),
-            router: self.router.clone(),
-        }
-    }
-
-    /// Compacts every shard's journal through the sequence
-    /// `checkpoint` covers for it. Only legal once `checkpoint` is
-    /// stored outside the journals: recovery from an older
-    /// checkpoint fails with [`LiveError::CheckpointGap`] afterwards.
-    /// Returns the number of records dropped across all shards.
-    pub fn compact_through(&mut self, checkpoint: &Checkpoint) -> Result<usize, LiveError> {
-        let mut dropped = 0;
-        for (shard, (_, seq)) in self.shards.iter_mut().zip(&checkpoint.shards) {
-            dropped += shard.journal.compact_through(*seq)?;
-        }
-        Ok(dropped)
     }
 
     /// Ingests one delta through the routed path (see
@@ -603,9 +637,67 @@ impl ShardedLiveService {
         self.commit_routed(deltas).map_err(FailedCommit::into_error)
     }
 
-    /// The shared ingest core: route, parallel per-shard commit,
-    /// blend absorption for committed shards.
+    /// The checkpoint policy, run before a commit with content: once
+    /// the journals hold at least [`IMAGE_GROWTH`] times as many bytes
+    /// as the last image (0 before the first), write a new image of
+    /// the published state and compact every journal. The journal
+    /// bytes since an image must reach eight times that image's size
+    /// before the next, so while a corpus grows the images grow
+    /// geometrically: O(log n) of them and O(n) work in total, with
+    /// nothing to tune. A failure fails only the
+    /// checkpoint: what it did not finish stays as it was, and the
+    /// threshold drops to genesis's 0, so the next commit tries
+    /// again.
+    fn checkpoint_by_policy(&mut self) {
+        let written = match self.checkpoint_due() {
+            Ok(false) => return,
+            Ok(true) => self.write_checkpoint().is_ok(),
+            Err(_) => false,
+        };
+        if !written {
+            self.image_bytes = 0;
+        }
+        if let Some(m) = &self.metrics {
+            m.record_checkpoint(written);
+        }
+    }
+
+    /// Whether the journals hold at least [`IMAGE_GROWTH`] times as
+    /// many bytes as the last image, and any at all.
+    fn checkpoint_due(&self) -> Result<bool, LiveError> {
+        let mut journaled = 0;
+        for shard in &self.shards {
+            journaled += shard.journal.bytes()?;
+        }
+        Ok(journaled > 0 && journaled >= IMAGE_GROWTH * self.image_bytes)
+    }
+
+    /// Writes the image of the published state (between commits every
+    /// writer holds its published engine), then compacts each journal:
+    /// the image covers every record.
+    fn write_checkpoint(&mut self) -> Result<(), LiveError> {
+        let blend = self.blend_cell.load();
+        let columns = self
+            .shards
+            .iter()
+            .map(|s| (s.writer.seq(), s.writer.engine().index()));
+        let file = checkpoint::encode(columns, &blend, &self.router);
+        checkpoint::write(&self.dir, &file, &mut self.checkpoint_fault)?;
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            checkpoint::fail_at(&mut self.checkpoint_fault, CheckpointStep::Compact(i))
+                .map_err(crate::journal::JournalError::Io)?;
+            shard.journal.compact()?;
+        }
+        self.image_bytes = file.len() as u64;
+        Ok(())
+    }
+
+    /// The shared ingest core: checkpoint policy, route, parallel
+    /// per-shard commit, blend absorption for committed shards.
     fn commit_routed(&mut self, deltas: &[CorpusDelta]) -> Result<(), FailedCommit> {
+        if deltas.iter().any(|d| !d.is_empty()) {
+            self.checkpoint_by_policy();
+        }
         let mut routed: Vec<Vec<CorpusDelta>> = vec![Vec::new(); self.shards.len()];
         let mut unhomed = Vec::new();
         for delta in deltas {
@@ -808,6 +900,13 @@ impl ShardedLiveService {
     pub fn inject_journal_sync_failures(&mut self, shard: usize, n: u32) {
         self.shards[shard].journal.inject_sync_failures(n);
     }
+
+    /// Arms the next checkpoint the policy writes to fail at `step` —
+    /// crash-point fault injection for tests. The commit it runs
+    /// before still commits.
+    pub fn inject_checkpoint_failure(&mut self, step: CheckpointStep) {
+        self.checkpoint_fault = Some(step);
+    }
 }
 
 /// A cloneable reader handle fanning queries across every shard.
@@ -959,6 +1058,7 @@ impl ShardedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use obs_analytics::{AlexaPanel, LinkGraph};
     use obs_search::BlendWeights;
     use obs_synth::{World, WorldConfig};
@@ -980,7 +1080,21 @@ mod tests {
     /// A world, its full engine, and that engine's static signals over
     /// an empty index — the service seed.
     fn world_and_engine(seed: u64) -> (World, SearchEngine, SearchEngine) {
-        let world = World::generate(WorldConfig::small(seed));
+        world_and_engine_of(WorldConfig::small(seed))
+    }
+
+    /// [`world_and_engine`] over six times the small world's
+    /// discussions: a history long enough for the journals to outgrow
+    /// a first image `IMAGE_GROWTH` times over.
+    fn long_world_and_engine(seed: u64) -> (World, SearchEngine, SearchEngine) {
+        world_and_engine_of(WorldConfig {
+            mean_discussions_per_source: 48.0,
+            ..WorldConfig::small(seed)
+        })
+    }
+
+    fn world_and_engine_of(config: WorldConfig) -> (World, SearchEngine, SearchEngine) {
+        let world = World::generate(config);
         let panel = AlexaPanel::simulate(&world, 1);
         let links = LinkGraph::simulate(&world, 2);
         let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
@@ -1162,8 +1276,18 @@ mod tests {
                 assert!(text.contains(&series), "missing {series}");
             }
         }
-        let journaled: usize = (0..3).map(|i| service.journal_len(i)).sum();
+        let journaled: u64 = service.seqs().iter().sum();
         assert!(text.contains(&format!("live_ingest_batch_deltas_sum {journaled}")));
+        // The policy imaged the state before the second burst, and
+        // every attempt went through.
+        let (written, failed) = metrics.checkpoint_counts();
+        assert!(
+            written > 0 && failed == 0,
+            "{written} written, {failed} failed"
+        );
+        assert!(text.contains(&format!(
+            "live_checkpoints_total{{outcome=\"written\"}} {written}"
+        )));
         assert!(text.contains("live_shard_commit_ns_count{shard=\"0\"}"));
         assert!(copied.iter().sum::<usize>() > 0);
         for (shard, bytes) in copied.iter().enumerate() {
@@ -1197,16 +1321,23 @@ mod tests {
         let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
         let bare_path = dir.join("bare.journal");
         let mut bare = DeltaJournal::create(&bare_path).unwrap();
+        let header = crate::journal::FILE_HEADER.len();
+        let mut compacted = false;
         for batch in stream.chunks(3) {
             service.ingest_batch(batch).unwrap();
             let refs: Vec<&CorpusDelta> = batch.iter().collect();
             bare.append_batch(&refs).unwrap();
+            // The policy compacts the service's journal; what it still
+            // holds is the bare journal's tail, byte for byte.
+            let (live, bare) = (journal_bytes(&dir, 0), std::fs::read(&bare_path).unwrap());
+            assert_eq!(live[..header], bare[..header]);
+            assert!(
+                bare.ends_with(&live[header..]),
+                "1-shard journal must be byte-identical"
+            );
+            compacted |= live.len() < bare.len();
         }
-        assert_eq!(
-            journal_bytes(&dir, 0),
-            std::fs::read(&bare_path).unwrap(),
-            "1-shard journal must be byte-identical"
-        );
+        assert!(compacted, "the policy never compacted");
         cleanup(&dir);
     }
 
@@ -1228,7 +1359,8 @@ mod tests {
         assert_eq!(service.seqs(), vec![1]);
         assert_eq!(journal_bytes(&dir, 0), bytes);
 
-        // Empty deltas inside a batch burn no sequence number.
+        // Empty deltas inside a batch burn no sequence number. (The
+        // policy images seq 1 first and compacts it away.)
         let sparse = vec![
             CorpusDelta::new(),
             stream[1].clone(),
@@ -1237,11 +1369,17 @@ mod tests {
         ];
         service.ingest_batch(&sparse).unwrap();
         assert_eq!(service.seqs(), vec![3]);
-        assert_eq!(service.journal_len(0), 3);
+        assert_eq!(service.journal_len(0), 2);
 
         // A refused fsync leaves no trace: not in the journal, the
-        // engine or the served snapshot.
-        let bytes = journal_bytes(&dir, 0);
+        // engine or the served snapshot. Only an image the policy
+        // writes before the commit may compact the journal.
+        let imaged = service.checkpoint_due().unwrap();
+        let (bytes, len) = if imaged {
+            (crate::journal::FILE_HEADER.to_vec(), 0)
+        } else {
+            (journal_bytes(&dir, 0), 2)
+        };
         let docs = service.doc_count();
         service.inject_journal_sync_failures(0, 1);
         let err = service.ingest_batch(&stream[3..]).unwrap_err();
@@ -1255,7 +1393,7 @@ mod tests {
             other => panic!("expected ShardCommit, got {other:?}"),
         }
         assert_eq!(journal_bytes(&dir, 0), bytes);
-        assert_eq!(service.journal_len(0), 3);
+        assert_eq!(service.journal_len(0), len);
         assert_eq!(service.seqs(), vec![3]);
         assert_eq!(reader.seqs(), vec![3]);
         assert_eq!(service.doc_count(), docs);
@@ -1319,8 +1457,7 @@ mod tests {
         setup.add_doc(PostId::new(900_003), source_on(1), "castle gardens");
         setup.add_doc(PostId::new(900_004), source_on(2), "harbour walk");
         service.ingest(&setup).unwrap();
-        let lens = |s: &ShardedLiveService| (0..3).map(|i| s.journal_len(i)).collect::<Vec<_>>();
-        assert_eq!(lens(&service), vec![1, 1, 1]);
+        assert_eq!(service.seqs(), vec![1, 1, 1]);
 
         // The home shard refuses the removal: the post keeps its
         // home, so the retry routes to that shard alone instead of
@@ -1331,7 +1468,7 @@ mod tests {
         assert!(service.ingest(&removal).is_err());
         assert_eq!(service.router().home_of(post), Some(0));
         service.ingest(&removal).unwrap();
-        assert_eq!(lens(&service), vec![2, 1, 1]);
+        assert_eq!(service.seqs(), vec![2, 1, 1]);
         assert_eq!(service.router().home_of(post), None);
 
         // A removal of a post never seen broadcasts to every shard;
@@ -1340,7 +1477,7 @@ mod tests {
         let mut unknown = CorpusDelta::new();
         unknown.remove_doc(stranger);
         service.ingest(&unknown).unwrap();
-        assert_eq!(lens(&service), vec![3, 2, 2]);
+        assert_eq!(service.seqs(), vec![3, 2, 2]);
         let mut readd = CorpusDelta::new();
         readd.add_doc(post, source_on(0), "duomo rooftop");
         readd.add_doc(stranger, source_on(0), "piazza");
@@ -1464,7 +1601,8 @@ mod tests {
         assert_eq!(recovered.doc_count(), pre_docs);
         for (i, report) in reports.iter().enumerate() {
             assert_eq!(report.recovered_seq, pre_seqs[i]);
-            assert_eq!(report.replayed as u64, pre_seqs[i]);
+            // The policy's last image, then the tail compaction left.
+            assert_eq!(report.checkpoint_seq + report.replayed as u64, pre_seqs[i]);
             assert_eq!(report.skipped, 0);
             assert!(!report.torn_tail_dropped);
         }
@@ -1486,121 +1624,132 @@ mod tests {
     }
 
     #[test]
-    fn recover_from_mid_stream_checkpoint_skips_covered_prefix() {
-        let (world, engine, seed) = world_and_engine(503);
+    fn recovery_skips_the_records_an_uncompacted_image_covers() {
+        let (world, _, seed) = world_and_engine(503);
         let stream = delta_stream(&world, 5);
-        let (head, tail) = stream.split_at(stream.len() / 2);
-        let probe: Vec<String> = vec!["duomo".into(), "gardens".into()];
-        let dir = temp_dir("checkpointed");
+        let dir = temp_dir("uncompacted");
 
-        let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
-        for batch in head.chunks(3) {
-            service.ingest_batch(batch).unwrap();
+        // The first image is written, but no journal is compacted
+        // through it.
+        let (mut service, metrics) = metered_service(&seed, &dir);
+        service.inject_checkpoint_failure(CheckpointStep::Compact(0));
+        let mut flat = seed.clone();
+        let mut bursts = stream.chunks(3);
+        while metrics.checkpoint_counts().1 == 0 {
+            let burst = bursts.next().unwrap();
+            service.ingest_batch(burst).unwrap();
+            flat.apply_deltas(burst);
         }
-        let checkpoint = service.checkpoint();
-        assert_eq!(checkpoint.seqs(), service.seqs());
-        for batch in tail.chunks(3) {
-            service.ingest_batch(batch).unwrap();
-        }
-        let expected_hits = service.reader().query(&probe, 50);
+        assert_eq!(metrics.checkpoint_counts(), (0, 1));
         let expected_seqs = service.seqs();
         let homes = |s: &ShardedLiveService| -> Vec<Option<usize>> {
             let posts = world.corpus.posts().iter();
             posts.map(|p| s.router().home_of(p.id)).collect()
         };
         let expected_homes = homes(&service);
+        // Crash before the next commit, which would retry the
+        // checkpoint and compact.
+        let crashed = crash_copy(&dir);
         drop(service);
+        cleanup(&dir);
 
-        let (recovered, reports) =
-            ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
+        let (recovered, reports) = ShardedLiveService::recover(&seed, 2, &crashed).unwrap();
+        assert!(reports.iter().any(|r| r.checkpoint_seq > 0));
         for (i, report) in reports.iter().enumerate() {
-            assert_eq!(report.skipped as u64, checkpoint.seqs()[i]);
+            assert_eq!(report.skipped as u64, report.checkpoint_seq);
             assert_eq!(
-                report.replayed as u64,
-                expected_seqs[i] - checkpoint.seqs()[i]
+                report.checkpoint_seq + report.replayed as u64,
+                expected_seqs[i]
             );
             assert_eq!(report.recovered_seq, expected_seqs[i]);
         }
-        assert_eq!(recovered.doc_count(), engine.doc_count());
+        assert_eq!(recovered.doc_count(), flat.doc_count());
+        let probe: Vec<String> = vec!["duomo".into(), "gardens".into()];
         let reader = recovered.reader();
-        assert_eq!(reader.query(&probe, 50), expected_hits);
+        assert_eq!(reader.query(&probe, 50), flat.query(&probe, 50));
         for s in world.corpus.sources() {
-            assert_eq!(reader.static_score(s.id), engine.static_score(s.id));
+            assert_eq!(reader.static_score(s.id), flat.static_score(s.id));
         }
         assert_eq!(homes(&recovered), expected_homes);
-        cleanup(&dir);
+        cleanup(&crashed);
     }
 
     #[test]
-    fn compaction_after_checkpoint_still_recovers() {
-        let (world, engine, seed) = world_and_engine(504);
+    fn recovery_resumes_an_emptied_journal_after_its_image() {
+        let (world, _, seed) = world_and_engine(504);
         let stream = delta_stream(&world, 5);
         let dir = temp_dir("compacted");
 
+        // Commit until an image is due, then one engagement-only
+        // delta: the policy compacts both journals, and only the
+        // source's shard journals the delta.
         let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
-        for batch in stream.chunks(3) {
-            service.ingest_batch(batch).unwrap();
+        let mut bursts = stream.chunks(3);
+        while !service.checkpoint_due().unwrap() {
+            service.ingest_batch(bursts.next().unwrap()).unwrap();
         }
-        let checkpoint = service.checkpoint();
-        let records: u64 = checkpoint.seqs().iter().sum();
-        let dropped = service.compact_through(&checkpoint).unwrap();
-        assert_eq!(dropped as u64, records);
-        assert_eq!((0..2).map(|i| service.journal_len(i)).sum::<usize>(), 0);
+        let touched = world.corpus.sources()[0].id.shard(2);
+        let emptied = 1 - touched;
+        service.ingest(&engagement_only(&world)).unwrap();
+        assert_eq!(service.journal_len(emptied), 0);
+        let seqs = service.seqs();
         drop(service);
 
-        // Fully compacted journals replay fine even from genesis:
-        // there is simply nothing to apply.
-        let (empty, _) = ShardedLiveService::recover(&seed, 2, &dir).unwrap();
-        assert_eq!(empty.seqs(), vec![0, 0]);
-        drop(empty);
-
-        // The checkpoint covers everything compacted away.
-        let (mut recovered, reports) =
-            ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
-        assert!(reports.iter().all(|r| r.replayed == 0));
-        assert_eq!(recovered.doc_count(), engine.doc_count());
-        assert_eq!(recovered.seqs(), checkpoint.seqs());
-
-        // Ingestion continues each shard's sequence after recovering
-        // from record-less journals — the checkpoint, not the empty
-        // file, pins the position.
-        let last = world.corpus.posts().last().unwrap().id;
-        let home = recovered.router().home_of(last).unwrap();
-        let removal = CorpusDelta::for_removals(&world.corpus, &[last]).unwrap();
+        // The image, not the empty file, pins the emptied shard's
+        // position: ingestion continues its sequence.
+        let (mut recovered, reports) = ShardedLiveService::recover(&seed, 2, &dir).unwrap();
+        assert_eq!(recovered.seqs(), seqs);
+        assert_eq!(reports[emptied].replayed, 0);
+        assert_eq!(reports[emptied].checkpoint_seq, seqs[emptied]);
+        let post = world
+            .corpus
+            .posts()
+            .iter()
+            .map(|p| p.id)
+            .find(|&p| recovered.router().home_of(p) == Some(emptied))
+            .expect("the emptied shard homes a post");
+        let removal = CorpusDelta::for_removals(&world.corpus, &[post]).unwrap();
         recovered.ingest(&removal).unwrap();
-        assert_eq!(recovered.seqs()[home], checkpoint.seqs()[home] + 1);
+        assert_eq!(recovered.seqs()[emptied], seqs[emptied] + 1);
         assert_eq!(recovered.reader().seqs(), recovered.seqs());
         cleanup(&dir);
     }
 
     #[test]
-    fn stale_checkpoint_against_compacted_journal_is_a_gap() {
-        let (world, _, seed) = world_and_engine(505);
-        let stream = delta_stream(&world, world.corpus.posts().len().div_ceil(6));
+    fn an_image_older_than_the_compacted_journal_is_a_gap() {
+        let (world, _, seed) = long_world_and_engine(505);
+        let stream = delta_stream(&world, 5);
         let dir = temp_dir("gap");
+        let image = checkpoint::image_path(&dir);
 
+        // The second commit images seq 1; commit on until the policy
+        // replaces that image and compacts the journal past it.
         let mut service = ShardedLiveService::start(&seed, 1, &dir).unwrap();
-        service.ingest(&stream[0]).unwrap();
-        service.ingest(&stream[1]).unwrap();
-        let checkpoint = service.checkpoint();
-        service.ingest(&stream[2]).unwrap();
-        service.ingest(&stream[3]).unwrap();
-        // Compact through 2 while records 3, 4 remain.
-        assert_eq!(service.compact_through(&checkpoint).unwrap(), 2);
+        let mut deltas = stream.iter();
+        for delta in deltas.by_ref().take(2) {
+            service.ingest(delta).unwrap();
+        }
+        let older = std::fs::read(&image).unwrap();
+        while std::fs::read(&image).unwrap() == older {
+            let delta = deltas.next().expect("the stream outlasts two images");
+            service.ingest(delta).unwrap();
+        }
+        let first = service.seqs()[0];
         drop(service);
 
-        // Genesis (sequence 0) cannot bridge to first retained seq 3.
-        let err = ShardedLiveService::recover(&seed, 1, &dir).unwrap_err();
-        match err {
+        // Neither the older image (seq 1) nor genesis (seq 0) bridges
+        // to the first retained record.
+        let gap = |dir: &Path| match ShardedLiveService::recover(&seed, 1, dir).unwrap_err() {
             LiveError::CheckpointGap {
                 checkpoint_seq,
                 journal_first_seq,
-            } => {
-                assert_eq!(checkpoint_seq, 0);
-                assert_eq!(journal_first_seq, 3);
-            }
+            } => (checkpoint_seq, journal_first_seq),
             other => panic!("expected CheckpointGap, got {other:?}"),
-        }
+        };
+        std::fs::write(&image, &older).unwrap();
+        assert_eq!(gap(&dir), (1, first));
+        std::fs::remove_file(&image).unwrap();
+        assert_eq!(gap(&dir), (0, first));
         cleanup(&dir);
     }
 
@@ -1620,7 +1769,8 @@ mod tests {
         drop(recovered);
 
         // Only the published blend absorbs engagement: through a
-        // commit, a refused fsync and both recoveries, every shard
+        // commit, a refused fsync and recovery from the journals
+        // alone and from an image, every shard
         // engine keeps the seed's static scores while readers score
         // as one flat engine fed the same deltas.
         let stream = delta_stream(&world, 5);
@@ -1641,7 +1791,7 @@ mod tests {
         let mut sources = world.corpus.sources().iter();
         assert!(sources.any(|s| flat.static_score(s.id) != seed.static_score(s.id)));
         one_blend(&service, &flat);
-        let checkpoint = service.checkpoint();
+        let (crashed, flat_head) = (crash_copy(&dir), flat.clone());
 
         (0..3).for_each(|i| service.inject_journal_sync_failures(i, 1));
         assert!(service.ingest_batch(tail).is_err());
@@ -1651,12 +1801,15 @@ mod tests {
         one_blend(&service, &flat);
         drop(service);
 
-        let (recovered, _) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
+        let (recovered, reports) = ShardedLiveService::recover(&seed, 3, &dir).unwrap();
+        assert!(reports.iter().any(|r| r.checkpoint_seq > 0));
         one_blend(&recovered, &flat);
         drop(recovered);
-        let (recovered, _) = ShardedLiveService::recover_from(checkpoint, &dir).unwrap();
-        one_blend(&recovered, &flat);
+        let (recovered, reports) = ShardedLiveService::recover(&seed, 3, &crashed).unwrap();
+        assert!(reports.iter().all(|r| r.checkpoint_seq == 0));
+        one_blend(&recovered, &flat_head);
         cleanup(&dir);
+        cleanup(&crashed);
     }
 
     /// A 1-shard service recording into `registry`, and its shard's
@@ -1676,7 +1829,7 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_or_checkpointed_epoch_is_never_recycled() {
+    fn a_pinned_epoch_is_never_recycled() {
         let (world, _, seed) = world_and_engine(610);
         let stream = delta_stream(&world, 2);
         let mut bursts = stream.chunks(2);
@@ -1711,17 +1864,6 @@ mod tests {
         assert_eq!(pinned.seqs(), seqs);
         assert_ne!(service.seqs(), seqs);
         drop(pinned);
-        assert_eq!(commit(&mut service), 1);
-
-        // A held checkpoint pins its epoch the same way.
-        let checkpoint = service.checkpoint();
-        let (engine, seq) = &checkpoint.shards[0];
-        let answers = engine.query(&probe, 50);
-        assert_eq!(commit(&mut service), 1);
-        assert_eq!(commit(&mut service), 0, "a checkpointed epoch was recycled");
-        assert_eq!(engine.query(&probe, 50), answers);
-        assert_eq!(checkpoint.seqs(), vec![*seq]);
-        drop(checkpoint);
         assert_eq!(commit(&mut service), 1);
         cleanup(&dir);
     }
@@ -1785,12 +1927,14 @@ mod tests {
 
         // The apply runs beside the refused append; afterwards the
         // writer shares the published index again, at its sequence.
+        // (The policy images seqs 1 and 2 before the commit and
+        // compacts them away.)
         service.inject_journal_sync_failures(0, 1);
         assert!(service.ingest_batch(&stream[2..4]).is_err());
         let snapshot = published.snapshot();
         assert!(service.shard_engine(0).shares_index_with(snapshot.engine()));
         assert_eq!((service.seqs(), snapshot.seq()), (vec![2], 2));
-        assert_eq!(service.journal_len(0), 2);
+        assert_eq!(service.journal_len(0), 0);
 
         // The retry re-claims seqs 3 and 4 and detaches into the index
         // the refused apply built and the reset reclaimed.
@@ -1801,7 +1945,7 @@ mod tests {
             DeltaJournal::replay_path(ShardedLiveService::shard_journal_path(&dir, 0)).unwrap();
         let records: Vec<(u64, &CorpusDelta)> =
             replay.records.iter().map(|r| (r.seq, &r.delta)).collect();
-        let expected: Vec<(u64, &CorpusDelta)> = (1..).zip(&stream[..4]).collect();
+        let expected: Vec<(u64, &CorpusDelta)> = (3..).zip(&stream[2..4]).collect();
         assert_eq!(records, expected);
         cleanup(&dir);
     }
@@ -1850,5 +1994,282 @@ mod tests {
         ));
         // Nothing was created on the way to the error.
         assert!(!dir.exists());
+    }
+
+    /// A 2-shard service under `dir` with metrics attached.
+    fn metered_service(seed: &SearchEngine, dir: &Path) -> (ShardedLiveService, ShardMetrics) {
+        let metrics = ShardMetrics::new(&obs_telemetry::Registry::new(), 2);
+        let service = ShardedLiveService::start(seed, 2, dir)
+            .unwrap()
+            .with_metrics(metrics.clone());
+        (service, metrics)
+    }
+
+    /// Recovers the 2-shard service under `dir` and checks that it
+    /// answers, scores and counts as `flat`, the engine that applied
+    /// exactly the acknowledged commits.
+    fn assert_recovers(world: &World, seed: &SearchEngine, dir: &Path, flat: &SearchEngine) {
+        let probe: Vec<String> = vec!["duomo".into(), "gardens".into(), "castle".into()];
+        let (recovered, reports) = ShardedLiveService::recover(seed, 2, dir).unwrap();
+        for report in &reports {
+            assert_eq!(
+                report.checkpoint_seq + report.replayed as u64,
+                report.recovered_seq
+            );
+        }
+        assert_eq!(recovered.doc_count(), flat.doc_count());
+        let reader = recovered.reader();
+        assert_eq!(reader.query(&probe, 50), flat.query(&probe, 50));
+        for s in world.corpus.sources() {
+            assert_eq!(reader.static_score(s.id), flat.static_score(s.id));
+        }
+    }
+
+    #[test]
+    fn the_policy_images_once_the_journals_outgrow_the_last_image() {
+        let (world, _, seed) = long_world_and_engine(620);
+        let stream = delta_stream(&world, 3);
+        let dir = temp_dir("policy");
+        let image = checkpoint::image_path(&dir);
+        let (mut service, metrics) = metered_service(&seed, &dir);
+        let mut flat = seed.clone();
+        let mut bursts = stream.chunks(2);
+        let mut commit = |service: &mut ShardedLiveService| {
+            let burst = bursts.next().expect("the stream outlasts two images");
+            service.ingest_batch(burst).unwrap();
+            flat.apply_deltas(burst);
+        };
+
+        // The first commit finds the journals empty: nothing is due.
+        commit(&mut service);
+        assert!(!image.exists());
+        assert_eq!(metrics.checkpoint_counts(), (0, 0));
+
+        // The second finds them past genesis's 0 bytes: it images the
+        // state before it, then compacts both journals through it.
+        let imaged = service.seqs();
+        commit(&mut service);
+        assert_eq!(metrics.checkpoint_counts(), (1, 0));
+        let size = std::fs::metadata(&image).unwrap().len();
+        assert_eq!(service.image_bytes, size);
+        for (i, (seq, imaged)) in service.seqs().into_iter().zip(imaged).enumerate() {
+            assert_eq!(service.journal_len(i) as u64, seq - imaged);
+        }
+
+        // No commit images again until the journals hold
+        // `IMAGE_GROWTH` times `size` bytes; the first commit after
+        // they do, does.
+        loop {
+            let journaled: u64 = service
+                .shards
+                .iter()
+                .map(|s| s.journal.bytes().unwrap())
+                .sum();
+            let due = service.checkpoint_due().unwrap();
+            assert_eq!(due, journaled >= IMAGE_GROWTH * size);
+            let imaged = service.seqs();
+            commit(&mut service);
+            if due {
+                assert_eq!(metrics.checkpoint_counts(), (2, 0));
+                let file = std::fs::read(&image).unwrap();
+                let image = checkpoint::decode(&file, 2).unwrap();
+                let covered: Vec<u64> = image.shards.iter().map(|(seq, _)| *seq).collect();
+                assert_eq!(covered, imaged);
+                break;
+            }
+            assert_eq!(metrics.checkpoint_counts(), (1, 0));
+        }
+
+        // Recovery loads the image and replays only the tail past it,
+        // and writes nothing.
+        let before = std::fs::read(&image).unwrap();
+        let seqs = service.seqs();
+        drop(service);
+        let (_, reports) = ShardedLiveService::recover(&seed, 2, &dir).unwrap();
+        for (i, report) in reports.iter().enumerate() {
+            assert!(report.checkpoint_seq > 0);
+            assert_eq!(report.skipped, 0);
+            assert_eq!(report.checkpoint_seq + report.replayed as u64, seqs[i]);
+        }
+        assert_eq!(std::fs::read(&image).unwrap(), before);
+        assert_recovers(&world, &seed, &dir, &flat);
+        cleanup(&dir);
+    }
+
+    /// A 2-shard service under `dir` that has written one image, and
+    /// the engine that applied what it committed.
+    fn imaged_service(
+        world: &World,
+        seed: &SearchEngine,
+        dir: &Path,
+    ) -> (ShardedLiveService, ShardMetrics, SearchEngine) {
+        let stream = delta_stream(world, 3);
+        let (mut service, metrics) = metered_service(seed, dir);
+        let mut flat = seed.clone();
+        for burst in stream.chunks(2).take(3) {
+            service.ingest_batch(burst).unwrap();
+            flat.apply_deltas(burst);
+        }
+        assert!(metrics.checkpoint_counts().0 > 0);
+        (service, metrics, flat)
+    }
+
+    #[test]
+    fn a_damaged_or_foreign_image_is_refused_with_a_typed_error() {
+        let (world, _, seed) = world_and_engine(622);
+        let dir = temp_dir("refused_image");
+        let image = checkpoint::image_path(&dir);
+        let (service, _, flat) = imaged_service(&world, &seed, &dir);
+        drop(service);
+        let intact = std::fs::read(&image).unwrap();
+        let refusal = |file: &[u8], shards: usize| {
+            std::fs::write(&image, file).unwrap();
+            match ShardedLiveService::recover(&seed, shards, &dir) {
+                Err(LiveError::Checkpoint(e)) => e,
+                other => panic!("expected a checkpoint error, got {other:?}"),
+            }
+        };
+
+        let e = refusal(&intact, 3);
+        assert!(
+            matches!(
+                e,
+                CheckpointError::ShardCount {
+                    image: 2,
+                    service: 3
+                }
+            ),
+            "{e:?}"
+        );
+        let mut flipped = intact.clone();
+        *flipped.last_mut().unwrap() ^= 0x04;
+        assert!(matches!(refusal(&flipped, 2), CheckpointError::Crc { .. }));
+        let mut foreign = intact.clone();
+        foreign[7] = 2;
+        assert!(matches!(
+            refusal(&foreign, 2),
+            CheckpointError::UnsupportedFormat { .. }
+        ));
+        // Checksummed, but one byte past the router: undecodable.
+        let mut trailing = intact.clone();
+        trailing.push(0);
+        let crc = crate::journal::crc32(&trailing[12..]);
+        trailing[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            refusal(&trailing, 2),
+            CheckpointError::Undecodable(obs_model::codec::DecodeError::TrailingBytes)
+        ));
+        assert!(matches!(
+            refusal(&intact[..10], 2),
+            CheckpointError::Undecodable(obs_model::codec::DecodeError::Truncated)
+        ));
+
+        std::fs::write(&image, &intact).unwrap();
+        assert_recovers(&world, &seed, &dir, &flat);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn start_deletes_a_stale_image_before_any_journal_moves() {
+        let (world, _, seed) = world_and_engine(623);
+        let dir = temp_dir("stale_image");
+        let (service, _, _) = imaged_service(&world, &seed, &dir);
+        drop(service);
+        assert!(checkpoint::image_path(&dir).exists());
+
+        // The deletion is synced before a journal is truncated, so
+        // the old image never lies beside the new journals: recovery
+        // from any state past `start` holds only what was committed
+        // since.
+        let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
+        assert!(!checkpoint::image_path(&dir).exists());
+        let (recovered, reports) = ShardedLiveService::recover(&seed, 2, &dir).unwrap();
+        assert_eq!((recovered.doc_count(), recovered.seqs()), (0, vec![0, 0]));
+        assert!(reports.iter().all(|r| r.checkpoint_seq == 0));
+        drop(recovered);
+        let first = delta_stream(&world, 3).swap_remove(0);
+        service.ingest(&first).unwrap();
+        let mut flat = seed.clone();
+        flat.apply_delta(&first);
+        drop(service);
+        assert_recovers(&world, &seed, &dir, &flat);
+        cleanup(&dir);
+    }
+
+    /// The files of `dir` copied to a fresh directory, as a crash
+    /// would leave them.
+    fn crash_copy(dir: &Path) -> PathBuf {
+        let copy = temp_dir("crash_copy");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        copy
+    }
+
+    #[test]
+    fn a_checkpoint_failed_at_any_step_loses_no_acknowledged_commit() {
+        let (world, _, seed) = long_world_and_engine(624);
+        let stream = delta_stream(&world, 3);
+        let steps = [
+            CheckpointStep::Write,
+            CheckpointStep::Fsync,
+            CheckpointStep::Rename,
+            CheckpointStep::DirFsync,
+            CheckpointStep::Compact(0),
+            CheckpointStep::Compact(1),
+        ];
+        for step in steps {
+            let dir = temp_dir("crash_point");
+            let image = checkpoint::image_path(&dir);
+            let (mut service, metrics) = metered_service(&seed, &dir);
+            let mut flat = seed.clone();
+            let mut bursts = stream.chunks(2);
+            let mut commit = |service: &mut ShardedLiveService, flat: &mut SearchEngine| {
+                let burst = bursts.next().expect("the stream outlasts the test");
+                service
+                    .ingest_batch(burst)
+                    .map(|()| flat.apply_deltas(burst))
+            };
+
+            // Commit until one image is written and the next is due.
+            while metrics.checkpoint_counts().0 == 0 || !service.checkpoint_due().unwrap() {
+                commit(&mut service, &mut flat).unwrap();
+            }
+            let older = std::fs::read(&image).unwrap();
+
+            // The due checkpoint fails at `step`; its commit commits.
+            service.inject_checkpoint_failure(step);
+            commit(&mut service, &mut flat).unwrap();
+            assert_eq!(metrics.checkpoint_counts(), (1, 1), "{step:?}");
+            let renamed = !matches!(
+                step,
+                CheckpointStep::Write | CheckpointStep::Fsync | CheckpointStep::Rename
+            );
+            let on_disk = std::fs::read(&image).unwrap();
+            assert_eq!(on_disk != older, renamed, "{step:?}");
+
+            // A crash right after the failure: the older image (or the
+            // new one, past the rename) and the journals recover every
+            // acknowledged commit.
+            let crashed = crash_copy(&dir);
+            assert_recovers(&world, &seed, &crashed, &flat);
+            cleanup(&crashed);
+
+            // The next commit retries the checkpoint, which goes
+            // through; every shard refuses that commit's records, and
+            // nothing of them recovers.
+            (0..2).for_each(|i| service.inject_journal_sync_failures(i, 1));
+            assert!(commit(&mut service, &mut flat).is_err());
+            (0..2).for_each(|i| service.inject_journal_sync_failures(i, 0));
+            assert_eq!(metrics.checkpoint_counts(), (2, 1), "{step:?}");
+            for _ in 0..2 {
+                commit(&mut service, &mut flat).unwrap();
+            }
+            drop(service);
+            assert_recovers(&world, &seed, &dir, &flat);
+            cleanup(&dir);
+        }
     }
 }

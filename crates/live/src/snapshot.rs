@@ -30,8 +30,7 @@
 //! the index alive until they drop it — the classic epoch
 //! reclamation trade-off, made safe by `Arc` — and while they do, the
 //! writer cannot recycle it: its next detach falls back to a fresh
-//! copy, and the reader frees the epoch when it lets go. A
-//! [`Checkpoint`](crate::Checkpoint) pins an epoch the same way.
+//! copy, and the reader frees the epoch when it lets go.
 
 use crate::LiveError;
 use obs_search::{InvertedIndex, SearchEngine};

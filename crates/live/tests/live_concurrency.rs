@@ -301,7 +301,7 @@ fn failed_batch_sync_is_never_replayed_by_recovery() {
         drop((reader, service));
         let (mut recovered, reports) = ShardedLiveService::recover(&fx.seed, shards, &dir).unwrap();
         for (report, seq) in reports.iter().zip(&committed_seqs) {
-            assert_eq!(report.replayed as u64, *seq);
+            assert_eq!(report.checkpoint_seq + report.replayed as u64, *seq);
             assert!(!report.torn_tail_dropped, "retraction must be clean");
         }
         assert_eq!(recovered.seqs(), committed_seqs);

@@ -2,9 +2,10 @@
 //!
 //! One little-endian [`Writer`] and one [`Reader`] for everything the
 //! serving layer persists: journal frames and the [`CorpusDelta`]s
-//! inside them (and, later, checkpoint sections). Ids and lengths are
-//! LEB128 varints, signed counts are zigzag varints, text is a
-//! length-prefixed UTF-8 byte string:
+//! inside them, and the sections of a checkpoint image. Ids and
+//! lengths are LEB128 varints, signed counts are zigzag varints, text
+//! is a length-prefixed UTF-8 byte string, and an `f64` is its bit
+//! pattern as a fixed-width little-endian `u64`:
 //!
 //! ```text
 //! delta      := varint(#added)      added*
@@ -48,6 +49,10 @@ pub enum DecodeError {
     InvalidUtf8,
     /// Bytes left over after the value.
     TrailingBytes,
+    /// A well-formed value that contradicts the table it indexes: an
+    /// ordinal past the doc table, a posting on a free row, a span
+    /// past the arena.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for DecodeError {
@@ -58,6 +63,7 @@ impl fmt::Display for DecodeError {
             DecodeError::OutOfRange => "varint out of range for its field",
             DecodeError::InvalidUtf8 => "text is not UTF-8",
             DecodeError::TrailingBytes => "trailing bytes after the value",
+            DecodeError::Inconsistent(what) => what,
         })
     }
 }
@@ -92,8 +98,15 @@ impl<'a> Writer<'a> {
         self.varint(((value as u64) << 1) ^ ((value >> 63) as u64));
     }
 
+    /// An `f64` as its bit pattern, fixed-width little-endian: every
+    /// value, NaN payloads and the sign of zero included, round-trips
+    /// exactly.
+    pub fn f64(&mut self, value: f64) {
+        self.out.extend_from_slice(&value.to_bits().to_le_bytes());
+    }
+
     /// A length-prefixed byte string.
-    fn bytes(&mut self, bytes: &[u8]) {
+    pub fn bytes(&mut self, bytes: &[u8]) {
         self.varint(bytes.len() as u64);
         self.out.extend_from_slice(bytes);
     }
@@ -182,7 +195,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A varint that counts or measures something in memory.
-    fn varint_usize(&mut self) -> Result<usize, DecodeError> {
+    pub fn varint_usize(&mut self) -> Result<usize, DecodeError> {
         usize::try_from(self.varint()?).map_err(|_| DecodeError::OutOfRange)
     }
 
@@ -192,8 +205,13 @@ impl<'a> Reader<'a> {
         Ok((raw >> 1) as i64 ^ -((raw & 1) as i64))
     }
 
+    /// An `f64` from its fixed-width little-endian bit pattern.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.u64_le().map(f64::from_bits)
+    }
+
     /// A length-prefixed byte string.
-    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.varint_usize()?;
         self.take(len)
     }
@@ -206,7 +224,7 @@ impl<'a> Reader<'a> {
     /// A collection count, with the capacity it may safely reserve:
     /// no more than the bytes left, as every element takes at least
     /// one.
-    fn count(&mut self) -> Result<(usize, usize), DecodeError> {
+    pub fn count(&mut self) -> Result<(usize, usize), DecodeError> {
         let count = self.varint_usize()?;
         Ok((count, count.min(self.remaining())))
     }

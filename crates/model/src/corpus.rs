@@ -363,9 +363,12 @@ impl CorpusBuilder {
         id
     }
 
-    /// Sets a source's home location.
-    pub fn set_source_home(&mut self, id: SourceId, home: GeoPoint) {
-        self.sources[id.index()].home = Some(home);
+    /// Sets a source's home location. Fails with
+    /// [`ModelError::UnknownSource`] for an id this builder never
+    /// issued.
+    pub fn set_source_home(&mut self, id: SourceId, home: GeoPoint) -> Result<(), ModelError> {
+        self.source_mut(id)?.home = Some(home);
+        Ok(())
     }
 
     /// Registers a user account.
@@ -388,13 +391,35 @@ impl CorpusBuilder {
     }
 
     /// Sets a user's home location.
-    pub fn set_user_home(&mut self, id: UserId, home: GeoPoint) {
-        self.users[id.index()].home = Some(home);
+    pub fn set_user_home(&mut self, id: UserId, home: GeoPoint) -> Result<(), ModelError> {
+        self.user_mut(id)?.home = Some(home);
+        Ok(())
     }
 
-    /// Sets a user's declared follower count.
-    pub fn set_followers(&mut self, id: UserId, followers: u32) {
-        self.users[id.index()].followers = followers;
+    /// Sets a user's declared follower count. Fails with
+    /// [`ModelError::UnknownUser`] for an id this builder never
+    /// issued.
+    pub fn set_followers(&mut self, id: UserId, followers: u32) -> Result<(), ModelError> {
+        self.user_mut(id)?.followers = followers;
+        Ok(())
+    }
+
+    fn user_mut(&mut self, id: UserId) -> Result<&mut UserProfile, ModelError> {
+        self.users
+            .get_mut(id.index())
+            .ok_or(ModelError::UnknownUser(id))
+    }
+
+    fn source_mut(&mut self, id: SourceId) -> Result<&mut Source, ModelError> {
+        self.sources
+            .get_mut(id.index())
+            .ok_or(ModelError::UnknownSource(id))
+    }
+
+    fn source(&self, id: SourceId) -> Result<&Source, ModelError> {
+        self.sources
+            .get(id.index())
+            .ok_or(ModelError::UnknownSource(id))
     }
 
     /// Opens a discussion whose root post body is the title, untagged.
@@ -470,9 +495,15 @@ impl CorpusBuilder {
         Ok((did, pid))
     }
 
-    /// Marks a discussion closed.
-    pub fn close_discussion(&mut self, id: DiscussionId) {
-        self.discussions[id.index()].closed = true;
+    /// Marks a discussion closed. Fails with
+    /// [`ModelError::UnknownDiscussion`] for an id this builder never
+    /// issued.
+    pub fn close_discussion(&mut self, id: DiscussionId) -> Result<(), ModelError> {
+        self.discussions
+            .get_mut(id.index())
+            .ok_or(ModelError::UnknownDiscussion(id))?
+            .closed = true;
+        Ok(())
     }
 
     /// Adds a comment replying to the opening post. Fails with
@@ -594,14 +625,17 @@ impl CorpusBuilder {
         self.sources.len()
     }
 
-    /// Founding time of an already-registered source.
-    pub fn source_founded(&self, id: SourceId) -> Timestamp {
-        self.sources[id.index()].founded
+    /// Founding time of an already-registered source. Fails with
+    /// [`ModelError::UnknownSource`] for an id this builder never
+    /// issued.
+    pub fn source_founded(&self, id: SourceId) -> Result<Timestamp, ModelError> {
+        Ok(self.source(id)?.founded)
     }
 
-    /// Kind of an already-registered source.
-    pub fn source_kind(&self, id: SourceId) -> SourceKind {
-        self.sources[id.index()].kind
+    /// Kind of an already-registered source. Fails as
+    /// [`CorpusBuilder::source_founded`] does.
+    pub fn source_kind(&self, id: SourceId) -> Result<SourceKind, ModelError> {
+        Ok(self.source(id)?.kind)
     }
 
     /// Number of users registered so far.
@@ -937,8 +971,55 @@ mod tests {
         let d = b
             .add_discussion(s, cat, "t", u, Timestamp::from_days(1))
             .unwrap();
-        b.close_discussion(d);
+        b.close_discussion(d).unwrap();
         let c = b.build();
         assert!(c.discussion(d).unwrap().closed);
+    }
+
+    #[test]
+    fn setters_and_lookups_refuse_ids_the_builder_never_issued() {
+        let mut b = CorpusBuilder::new();
+        let s = b.add_source(SourceKind::Blog, "b", Timestamp::from_days(3));
+        let u = b.add_user("u", AccountKind::Person, Timestamp::EPOCH);
+        let (ghost_source, ghost_user) = (SourceId::new(1), UserId::new(1));
+        let ghost_discussion = DiscussionId::new(0);
+        let home = GeoPoint::new(45.46, 9.19);
+
+        assert_eq!(
+            b.set_source_home(ghost_source, home),
+            Err(ModelError::UnknownSource(ghost_source))
+        );
+        assert_eq!(
+            b.set_user_home(ghost_user, home),
+            Err(ModelError::UnknownUser(ghost_user))
+        );
+        assert_eq!(
+            b.set_followers(ghost_user, 7),
+            Err(ModelError::UnknownUser(ghost_user))
+        );
+        assert_eq!(
+            b.close_discussion(ghost_discussion),
+            Err(ModelError::UnknownDiscussion(ghost_discussion))
+        );
+        assert_eq!(
+            b.source_founded(ghost_source),
+            Err(ModelError::UnknownSource(ghost_source))
+        );
+        assert_eq!(
+            b.source_kind(ghost_source),
+            Err(ModelError::UnknownSource(ghost_source))
+        );
+
+        // The issued ids still work, and the refusals changed nothing.
+        b.set_source_home(s, home).unwrap();
+        b.set_user_home(u, home).unwrap();
+        b.set_followers(u, 7).unwrap();
+        assert_eq!(b.source_founded(s), Ok(Timestamp::from_days(3)));
+        assert_eq!(b.source_kind(s), Ok(SourceKind::Blog));
+        let c = b.build();
+        assert_eq!(c.source(s).unwrap().home, Some(home));
+        assert_eq!(c.user(u).unwrap().followers, 7);
+        assert_eq!(c.sources().len(), 1);
+        assert_eq!(c.users().len(), 1);
     }
 }

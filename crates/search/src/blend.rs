@@ -18,6 +18,7 @@
 // Checked indexing only: every re-blend runs through here.
 #![warn(clippy::indexing_slicing)]
 
+use obs_model::codec::{DecodeError, Reader, Writer};
 use obs_model::{EngagementDelta, SourceId};
 use std::sync::Arc;
 
@@ -103,6 +104,29 @@ impl StaticSignals {
             let density = if d == 0.0 { 0.0 } else { c / d };
             *p = (1.0 + density).ln() + (1.0 + d).ln() * 0.3;
         }
+    }
+
+    /// The six raw vectors, in image order.
+    fn vectors(&self) -> [&[f64]; 6] {
+        [
+            &self.visitors,
+            &self.dwell,
+            &self.pr_log,
+            &self.discussions,
+            &self.comments,
+            &self.participation,
+        ]
+    }
+
+    fn vectors_mut(&mut self) -> [&mut Vec<f64>; 6] {
+        [
+            &mut self.visitors,
+            &mut self.dwell,
+            &mut self.pr_log,
+            &mut self.discussions,
+            &mut self.comments,
+            &mut self.participation,
+        ]
     }
 
     /// Grows every vector so `source` is addressable, with neutral
@@ -225,6 +249,73 @@ impl StaticBlend {
     pub fn weights(&self) -> &BlendWeights {
         &self.weights
     }
+
+    /// Appends this blend's canonical image to `out`, in the
+    /// [`obs_model::codec`] encoding: the six weights, then each raw
+    /// signal vector, every value an `f64` bit pattern.
+    ///
+    /// ```text
+    /// blend  := f64(content) f64(traffic) f64(pagerank)
+    ///           f64(participation penalty) f64(dwell penalty) f64(depth)
+    ///           signal(visitors) signal(dwell) signal(pr log)
+    ///           signal(discussions) signal(comments) signal(participation)
+    /// signal := varint(#sources) f64*
+    /// ```
+    ///
+    /// The standardized scores are a function of the signals and are
+    /// re-blended by [`StaticBlend::decode`].
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
+        let BlendWeights {
+            content,
+            traffic,
+            pagerank,
+            participation_penalty,
+            dwell_penalty,
+            depth,
+        } = self.weights;
+        for weight in [
+            content,
+            traffic,
+            pagerank,
+            participation_penalty,
+            dwell_penalty,
+            depth,
+        ] {
+            w.f64(weight);
+        }
+        for signal in self.signals.vectors() {
+            w.varint(signal.len() as u64);
+            for &x in signal {
+                w.f64(x);
+            }
+        }
+    }
+
+    /// Decodes exactly one blend image spanning all of `bytes` (see
+    /// [`StaticBlend::encode_into`]) and re-blends it, so its scores
+    /// are bit-identical to the encoded blend's.
+    pub fn decode(bytes: &[u8]) -> Result<StaticBlend, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let weights = BlendWeights {
+            content: r.f64()?,
+            traffic: r.f64()?,
+            pagerank: r.f64()?,
+            participation_penalty: r.f64()?,
+            dwell_penalty: r.f64()?,
+            depth: r.f64()?,
+        };
+        let mut signals = StaticSignals::default();
+        for signal in signals.vectors_mut() {
+            let (count, capacity) = r.count()?;
+            signal.reserve(capacity);
+            for _ in 0..count {
+                signal.push(r.f64()?);
+            }
+        }
+        r.finish()?;
+        Ok(StaticBlend::new(signals, weights))
+    }
 }
 
 /// Z-score standardization (population standard deviation). Constant
@@ -254,6 +345,36 @@ mod tests {
         let var: f64 = z.iter().map(|x| x * x).sum::<f64>() / z.len() as f64;
         assert!(mean.abs() < 1e-12);
         assert!((var - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_blend_image_roundtrips_bit_for_bit() {
+        let signals = StaticSignals {
+            visitors: vec![1.5, 0.0, 7.25],
+            dwell: vec![2.0, 3.0, -0.0],
+            pr_log: vec![-27.6, -3.1],
+            discussions: vec![4.0, 0.0, 1.0],
+            comments: vec![9.0, 0.0, 0.0],
+            participation: vec![0.5, 0.0, f64::NAN],
+        };
+        let blend = StaticBlend::new(signals, BlendWeights::default());
+        let mut bytes = Vec::new();
+        blend.encode_into(&mut bytes);
+        let decoded = StaticBlend::decode(&bytes).unwrap();
+        let mut again = Vec::new();
+        decoded.encode_into(&mut again);
+        assert_eq!(again, bytes);
+        assert_eq!(decoded.weights(), blend.weights());
+        for i in 0..4 {
+            let source = SourceId::new(i);
+            assert_eq!(
+                decoded.score(source).to_bits(),
+                blend.score(source).to_bits()
+            );
+        }
+        for cut in 0..bytes.len() {
+            assert!(StaticBlend::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -381,8 +381,15 @@ impl SearchEngine {
     /// index: where a shard of a serving layer starts, holding none of
     /// the rows, spare capacity or `ordinal_of` table `self` kept.
     pub fn without_documents(&self) -> SearchEngine {
+        self.with_index(InvertedIndex::default())
+    }
+
+    /// This engine's shared blend and scoring parameters over `index`:
+    /// where a shard of a serving layer resumes from a checkpoint
+    /// image of its index.
+    pub fn with_index(&self, index: InvertedIndex) -> SearchEngine {
         SearchEngine {
-            index: Arc::default(),
+            index: Arc::new(index),
             blend: Arc::clone(&self.blend),
             params: self.params,
         }

@@ -34,6 +34,7 @@
 //! lists, not one heap block per document.
 
 use crate::token::for_each_token;
+use obs_model::codec::{DecodeError, Reader, Writer};
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::HashMap;
 
@@ -534,6 +535,238 @@ impl InvertedIndex {
             + self.term_ids.len() * size_of::<(String, u32)>()
             + self.ordinal_of.len() * size_of::<(PostId, u32)>()
     }
+
+    /// Appends this index's canonical image to `out`, in the
+    /// [`obs_model::codec`] encoding:
+    ///
+    /// ```text
+    /// index := varint(#slots) slot*  varint(#free ids) varint(id)*
+    ///          varint(#rows) row*    varint(#arena) varint(id)*
+    ///          varint(#free ords) varint(ord)*
+    ///          varint(dead words) varint(generation)
+    /// slot  := str(term) varint(#postings) (varint(ord) varint(tf))*
+    /// row   := varint(post) varint(source) varint(len)
+    ///          varint(span start) varint(span len)
+    /// ```
+    ///
+    /// Posting lists go in slot order, free slots as an empty term
+    /// with no postings. The term dictionary, `ordinal_of`, the total
+    /// length and the tombstone flags are functions of the rest and
+    /// are rebuilt by [`InvertedIndex::decode`]; so are the lists'
+    /// sweep generations, which only matter inside a sweep.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
+        w.varint(self.lists.len() as u64);
+        for list in &self.lists {
+            w.str(&list.term);
+            w.varint(list.entries.len() as u64);
+            for p in &list.entries {
+                w.varint(u64::from(p.ord));
+                w.varint(u64::from(p.tf));
+            }
+        }
+        let ids = |w: &mut Writer<'_>, ids: &[u32]| {
+            w.varint(ids.len() as u64);
+            for &id in ids {
+                w.varint(u64::from(id));
+            }
+        };
+        ids(&mut w, &self.free_ids);
+        w.varint(self.rows.len() as u64);
+        for (row, span) in self.rows.iter().zip(&self.spans) {
+            w.varint(u64::from(row.post.raw()));
+            w.varint(u64::from(row.source.raw()));
+            w.varint(u64::from(row.len));
+            w.varint(u64::from(span.start));
+            w.varint(u64::from(span.len));
+        }
+        ids(&mut w, &self.arena);
+        ids(&mut w, &self.free_ords);
+        w.varint(self.dead_words as u64);
+        w.varint(self.generation);
+    }
+
+    /// Decodes exactly one index image spanning all of `bytes` (see
+    /// [`InvertedIndex::encode_into`]).
+    ///
+    /// Total, like every decoder of the codec: besides malformed
+    /// bytes, every ordinal, span and term id is checked against the
+    /// table it indexes — postings name live rows, spans lie inside
+    /// the arena without overlapping, live rows hold live term ids,
+    /// free lists name distinct free entries — and a violation is
+    /// [`DecodeError::Inconsistent`], so no later add, sweep or query
+    /// can index out of bounds.
+    pub fn decode(bytes: &[u8]) -> Result<InvertedIndex, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let (slots, capacity) = r.count()?;
+        let mut lists = Vec::with_capacity(capacity);
+        for _ in 0..slots {
+            let term = r.str()?.to_owned();
+            let (count, capacity) = r.count()?;
+            let mut entries = Vec::with_capacity(capacity);
+            for _ in 0..count {
+                entries.push(Posting {
+                    ord: r.varint_u32()?,
+                    tf: r.varint_u32()?,
+                });
+            }
+            lists.push(PostingList {
+                term,
+                entries,
+                clean_gen: 0,
+            });
+        }
+        let free_ids = read_ids(&mut r)?;
+        let (count, capacity) = r.count()?;
+        let mut rows = Vec::with_capacity(capacity);
+        let mut spans = Vec::with_capacity(capacity);
+        for _ in 0..count {
+            rows.push(DocRow {
+                post: PostId::new(r.varint_u32()?),
+                source: SourceId::new(r.varint_u32()?),
+                len: r.varint_u32()?,
+                tombstoned: false,
+            });
+            spans.push(Span {
+                start: r.varint_u32()?,
+                len: r.varint_u32()?,
+            });
+        }
+        let arena = read_ids(&mut r)?;
+        let free_ords = read_ids(&mut r)?;
+        let dead_words = r.varint_usize()?;
+        let generation = r.varint()?;
+        r.finish()?;
+
+        let mut index = InvertedIndex {
+            term_ids: HashMap::with_capacity(lists.len()),
+            lists,
+            free_ids,
+            rows,
+            spans,
+            arena,
+            dead_words,
+            ordinal_of: HashMap::new(),
+            free_ords,
+            pending: Vec::new(),
+            total_len: 0,
+            generation,
+        };
+        index.rebuild_derived()?;
+        Ok(index)
+    }
+
+    /// Checks a decoded image against its own tables and rebuilds the
+    /// state [`InvertedIndex::encode_into`] leaves out: the term
+    /// dictionary, the tombstone flags, `ordinal_of` and the total
+    /// length. Postings and forward index must name each other
+    /// exactly: the term ids a row's span holds are, as a set, the
+    /// lists that hold a posting of that row.
+    fn rebuild_derived(&mut self) -> Result<(), DecodeError> {
+        let bad = DecodeError::Inconsistent;
+        let mut free_slot = vec![false; self.lists.len()];
+        for &id in &self.free_ids {
+            let slot = free_slot
+                .get_mut(id as usize)
+                .ok_or(bad("free id past the slots"))?;
+            if std::mem::replace(slot, true) {
+                return Err(bad("a term id freed twice"));
+            }
+        }
+        // Postings regrouped by row (ids ascending, as the lists are
+        // walked in id order): `by_row[starts[ord]..starts[ord + 1]]`.
+        let mut starts = vec![0usize; self.rows.len() + 1];
+        for (id, (list, &free)) in self.lists.iter().zip(&free_slot).enumerate() {
+            if (list.term.is_empty(), list.entries.is_empty()) != (free, free) {
+                return Err(bad("a slot's term, postings and free flag disagree"));
+            }
+            for p in &list.entries {
+                match starts.get_mut(p.ord as usize) {
+                    Some(count) if (p.ord as usize) < self.rows.len() => *count += 1,
+                    _ => return Err(bad("posting past the doc table")),
+                }
+            }
+            if !free && self.term_ids.insert(list.term.clone(), id as u32).is_some() {
+                return Err(bad("a term in two slots"));
+            }
+        }
+        // Counts to exclusive prefix sums; the last entry is the total.
+        let mut total = 0;
+        for at in &mut starts {
+            total += std::mem::replace(at, total);
+        }
+        let mut fill = starts.clone();
+        let mut by_row = vec![0u32; starts.last().copied().unwrap_or(0)];
+        for (id, list) in self.lists.iter().enumerate() {
+            for p in &list.entries {
+                if let Some(at) = fill.get_mut(p.ord as usize) {
+                    if let Some(slot) = by_row.get_mut(*at) {
+                        *slot = id as u32;
+                    }
+                    *at += 1;
+                }
+            }
+        }
+        for &ord in &self.free_ords {
+            let row = self
+                .rows
+                .get_mut(ord as usize)
+                .ok_or(bad("free ordinal past the doc table"))?;
+            if std::mem::replace(&mut row.tombstoned, true) {
+                return Err(bad("an ordinal freed twice"));
+            }
+        }
+        let mut held = vec![false; self.arena.len()];
+        let mut live_words = 0usize;
+        let mut ids = Vec::new();
+        for (ord, (row, span)) in self.rows.iter().zip(&self.spans).enumerate() {
+            let words = (span.start as usize)
+                .checked_add(span.len as usize)
+                .and_then(|end| self.arena.get(span.start as usize..end))
+                .ok_or(bad("span past the arena"))?;
+            let listed = starts
+                .get(ord)
+                .zip(starts.get(ord + 1))
+                .and_then(|(&from, &to)| by_row.get(from..to))
+                .unwrap_or(&[]);
+            if row.tombstoned {
+                if !words.is_empty() || !listed.is_empty() {
+                    return Err(bad("a free row holds words or postings"));
+                }
+                continue;
+            }
+            ids.clear();
+            ids.extend_from_slice(words);
+            ids.sort_unstable();
+            if ids != listed || ids.windows(2).any(|pair| pair.first() == pair.last()) {
+                return Err(bad("a row's words and postings disagree"));
+            }
+            for at in held.iter_mut().skip(span.start as usize).take(words.len()) {
+                if std::mem::replace(at, true) {
+                    return Err(bad("two spans overlap"));
+                }
+            }
+            live_words += words.len();
+            self.total_len += u64::from(row.len);
+            if self.ordinal_of.insert(row.post, ord as u32).is_some() {
+                return Err(bad("a post on two live rows"));
+            }
+        }
+        if live_words.checked_add(self.dead_words) != Some(self.arena.len()) {
+            return Err(bad("dead words do not close the arena"));
+        }
+        Ok(())
+    }
+}
+
+/// A count-prefixed list of varint ids.
+fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
+    let (count, capacity) = r.count()?;
+    let mut ids = Vec::with_capacity(capacity);
+    for _ in 0..count {
+        ids.push(r.varint_u32()?);
+    }
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -933,6 +1166,102 @@ mod tests {
         assert_eq!(original.doc_length(PostId::new(1)), 3);
         assert_eq!(original.source_of(PostId::new(2)), Some(SourceId::new(0)));
         assert_eq!(original.source_of(PostId::new(3)), None);
+    }
+
+    fn image(idx: &InvertedIndex) -> Vec<u8> {
+        let mut out = Vec::new();
+        idx.encode_into(&mut out);
+        out
+    }
+
+    /// `three_docs` after removals, a re-add into a freed row, a term
+    /// retired and reborn, and an arena compaction.
+    fn churned() -> InvertedIndex {
+        let mut idx = three_docs();
+        idx.remove_document(PostId::new(1));
+        idx.add_document(PostId::new(4), SourceId::new(2), "castle fountain");
+        let mut delta = CorpusDelta::new();
+        delta.remove_doc(PostId::new(0));
+        delta.remove_doc(PostId::new(2));
+        delta.add_doc(PostId::new(2), SourceId::new(0), "gardens gardens piazza");
+        idx.apply_delta(&delta);
+        idx
+    }
+
+    #[test]
+    fn an_image_roundtrips_canonically_and_keeps_every_bound() {
+        for idx in [InvertedIndex::default(), three_docs(), churned()] {
+            let bytes = image(&idx);
+            let decoded = InvertedIndex::decode(&bytes).unwrap();
+            assert_bounds_exact(&decoded);
+            assert_eq!(image(&decoded), bytes);
+            assert_eq!(decoded.doc_count(), idx.doc_count());
+            assert_eq!(decoded.total_token_length(), idx.total_token_length());
+            assert_eq!(decoded.free_ordinals(), idx.free_ordinals());
+            for term in [
+                "duomo", "castle", "gardens", "fountain", "piazza", "rooftop",
+            ] {
+                assert_eq!(
+                    postings_by_post(&decoded, term),
+                    postings_by_post(&idx, term)
+                );
+            }
+
+            // The decoded index evolves exactly as the original does.
+            let (mut a, mut b) = (idx.clone(), decoded);
+            let mut delta = CorpusDelta::new();
+            delta.remove_doc(PostId::new(2));
+            delta.add_doc(PostId::new(9), SourceId::new(1), "duomo castle market");
+            a.apply_delta(&delta);
+            b.apply_delta(&delta);
+            assert_bounds_exact(&b);
+            assert_eq!(image(&a), image(&b));
+        }
+    }
+
+    #[test]
+    fn a_damaged_image_is_an_error_never_a_panic() {
+        let bytes = image(&churned());
+        for cut in 0..bytes.len() {
+            assert!(
+                InvertedIndex::decode(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(
+            InvertedIndex::decode(&trailing).unwrap_err(),
+            DecodeError::TrailingBytes
+        );
+        // A flipped bit either fails to decode or yields an index that
+        // keeps every bound its mutations and queries rely on.
+        for at in 0..bytes.len() {
+            for bit in [0x01, 0x10, 0x80] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= bit;
+                if let Ok(idx) = InvertedIndex::decode(&flipped) {
+                    assert_bounds_exact(&idx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_naming_a_row_past_the_table_is_inconsistent() {
+        let mut idx = InvertedIndex::default();
+        idx.add_document(PostId::new(0), SourceId::new(0), "duomo");
+        let bytes = image(&idx);
+        // One slot "duomo" with one posting (ord 0, tf 1), then the
+        // free ids: point the posting at ordinal 1.
+        let at = 1 + 1 + "duomo".len() + 1;
+        assert_eq!(&bytes[at..at + 2], &[0, 1]);
+        let mut bad = bytes.clone();
+        bad[at] = 1;
+        assert!(matches!(
+            InvertedIndex::decode(&bad),
+            Err(DecodeError::Inconsistent(_))
+        ));
     }
 
     #[test]

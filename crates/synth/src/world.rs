@@ -197,11 +197,11 @@ impl World {
             .collect::<Result<Vec<CategoryId>, _>>()?;
 
         let mut rng_users = root.fork(1);
-        let user_latents = generate_users(&mut builder, &mut rng_users, &config);
+        let user_latents = generate_users(&mut builder, &mut rng_users, &config)?;
 
         let mut rng_sources = root.fork(2);
         let source_latents =
-            generate_sources(&mut builder, &mut rng_sources, &config, &category_ids);
+            generate_sources(&mut builder, &mut rng_sources, &config, &category_ids)?;
 
         let activity_weights: Vec<f64> = user_latents.iter().map(|u| u.activity).collect();
         let audience_sampler = CumulativeSampler::new(&activity_weights);
@@ -265,7 +265,7 @@ fn generate_users(
     builder: &mut CorpusBuilder,
     rng: &mut Rng64,
     config: &WorldConfig,
-) -> Vec<UserLatent> {
+) -> Result<Vec<UserLatent>, ModelError> {
     let mut latents = Vec::with_capacity(config.users);
     for i in 0..config.users {
         let kind = match rng.f64() {
@@ -286,7 +286,7 @@ fn generate_users(
             AccountKind::Brand => 6.0,
             AccountKind::News => 7.5,
         };
-        builder.set_followers(id, rng.log_normal(followers_mu, 1.2).min(5e6) as u32);
+        builder.set_followers(id, rng.log_normal(followers_mu, 1.2).min(5e6) as u32)?;
         if rng.chance(0.6) {
             builder.set_user_home(
                 id,
@@ -294,7 +294,7 @@ fn generate_users(
                     MILAN.lat + rng.normal() * 0.15,
                     MILAN.lon + rng.normal() * 0.2,
                 ),
-            );
+            )?;
         }
 
         let spammer = rng.chance(0.03);
@@ -314,7 +314,7 @@ fn generate_users(
             spammer,
         });
     }
-    latents
+    Ok(latents)
 }
 
 fn generate_sources(
@@ -322,7 +322,7 @@ fn generate_sources(
     rng: &mut Rng64,
     config: &WorldConfig,
     category_ids: &[CategoryId],
-) -> Vec<SourceLatent> {
+) -> Result<Vec<SourceLatent>, ModelError> {
     let mut latents = Vec::with_capacity(config.sources);
     for i in 0..config.sources {
         let kind = SourceKind::ALL[rng.weighted_index(&config.kind_mix)];
@@ -334,7 +334,7 @@ fn generate_sources(
                 MILAN.lat + rng.normal() * 0.1,
                 MILAN.lon + rng.normal() * 0.15,
             ),
-        );
+        )?;
 
         // Independent latent factors; Pareto popularity gives the
         // heavy-tailed visit distribution real traffic panels show.
@@ -367,7 +367,7 @@ fn generate_sources(
             polarity_bias,
         });
     }
-    latents
+    Ok(latents)
 }
 
 #[allow(
@@ -406,7 +406,7 @@ fn generate_contents(
         audience.dedup();
 
         for _ in 0..n_discussions {
-            let founded = builder_founded(builder, source);
+            let founded = builder.source_founded(source)?;
             let open_window = horizon.seconds().saturating_sub(founded.seconds());
             if open_window == 0 {
                 continue;
@@ -440,7 +440,7 @@ fn generate_contents(
                 source, category, title, opener, opened_at, body, tags, geo,
             )?;
             if opened_at.seconds() < horizon.seconds() / 2 && rng.chance(0.25) {
-                builder.close_discussion(discussion);
+                builder.close_discussion(discussion)?;
             }
 
             // Root-post interactions scale with popularity and the
@@ -456,7 +456,7 @@ fn generate_contents(
                 opened_at,
                 horizon,
                 post_lambda,
-                source_kind(builder, source),
+                builder.source_kind(source)?,
             )?;
 
             // Comments.
@@ -508,22 +508,12 @@ fn generate_contents(
                     t,
                     horizon,
                     lambda,
-                    source_kind(builder, source),
+                    builder.source_kind(source)?,
                 )?;
             }
         }
     }
     Ok(())
-}
-
-/// Looks up a source's founding time from the builder (sources are
-/// registered before contents, so the index is always valid).
-fn builder_founded(builder: &CorpusBuilder, source: SourceId) -> Timestamp {
-    builder.source_founded(source)
-}
-
-fn source_kind(builder: &CorpusBuilder, source: SourceId) -> SourceKind {
-    builder.source_kind(source)
 }
 
 #[allow(

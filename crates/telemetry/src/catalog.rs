@@ -107,6 +107,8 @@ catalog! {
         "Refused, retracted shard sub-batches.";
     LIVE_COMMIT_FANOUT_SHARDS: "live_commit_fanout_shards", Histogram, [],
         "Non-empty shards per routed burst.";
+    LIVE_CHECKPOINTS_TOTAL: "live_checkpoints_total", Counter, ["outcome"],
+        "Checkpoint images the commit policy attempted, by outcome (written, failed).";
     LIVE_QUERY_CACHE_HITS_TOTAL: "live_query_cache_hits_total", Counter, [],
         "Queries answered from the snapshot-keyed result cache.";
     LIVE_QUERY_CACHE_MISSES_TOTAL: "live_query_cache_misses_total", Counter, [],

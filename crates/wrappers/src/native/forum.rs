@@ -254,7 +254,7 @@ mod tests {
             b.add_reply(d, u1, "agreed", Timestamp::from_days(i + 2), c)
                 .expect("c is a comment of d");
         }
-        b.close_discussion(DiscussionId::new(0));
+        b.close_discussion(DiscussionId::new(0)).unwrap();
         (b.build(), forum)
     }
 

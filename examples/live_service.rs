@@ -2,9 +2,9 @@
 //! crash is survived by replaying the delta journal.
 //!
 //! The demo starts a one-shard [`ShardedLiveService`] from an empty
-//! seed, commits the content up to the midpoint of history as its
-//! boot state, checkpoints that state and compacts the journal
-//! behind it. Three reader threads then hammer the service with
+//! seed and commits the content up to the midpoint of history as its
+//! boot state; the next commit writes a durable checkpoint image of
+//! that state and compacts the journal behind it. Three reader threads then hammer the service with
 //! queries while the main thread sweeps the sources in
 //! group-committed bursts ([`ShardedLiveService::tick_sweep`]): each
 //! burst crawls a batch of sources — fanned across **4 worker
@@ -17,9 +17,10 @@
 //! a mid-burst state.
 //!
 //! Finally the service is dropped without ceremony — a crash — and
-//! [`ShardedLiveService::recover_from`] rebuilds it from the
-//! checkpoint plus the journal. The recovered rankings are compared
-//! against the pre-crash service: bit-identical.
+//! [`ShardedLiveService::recover`] rebuilds it from the last
+//! checkpoint image plus the journal tail past it. The recovered
+//! rankings are compared against the pre-crash service:
+//! bit-identical.
 //!
 //! The whole run is instrumented through one
 //! [`Registry`](informing_observers::telemetry::Registry): the
@@ -67,18 +68,19 @@ fn main() {
 
     let journal_dir = std::env::temp_dir().join(format!("obs_live_example_{}", std::process::id()));
     let registry = Arc::new(Registry::new());
+    let metrics = ShardMetrics::new(&registry, 1);
     let mut service = ShardedLiveService::start(&seed, 1, &journal_dir)
         .expect("journal in temp dir")
-        .with_metrics(ShardMetrics::new(&registry, 1));
+        .with_metrics(metrics.clone());
     service
         .ingest(&CorpusDelta::for_posts(&world.corpus, &boot).unwrap())
         .expect("boot commit");
-    // Checkpoint the boot state; the journal no longer needs it.
-    let checkpoint = service.checkpoint();
-    let compacted = service.compact_through(&checkpoint).expect("compaction");
+    // The next commit finds the journal holding more bytes than the
+    // last image (none yet), so it first images the boot state and
+    // compacts the journal through it.
+    let boot_seq = service.seqs()[0];
     println!(
-        "boot state: {} docs indexed and checkpointed ({compacted} journal record \
-         compacted away), {} posts still unobserved",
+        "boot state: {} docs indexed, {} posts still unobserved",
         service.doc_count(),
         recent.len()
     );
@@ -148,7 +150,7 @@ fn main() {
             "writer group-committed {} journaled deltas across {sweeps} sweeps \
              of 4 crawl workers each ({publishes} published snapshots instead \
              of one per delta)",
-            service.journal_len(0),
+            service.seqs()[0] - boot_seq,
         );
     });
     println!(
@@ -161,13 +163,15 @@ fn main() {
 
     // Remember the pre-crash rankings, then crash.
     let pre_hits = service.reader().query(&terms, 10);
+    let (images, failed) = metrics.checkpoint_counts();
     drop(service); // no shutdown, no checkpoint flush — a kill
 
     let (recovered, reports) =
-        ShardedLiveService::recover_from(checkpoint, &journal_dir).expect("journal replays");
+        ShardedLiveService::recover(&seed, 1, &journal_dir).expect("image and journal load");
     println!(
-        "recovered from crash: {} deltas replayed over the checkpoint (torn tail: {})",
-        reports[0].replayed, reports[0].torn_tail_dropped,
+        "recovered from crash: the last of {images} checkpoint images ({failed} failed) \
+         covers seq {}, and {} deltas replayed past it (torn tail: {})",
+        reports[0].checkpoint_seq, reports[0].replayed, reports[0].torn_tail_dropped,
     );
     let post_hits = recovered.reader().query(&terms, 10);
 

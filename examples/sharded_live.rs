@@ -130,8 +130,8 @@ fn main() {
     println!("\nrecovered {} shards independently:", reports.len());
     for (i, report) in reports.iter().enumerate() {
         println!(
-            "  shard {i}: replayed {} records to seq {} (torn tail: {})",
-            report.replayed, report.recovered_seq, report.torn_tail_dropped
+            "  shard {i}: image at seq {}, replayed {} records to seq {} (torn tail: {})",
+            report.checkpoint_seq, report.replayed, report.recovered_seq, report.torn_tail_dropped
         );
     }
     assert_eq!(recovered.seqs(), pre_seqs);

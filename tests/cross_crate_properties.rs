@@ -2,7 +2,9 @@
 //! any seed, exercised through the public facade.
 
 use informing_observers::analytics::{AlexaPanel, FeedRegistry, LinkGraph};
-use informing_observers::live::{DeltaJournal, ShardRouter, ShardedLiveService};
+use informing_observers::live::{
+    DeltaJournal, LiveError, ShardMetrics, ShardRouter, ShardedLiveService,
+};
 use informing_observers::model::{
     document_text, Clock, CorpusDelta, EngagementDelta, PostId, SourceId, Timestamp,
 };
@@ -14,6 +16,7 @@ use informing_observers::search::{
     scatter_query, scatter_query_unpruned, tokenize, BlendWeights, InvertedIndex, SearchEngine,
 };
 use informing_observers::synth::{TwitterConfig, TwitterPopulation, World, WorldConfig};
+use informing_observers::telemetry::Registry;
 use informing_observers::wrappers::{service_for, Crawler};
 use proptest::prelude::*;
 
@@ -102,6 +105,59 @@ fn append_torn_frame(path: &std::path::Path) {
     std::fs::remove_file(&probe).ok();
     let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
     file.write_all(&frame[header..frame.len() - 1]).unwrap();
+}
+
+/// Uncompacted copies of a service's shard journals. The checkpoint
+/// policy compacts a journal only at the start of a commit, and only
+/// through records the last commit acknowledged, so syncing the
+/// copies after every commit copies every record the service ever
+/// journaled, byte for byte (a frame's bytes are a function of its
+/// sequence and its canonically encoded delta).
+struct JournalCopies {
+    dir: std::path::PathBuf,
+    journals: Vec<DeltaJournal>,
+}
+
+impl JournalCopies {
+    fn create(dir: &std::path::Path, shards: usize) -> JournalCopies {
+        std::fs::create_dir_all(dir).unwrap();
+        let journals = (0..shards)
+            .map(|i| DeltaJournal::create(ShardedLiveService::shard_journal_path(dir, i)).unwrap())
+            .collect();
+        JournalCopies {
+            dir: dir.to_path_buf(),
+            journals,
+        }
+    }
+
+    /// Appends to each copy the records of the live journal under
+    /// `live` that it does not hold yet, which must start right after
+    /// its last.
+    fn sync(&mut self, live: &std::path::Path) {
+        for (i, copy) in self.journals.iter_mut().enumerate() {
+            let path = ShardedLiveService::shard_journal_path(live, i);
+            let replay = DeltaJournal::replay_path(path).unwrap();
+            let fresh: Vec<_> = replay
+                .records
+                .iter()
+                .filter(|r| r.seq >= copy.next_seq())
+                .collect();
+            if let Some(first) = fresh.first() {
+                assert_eq!(
+                    first.seq,
+                    copy.next_seq(),
+                    "shard {i} compacted an uncopied record"
+                );
+            }
+            let deltas: Vec<&CorpusDelta> = fresh.iter().map(|r| &r.delta).collect();
+            copy.append_batch(&deltas).unwrap();
+        }
+    }
+
+    /// The bytes of shard `i`'s copy.
+    fn bytes(&self, i: usize) -> Vec<u8> {
+        std::fs::read(ShardedLiveService::shard_journal_path(&self.dir, i)).unwrap()
+    }
 }
 
 /// An arbitrary delta drawn from `seed`: ids anywhere up to
@@ -304,7 +360,8 @@ proptest! {
         let (recovered, reports) = ShardedLiveService::recover(&seed_engine, 1, &dir).unwrap();
         let report = reports[0];
         prop_assert!(report.torn_tail_dropped);
-        prop_assert_eq!(report.replayed as u64, report.recovered_seq);
+        // The policy's last image, then every record past it.
+        prop_assert_eq!(report.checkpoint_seq + report.replayed as u64, report.recovered_seq);
         let engine = recovered.shard_engine(0);
         let reader = recovered.reader();
         prop_assert_eq!(engine.doc_count(), scratch.doc_count());
@@ -323,10 +380,12 @@ proptest! {
     fn batched_ingest_and_recovery_equal_sequential_ingest(seed in 0u64..10_000) {
         // Group-commit equivalence, end to end: ingesting a burst
         // through one `ingest_batch` (one fsync, one amortized
-        // in-order apply, one publish) must leave a journal *byte-identical*
-        // to one-at-a-time `ingest`, an engine bit-identical down to
-        // BM25 score maps — and replaying the batched journal must
-        // land on that same engine again.
+        // in-order apply, one publish) must journal records
+        // *byte-identical* to one-at-a-time `ingest` (compared through
+        // uncompacted copies, since the checkpoint policy compacts at
+        // commit boundaries, which differ), an engine bit-identical
+        // down to BM25 score maps — and recovering the batched
+        // service must land on that same engine again.
         let world = tiny_world(seed);
         let panel = AlexaPanel::simulate(&world, seed);
         let links = LinkGraph::simulate(&world, seed ^ 1);
@@ -364,18 +423,24 @@ proptest! {
         let dir_seq = case_dir("batch_prop_seq", seed);
         let dir_batch = case_dir("batch_prop_grp", seed);
         let mut sequential = ShardedLiveService::start(&seed_engine, 1, &dir_seq).unwrap();
+        let mut copy_seq = JournalCopies::create(&dir_seq.join("copy"), 1);
         sequential.ingest(&boot).unwrap();
+        copy_seq.sync(&dir_seq);
         for delta in &deltas {
             sequential.ingest(delta).unwrap();
+            copy_seq.sync(&dir_seq);
         }
         let mut batched = ShardedLiveService::start(&seed_engine, 1, &dir_batch).unwrap();
+        let mut copy_batch = JournalCopies::create(&dir_batch.join("copy"), 1);
         batched.ingest(&boot).unwrap();
+        copy_batch.sync(&dir_batch);
         batched.ingest_batch(&deltas).unwrap();
+        copy_batch.sync(&dir_batch);
 
         prop_assert_eq!(batched.seqs(), sequential.seqs());
         prop_assert_eq!(
-            std::fs::read(ShardedLiveService::shard_journal_path(&dir_batch, 0)).unwrap(),
-            std::fs::read(ShardedLiveService::shard_journal_path(&dir_seq, 0)).unwrap(),
+            copy_batch.bytes(0),
+            copy_seq.bytes(0),
             "batched journal must be byte-identical to the sequential one"
         );
 
@@ -394,11 +459,15 @@ proptest! {
         prop_assert_eq!(&rb.query(&terms, 20), &hits);
         drop((rb, batched)); // crash the batched service with no grace
 
-        // Replaying the batched journal (one record per delta, one
-        // at a time) reproduces the same engine once more.
+        // Loading the batched service's image and replaying its
+        // journal tail (one record per delta, one at a time)
+        // reproduces the same engine once more.
         let (recovered, reports) = ShardedLiveService::recover(&seed_engine, 1, &dir_batch).unwrap();
         prop_assert!(!reports[0].torn_tail_dropped);
-        prop_assert_eq!(reports[0].replayed, deltas.len() + usize::from(!boot.is_empty()));
+        prop_assert_eq!(
+            reports[0].checkpoint_seq + reports[0].replayed as u64,
+            (deltas.len() + usize::from(!boot.is_empty())) as u64
+        );
         prop_assert_eq!(recovered.seqs(), sequential.seqs());
         prop_assert_eq!(
             bm25_scores(recovered.shard_engine(0).index(), &terms, Bm25Params::default()),
@@ -706,11 +775,12 @@ proptest! {
         // bit-identical rankings and static scores, a 1-shard journal
         // byte-identical to a bare journal fed the same bursts,
         // per-shard journals byte-identical to a reference router
-        // feeding plain journals — and recovering a killed N-shard
+        // feeding plain journals (both through uncompacted copies of
+        // the services' journals) — and recovering a killed N-shard
         // service must land back on the same rankings, shard by
-        // shard. At every shard count, checkpointing mid-stream,
-        // compacting, crashing with a torn tail and recovering from
-        // the checkpoint must land on the uninterrupted run too.
+        // shard. At every shard count, committing under the
+        // checkpoint policy, crashing with a torn tail and recovering
+        // from the last image must land on the uninterrupted run too.
         let world = tiny_world(seed);
         let panel = AlexaPanel::simulate(&world, seed);
         let links = LinkGraph::simulate(&world, seed ^ 1);
@@ -742,6 +812,8 @@ proptest! {
         let mut flat_journal = DeltaJournal::create(&path_flat).unwrap();
         let mut one = ShardedLiveService::start(&seed_engine, 1, &dir_one).unwrap();
         let mut many = ShardedLiveService::start(&seed_engine, shards, &dir_many).unwrap();
+        let mut copy_one = JournalCopies::create(&base.join("copy-one"), 1);
+        let mut copy_many = JournalCopies::create(&base.join("copy-many"), shards);
         // Reference journals fed by a bare router, mirroring the
         // burst grouping of `ingest_batch`.
         let mut ref_router = ShardRouter::new(shards).unwrap();
@@ -757,6 +829,8 @@ proptest! {
             flat_journal.append_batch(&fresh).unwrap();
             one.ingest_batch(burst).unwrap();
             many.ingest_batch(burst).unwrap();
+            copy_one.sync(&dir_one);
+            copy_many.sync(&dir_many);
             let mut routed: Vec<Vec<CorpusDelta>> = vec![Vec::new(); shards];
             for delta in burst.iter() {
                 for (shard, sub) in ref_router.route(delta).into_iter().enumerate() {
@@ -789,13 +863,13 @@ proptest! {
         // Journal bytes: one shard ≡ a bare journal; N shards ≡ the
         // reference router's journals, shard by shard.
         prop_assert_eq!(
-            std::fs::read(ShardedLiveService::shard_journal_path(&dir_one, 0)).unwrap(),
+            copy_one.bytes(0),
             std::fs::read(&path_flat).unwrap(),
             "a 1-shard service must journal byte-identically to a bare journal"
         );
         for i in 0..shards {
             prop_assert_eq!(
-                std::fs::read(ShardedLiveService::shard_journal_path(&dir_many, i)).unwrap(),
+                copy_many.bytes(i),
                 std::fs::read(dir_ref.join(format!("shard-{i}.journal"))).unwrap(),
                 "shard {} journal must match the reference routing", i
             );
@@ -826,28 +900,21 @@ proptest! {
         }
         prop_assert_eq!(recovered.reader().query(&terms, 20), hits.clone());
 
-        // Checkpoint mid-stream, compact, crash with a torn tail on
-        // every journal, recover from the checkpoint: the result is
-        // the uninterrupted run, for every shard count. A bare
-        // router fed the same bursts gives the uninterrupted
-        // per-shard sequences and post homes.
+        // One delta per commit, so the policy images and compacts
+        // several times; crash with a torn tail on every journal and
+        // recover from the last image: the result is the
+        // uninterrupted run, for every shard count. A bare router fed
+        // the same deltas gives the uninterrupted per-shard sequences
+        // and post homes.
         for n in 1..=4usize {
             let dir = base.join(format!("checkpointed-{n}"));
             let mut service = ShardedLiveService::start(&seed_engine, n, &dir).unwrap();
             let mut router = ShardRouter::new(n).unwrap();
             let mut seqs = vec![0u64; n];
-            let mut checkpoint = None;
-            for (b, burst) in bursts.iter().enumerate() {
-                if b == bursts.len() / 2 {
-                    let taken = service.checkpoint();
-                    service.compact_through(&taken).unwrap();
-                    checkpoint = Some(taken);
-                }
-                service.ingest_batch(burst).unwrap();
-                for delta in burst.iter() {
-                    for (shard, sub) in router.route(delta).iter().enumerate() {
-                        seqs[shard] += u64::from(!sub.is_empty());
-                    }
+            for delta in &deltas {
+                service.ingest(delta).unwrap();
+                for (shard, sub) in router.route(delta).iter().enumerate() {
+                    seqs[shard] += u64::from(!sub.is_empty());
                 }
             }
             prop_assert_eq!(service.seqs(), seqs.clone());
@@ -856,14 +923,14 @@ proptest! {
                 append_torn_frame(&ShardedLiveService::shard_journal_path(&dir, i));
             }
 
-            let checkpoint = checkpoint.unwrap();
             let (restored, reports) =
-                ShardedLiveService::recover_from(checkpoint.clone(), &dir).unwrap();
+                ShardedLiveService::recover(&seed_engine, n, &dir).unwrap();
             prop_assert_eq!(restored.seqs(), seqs.clone());
+            prop_assert!(reports.iter().any(|r| r.checkpoint_seq > 0), "no image at {} shards", n);
             for (i, report) in reports.iter().enumerate() {
                 prop_assert!(report.torn_tail_dropped);
                 prop_assert_eq!(report.skipped, 0, "compaction dropped the covered prefix");
-                prop_assert_eq!(report.replayed as u64, seqs[i] - checkpoint.seqs()[i]);
+                prop_assert_eq!(report.checkpoint_seq + report.replayed as u64, seqs[i]);
             }
             let reader = restored.reader();
             prop_assert_eq!(&reader.query(&terms, 20), &hits);
@@ -1052,6 +1119,187 @@ proptest! {
                 prop_assert_eq!(p.score.to_bits(), o.score.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn index_images_roundtrip_canonically(seed in 0u64..10_000) {
+        // After any add/remove history, encode → decode → encode of
+        // an index image is byte-identical, the decoded index scores
+        // as the original, and it evolves exactly as the original
+        // under the next delta.
+        let world = tiny_world(seed);
+        let posts = permuted_posts(&world, seed);
+        let terms = probe_terms(&world);
+        let image = |index: &InvertedIndex| {
+            let mut out = Vec::new();
+            index.encode_into(&mut out);
+            out
+        };
+        let chunk = posts.len().div_ceil(4).max(1);
+        let mut history = Vec::new();
+        for (i, added) in posts.chunks(chunk).enumerate() {
+            history.push(CorpusDelta::for_posts(&world.corpus, added).unwrap());
+            // Remove every (2 + i)-th post so far, then re-add one.
+            let so_far = &posts[..i * chunk + added.len()];
+            let gone: Vec<PostId> = so_far.iter().copied().step_by(2 + i).collect();
+            history.push(CorpusDelta::for_removals(&world.corpus, &gone).unwrap());
+            history.push(CorpusDelta::for_posts(&world.corpus, &gone[..1]).unwrap());
+        }
+        let mut index = InvertedIndex::default();
+        let mut carried = InvertedIndex::decode(&image(&index)).unwrap();
+        for delta in &history {
+            index.apply_delta(delta);
+            carried.apply_delta(delta);
+            let bytes = image(&index);
+            prop_assert_eq!(&image(&carried), &bytes);
+            let decoded = InvertedIndex::decode(&bytes).unwrap();
+            prop_assert_eq!(&image(&decoded), &bytes);
+            prop_assert_eq!(
+                bm25_scores(&decoded, &terms, Bm25Params::default()),
+                bm25_scores(&index, &terms, Bm25Params::default())
+            );
+            carried = decoded;
+        }
+    }
+
+    #[test]
+    fn policy_recovery_equals_genesis_replay_of_uncompacted_journals(
+        seed in 0u64..10_000,
+        shards in 1usize..4,
+    ) {
+        // After any delta history under the checkpoint policy,
+        // recovery (the last image plus each journal's tail) answers
+        // bit-identically to recovery from genesis over uncompacted
+        // copies of the journals: same sequences, post homes, BM25
+        // maps, static scores and rankings.
+        let world = tiny_world(seed);
+        let panel = AlexaPanel::simulate(&world, seed);
+        let links = LinkGraph::simulate(&world, seed ^ 1);
+        let scratch =
+            SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+        let seed_engine = empty_seed(&world, &scratch);
+
+        // Adds in seed-sized chunks, then a re-crawl of every other
+        // source (removals, then the same posts again), in bursts of
+        // one to three deltas.
+        let posts = permuted_posts(&world, seed);
+        let mut deltas: Vec<CorpusDelta> = posts
+            .chunks(1 + (seed % 7) as usize)
+            .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
+            .collect();
+        for source in world.corpus.sources().iter().step_by(2) {
+            let mine: Vec<PostId> = posts
+                .iter()
+                .copied()
+                .filter(|&p| document_text(&world.corpus, p).unwrap().0 == source.id)
+                .collect();
+            deltas.push(CorpusDelta::for_removals(&world.corpus, &mine).unwrap());
+            deltas.push(CorpusDelta::for_posts(&world.corpus, &mine).unwrap());
+        }
+        let bursts: Vec<&[CorpusDelta]> = deltas.chunks(1 + (seed / 7 % 3) as usize).collect();
+
+        let base = case_dir(&format!("policy_prop_{shards}"), seed);
+        let (live, copies_dir) = (base.join("live"), base.join("copies"));
+        let metrics = ShardMetrics::new(&Registry::new(), shards);
+        let mut service = ShardedLiveService::start(&seed_engine, shards, &live)
+            .unwrap()
+            .with_metrics(metrics.clone());
+        let mut copies = JournalCopies::create(&copies_dir, shards);
+        for burst in &bursts {
+            service.ingest_batch(burst).unwrap();
+            copies.sync(&live);
+        }
+        prop_assert!(metrics.checkpoint_counts().0 > 0, "the policy never imaged");
+        prop_assert_eq!(metrics.checkpoint_counts().1, 0);
+        drop(service);
+
+        let (imaged, reports) = ShardedLiveService::recover(&seed_engine, shards, &live).unwrap();
+        let (reference, genesis) =
+            ShardedLiveService::recover(&seed_engine, shards, &copies_dir).unwrap();
+        prop_assert!(reports.iter().any(|r| r.checkpoint_seq > 0));
+        prop_assert!(genesis.iter().all(|r| r.checkpoint_seq == 0 && r.skipped == 0));
+        prop_assert_eq!(imaged.seqs(), reference.seqs());
+        let terms = probe_terms(&world);
+        for i in 0..shards {
+            prop_assert_eq!(
+                bm25_scores(imaged.shard_engine(i).index(), &terms, Bm25Params::default()),
+                bm25_scores(reference.shard_engine(i).index(), &terms, Bm25Params::default())
+            );
+        }
+        let (a, b) = (imaged.reader(), reference.reader());
+        let mut queries: Vec<Vec<String>> = vec![terms.clone()];
+        queries.extend(terms.windows(2).step_by(3).map(<[String]>::to_vec));
+        for q in &queries {
+            let bits = |hits: Vec<informing_observers::search::SearchHit>| -> Vec<(SourceId, u64)> {
+                hits.iter().map(|h| (h.source, h.score.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(a.query(q, 20)), bits(b.query(q, 20)));
+        }
+        for s in world.corpus.sources() {
+            prop_assert_eq!(a.static_score(s.id).to_bits(), b.static_score(s.id).to_bits());
+        }
+        for p in world.corpus.posts() {
+            prop_assert_eq!(imaged.router().home_of(p.id), reference.router().home_of(p.id));
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn damaged_checkpoint_images_are_refused_without_panicking(
+        seed in 0u64..10_000,
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        // A truncated or bit-flipped image file is refused with a
+        // typed error. Without the file's CRC, a damaged index
+        // section either fails to decode or decodes to an index that
+        // re-encodes to exactly those bytes and takes deltas and
+        // queries without panicking.
+        let world = tiny_world(seed);
+        let panel = AlexaPanel::simulate(&world, seed);
+        let links = LinkGraph::simulate(&world, seed ^ 1);
+        let scratch =
+            SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+        let seed_engine = empty_seed(&world, &scratch);
+        let posts = permuted_posts(&world, seed);
+        let dir = case_dir("damaged_image", seed);
+        let mut service = ShardedLiveService::start(&seed_engine, 2, &dir).unwrap();
+        for chunk in posts.chunks(posts.len().div_ceil(3).max(1)) {
+            service.ingest(&CorpusDelta::for_posts(&world.corpus, chunk).unwrap()).unwrap();
+        }
+        let mut section = Vec::new();
+        service.shard_engine(0).index().encode_into(&mut section);
+        drop(service);
+        let path = informing_observers::live::checkpoint::image_path(&dir);
+        let intact = std::fs::read(&path).unwrap();
+
+        let at = (cut % intact.len() as u64) as usize;
+        let bit = (flip % (8 * intact.len() as u64)) as usize;
+        let mut flipped = intact.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        for damaged in [&intact[..at], &flipped[..]] {
+            std::fs::write(&path, damaged).unwrap();
+            let refused = ShardedLiveService::recover(&seed_engine, 2, &dir);
+            prop_assert!(
+                matches!(refused, Err(LiveError::Checkpoint(_))),
+                "{:?}", refused.map(|_| ())
+            );
+        }
+
+        let bit = (flip % (8 * section.len() as u64)) as usize;
+        let mut damaged = section.clone();
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(mut index) = InvertedIndex::decode(&damaged) {
+            let mut again = Vec::new();
+            index.encode_into(&mut again);
+            prop_assert_eq!(again, damaged);
+            let terms = probe_terms(&world);
+            bm25_scores(&index, &terms, Bm25Params::default());
+            index.apply_delta(&CorpusDelta::for_removals(&world.corpus, &posts).unwrap());
+            index.apply_delta(&boot_delta(&world));
+            bm25_scores(&index, &terms, Bm25Params::default());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

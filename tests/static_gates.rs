@@ -24,18 +24,23 @@ const PANIC_LINTS: [&str; 6] = [
 ];
 
 /// Modules whose output is replayed and must be byte-identical.
-const REPLAY_MODULES: [&str; 4] = [
+const REPLAY_MODULES: [&str; 5] = [
     "crates/model/src/codec.rs",
     "crates/search/src/scatter.rs",
+    "crates/live/src/checkpoint.rs",
     "crates/live/src/journal.rs",
     "crates/live/src/shard.rs",
 ];
 
 /// Modules held to checked indexing (`get`/`get_mut`, or an
 /// `#[expect]` with a reason): the static blend, the scatter merge and
-/// the shard commit path serve every query and commit; the quality
-/// score normalizes every measure through `normalize`.
-const CHECKED_INDEXING_MODULES: [&str; 4] = [
+/// the shard commit path serve every query and commit; the journal
+/// and the checkpoint image are the durable path every commit and
+/// recovery reads and writes; the quality score normalizes every
+/// measure through `normalize`.
+const CHECKED_INDEXING_MODULES: [&str; 6] = [
+    "crates/live/src/checkpoint.rs",
+    "crates/live/src/journal.rs",
     "crates/live/src/shard.rs",
     "crates/search/src/blend.rs",
     "crates/search/src/scatter.rs",
