@@ -17,7 +17,7 @@
 //! ([`StageTimer`]); `publish` follows once both are done.
 
 use crate::error::LiveError;
-use obs_search::SearchMetrics;
+use obs_search::{Detach, SearchMetrics};
 use obs_telemetry::{catalog, Counter, Histogram, Registry, SharedClock};
 
 /// One stage of a shard commit. The first two overlap.
@@ -169,16 +169,13 @@ impl ShardMetrics {
         outcome
     }
 
-    /// Records a committed shard's copy-on-write detach: the index
-    /// bytes it copied
-    /// ([`InvertedIndex::heap_bytes`](obs_search::InvertedIndex::heap_bytes)
-    /// of the index it detached from), and whether it copied them
-    /// into the superseded epoch's storage.
-    pub(crate) fn record_detach(&self, shard: usize, bytes: usize, recycled: bool) {
+    /// Records what a committed shard's apply copied and whether its
+    /// detach went into the superseded epoch's storage.
+    pub(crate) fn record_detach(&self, shard: usize, detach: Detach) {
         if let Some(hist) = self.copied_bytes.get(shard) {
-            hist.record(bytes as u64);
+            hist.record(detach.copied as u64);
         }
-        if let Some(counter) = self.recycled.get(shard).filter(|_| recycled) {
+        if let Some(counter) = self.recycled.get(shard).filter(|_| detach.recycled) {
             counter.inc();
         }
     }

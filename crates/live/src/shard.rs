@@ -61,7 +61,8 @@ use crate::metrics::{ShardMetrics, Stage, StageTimer};
 use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};
 use obs_model::{Clock, CorpusDelta, PostId, SourceId};
 use obs_search::{
-    scatter_query, scatter_query_traced, SearchEngine, SearchHit, SearchMetrics, StaticBlend,
+    scatter_query, scatter_query_traced, Detach, SearchEngine, SearchHit, SearchMetrics,
+    StaticBlend,
 };
 use obs_wrappers::{Crawler, DataService, HighWaterMarks, SweepReport};
 use std::collections::BTreeMap;
@@ -254,17 +255,6 @@ struct Shard {
     journal: DeltaJournal,
 }
 
-/// What one shard commit's copy-on-write detach did.
-#[derive(Debug, Clone, Copy, Default)]
-struct Detach {
-    /// Index bytes copied: the last publish shares the writer's
-    /// index, so every apply that adds or removes a document detaches
-    /// it; an engagement-only sub-batch copies nothing.
-    copied: usize,
-    /// Whether the copy went into the superseded epoch's storage.
-    recycled: bool,
-}
-
 impl Shard {
     /// Group-commits this shard's sub-batch: all records under one
     /// fsync ([`DeltaJournal::append_batch`], all-or-nothing) on a
@@ -281,11 +271,6 @@ impl Shard {
         }
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
         let first = self.journal.next_seq();
-        let copied = if refs.iter().any(|d| d.touches_documents()) {
-            self.writer.engine().index().heap_bytes()
-        } else {
-            0
-        };
         let Shard { writer, journal } = self;
         let (journaled, applied) = std::thread::scope(|scope| {
             let journaling =
@@ -299,9 +284,9 @@ impl Shard {
             (journaled, applied)
         });
         match journaled.map_err(LiveError::from).and(applied) {
-            Ok(recycled) => {
+            Ok(detach) => {
                 timer.time(Stage::Publish, || writer.publish());
-                Ok(Detach { copied, recycled })
+                Ok(detach)
             }
             Err(error) => {
                 writer.reset_to_published();
@@ -719,7 +704,7 @@ impl ShardedLiveService {
         let commit = |i: usize, shard: &mut Shard, batch: &[CorpusDelta]| match metrics {
             Some(m) => m
                 .time_shard_commit(i, batch.len(), |timer| shard.commit(batch, timer))
-                .map(|detach| m.record_detach(i, detach.copied, detach.recycled)),
+                .map(|detach| m.record_detach(i, detach)),
             None => shard.commit(batch, StageTimer::OFF).map(drop),
         };
         let mut outcomes: Vec<Result<(), LiveError>> = routed.iter().map(|_| Ok(())).collect();
@@ -1231,7 +1216,8 @@ mod tests {
             .unwrap()
             .with_metrics(metrics.clone());
 
-        // A shard a burst commits to copies the index it held before.
+        // A shard a burst commits to copies at most the index it held
+        // before.
         let mut bursts = 0u64;
         let mut copied = [0usize; 3];
         for batch in stream.chunks(4) {
@@ -1290,9 +1276,10 @@ mod tests {
         )));
         assert!(text.contains("live_shard_commit_ns_count{shard=\"0\"}"));
         assert!(copied.iter().sum::<usize>() > 0);
-        for (shard, bytes) in copied.iter().enumerate() {
-            let series = format!("live_commit_copied_bytes_sum{{shard=\"{shard}\"}} {bytes}");
-            assert!(text.contains(&series), "missing {series}");
+        for (shard, &bytes) in copied.iter().enumerate() {
+            let recorded = copied_bytes(&text, shard).1;
+            assert!(recorded <= bytes, "shard {shard}: {recorded} of {bytes}");
+            assert_eq!(recorded > 0, bytes > 0, "shard {shard}");
         }
         assert!(text.contains("live_commit_fanout_shards_count"));
         assert!(text.contains("search_query_ns_count 2"));
@@ -1309,6 +1296,71 @@ mod tests {
         assert!(service.ingest_batch(&[probe_delta]).is_err());
         let counts = metrics.commit_counts();
         assert_eq!(counts[0].2, 1, "shard 0 failure not recorded: {counts:?}");
+        cleanup(&dir);
+    }
+
+    /// The `live_commit_copied_bytes` count and sum the exposition
+    /// `text` shows for `shard`.
+    fn copied_bytes(text: &str, shard: usize) -> (u64, usize) {
+        let value = |part: &str| {
+            let series = format!("live_commit_copied_bytes_{part}{{shard=\"{shard}\"}} ");
+            text.lines()
+                .find_map(|line| line.strip_prefix(&series)?.parse().ok())
+                .unwrap_or_else(|| panic!("missing {series}"))
+        };
+        (value("count"), value("sum") as usize)
+    }
+
+    #[test]
+    fn a_recrawl_copies_the_lists_it_touches_and_engagement_copies_nothing() {
+        use obs_telemetry::Registry;
+
+        let (world, _, seed) = world_and_engine(611);
+        let dir = temp_dir("copied");
+        let registry = Registry::new();
+        let mut service = ShardedLiveService::start(&seed, 2, &dir)
+            .unwrap()
+            .with_metrics(ShardMetrics::new(&registry, 2));
+        let posts: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+        service
+            .ingest(&CorpusDelta::for_posts(&world.corpus, &posts).unwrap())
+            .unwrap();
+
+        // One source's re-crawl: its posts removed and re-added in one
+        // commit of its shard.
+        let source = world.corpus.sources()[0].id;
+        let shard = service.router().shard_of(source);
+        let mine: Vec<PostId> = posts
+            .iter()
+            .copied()
+            .filter(|&p| service.router().home_of(p) == Some(shard))
+            .filter(|&p| obs_model::document_text(&world.corpus, p).unwrap().0 == source)
+            .collect();
+        assert!(!mine.is_empty());
+        let held = service.shard_engine(shard).index().heap_bytes();
+        let before = copied_bytes(&registry.render_text(), shard);
+        service
+            .ingest_batch(&[
+                CorpusDelta::for_removals(&world.corpus, &mine).unwrap(),
+                CorpusDelta::for_posts(&world.corpus, &mine).unwrap(),
+            ])
+            .unwrap();
+        let after = copied_bytes(&registry.render_text(), shard);
+        assert_eq!(after.0, before.0 + 1);
+        let recrawl = after.1 - before.1;
+        assert!(
+            0 < recrawl && 2 * recrawl < held,
+            "a one-source re-crawl copied {recrawl} of {held} bytes"
+        );
+
+        // An engagement-only commit detaches nothing.
+        let mut engagement = CorpusDelta::new();
+        engagement.note_engagement(source, 1, 2);
+        service.ingest(&engagement).unwrap();
+        assert_eq!(
+            copied_bytes(&registry.render_text(), shard),
+            (after.0 + 1, after.1)
+        );
         cleanup(&dir);
     }
 

@@ -18,11 +18,15 @@
 //!   pointer-sized critical section. The superseded snapshot comes
 //!   back after the lock is released. If nothing else holds it or its
 //!   index, the writer keeps that index as a **spare**, and its next
-//!   apply detaches into the spare's buffers ([`Clone::clone_from`])
-//!   instead of allocating a fresh copy while the publish frees the
-//!   old one. Two epochs' storage so alternate for as long as no
-//!   reader lingers, and both stay resident between commits: the
-//!   spare costs one index's memory per writer.
+//!   apply detaches into the spare's buffers
+//!   ([`InvertedIndex::apply_shared`]) instead of allocating a fresh
+//!   copy while the publish frees the old one: the flat tables are
+//!   copied into the spare's, and each posting list the apply dirties
+//!   into the spare's own list for that slot. Two epochs' storage so
+//!   alternate for as long as no reader lingers, and both stay
+//!   resident between commits. Posting lists a commit does not touch
+//!   are shared by both, so the spare costs one copy of the flat
+//!   tables plus the lists the last commit dirtied.
 //!
 //! The lock is therefore never held across an `apply_delta` or a
 //! `query`; the worst a reader can experience is waiting for a
@@ -33,7 +37,7 @@
 //! copy, and the reader frees the epoch when it lets go.
 
 use crate::LiveError;
-use obs_search::{InvertedIndex, SearchEngine};
+use obs_search::{Detach, InvertedIndex, SearchEngine};
 use std::sync::{Arc, RwLock};
 
 /// One published, immutable engine state.
@@ -136,7 +140,8 @@ pub struct LiveWriter {
     seq: u64,
     /// The index of the epoch the last publish superseded, when no
     /// one else held it: the next apply detaches into it. Resident
-    /// between commits, so an idle writer holds two epochs.
+    /// between commits, so an idle writer holds two epochs, which
+    /// share every posting list the last commit did not touch.
     spare: Option<InvertedIndex>,
 }
 
@@ -173,7 +178,8 @@ impl LiveWriter {
     /// index bit-identical to replaying the same records one at a
     /// time. The engagement is left to the caller's blend. Not visible
     /// to readers until [`LiveWriter::publish`]; an empty batch is a
-    /// no-op. Returns whether the detach recycled the spare.
+    /// no-op. Returns what the detach copied and whether it recycled
+    /// the spare.
     ///
     /// Fails with [`LiveError::OutOfOrder`], applying nothing, if
     /// `first_seq` is not exactly one past the last applied sequence.
@@ -181,9 +187,9 @@ impl LiveWriter {
         &mut self,
         first_seq: u64,
         deltas: &[&obs_model::CorpusDelta],
-    ) -> Result<bool, LiveError> {
+    ) -> Result<Detach, LiveError> {
         if deltas.is_empty() {
-            return Ok(false);
+            return Ok(Detach::default());
         }
         let expected = self.seq + 1;
         if first_seq != expected {
@@ -192,11 +198,11 @@ impl LiveWriter {
                 got: first_seq,
             });
         }
-        let recycled = self
+        let detach = self
             .engine
             .apply_documents_into(&mut self.spare, deltas.iter().copied());
         self.seq = first_seq + deltas.len() as u64 - 1;
-        Ok(recycled)
+        Ok(detach)
     }
 
     /// Publishes the current engine state. Readers acquiring

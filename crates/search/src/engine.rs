@@ -24,7 +24,7 @@
 //! participation only for the sources the delta touched.
 
 use crate::blend::{PageRank, StaticBlend, StaticSignals, Traffic};
-use crate::index::InvertedIndex;
+use crate::index::{Detach, InvertedIndex};
 use crate::scatter::{scatter_query, ScatterStats, SourcePartial};
 use crate::score::{bm25_scores_with, distinct_terms, Bm25Params};
 use obs_model::{Corpus, CorpusDelta, SourceId};
@@ -70,11 +70,10 @@ pub struct SearchHit {
 /// — and the static blend are each behind an [`Arc`] shared by the
 /// clone, so a clone costs two reference-count bumps. Mutation stays
 /// safe through copy-on-write: [`SearchEngine::apply_delta`] detaches
-/// (deep-copies) what clones still share and the delta changes.
-/// That copy is a few flat arrays (the doc table, the forward-index
-/// arena and its spans), the posting lists and two hash tables, not
-/// one heap block per document; [`InvertedIndex::heap_bytes`] counts
-/// its bytes.
+/// what clones still share and the delta changes. That copy is a few
+/// flat arrays (the doc table, the forward-index arena and its spans)
+/// and `ordinal_of`, plus only the posting lists the delta touches;
+/// untouched lists stay shared ([`InvertedIndex::apply_shared`]).
 /// This is what makes the engine snapshot-friendly — a serving layer
 /// can publish an immutable clone per update tick and keep applying
 /// deltas to its own copy without ever touching published snapshots.
@@ -170,36 +169,20 @@ impl SearchEngine {
     }
 
     /// [`SearchEngine::apply_deltas`] without the engagement, which
-    /// the caller's blend owns, detaching a shared index into `spare`'s
-    /// storage ([`Clone::clone_from`]) instead of a fresh copy: a
-    /// serving layer hands back the epoch it superseded, so the detach
-    /// reuses that epoch's buffers. The spare is taken only when the
-    /// index is shared, and the result says whether it was. A burst
-    /// that adds and removes no document (empty, or engagement only)
-    /// touches nothing: the index stays shared and the spare stays put.
+    /// the caller's blend owns, through
+    /// [`InvertedIndex::apply_shared`]: a shared index is detached
+    /// into `spare`'s storage instead of a fresh copy, so a serving
+    /// layer that hands back the epoch it superseded reuses that
+    /// epoch's buffers. The spare is taken only when the index is
+    /// shared. A burst that adds and removes no document (empty, or
+    /// engagement only) touches nothing: the index stays shared and
+    /// the spare stays put.
     pub fn apply_documents_into<'a>(
         &mut self,
         spare: &mut Option<InvertedIndex>,
         deltas: impl IntoIterator<Item = &'a CorpusDelta>,
-    ) -> bool {
-        let mut deltas = deltas
-            .into_iter()
-            .filter(|d| d.touches_documents())
-            .peekable();
-        if deltas.peek().is_none() {
-            return false;
-        }
-        let shared = Arc::get_mut(&mut self.index).is_none();
-        let recycled = match spare.take_if(|_| shared) {
-            Some(mut index) => {
-                index.clone_from(&self.index);
-                self.index = Arc::new(index);
-                true
-            }
-            None => false,
-        };
-        Arc::make_mut(&mut self.index).apply_deltas(deltas);
-        recycled
+    ) -> Detach {
+        InvertedIndex::apply_shared(&mut self.index, spare, deltas)
     }
 
     /// Evaluates a query, returning the top `k` sources.

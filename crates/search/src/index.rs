@@ -29,14 +29,24 @@
 //! and counts its words dead; once dead words outnumber live ones,
 //! the sweep rewrites the arena with the live spans only, so the
 //! arena stays within twice the live words at an amortized O(1) per
-//! word. Cloning the index — the copy-on-write detach every published
-//! epoch pays — therefore copies a few flat arrays plus the posting
-//! lists, not one heap block per document.
+//! word.
+//!
+//! Epochs share what a batch does not touch: each posting list and
+//! the term dictionary sit behind an [`Arc`], so cloning the index —
+//! the copy-on-write detach every published epoch pays — copies the
+//! flat tables (doc table, spans, arena, `ordinal_of`) and two
+//! pointer tables. A batch copies a list only when its adds or its
+//! sweep touch it, at most once ([`InvertedIndex::apply_shared`]),
+//! and the dictionary only when it interns or retires a term.
+
+#![warn(clippy::indexing_slicing)]
 
 use crate::token::for_each_token;
 use obs_model::codec::{DecodeError, Reader, Writer};
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::HashMap;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// A posting: document ordinal and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,23 +70,10 @@ struct PostingList {
     clean_gen: u64,
 }
 
-// By hand, because `derive(Clone)` does not forward `clone_from`:
-// detaching into a recycled index must reuse each list's buffers.
-impl Clone for PostingList {
-    fn clone(&self) -> PostingList {
-        let PostingList {
-            term,
-            entries,
-            clean_gen,
-        } = self;
-        PostingList {
-            term: term.clone(),
-            entries: entries.clone(),
-            clean_gen: *clean_gen,
-        }
-    }
-
-    fn clone_from(&mut self, source: &PostingList) {
+impl PostingList {
+    /// Copies `source` into this list's buffers, growing only those
+    /// too small: un-sharing a list into a recycled one reuses it.
+    fn copy_from(&mut self, source: &PostingList) {
         let PostingList {
             term,
             entries,
@@ -101,7 +98,7 @@ pub(crate) struct DocRow {
 }
 
 // The dense scorer reads one row per posting.
-const _: () = assert!(std::mem::size_of::<DocRow>() == 16);
+const _: () = assert!(size_of::<DocRow>() == 16);
 
 /// One row's slice of the forward-index arena; empty on a free row.
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,22 +126,119 @@ struct Staging {
     /// The staged document's distinct term ids, in first-occurrence
     /// order.
     terms: Vec<u32>,
+    cow: Unshared,
+}
+
+/// What one batch un-shared: the lists it owns and the buffers it
+/// may copy into.
+#[derive(Debug, Default)]
+struct Unshared {
+    /// The lists this batch owns, by term id: each is taken out of
+    /// its `Arc` on first touch, so the batch pushes and sweeps into
+    /// it with no uniqueness check, and [`InvertedIndex::put_back`]
+    /// returns it.
+    lists: Vec<Option<PostingList>>,
+    /// The recycled epoch's own lists its detach replaced, by term id:
+    /// un-sharing a slot copies into that slot's old buffer.
+    displaced: Vec<Option<Arc<PostingList>>>,
+    /// The recycled epoch's own dictionary, if its detach replaced it.
+    displaced_terms: Option<Arc<HashMap<String, u32>>>,
+    /// Element bytes the batch copied, counted as
+    /// [`InvertedIndex::heap_bytes`] counts them.
+    copied: usize,
+}
+
+impl Unshared {
+    /// The batch's own copy of list `id`, taken on first touch
+    /// ([`Unshared::take`]). `None` only for an id past `lists`.
+    fn list<'a>(
+        &'a mut self,
+        lists: &mut [Arc<PostingList>],
+        id: u32,
+    ) -> Option<&'a mut PostingList> {
+        let id = id as usize;
+        if !matches!(self.lists.get(id), Some(Some(_))) {
+            self.take(lists, id);
+        }
+        self.lists.get_mut(id)?.as_mut()
+    }
+
+    /// Takes list `id` for the batch: moved out of `lists` if no other
+    /// epoch holds it, else copied (into the displaced buffer of the
+    /// same slot when there is one).
+    #[cold]
+    fn take(&mut self, lists: &mut [Arc<PostingList>], id: usize) {
+        let Some(shared) = lists.get_mut(id) else {
+            return;
+        };
+        let list = match Arc::get_mut(shared) {
+            Some(list) => std::mem::take(list),
+            None => {
+                self.copied += shared.entries.len() * size_of::<Posting>();
+                let mut copy = self
+                    .displaced
+                    .get_mut(id)
+                    .and_then(Option::take)
+                    .and_then(|mut old| Arc::get_mut(&mut old).map(std::mem::take))
+                    .unwrap_or_default();
+                copy.copy_from(shared);
+                copy
+            }
+        };
+        if self.lists.len() <= id {
+            self.lists.resize_with(id + 1, || None);
+        }
+        if let Some(owned) = self.lists.get_mut(id) {
+            *owned = Some(list);
+        }
+    }
+
+    /// The dictionary, un-shared on first use (into the displaced
+    /// dictionary's buffers when there is one).
+    fn terms<'a>(
+        &mut self,
+        terms: &'a mut Arc<HashMap<String, u32>>,
+    ) -> &'a mut HashMap<String, u32> {
+        if Arc::get_mut(terms).is_none() {
+            self.copied += terms.len() * size_of::<(String, u32)>();
+            if let Some(mut old) = self.displaced_terms.take() {
+                if let Some(map) = Arc::get_mut(&mut old) {
+                    map.clone_from(terms);
+                    *terms = old;
+                }
+            }
+        }
+        Arc::make_mut(terms)
+    }
+}
+
+/// What one [`InvertedIndex::apply_shared`] copied, and into whose
+/// storage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Detach {
+    /// Element bytes copied, counted as [`InvertedIndex::heap_bytes`]
+    /// counts them: the flat tables if the index was shared, plus
+    /// every posting list and the dictionary the batch un-shared.
+    /// Zero for a batch that adds and removes no document.
+    pub copied: usize,
+    /// Whether a shared index was detached into the spare's storage.
+    pub recycled: bool,
 }
 
 /// The inverted index.
 ///
-/// [`Clone::clone_from`] copies into the target's existing buffers,
-/// growing only those too small for the source, so detaching a
-/// published epoch into a recycled older one allocates almost nothing
-/// and keeps the capacity the older epoch grew.
-#[derive(Debug, Default)]
+/// Cloning copies the flat tables and shares every posting list and
+/// the dictionary with the original; whichever of the two a batch
+/// mutates copies what that batch touches, so the other never
+/// observes it.
+#[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     /// Term dictionary: each live term's id, its slot in `lists`.
     /// Always exactly the live vocabulary — an entry leaves in the
     /// same step its posting list empties.
-    term_ids: HashMap<String, u32>,
+    term_ids: Arc<HashMap<String, u32>>,
     /// Posting lists by term id.
-    lists: Vec<PostingList>,
+    lists: Vec<Arc<PostingList>>,
     /// Ids of emptied slots in `lists`, reused by the next new term.
     free_ids: Vec<u32>,
     /// The doc table, by ordinal. Kept apart from `spans` so the
@@ -170,72 +264,6 @@ pub struct InvertedIndex {
     generation: u64,
 }
 
-// Both methods destructure their source exhaustively, so a field
-// added later fails to compile until each copies it; `clone` builds
-// a fresh value on its own and is an independent reference for
-// `clone_from`.
-impl Clone for InvertedIndex {
-    fn clone(&self) -> InvertedIndex {
-        let InvertedIndex {
-            term_ids,
-            lists,
-            free_ids,
-            rows,
-            spans,
-            arena,
-            dead_words,
-            ordinal_of,
-            free_ords,
-            pending,
-            total_len,
-            generation,
-        } = self;
-        InvertedIndex {
-            term_ids: term_ids.clone(),
-            lists: lists.clone(),
-            free_ids: free_ids.clone(),
-            rows: rows.clone(),
-            spans: spans.clone(),
-            arena: arena.clone(),
-            dead_words: *dead_words,
-            ordinal_of: ordinal_of.clone(),
-            free_ords: free_ords.clone(),
-            pending: pending.clone(),
-            total_len: *total_len,
-            generation: *generation,
-        }
-    }
-
-    fn clone_from(&mut self, source: &InvertedIndex) {
-        let InvertedIndex {
-            term_ids,
-            lists,
-            free_ids,
-            rows,
-            spans,
-            arena,
-            dead_words,
-            ordinal_of,
-            free_ords,
-            pending,
-            total_len,
-            generation,
-        } = source;
-        self.term_ids.clone_from(term_ids);
-        self.lists.clone_from(lists);
-        self.free_ids.clone_from(free_ids);
-        self.rows.clone_from(rows);
-        self.spans.clone_from(spans);
-        self.arena.clone_from(arena);
-        self.dead_words = *dead_words;
-        self.ordinal_of.clone_from(ordinal_of);
-        self.free_ords.clone_from(free_ords);
-        self.pending.clone_from(pending);
-        self.total_len = *total_len;
-        self.generation = *generation;
-    }
-}
-
 impl InvertedIndex {
     /// Indexes every opening post of the corpus.
     pub fn build(corpus: &Corpus) -> InvertedIndex {
@@ -248,15 +276,16 @@ impl InvertedIndex {
             };
             index.stage_document(&mut staging, post.id, source, &text);
         }
-        index.sweep();
+        index.finish(&mut staging.cow);
         index
     }
 
     /// Adds one document. Re-adding a live document replaces its
     /// previous contents (update semantics).
     pub fn add_document(&mut self, doc: PostId, source: SourceId, text: &str) {
-        self.stage_document(&mut Staging::default(), doc, source, text);
-        self.sweep();
+        let mut staging = Staging::default();
+        self.stage_document(&mut staging, doc, source, text);
+        self.finish(&mut staging.cow);
     }
 
     /// Adds one document, tombstoning a live document of the same id
@@ -264,17 +293,24 @@ impl InvertedIndex {
     /// in `staging`, so only a term new to the vocabulary allocates.
     fn stage_document(&mut self, staging: &mut Staging, doc: PostId, source: SourceId, text: &str) {
         self.tombstone_document(doc);
-        let Staging { token, tf, terms } = staging;
+        let Staging {
+            token,
+            tf,
+            terms,
+            cow,
+        } = staging;
         let mut len = 0u32;
         for_each_token(text, token, |t| {
-            let id = self.intern(t) as usize;
-            if tf.len() <= id {
-                tf.resize(id + 1, 0);
+            let id = self.intern(cow, t);
+            if tf.len() <= id as usize {
+                tf.resize(id as usize + 1, 0);
             }
-            if tf[id] == 0 {
-                terms.push(id as u32);
+            if let Some(count) = tf.get_mut(id as usize) {
+                if *count == 0 {
+                    terms.push(id);
+                }
+                *count += 1;
             }
-            tf[id] += 1;
             len += 1;
         });
         let row = DocRow {
@@ -285,7 +321,9 @@ impl InvertedIndex {
         };
         let ord = match self.free_ords.pop() {
             Some(ord) => {
-                self.rows[ord as usize] = row;
+                if let Some(slot) = self.rows.get_mut(ord as usize) {
+                    *slot = row;
+                }
                 ord
             }
             // Freed ordinals are reused, so the row count is the peak
@@ -305,18 +343,20 @@ impl InvertedIndex {
             len: terms.len() as u32,
         };
         for id in terms.drain(..) {
-            let freq = std::mem::take(&mut tf[id as usize]);
-            self.lists[id as usize]
-                .entries
-                .push(Posting { ord, tf: freq });
+            let freq = tf.get_mut(id as usize).map_or(0, std::mem::take);
+            if let Some(list) = cow.list(&mut self.lists, id) {
+                list.entries.push(Posting { ord, tf: freq });
+            }
             self.arena.push(id);
         }
-        self.spans[ord as usize] = span;
+        if let Some(slot) = self.spans.get_mut(ord as usize) {
+            *slot = span;
+        }
     }
 
     /// The id of `term`, allocating one (and an empty posting list)
     /// if the term is new to the vocabulary.
-    fn intern(&mut self, term: &str) -> u32 {
+    fn intern(&mut self, cow: &mut Unshared, term: &str) -> u32 {
         if let Some(&id) = self.term_ids.get(term) {
             return id;
         }
@@ -325,24 +365,28 @@ impl InvertedIndex {
             // Freed ids are reused, so the slot count is the peak live
             // vocabulary: far below `u32::MAX` for any index in memory.
             None => {
-                self.lists.push(PostingList::default());
+                self.lists.push(Arc::default());
                 (self.lists.len() - 1) as u32
             }
         };
-        self.lists[id as usize].term = term.to_owned();
-        self.term_ids.insert(term.to_owned(), id);
+        if let Some(list) = cow.list(&mut self.lists, id) {
+            list.term = term.to_owned();
+        }
+        cow.terms(&mut self.term_ids).insert(term.to_owned(), id);
         id
     }
 
     /// Drops an emptied list's dictionary entry and frees its id. The
     /// slot keeps its `clean_gen`, so a sweep in progress that meets
     /// the id again skips it.
-    fn retire(&mut self, id: u32) {
-        let list = &mut self.lists[id as usize];
+    fn retire(&mut self, cow: &mut Unshared, id: u32) {
+        let Some(list) = cow.list(&mut self.lists, id) else {
+            return;
+        };
         let term = std::mem::take(&mut list.term);
         // Release the capacity `retain` left behind.
         list.entries = Vec::new();
-        self.term_ids.remove(&term);
+        cow.terms(&mut self.term_ids).remove(&term);
         self.free_ids.push(id);
     }
 
@@ -350,7 +394,7 @@ impl InvertedIndex {
     /// Returns whether the document was present.
     pub fn remove_document(&mut self, doc: PostId) -> bool {
         let removed = self.tombstone_document(doc);
-        self.sweep();
+        self.finish(&mut Unshared::default());
         removed
     }
 
@@ -366,16 +410,122 @@ impl InvertedIndex {
     /// list the batch dirtied is rescanned once, however many of the
     /// batch's removals it hosted.
     pub fn apply_deltas<'a>(&mut self, deltas: impl IntoIterator<Item = &'a CorpusDelta>) {
+        self.apply_staged(&mut Staging::default(), deltas);
+    }
+
+    /// [`InvertedIndex::apply_deltas`] on an index other epochs may
+    /// share. A burst that adds and removes no document (empty, or
+    /// engagement only) touches nothing: `index` stays shared and
+    /// `spare` stays put. Otherwise a shared `index` is detached
+    /// first — into `spare`'s storage when there is one (taken), a
+    /// superseded epoch no one else holds, else into a fresh copy —
+    /// copying the flat tables and sharing every list and the
+    /// dictionary. The batch then copies each list its adds or sweep
+    /// touch, once, into the spare's own buffer for that slot when it
+    /// has one, and the dictionary only if it interns or retires a
+    /// term.
+    pub fn apply_shared<'a>(
+        index: &mut Arc<InvertedIndex>,
+        spare: &mut Option<InvertedIndex>,
+        deltas: impl IntoIterator<Item = &'a CorpusDelta>,
+    ) -> Detach {
+        let mut deltas = deltas
+            .into_iter()
+            .filter(|d| d.touches_documents())
+            .peekable();
+        if deltas.peek().is_none() {
+            return Detach::default();
+        }
         let mut staging = Staging::default();
+        let mut recycled = false;
+        if Arc::get_mut(index).is_none() {
+            let detached = match spare.take() {
+                Some(mut target) => {
+                    target.detach_from(index, &mut staging.cow);
+                    recycled = true;
+                    target
+                }
+                None => InvertedIndex::clone(index),
+            };
+            staging.cow.copied = detached.flat_bytes();
+            *index = Arc::new(detached);
+        }
+        Arc::make_mut(index).apply_staged(&mut staging, deltas);
+        Detach {
+            copied: staging.cow.copied,
+            recycled,
+        }
+    }
+
+    /// The body of [`InvertedIndex::apply_deltas`], staging into
+    /// `staging`.
+    fn apply_staged<'a>(
+        &mut self,
+        staging: &mut Staging,
+        deltas: impl IntoIterator<Item = &'a CorpusDelta>,
+    ) {
         for delta in deltas {
             for &doc in &delta.removed {
                 self.tombstone_document(doc);
             }
             for add in &delta.added {
-                self.stage_document(&mut staging, add.post, add.source, &add.text);
+                self.stage_document(staging, add.post, add.source, &add.text);
             }
         }
-        self.sweep();
+        self.finish(&mut staging.cow);
+    }
+
+    /// Makes this index — a superseded epoch no one else holds — equal
+    /// to `source`: the flat tables are copied into this index's
+    /// buffers, growing only those too small, and the pointer tables
+    /// are cloned. Each list and the dictionary `source` does not
+    /// share with this index go to `cow.displaced*`, so un-sharing
+    /// that slot later reuses the buffer.
+    fn detach_from(&mut self, source: &InvertedIndex, cow: &mut Unshared) {
+        // Exhaustive, so a field added later fails to compile until
+        // it is copied here.
+        let InvertedIndex {
+            term_ids,
+            lists,
+            free_ids,
+            rows,
+            spans,
+            arena,
+            dead_words,
+            ordinal_of,
+            free_ords,
+            pending,
+            total_len,
+            generation,
+        } = source;
+        if !Arc::ptr_eq(&self.term_ids, term_ids) {
+            cow.displaced_terms = Some(std::mem::replace(&mut self.term_ids, Arc::clone(term_ids)));
+        }
+        self.lists.truncate(lists.len());
+        cow.displaced.clear();
+        cow.displaced.resize(lists.len(), None);
+        for (id, list) in lists.iter().enumerate() {
+            match self.lists.get_mut(id) {
+                Some(own) if !Arc::ptr_eq(own, list) => {
+                    let old = std::mem::replace(own, Arc::clone(list));
+                    if let Some(slot) = cow.displaced.get_mut(id) {
+                        *slot = Some(old);
+                    }
+                }
+                Some(_) => {}
+                None => self.lists.push(Arc::clone(list)),
+            }
+        }
+        self.free_ids.clone_from(free_ids);
+        self.rows.clone_from(rows);
+        self.spans.clone_from(spans);
+        self.arena.clone_from(arena);
+        self.dead_words = *dead_words;
+        self.ordinal_of.clone_from(ordinal_of);
+        self.free_ords.clone_from(free_ords);
+        self.pending.clone_from(pending);
+        self.total_len = *total_len;
+        self.generation = *generation;
     }
 
     /// Marks a document removed without sweeping its postings:
@@ -385,11 +535,33 @@ impl InvertedIndex {
         let Some(ord) = self.ordinal_of.remove(&doc) else {
             return false;
         };
-        let row = &mut self.rows[ord as usize];
-        row.tombstoned = true;
-        self.total_len -= row.len as u64;
+        if let Some(row) = self.rows.get_mut(ord as usize) {
+            row.tombstoned = true;
+            self.total_len -= row.len as u64;
+        }
         self.pending.push(ord);
         true
+    }
+
+    /// Ends a batch: sweeps, then puts back every list the batch took
+    /// out. Returns how many rows the sweep freed.
+    fn finish(&mut self, cow: &mut Unshared) -> usize {
+        let swept = self.sweep(cow);
+        self.put_back(cow);
+        swept
+    }
+
+    /// Returns each list `cow` owns to its slot: into the slot's own
+    /// `Arc` when no other epoch holds it, else behind a new one.
+    fn put_back(&mut self, cow: &mut Unshared) {
+        for (slot, owned) in self.lists.iter_mut().zip(&mut cow.lists) {
+            if let Some(list) = owned.take() {
+                match Arc::get_mut(slot) {
+                    Some(own) => *own = list,
+                    None => *slot = Arc::new(list),
+                }
+            }
+        }
     }
 
     /// Sweeps all pending tombstones in one generation: every posting
@@ -398,7 +570,7 @@ impl InvertedIndex {
     /// the tombstoned rows go back on the free list, with empty
     /// spans; the arena is compacted once its dead words outnumber
     /// its live ones.
-    fn sweep(&mut self) -> usize {
+    fn sweep(&mut self, cow: &mut Unshared) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
@@ -406,17 +578,26 @@ impl InvertedIndex {
         let gen = self.generation;
         let pending = std::mem::take(&mut self.pending);
         for &ord in &pending {
-            let span = std::mem::take(&mut self.spans[ord as usize]);
+            let span = self
+                .spans
+                .get_mut(ord as usize)
+                .map(std::mem::take)
+                .unwrap_or_default();
             self.dead_words += span.len as usize;
             for at in span.range() {
-                let id = self.arena[at];
-                let rows = &self.rows;
-                let list = &mut self.lists[id as usize];
+                let Some(&id) = self.arena.get(at) else {
+                    continue;
+                };
+                let Some(list) = cow.list(&mut self.lists, id) else {
+                    continue;
+                };
                 if list.clean_gen < gen {
-                    list.entries.retain(|p| !rows[p.ord as usize].tombstoned);
+                    let rows = &self.rows;
+                    list.entries
+                        .retain(|p| rows.get(p.ord as usize).is_some_and(|r| !r.tombstoned));
                     list.clean_gen = gen;
                     if list.entries.is_empty() {
-                        self.retire(id);
+                        self.retire(cow, id);
                     }
                 }
             }
@@ -434,7 +615,7 @@ impl InvertedIndex {
         let mut arena = Vec::with_capacity(self.arena.len() - self.dead_words);
         for span in &mut self.spans {
             let start = arena.len() as u32;
-            arena.extend_from_slice(&self.arena[span.range()]);
+            arena.extend_from_slice(self.arena.get(span.range()).unwrap_or_default());
             span.start = start;
         }
         self.arena = arena;
@@ -452,7 +633,8 @@ impl InvertedIndex {
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.term_ids
             .get(term)
-            .map_or(&[], |&id| self.lists[id as usize].entries.as_slice())
+            .and_then(|&id| self.lists.get(id as usize))
+            .map_or(&[], |list| list.entries.as_slice())
     }
 
     /// The live post at ordinal `ord` (`None` for a tombstoned or
@@ -476,7 +658,7 @@ impl InvertedIndex {
     fn row(&self, doc: PostId) -> Option<&DocRow> {
         self.ordinal_of
             .get(&doc)
-            .map(|&ord| &self.rows[ord as usize])
+            .and_then(|&ord| self.rows.get(ord as usize))
     }
 
     /// Document frequency of a term.
@@ -523,16 +705,21 @@ impl InvertedIndex {
 
     /// Element bytes of the doc table, the forward-index spans and
     /// arena, the posting entries, the term dictionary and
-    /// `ordinal_of`: what a copy-on-write detach copies, spare
+    /// `ordinal_of`: what a copy of the whole index copies, spare
     /// capacity, term text and allocator overhead aside.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         let postings: usize = self.lists.iter().map(|l| l.entries.len()).sum();
+        self.flat_bytes()
+            + postings * size_of::<Posting>()
+            + self.term_ids.len() * size_of::<(String, u32)>()
+    }
+
+    /// The elements of [`InvertedIndex::heap_bytes`] every detach
+    /// copies: the doc table, spans, arena and `ordinal_of`.
+    fn flat_bytes(&self) -> usize {
         self.rows.len() * size_of::<DocRow>()
             + self.spans.len() * size_of::<Span>()
             + self.arena.len() * size_of::<u32>()
-            + postings * size_of::<Posting>()
-            + self.term_ids.len() * size_of::<(String, u32)>()
             + self.ordinal_of.len() * size_of::<(PostId, u32)>()
     }
 
@@ -610,11 +797,11 @@ impl InvertedIndex {
                     tf: r.varint_u32()?,
                 });
             }
-            lists.push(PostingList {
+            lists.push(Arc::new(PostingList {
                 term,
                 entries,
                 clean_gen: 0,
-            });
+            }));
         }
         let free_ids = read_ids(&mut r)?;
         let (count, capacity) = r.count()?;
@@ -639,7 +826,7 @@ impl InvertedIndex {
         r.finish()?;
 
         let mut index = InvertedIndex {
-            term_ids: HashMap::with_capacity(lists.len()),
+            term_ids: Arc::new(HashMap::with_capacity(lists.len())),
             lists,
             free_ids,
             rows,
@@ -655,7 +842,6 @@ impl InvertedIndex {
         index.rebuild_derived()?;
         Ok(index)
     }
-
     /// Checks a decoded image against its own tables and rebuilds the
     /// state [`InvertedIndex::encode_into`] leaves out: the term
     /// dictionary, the tombstone flags, `ordinal_of` and the total
@@ -676,6 +862,7 @@ impl InvertedIndex {
         // Postings regrouped by row (ids ascending, as the lists are
         // walked in id order): `by_row[starts[ord]..starts[ord + 1]]`.
         let mut starts = vec![0usize; self.rows.len() + 1];
+        let term_ids = Arc::make_mut(&mut self.term_ids);
         for (id, (list, &free)) in self.lists.iter().zip(&free_slot).enumerate() {
             if (list.term.is_empty(), list.entries.is_empty()) != (free, free) {
                 return Err(bad("a slot's term, postings and free flag disagree"));
@@ -686,7 +873,7 @@ impl InvertedIndex {
                     _ => return Err(bad("posting past the doc table")),
                 }
             }
-            if !free && self.term_ids.insert(list.term.clone(), id as u32).is_some() {
+            if !free && term_ids.insert(list.term.clone(), id as u32).is_some() {
                 return Err(bad("a term in two slots"));
             }
         }
@@ -933,7 +1120,7 @@ mod tests {
         assert!(class.iter().all(Option::is_some), "an ordinal leaked");
 
         let mut live = vec![false; idx.lists.len()];
-        for (term, &id) in &idx.term_ids {
+        for (term, &id) in idx.term_ids.iter() {
             let list = &idx.lists[id as usize];
             assert_eq!(&list.term, term, "id {id} does not name `{term}` back");
             assert!(!list.entries.is_empty(), "dictionary kept emptied `{term}`");
@@ -1033,7 +1220,7 @@ mod tests {
         assert!(idx.tombstone_document(PostId::new(1)));
         assert_bounds_exact(&idx);
         assert_eq!(idx.vocabulary_size(), 4);
-        assert_eq!(idx.sweep(), 2);
+        assert_eq!(idx.finish(&mut Unshared::default()), 2);
         assert_bounds_exact(&idx);
         assert_eq!(idx.vocabulary_size(), 2);
         assert_eq!(postings_by_post(&idx, "duomo"), vec![(2, 1)]);
@@ -1054,16 +1241,19 @@ mod tests {
         // keeps its stale postings, and its ordinal stays off the
         // free list, until the sweep, which also retires `castle`.
         let stale = idx.rows.iter().position(|r| r.tombstoned);
+        let mut staging = Staging::default();
         idx.stage_document(
-            &mut Staging::default(),
+            &mut staging,
             PostId::new(1),
             SourceId::new(0),
             "duomo fountain",
         );
+        // Mid-batch, with the lists the add took back in their slots.
+        idx.put_back(&mut staging.cow);
         assert_bounds_exact(&idx);
         assert_eq!(idx.pending.len(), 1);
         assert_ne!(idx.ordinal_of(PostId::new(1)).map(|o| o as usize), stale);
-        assert_eq!(idx.sweep(), 1);
+        assert_eq!(idx.finish(&mut staging.cow), 1);
         assert_bounds_exact(&idx);
         assert_eq!(idx.doc_frequency("castle"), 0);
         assert_eq!(idx.doc_frequency("fountain"), 1);
@@ -1122,7 +1312,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_reuses_the_target_buffers_and_keeps_every_bound() {
+    fn a_recycled_detach_reuses_the_target_buffers_and_keeps_every_bound() {
         // A target that grew past the source: more rows, lists, arena.
         let mut spare = three_docs();
         let s = SourceId::new(1);
@@ -1134,11 +1324,37 @@ mod tests {
         let (arena, rows) = (spare.arena.as_ptr(), spare.rows.as_ptr());
         let capacity = spare.arena.capacity();
 
-        spare.clone_from(&source);
+        let mut cow = Unshared::default();
+        spare.detach_from(&source, &mut cow);
         assert_bounds_exact(&spare);
         assert_eq!(format!("{spare:?}"), format!("{:?}", source.clone()));
         assert_eq!((spare.arena.as_ptr(), spare.rows.as_ptr()), (arena, rows));
         assert_eq!(spare.arena.capacity(), capacity);
+        // The lists and the dictionary are the source's own, shared.
+        assert!(Arc::ptr_eq(&spare.term_ids, &source.term_ids));
+        assert_eq!(spare.lists.len(), source.lists.len());
+        for (own, theirs) in spare.lists.iter().zip(&source.lists) {
+            assert!(Arc::ptr_eq(own, theirs));
+        }
+
+        // Un-sharing a slot copies into the list the target held there,
+        // and counts the copy.
+        let id = source.term_ids["duomo"];
+        let old = cow.displaced[id as usize]
+            .as_ref()
+            .unwrap()
+            .entries
+            .as_ptr();
+        let list = cow.list(&mut spare.lists, id).unwrap();
+        assert_eq!(list.entries.as_ptr(), old);
+        assert_eq!(cow.copied, 2 * size_of::<Posting>());
+        spare.put_back(&mut cow);
+        assert!(!Arc::ptr_eq(
+            &spare.lists[id as usize],
+            &source.lists[id as usize]
+        ));
+        assert_bounds_exact(&spare);
+        assert_eq!(format!("{spare:?}"), format!("{:?}", source.clone()));
     }
 
     #[test]
@@ -1152,6 +1368,11 @@ mod tests {
         copy.apply_delta(&delta);
         assert_bounds_exact(&copy);
         assert_eq!(postings_by_post(&copy, "duomo"), vec![(0, 1), (3, 3)]);
+        // The copy took its own `duomo`; `rooftop`, which the delta
+        // does not touch, stays shared.
+        let [duomo, rooftop] = ["duomo", "rooftop"].map(|t| original.term_ids[t] as usize);
+        assert!(!Arc::ptr_eq(&copy.lists[duomo], &original.lists[duomo]));
+        assert!(Arc::ptr_eq(&copy.lists[rooftop], &original.lists[rooftop]));
 
         assert_bounds_exact(&original);
         assert_eq!(

@@ -57,7 +57,7 @@ pub mod trace;
 
 pub use blend::{BlendWeights, PageRank, StaticBlend, Traffic};
 pub use engine::{SearchEngine, SearchHit};
-pub use index::InvertedIndex;
+pub use index::{Detach, InvertedIndex};
 pub use scatter::{
     merge_partials, normalize_query, scatter_query, scatter_query_traced, scatter_query_unpruned,
     NopTrace, ScatterStats, ScatterTrace, SourcePartial,

@@ -11,15 +11,19 @@
 //! of the live documents, with every ordinal used once.
 //!
 //! A serving layer also detaches a published index *into* an older
-//! one's storage ([`Clone::clone_from`]), so whatever history that
-//! older index has, the result must be the same index a fresh clone
-//! gives, and must evolve like it.
+//! one's storage ([`InvertedIndex::apply_shared`]), sharing every
+//! posting list it does not touch, so whatever history that older
+//! index has, the result must be the same index a fresh clone gives,
+//! must evolve like it, and must leave the published epoch's image
+//! as it was.
 
 use obs_model::{CorpusDelta, PostId, SourceId};
+use obs_search::index::Posting;
 use obs_search::score::{bm25_scores, Bm25Params};
 use obs_search::InvertedIndex;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Small shared vocabulary so removals constantly dirty lists that
 /// other live documents still populate.
@@ -42,6 +46,13 @@ fn synth_text(state: &mut u64) -> String {
         .map(|_| POOL[(lcg(state) % POOL.len() as u64) as usize])
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// The index's canonical image.
+fn image(idx: &InvertedIndex) -> Vec<u8> {
+    let mut out = Vec::new();
+    idx.encode_into(&mut out);
+    out
 }
 
 /// A term's postings as a set of `(post, tf)`.
@@ -218,46 +229,67 @@ proptest! {
     }
 
     #[test]
-    fn clone_from_any_history_equals_a_fresh_clone(
+    fn a_recycled_detach_from_any_history_equals_a_fresh_clone(
         seed_a in 0u64..10_000,
         seed_b in 0u64..10_000,
         ops_a in 0usize..60,
         ops_b in 0usize..60,
     ) {
-        let (mut recycled, _) = history(seed_a, ops_a);
+        let (target, _) = history(seed_a, ops_a);
         let (source, mut live) = history(seed_b, ops_b);
-        let mut fresh = source.clone();
-        recycled.clone_from(&source);
+        // The published epoch, which a reader's pin shares, so an
+        // apply detaches it: into the recycled target, or afresh.
+        let pin = Arc::new(source);
+        let pinned = image(&pin);
+        let mut fresh = InvertedIndex::clone(&pin);
+        let mut recycled = Arc::clone(&pin);
+        let mut spare = Some(target);
+        // A removal of a post no history holds: the detach alone.
+        let mut absent = CorpusDelta::new();
+        absent.remove_doc(PostId::new(1_000));
+        let detach = InvertedIndex::apply_shared(&mut recycled, &mut spare, [&absent]);
+        prop_assert!(detach.recycled && spare.is_none());
+        // It copied the flat tables and shared every list and the
+        // dictionary.
+        let postings: usize = POOL.iter().map(|t| pin.doc_frequency(t)).sum();
+        prop_assert_eq!(
+            detach.copied,
+            pin.heap_bytes()
+                - postings * std::mem::size_of::<Posting>()
+                - pin.vocabulary_size() * std::mem::size_of::<(String, u32)>()
+        );
 
         // Field for field the same index (`Debug` prints every field,
         // and hash tables clone bucket for bucket), whatever rows,
         // lists and capacity the target held before.
         prop_assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
         assert_doc_table(&recycled, &live);
-        prop_assert_eq!(recycled.heap_bytes(), source.heap_bytes());
-        prop_assert_eq!(recycled.vocabulary_size(), source.vocabulary_size());
+        prop_assert_eq!(recycled.heap_bytes(), pin.heap_bytes());
+        prop_assert_eq!(recycled.vocabulary_size(), pin.vocabulary_size());
         for &doc in live.keys() {
             let post = PostId::new(doc);
-            prop_assert_eq!(recycled.ordinal_of(post), source.ordinal_of(post));
+            prop_assert_eq!(recycled.ordinal_of(post), pin.ordinal_of(post));
         }
         let probes = [vec!["duomo"], vec!["castle", "gardens"], POOL.to_vec()];
         for probe in &probes {
             prop_assert_eq!(
                 bm25_scores(&recycled, probe, Bm25Params::default()),
-                bm25_scores(&source, probe, Bm25Params::default())
+                bm25_scores(&pin, probe, Bm25Params::default())
             );
         }
 
         // And it evolves like the fresh clone: the same next batch
         // lands both on the same documents, rows and statistics.
-        // (Not on the same `Debug` text: each add tallies its terms
-        // in a freshly seeded hash map, so the order a document's
-        // postings and arena words go in varies from run to run.)
+        // Copying only the lists it touches, it copies at most the
+        // whole index.
         let mut state = seed_a ^ seed_b;
         let deltas = churn_batch(&mut state, &mut live);
-        recycled.apply_deltas(&deltas);
+        let detach = InvertedIndex::apply_shared(&mut recycled, &mut None, &deltas);
+        prop_assert!(!detach.recycled);
+        prop_assert!(detach.copied <= pin.heap_bytes());
         fresh.apply_deltas(&deltas);
         assert_doc_table(&recycled, &live);
+        prop_assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
         prop_assert_eq!(recycled.heap_bytes(), fresh.heap_bytes());
         prop_assert_eq!(recycled.free_ordinals(), fresh.free_ordinals());
         for &doc in live.keys() {
@@ -270,5 +302,7 @@ proptest! {
                 bm25_scores(&fresh, probe, Bm25Params::default())
             );
         }
+        // Neither apply wrote through a list the pinned epoch holds.
+        prop_assert_eq!(image(&pin), pinned);
     }
 }

@@ -98,7 +98,7 @@ catalog! {
     LIVE_SHARD_COMMIT_NS: "live_shard_commit_ns", Histogram, ["shard"],
         "Whole shard commit latency in ns.";
     LIVE_COMMIT_COPIED_BYTES: "live_commit_copied_bytes", Histogram, ["shard"],
-        "Index bytes a shard commit's copy-on-write detach copies.";
+        "Index bytes a shard commit copies: detached flat tables plus un-shared posting lists.";
     LIVE_COMMIT_RECYCLED_TOTAL: "live_commit_recycled_total", Counter, ["shard"],
         "Shard commits whose detach reused the superseded epoch's index storage.";
     LIVE_SHARD_COMMITS_TOTAL: "live_shard_commits_total", Counter, ["shard"],

@@ -1051,6 +1051,123 @@ proptest! {
     }
 
     #[test]
+    fn shared_list_epochs_stay_pinned_and_equal_a_never_shared_index(seed in 0u64..10_000) {
+        // A commit shares every posting list it does not touch with
+        // the epoch before it and copies the rest. Over a random
+        // history of adds, removals, re-adds, engagement-only commits
+        // and refused fsyncs, with a reader pin held across commits,
+        // no commit may write through a list a pinned epoch holds (its
+        // index image stays byte-identical), and every published index
+        // must image exactly as an index that was never cloned and
+        // applied the same batches in the same order.
+        let world = tiny_world(seed);
+        let panel = AlexaPanel::simulate(&world, seed);
+        let links = LinkGraph::simulate(&world, seed ^ 1);
+        let scratch =
+            SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+        let seed_engine = empty_seed(&world, &scratch);
+        let posts = permuted_posts(&world, seed);
+        let sources: Vec<SourceId> = world.corpus.sources().iter().map(|s| s.id).collect();
+        let image = |index: &InvertedIndex| {
+            let mut out = Vec::new();
+            index.encode_into(&mut out);
+            out
+        };
+        let mut state = seed;
+        let mut roll = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+
+        let dir = case_dir("shared_lists", seed);
+        let registry = Registry::new();
+        let mut service = ShardedLiveService::start(&seed_engine, 1, &dir)
+            .unwrap()
+            .with_metrics(ShardMetrics::new(&registry, 1));
+        let reader = service.reader();
+        let mut never_shared = InvertedIndex::default();
+        let mut live = vec![false; posts.len()];
+        // A reader's pin, the shard engine it pinned (which reads the
+        // pinned index) and that index's image.
+        let mut pinned = None;
+        let mut pinned_commits = 0;
+        for _ in 0..40 {
+            match roll(3) {
+                0 => pinned = None,
+                1 => {
+                    let engine = service.shard_engine(0).clone();
+                    let bytes = image(engine.index());
+                    pinned = Some((reader.pin(), engine, bytes));
+                }
+                _ => {}
+            }
+            let before = live.clone();
+            let mut batch = Vec::new();
+            for _ in 0..1 + roll(3) {
+                let at = roll(posts.len());
+                let window = at..posts.len().min(at + 1 + roll(4));
+                let removable: Vec<PostId> =
+                    window.clone().filter(|&i| live[i]).map(|i| posts[i]).collect();
+                batch.push(match roll(4) {
+                    // Adds of absent posts and re-adds of live ones.
+                    0 | 1 => {
+                        live[window.clone()].fill(true);
+                        CorpusDelta::for_posts(&world.corpus, &posts[window]).unwrap()
+                    }
+                    2 if !removable.is_empty() => {
+                        live[window].fill(false);
+                        CorpusDelta::for_removals(&world.corpus, &removable).unwrap()
+                    }
+                    _ => {
+                        let mut delta = CorpusDelta::new();
+                        delta.note_engagement(sources[roll(sources.len())], 1, 2);
+                        delta
+                    }
+                });
+            }
+            let refused = roll(5) == 0;
+            if refused {
+                service.inject_journal_sync_failures(0, 1);
+            }
+            let documents = batch.iter().any(CorpusDelta::touches_documents);
+            // Held only where the index must stay shared: holding it
+            // across a document commit would pin the epoch.
+            let prior = (refused || !documents).then(|| service.shard_engine(0).clone());
+            let outcome = service.ingest_batch(&batch);
+            prop_assert_eq!(outcome.is_err(), refused);
+            if refused {
+                live = before;
+            } else {
+                never_shared.apply_deltas(&batch);
+                pinned_commits += usize::from(documents && pinned.is_some());
+            }
+            let published = service.shard_engine(0);
+            if let Some(prior) = prior {
+                prop_assert!(
+                    published.shares_index_with(&prior),
+                    "a refused or engagement-only commit detached the index"
+                );
+            }
+            prop_assert_eq!(image(published.index()), image(&never_shared));
+            if let Some((_, engine, bytes)) = &pinned {
+                prop_assert_eq!(&image(engine.index()), bytes);
+            }
+        }
+        // Both detach paths ran: into the superseded epoch, and afresh
+        // beside a pinned one.
+        let recycled = registry
+            .render_text()
+            .lines()
+            .find_map(|line| line.strip_prefix("live_commit_recycled_total{shard=\"0\"} "))
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap();
+        prop_assert!(recycled > 0 && pinned_commits > 0, "{} recycled, {} pinned", recycled, pinned_commits);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn dense_query_equals_reference_query(
         seed in 0u64..10_000,
         shards in 1usize..4,

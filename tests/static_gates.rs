@@ -34,15 +34,17 @@ const REPLAY_MODULES: [&str; 5] = [
 
 /// Modules held to checked indexing (`get`/`get_mut`, or an
 /// `#[expect]` with a reason): the static blend, the scatter merge and
-/// the shard commit path serve every query and commit; the journal
-/// and the checkpoint image are the durable path every commit and
-/// recovery reads and writes; the quality score normalizes every
+/// the shard commit path serve every query and commit; the inverted
+/// index is what every commit mutates and every epoch shares; the
+/// journal and the checkpoint image are the durable path every commit
+/// and recovery reads and writes; the quality score normalizes every
 /// measure through `normalize`.
-const CHECKED_INDEXING_MODULES: [&str; 6] = [
+const CHECKED_INDEXING_MODULES: [&str; 7] = [
     "crates/live/src/checkpoint.rs",
     "crates/live/src/journal.rs",
     "crates/live/src/shard.rs",
     "crates/search/src/blend.rs",
+    "crates/search/src/index.rs",
     "crates/search/src/scatter.rs",
     "crates/stats/src/normalize.rs",
 ];
